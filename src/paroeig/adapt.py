@@ -234,10 +234,12 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
         current = domain
     records = []
     block = None
+    system = None
     prev_values = None
     for level in range(config.max_refinements + 1):
         try:
-            system = assemble(current, coeffs)
+            if system is None:
+                system = assemble(current, coeffs)
             if system.n_dofs < n_orbitals:
                 raise AdaptError(
                     f"mesh has {system.n_dofs} free dofs for "
@@ -276,7 +278,7 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             fine_sys = assemble(fine, coeffs)
             block = transfer_block(current, system, fine, fine_sys, rmap,
                                    block, config.rel_gap)
-            current = fine
+            current, system = fine, fine_sys
         except AdaptError:
             raise
         except Exception as exc:

@@ -1,5 +1,11 @@
 """Sparse symmetric storage and the solvers behind the orbital iteration.
 
+A SparseSymMatrix is built from its lower triangle and stores the full
+symmetric matrix once, as a single CSR, so every product is one sparse
+matvec. The shifted operator K - sigma*M is assembled into its own CSR
+once per shift for the same reason: it is applied once per MINRES
+iteration, the hot path of the solver.
+
 MINRES is implemented directly (Paige-Saunders recurrences) because the
 shifted operator K - sigma*M is indefinite whenever the shift sits inside
 the spectrum, and because near-singular solves are the normal operating
@@ -14,7 +20,8 @@ play are tiny (N <= ~50), where Jacobi is robust and accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,10 +33,11 @@ class LinAlgError(RuntimeError):
 
 
 class SparseSymMatrix:
-    """Symmetric sparse operator storing only the lower triangle in CSR.
+    """Symmetric sparse operator stored as one full CSR matrix.
 
-    Symmetry is structural: the full operator is reconstructed as
-    L + strict_upper(L.T), so max|S - S.T| is exactly zero by storage.
+    The constructor takes the lower triangle L and stores
+    L + strict_lower(L).T, so S == S.T holds exactly by construction and
+    matvec/matmat are single sparse products.
     """
 
     def __init__(self, lower):
@@ -40,10 +48,10 @@ class SparseSymMatrix:
             raise LinAlgError("input must contain only the lower triangle")
         lower.sum_duplicates()
         lower.eliminate_zeros()
-        lower.sort_indices()
-        self.lower = lower
-        strict = sp.tril(lower, k=-1)
-        self._strict_upper = strict.T.tocsr()
+        self._nnz_lower = lower.nnz
+        full = (lower + sp.tril(lower, k=-1).T).tocsr()
+        full.sort_indices()
+        self._full = full
 
     @classmethod
     def from_triplets(cls, n, rows, cols, values):
@@ -59,41 +67,52 @@ class SparseSymMatrix:
 
     @property
     def n(self):
-        return self.lower.shape[0]
+        return self._full.shape[0]
 
     @property
     def nnz_lower(self):
-        return self.lower.nnz
+        return self._nnz_lower
 
     def matvec(self, x):
-        return self.lower @ x + self._strict_upper @ x
+        return self._full @ x
 
     def matmat(self, x):
         """Apply to the columns of an (n, k) array."""
-        return self.lower @ x + self._strict_upper @ x
+        return self._full @ x
 
     def quad_form(self, x):
         return float(x @ self.matvec(x))
 
     def diagonal(self):
-        return self.lower.diagonal()
+        return self._full.diagonal()
 
     def to_csr(self):
-        return (self.lower + self._strict_upper).tocsr()
+        """A copy of the stored full matrix."""
+        return self._full.copy()
 
     def to_dense(self):
-        return self.to_csr().toarray()
+        return self._full.toarray()
 
 
 @dataclass(frozen=True)
 class ShiftedOperator:
-    """The pencil operator v -> K v - sigma * (M v), never formed as a matrix."""
+    """The pencil operator v -> (K - sigma*M) v.
+
+    K - sigma*M is assembled into one CSR matrix at construction, so each
+    application is a single sparse matvec. Build one operator per shift
+    and share it between the solves that use that shift.
+    """
     K: SparseSymMatrix
     M: SparseSymMatrix
     sigma: float
+    matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix",
+                           self.K._full - self.sigma * self.M._full)
 
     def __call__(self, v):
-        return self.K.matvec(v) - self.sigma * self.M.matvec(v)
+        return self.matrix @ v
 
     @property
     def n(self):
@@ -134,9 +153,15 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond_diag=None):
         MinresResult. Hitting max_iter is reported via flag, not raised:
         near-singular systems that stall at large iterate norms are an
         expected regime for shifted-inverse orbital updates.
+
+    Raises:
+        LinAlgError: the right-hand side or the residual estimate is not
+            finite, or the residual estimate increases.
     """
     apply_s = _as_apply(S)
     b = np.asarray(rhs, dtype=np.float64)
+    if not np.isfinite(b).all():
+        raise LinAlgError("MINRES right-hand side is not finite")
     n = b.size
     if max_iter is None:
         max_iter = 4 * n
@@ -203,8 +228,13 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond_diag=None):
         w = (v - oldeps * w1 - delta * w2) / gamma
         x = x + phi * w
 
+        if not math.isfinite(phibar):
+            raise LinAlgError(f"MINRES residual estimate is not finite "
+                              f"at iteration {itn}")
         # |sn| <= 1 makes this nonincreasing by construction
-        assert phibar <= history[-1]
+        if phibar > history[-1]:
+            raise LinAlgError(f"MINRES residual estimate increased at "
+                              f"iteration {itn}")
         history.append(phibar)
 
         if phibar <= tol * beta1:

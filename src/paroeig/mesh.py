@@ -341,8 +341,9 @@ def refine(mesh, marked, ell=1):
     """
     if ell < 1:
         raise MeshError("ell must be >= 1")
-    ids = np.unique(np.asarray(sorted(marked), dtype=np.int64)) \
-        if len(list(marked)) else np.empty(0, dtype=np.int64)
+    if not isinstance(marked, np.ndarray):
+        marked = list(marked)          # read an iterator exactly once
+    ids = np.unique(np.asarray(marked, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= mesh.n_triangles):
         raise MeshError("marked triangle index out of range")
     if ids.size == 0:

@@ -174,18 +174,20 @@ def orbital_update(sys, block, tols, threads=None):
 
     Returns the (N, n_dofs) array of unnormalized half-step vectors.
     The N solves are independent; they run on a thread pool (the work is
-    sparse matvecs, and each solve owns its workspace). Iteration caps
+    sparse matvecs, and each solve owns its workspace). The members of a
+    cluster share one shift and so one assembled operator. Iteration caps
     are expected near convergence and not reported as errors.
     """
     jobs = []
     for i, sl in enumerate(block.layout.cluster_slices()):
         shift = _safe_shift(float(block.shifts[i]), block.ritz_values)
+        op = ShiftedOperator(sys.K, sys.M, shift)
         for flat in range(sl.start, sl.stop):
             rhs = shift * sys.M.matvec(block.vectors[flat])
             if not np.any(rhs):
                 raise ParoError(f"orbital {flat} produced a zero "
                                 f"right-hand side (degenerate orbital)")
-            jobs.append((ShiftedOperator(sys.K, sys.M, shift), rhs))
+            jobs.append((op, rhs))
 
     def solve(job):
         op, rhs = job

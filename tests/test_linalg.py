@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from paroeig.assembly import Coefficients, assemble
 from paroeig.linalg import (
     LinAlgError,
     MinresResult,
@@ -20,6 +23,7 @@ from paroeig.linalg import (
     gram,
     minres_solve,
 )
+from paroeig.mesh import build_initial_mesh, uniform_refine
 
 
 def random_spd(n, seed, cond_spread=(0.5, 10.0)):
@@ -71,6 +75,78 @@ class TestSparseSymMatrix:
         assert_allclose(op(np.ones(2)), [-0.1, 2.9], atol=1e-15)
 
 
+def assembled(domain, passes):
+    m, _ = uniform_refine(build_initial_mesh(domain), passes)
+    return assemble(m, Coefficients.identity())
+
+
+@st.composite
+def sparse_lower(draw):
+    """A random sparse lower triangle (diagonal included) as a CSR."""
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    return sp.csr_matrix(np.tril(a))
+
+
+class TestFullStorage:
+    """The stored full matrix and the assembled shifted operator."""
+
+    @pytest.mark.parametrize("domain,passes,nnz_k,nnz_m", [
+        ("unit_square", 6, 133, 169), ("l_shape", 5, 213, 265)])
+    def test_assembled_storage_symmetric_with_unchanged_nnz_lower(
+            self, domain, passes, nnz_k, nnz_m):
+        system = assembled(domain, passes)
+        for s, nnz in ((system.K, nnz_k), (system.M, nnz_m)):
+            full = s.to_csr()
+            assert (full - full.T).nnz == 0
+            assert s.nnz_lower == nnz == sp.tril(full).nnz
+
+    @pytest.mark.parametrize("domain,passes", [("unit_square", 6),
+                                               ("l_shape", 5)])
+    def test_shifted_operator_matches_two_products(self, domain, passes):
+        system = assembled(domain, passes)
+        v = np.random.default_rng(3).standard_normal(system.n_dofs)
+        for sigma in (0.0, 19.7, 1.0e3):
+            op = ShiftedOperator(system.K, system.M, sigma)
+            expect = system.K.matvec(v) - sigma * system.M.matvec(v)
+            err = np.linalg.norm(op(v) - expect)
+            assert err <= 1e-13 * np.linalg.norm(expect)
+
+    def test_shifted_operator_holds_one_csr(self):
+        k = SparseSymMatrix.from_dense(random_sym(6, 1))
+        m = SparseSymMatrix.from_dense(random_spd(6, 2))
+        op = ShiftedOperator(k, m, 0.3)
+        assert isinstance(op.matrix, sp.csr_matrix)
+        assert_allclose(op.matrix.toarray(),
+                        k.to_dense() - 0.3 * m.to_dense(), atol=1e-15)
+
+    def test_to_csr_is_a_copy(self):
+        s = SparseSymMatrix.from_dense(random_sym(4, 5))
+        before = s.to_dense()
+        s.to_csr().data[:] = 0.0
+        assert_allclose(s.to_dense(), before, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_lower())
+    def test_random_lower_gives_symmetric_products(self, lower):
+        s = SparseSymMatrix(lower)
+        full = s.to_csr()
+        assert (full - full.T).nnz == 0
+        dense = lower.toarray()
+        dense = dense + np.tril(dense, k=-1).T
+        assert_allclose(s.to_dense(), dense, atol=0.0)
+        assert s.nnz_lower == np.count_nonzero(np.tril(dense))
+        n = dense.shape[0]
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        xs = rng.standard_normal((n, 3))
+        assert_allclose(s.matvec(x), dense @ x, rtol=1e-13, atol=1e-13)
+        assert_allclose(s.matmat(xs), dense @ xs, rtol=1e-13, atol=1e-13)
+
+
 class TestMinres:
     def test_diagonal_spd(self):
         s = SparseSymMatrix.from_dense(np.diag([2.0, 1.0]))
@@ -119,6 +195,18 @@ class TestMinres:
         s = SparseSymMatrix.from_dense(np.diag([1.0, 2.0]))
         with pytest.raises(LinAlgError, match="positive"):
             minres_solve(s, np.ones(2), precond_diag=np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_raises(self, bad):
+        s = SparseSymMatrix.from_dense(np.diag([2.0, 1.0, 3.0]))
+        rhs = np.array([1.0, bad, 1.0])
+        with pytest.raises(LinAlgError, match="right-hand side"):
+            minres_solve(s, rhs)
+
+    def test_non_finite_operator_raises(self):
+        s = SparseSymMatrix.from_dense(np.diag([2.0, np.nan, 3.0]))
+        with pytest.raises(LinAlgError, match="not finite"):
+            minres_solve(s, np.ones(3))
 
     def test_max_iter_is_reported_not_raised(self):
         a = random_spd(60, 21, cond_spread=(1e-6, 1.0))

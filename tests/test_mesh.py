@@ -65,6 +65,13 @@ def test_refine_single_marked_with_closure():
     f.assert_conforming()
 
 
+def test_refine_reads_an_iterator_once():
+    m = pm.build_initial_mesh("unit_square")
+    f, _ = pm.refine(m, (t for t in range(2)), ell=1)
+    assert f.n_triangles == 4
+    f.assert_conforming()
+
+
 def test_refine_empty_marking_identity():
     m = pm.build_initial_mesh("unit_square")
     f, rmap = pm.refine(m, [], ell=1)

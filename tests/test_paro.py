@@ -199,6 +199,30 @@ class TestOrbitalUpdate:
         with pytest.raises(ParoError, match="zero right-hand side"):
             orbital_update(sys, blk, ParoTolerances())
 
+    def test_one_operator_per_cluster(self, monkeypatch):
+        import paroeig.paro as paro_mod
+        built = []
+
+        class Recording(paro_mod.ShiftedOperator):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self.sigma)
+
+        monkeypatch.setattr(paro_mod, "ShiftedOperator", Recording)
+        sys = diag_system([2.0, 5.0, 5.05, 9.0])
+        lay = ClusterLayout(q=2, d=(1, 2))
+        blk = OrbitalBlock(layout=lay, vectors=np.eye(4)[:3] + 0.1,
+                           ritz_values=np.array([2.1, 5.1, 5.2]),
+                           shifts=np.array([2.05, 5.15]))
+        hs = orbital_update(sys, blk, ParoTolerances(minres_tol=1e-13),
+                            threads=1)
+        assert built == [2.05, 5.15]
+        k = np.diag([2.0, 5.0, 5.05, 9.0])
+        for flat, shift in enumerate([2.05, 5.15, 5.15]):
+            expect = np.linalg.solve(k - shift * np.eye(4),
+                                     shift * blk.vectors[flat])
+            assert_allclose(hs[flat], expect, rtol=1e-9)
+
     def test_thread_count_does_not_change_results(self, square16):
         m, sys, _, _ = square16
         blk = initial_block(sys, sine_seeds(m, sys, 0.05, seed=0))
