@@ -4,6 +4,7 @@ Subpackage map:
     mesh       conforming triangulations, newest-vertex bisection, transfer
     assembly   P1 stiffness/mass assembly with Dirichlet elimination
     linalg     sparse symmetric storage, MINRES, dense generalized eigensolver
+    multilevel additive multilevel preconditioner on the refinement hierarchy
     paro       clustering, shifted orbital updates, Rayleigh-Ritz inner loop
     estimator  residual a posteriori indicators for an orbital block
     adapt      Dorfler marking and the outer adaptive loop
@@ -11,8 +12,9 @@ Subpackage map:
     cli        command-line front end (run / verify / spectrum)
 """
 
-from . import adapt, assembly, estimator, linalg, mesh, paro, verify
+from . import (adapt, assembly, estimator, linalg, mesh, multilevel, paro,
+               verify)
 
-__all__ = ["adapt", "assembly", "estimator", "linalg", "mesh", "paro",
-           "verify"]
+__all__ = ["adapt", "assembly", "estimator", "linalg", "mesh", "multilevel",
+           "paro", "verify"]
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from . import mesh as mesh_mod
 from .assembly import assemble
 from .estimator import estimate
 from .linalg import b_orthonormalize, dense_sym_gen_eig, gram, minres_solve
+from .multilevel import MultilevelPreconditioner
 from .paro import (
     DEFAULT_REL_GAP,
     OrbitalBlock,
@@ -56,7 +57,6 @@ class AdaptConfig:
     tol1: float = 1e-6
     max_refinements: int = 12
     paro_tols: ParoTolerances = field(default_factory=ParoTolerances)
-    rel_gap: float = DEFAULT_REL_GAP
     marking: str = "dorfler"
     budget_factor: float | None = None
     initial_passes: int = 4
@@ -80,7 +80,13 @@ class AdaptConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One refinement level of an adaptive run."""
+    """One refinement level of an adaptive run.
+
+    wall_time covers everything the level did outside the observer:
+    refining into its mesh, assembly, transfer, extending the
+    preconditioner, the inner loop and the estimate (level 0 also the
+    initial mesh and the seed vectors).
+    """
     n: int
     n_dofs: int
     ritz_values: np.ndarray
@@ -217,8 +223,8 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             starting guesses on the initial mesh; defaults to a few
             inverse-iteration sweeps from an rng(seed) start.
         seed: rng seed for the default start.
-        threads: worker cap for the concurrent orbital solves
-            (None = one per orbital).
+        threads: None, 0 or 1 solves the orbitals one after another;
+            >= 2 runs them on a pool of that many threads.
         observer: optional callable (level, mesh, system, block,
             indicators) invoked once per level, after the inner loop.
 
@@ -227,6 +233,8 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
     """
     if n_orbitals < 1:
         raise AdaptError("need at least one orbital")
+    rel_gap = config.paro_tols.rel_gap
+    t0 = time.perf_counter()
     if isinstance(domain, str):
         current, _ = mesh_mod.uniform_refine(
             mesh_mod.build_initial_mesh(domain), config.initial_passes)
@@ -240,24 +248,25 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
         try:
             if system is None:
                 system = assemble(current, coeffs)
+                precond = MultilevelPreconditioner(current, system)
             if system.n_dofs < n_orbitals:
                 raise AdaptError(
                     f"mesh has {system.n_dofs} free dofs for "
                     f"{n_orbitals} orbitals; refine the initial mesh",
                     records=records)
-            t0 = time.perf_counter()
             if block is None:
                 starts = (seed_vectors(current, system) if seed_vectors
                           else default_seed_vectors(system, n_orbitals,
                                                     seed=seed))
-                block = initial_block(system, starts, config.rel_gap)
+                block = initial_block(system, starts, rel_gap)
             tols = _effective_tols(config, current, coeffs, block)
             block, m_used, _ = paro_inner_loop(system, block, tols,
-                                               threads)
+                                               threads, precond)
             indicators = estimate(current, coeffs, block)
             wall = time.perf_counter() - t0
             if observer is not None:
                 observer(level, current, system, block, indicators)
+            t0 = time.perf_counter()
             d1 = (np.inf if prev_values is None
                   else delta1(block.ritz_values, prev_values))
             records.append(RunRecord(
@@ -277,7 +286,8 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             fine, rmap = mesh_mod.refine(current, marked, config.ell)
             fine_sys = assemble(fine, coeffs)
             block = transfer_block(current, system, fine, fine_sys, rmap,
-                                   block, config.rel_gap)
+                                   block, rel_gap)
+            precond = precond.extend(rmap, fine, fine_sys)
             current, system = fine, fine_sys
         except AdaptError:
             raise

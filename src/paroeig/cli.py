@@ -39,8 +39,9 @@ class CliError(ValueError):
 class RunConfig:
     """Flat run description parsed from a key=value file.
 
-    Zero means "automatic" for minres_max_iter and threads and "off"
-    for budget_factor; everything else maps directly onto AdaptConfig
+    Zero means "automatic" for minres_max_iter, "serial" for threads
+    (>= 2 runs the orbital solves on that many threads) and "off" for
+    budget_factor; everything else maps directly onto AdaptConfig
     and ParoTolerances, which validate the numeric ranges.
     """
     domain: str = "unit_square"
@@ -153,7 +154,7 @@ def build_adapt_config(config):
     return AdaptConfig(
         theta=config.theta, ell=config.ell, tol1=config.tol1,
         max_refinements=config.max_refinements, paro_tols=tols,
-        rel_gap=config.rel_gap, marking=config.marking,
+        marking=config.marking,
         budget_factor=config.budget_factor or None,
         initial_passes=config.initial_passes)
 
@@ -290,7 +291,7 @@ def main(argv=None):
         p.add_argument("--out", default=None,
                        help="output directory (overrides out_dir)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap, 0 = one per orbital")
+                       help="orbital-solve threads; 0 or 1 = serial")
     p = sub.add_parser("spectrum")
     p.add_argument("--count", type=int, default=6,
                    help="how many unit-square eigenvalues to print")

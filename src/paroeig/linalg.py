@@ -137,17 +137,19 @@ class MinresResult:
     residual_history: np.ndarray
 
 
-def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond_diag=None):
+def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
     """Minimum-residual iteration for a symmetric (indefinite) operator.
 
     Args:
         S: the operator, as a callable v -> S v (e.g. ShiftedOperator) or a
             SparseSymMatrix / dense array.
         rhs: right-hand side.
-        tol: relative residual target.
+        tol: relative residual target. With a preconditioner B it is
+            measured in the B-norm: the iteration stops once
+            sqrt(r.B r) <= tol * sqrt(b.B b).
         max_iter: iteration cap, default 4 * len(rhs).
-        precond_diag: optional positive diagonal of a Jacobi preconditioner;
-            convergence is then tracked in the preconditioned norm.
+        precond: optional callable r -> B r applying a symmetric positive
+            definite preconditioner B (e.g. a MultilevelPreconditioner).
 
     Returns:
         MinresResult. Hitting max_iter is reported via flag, not raised:
@@ -156,7 +158,8 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond_diag=None):
 
     Raises:
         LinAlgError: the right-hand side or the residual estimate is not
-            finite, or the residual estimate increases.
+            finite, the residual estimate increases, or the preconditioner
+            is not positive definite.
     """
     apply_s = _as_apply(S)
     b = np.asarray(rhs, dtype=np.float64)
@@ -171,16 +174,10 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond_diag=None):
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return MinresResult(x, 0, 0.0, "converged", np.zeros(0))
-    use_pre = precond_diag is not None
-    if use_pre:
-        d = np.asarray(precond_diag, dtype=np.float64)
-        if (d <= 0.0).any():
-            raise LinAlgError("Jacobi preconditioner must be positive")
-
     r1 = b.copy()
-    y = r1 / d if use_pre else r1.copy()
+    y = precond(r1) if precond is not None else r1.copy()
     beta1 = float(r1 @ y)
-    if beta1 < 0.0:
+    if beta1 <= 0.0:
         raise LinAlgError("preconditioner is not positive definite")
     beta1 = np.sqrt(beta1)
 
@@ -205,7 +202,7 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond_diag=None):
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
-        y = r2 / d if use_pre else r2
+        y = precond(r2) if precond is not None else r2
         oldb = beta
         beta = float(r2 @ y)
         if beta < 0.0:

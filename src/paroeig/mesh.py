@@ -469,20 +469,27 @@ def dumps(mesh):
     lines = [f"{mesh.n_vertices} {mesh.n_triangles}"]
     for (x, y), b in zip(mesh.vertices, mesh.is_boundary_vertex):
         lines.append(f"{float(x)!r} {float(y)!r} {int(b)}")
-    for (i, j, k), g in zip(mesh.triangles, mesh.generation):
-        lines.append(f"{i} {j} {k} {g}")
+    for (i, j, k), g, a in zip(mesh.triangles, mesh.generation,
+                               mesh.ancestor):
+        lines.append(f"{i} {j} {k} {g} {a}")
     return "\n".join(lines) + "\n"
 
 
 def dump(mesh, path):
     """Write the mesh as text: "nv nt", then nv lines "x y boundary_flag",
-    then nt lines "i j k generation". Insertion order, reproducible."""
+    then nt lines "i j k generation ancestor". Insertion order,
+    reproducible."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(dumps(mesh))
 
 
 def loads(text):
-    """Parse the dump format back into a Mesh (ancestors reset)."""
+    """Parse the dump format back into a Mesh.
+
+    Triangle lines carry "i j k generation ancestor". Older dumps without
+    the ancestor column still load; their ancestors are reset to the
+    triangle indices, as if the mesh were an initial mesh.
+    """
     rows = text.strip().splitlines()
     nv, nt = (int(s) for s in rows[0].split())
     if len(rows) != 1 + nv + nt:
@@ -492,7 +499,11 @@ def loads(text):
     flags = np.array([int(r.split()[2]) for r in rows[1:1 + nv]], dtype=bool)
     body = np.array([[int(c) for c in r.split()]
                      for r in rows[1 + nv:]], dtype=np.int64)
-    mesh = Mesh(vertices, body[:, :3], generation=body[:, 3])
+    if body.ndim != 2 or body.shape[1] not in (4, 5):
+        raise MeshError("triangle lines need 4 or 5 integer columns")
+    ancestor = body[:, 4] if body.shape[1] == 5 else None
+    mesh = Mesh(vertices, body[:, :3], generation=body[:, 3],
+                ancestor=ancestor)
     if not np.array_equal(mesh.is_boundary_vertex, flags):
         raise MeshError("boundary flags in dump disagree with connectivity")
     return mesh

@@ -4,7 +4,8 @@ One inner sweep on a fixed mesh does, in order:
   1. group the current Ritz values into clusters (relative-gap rule),
   2. pick one shift per cluster (arithmetic mean of the cluster),
   3. for every orbital u solve (K - shift*M) x = shift*M u, all N solves
-     independent and run concurrently,
+     independent (one after another by default, on a thread pool only
+     when the caller asks for threads >= 2),
   4. Rayleigh-Ritz on the span of the half-steps, giving a b-orthonormal
      block with ascending Ritz values,
   5. stop when the relative eigenvalue movement delta2 drops below tol2.
@@ -18,7 +19,6 @@ not an error.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -169,14 +169,18 @@ def _safe_shift(shift, ritz_values):
     return shift
 
 
-def orbital_update(sys, block, tols, threads=None):
+def orbital_update(sys, block, tols, threads=None, precond=None):
     """Solve (K - shift_i M) x_ij = shift_i M u_ij for every orbital.
 
     Returns the (N, n_dofs) array of unnormalized half-step vectors.
-    The N solves are independent; they run on a thread pool (the work is
-    sparse matvecs, and each solve owns its workspace). The members of a
-    cluster share one shift and so one assembled operator. Iteration caps
-    are expected near convergence and not reported as errors.
+    The N solves are independent. They run one after another unless
+    threads >= 2, which runs them on a pool of that many threads; the
+    solves hold the interpreter lock most of the time, so the pool is
+    rarely faster. The members of a cluster share one shift and so one
+    assembled operator. precond, an SPD callable r -> B r with B ~ K^-1
+    (e.g. a MultilevelPreconditioner), preconditions every solve.
+    Iteration caps are expected near convergence and not reported as
+    errors.
     """
     jobs = []
     for i, sl in enumerate(block.layout.cluster_slices()):
@@ -192,13 +196,13 @@ def orbital_update(sys, block, tols, threads=None):
     def solve(job):
         op, rhs = job
         return minres_solve(op, rhs, tol=tols.minres_tol,
-                            max_iter=tols.minres_max_iter).solution
+                            max_iter=tols.minres_max_iter,
+                            precond=precond).solution
 
-    if threads is not None and threads <= 1:
+    if threads is None or threads <= 1:
         results = [solve(job) for job in jobs]
     else:
-        workers = threads or min(len(jobs), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(solve, jobs))
     return np.vstack(results)
 
@@ -249,8 +253,10 @@ def delta2(new_values, old_values):
     return float(num / den)
 
 
-def paro_inner_loop(sys, block0, tols, threads=None):
+def paro_inner_loop(sys, block0, tols, threads=None, precond=None):
     """Iterate orbital_update + ritz_step until delta2 <= tol2.
+
+    threads and precond are handed to every orbital_update.
 
     Returns (final block, sweeps used, delta2 history). Hitting
     max_inner is left to the caller to judge; the partial block is
@@ -260,7 +266,7 @@ def paro_inner_loop(sys, block0, tols, threads=None):
     history = []
     m_used = 0
     for _ in range(tols.max_inner):
-        half = orbital_update(sys, block, tols, threads)
+        half = orbital_update(sys, block, tols, threads, precond)
         new_block = ritz_step(sys, half, block.layout, tols.rel_gap)
         d2 = delta2(new_block.ritz_values, block.ritz_values)
         history.append(d2)

@@ -1,5 +1,7 @@
 """Marking, block transfer, and the outer adaptive refinement loop."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,16 @@ class TestAdaptiveSolve:
         rec_b, _, _ = adaptive_solve("unit_square", IDENTITY, 1, cfg,
                                      seed=7)
         assert records_to_csv(rec_a) == records_to_csv(rec_b)
+
+    def test_wall_times_cover_the_run(self):
+        cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=10,
+                          initial_passes=2,
+                          paro_tols=ParoTolerances(tol2=1e-10,
+                                                   max_inner=40))
+        t0 = time.perf_counter()
+        records, _, _ = adaptive_solve("l_shape", IDENTITY, 1, cfg)
+        elapsed = time.perf_counter() - t0
+        assert sum(r.wall_time for r in records) >= 0.9 * elapsed
 
     def test_too_few_dofs_reports_records(self):
         cfg = AdaptConfig(initial_passes=0)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from paroeig import mesh as pm
+from paroeig.assembly import Coefficients, assemble
 
 # small scalene fixtures exercise the non-isoceles similarity classes
 SCALENE = (np.array([[0.0, 0.0], [1.3, 0.1], [0.2, 0.9]]),
@@ -212,6 +213,29 @@ def test_dump_roundtrip_and_determinism():
     assert_array_equal(back.triangles, m.triangles)
     assert_allclose(back.vertices, m.vertices)
     assert_array_equal(back.generation, m.generation)
+
+
+def test_dump_roundtrip_keeps_ancestors():
+    m, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
+    assert m.n_triangles == 24 and m.ancestor.max() == 5
+    back = pm.loads(pm.dumps(m))
+    assert_array_equal(back.ancestor, m.ancestor)
+    # per-element tables address the initial mesh through the ancestors
+    coeffs = Coefficients(np.eye(2), np.arange(1.0, 7.0))
+    ours, theirs = assemble(m, coeffs), assemble(back, coeffs)
+    assert_array_equal(ours.K.to_dense(), theirs.K.to_dense())
+    assert_array_equal(ours.M.to_dense(), theirs.M.to_dense())
+
+
+def test_loads_four_column_dump_resets_ancestors():
+    m, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
+    nv = m.n_vertices
+    lines = pm.dumps(m).splitlines()
+    lines[1 + nv:] = [r.rsplit(" ", 1)[0] for r in lines[1 + nv:]]
+    back = pm.loads("\n".join(lines))
+    assert_array_equal(back.triangles, m.triangles)
+    assert_array_equal(back.generation, m.generation)
+    assert_array_equal(back.ancestor, np.arange(m.n_triangles))
 
 
 def test_loads_rejects_inconsistent_flags(tmp_path):
