@@ -223,8 +223,8 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             starting guesses on the initial mesh; defaults to a few
             inverse-iteration sweeps from an rng(seed) start.
         seed: rng seed for the default start.
-        threads: None, 0 or 1 solves the orbitals one after another;
-            >= 2 runs them on a pool of that many threads.
+        threads: accepted and ignored; the orbital solves run one
+            after another (see paro.orbital_update).
         observer: optional callable (level, mesh, system, block,
             indicators) invoked once per level, after the inner loop.
 

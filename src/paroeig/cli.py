@@ -39,9 +39,9 @@ class CliError(ValueError):
 class RunConfig:
     """Flat run description parsed from a key=value file.
 
-    Zero means "automatic" for minres_max_iter, "serial" for threads
-    (>= 2 runs the orbital solves on that many threads) and "off" for
-    budget_factor; everything else maps directly onto AdaptConfig
+    Zero means "automatic" for minres_max_iter and "off" for
+    budget_factor. threads is read and ignored: the orbital solves run
+    one after another. Everything else maps directly onto AdaptConfig
     and ParoTolerances, which validate the numeric ranges.
     """
     domain: str = "unit_square"
@@ -291,7 +291,7 @@ def main(argv=None):
         p.add_argument("--out", default=None,
                        help="output directory (overrides out_dir)")
         p.add_argument("--threads", type=int, default=None,
-                       help="orbital-solve threads; 0 or 1 = serial")
+                       help="ignored; the orbital solves run serially")
     p = sub.add_parser("spectrum")
     p.add_argument("--count", type=int, default=6,
                    help="how many unit-square eigenvalues to print")

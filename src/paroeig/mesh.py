@@ -92,6 +92,11 @@ class Mesh:
                            else np.array(generation, dtype=np.int64))
         self.ancestor = (np.arange(nt, dtype=np.int64) if ancestor is None
                          else np.array(ancestor, dtype=np.int64))
+        if self.generation.shape != (nt,) or self.ancestor.shape != (nt,):
+            raise MeshError("generation and ancestor need one entry per "
+                            "triangle")
+        if self.ancestor.min() < 0:
+            raise MeshError("negative ancestor index")
         self._build_edge_table()
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
@@ -490,17 +495,25 @@ def loads(text):
     the ancestor column still load; their ancestors are reset to the
     triangle indices, as if the mesh were an initial mesh.
     """
-    rows = text.strip().splitlines()
-    nv, nt = (int(s) for s in rows[0].split())
-    if len(rows) != 1 + nv + nt:
-        raise MeshError("mesh dump has wrong line count")
-    vertices = np.array([[float(c) for c in r.split()[:2]]
-                         for r in rows[1:1 + nv]])
-    flags = np.array([int(r.split()[2]) for r in rows[1:1 + nv]], dtype=bool)
-    body = np.array([[int(c) for c in r.split()]
-                     for r in rows[1 + nv:]], dtype=np.int64)
-    if body.ndim != 2 or body.shape[1] not in (4, 5):
-        raise MeshError("triangle lines need 4 or 5 integer columns")
+    rows = [r.split() for r in text.strip().splitlines()]
+    if not rows:
+        raise MeshError("empty mesh dump")
+    try:
+        nv, nt = (int(c) for c in rows[0])
+        if len(rows) != 1 + nv + nt:
+            raise MeshError("mesh dump has wrong line count")
+        if any(len(r) != 3 for r in rows[1:1 + nv]):
+            raise MeshError("vertex lines need 3 columns")
+        vertices = np.array([[float(r[0]), float(r[1])]
+                             for r in rows[1:1 + nv]])
+        flags = np.array([int(r[2]) for r in rows[1:1 + nv]], dtype=bool)
+        width = {len(r) for r in rows[1 + nv:]}
+        if len(width) != 1 or width.pop() not in (4, 5):
+            raise MeshError("triangle lines need 4 or 5 integer columns")
+        body = np.array([[int(c) for c in r] for r in rows[1 + nv:]],
+                        dtype=np.int64)
+    except ValueError as exc:
+        raise MeshError(f"malformed mesh dump: {exc}") from exc
     ancestor = body[:, 4] if body.shape[1] == 5 else None
     mesh = Mesh(vertices, body[:, :3], generation=body[:, 3],
                 ancestor=ancestor)

@@ -4,8 +4,7 @@ One inner sweep on a fixed mesh does, in order:
   1. group the current Ritz values into clusters (relative-gap rule),
   2. pick one shift per cluster (arithmetic mean of the cluster),
   3. for every orbital u solve (K - shift*M) x = shift*M u, all N solves
-     independent (one after another by default, on a thread pool only
-     when the caller asks for threads >= 2),
+     independent and run one after another,
   4. Rayleigh-Ritz on the span of the half-steps, giving a b-orthonormal
      block with ascending Ritz values,
   5. stop when the relative eigenvalue movement delta2 drops below tol2.
@@ -19,7 +18,6 @@ not an error.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,16 +171,17 @@ def orbital_update(sys, block, tols, threads=None, precond=None):
     """Solve (K - shift_i M) x_ij = shift_i M u_ij for every orbital.
 
     Returns the (N, n_dofs) array of unnormalized half-step vectors.
-    The N solves are independent. They run one after another unless
-    threads >= 2, which runs them on a pool of that many threads; the
-    solves hold the interpreter lock most of the time, so the pool is
-    rarely faster. The members of a cluster share one shift and so one
-    assembled operator. precond, an SPD callable r -> B r with B ~ K^-1
-    (e.g. a MultilevelPreconditioner), preconditions every solve.
-    Iteration caps are expected near convergence and not reported as
-    errors.
+    The N solves are independent and run one after another. The members
+    of a cluster share one shift and so one assembled operator. precond,
+    an SPD callable r -> B r with B ~ K^-1 (e.g. a
+    MultilevelPreconditioner), preconditions every solve. Iteration caps
+    are expected near convergence and not reported as errors.
+
+    threads is accepted and ignored: a thread pool lost to this loop
+    once the solves were preconditioned, because they hold the
+    interpreter lock most of the time.
     """
-    jobs = []
+    results = []
     for i, sl in enumerate(block.layout.cluster_slices()):
         shift = _safe_shift(float(block.shifts[i]), block.ritz_values)
         op = ShiftedOperator(sys.K, sys.M, shift)
@@ -191,19 +190,9 @@ def orbital_update(sys, block, tols, threads=None, precond=None):
             if not np.any(rhs):
                 raise ParoError(f"orbital {flat} produced a zero "
                                 f"right-hand side (degenerate orbital)")
-            jobs.append((op, rhs))
-
-    def solve(job):
-        op, rhs = job
-        return minres_solve(op, rhs, tol=tols.minres_tol,
-                            max_iter=tols.minres_max_iter,
-                            precond=precond).solution
-
-    if threads is None or threads <= 1:
-        results = [solve(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, jobs))
+            results.append(minres_solve(op, rhs, tol=tols.minres_tol,
+                                        max_iter=tols.minres_max_iter,
+                                        precond=precond).solution)
     return np.vstack(results)
 
 
@@ -256,7 +245,8 @@ def delta2(new_values, old_values):
 def paro_inner_loop(sys, block0, tols, threads=None, precond=None):
     """Iterate orbital_update + ritz_step until delta2 <= tol2.
 
-    threads and precond are handed to every orbital_update.
+    precond is handed to every orbital_update; threads is ignored (see
+    orbital_update).
 
     Returns (final block, sweeps used, delta2 history). Hitting
     max_inner is left to the caller to judge; the partial block is

@@ -193,11 +193,12 @@ class TestCmdSpectrum:
 
 class TestThreadsPlumbing:
     def test_thread_cap_matches_default(self, tmp_path):
+        # --threads is accepted for old configs and has no effect
         path = write_config(tmp_path, BASE)
-        assert main(["run", "--config", path, "--out",
-                     str(tmp_path / "serial"), "--threads", "1"]) == 0
-        assert main(["run", "--config", path, "--out",
-                     str(tmp_path / "auto"), "--threads", "0"]) == 0
-        serial = (tmp_path / "serial" / "history.csv").read_bytes()
-        auto = (tmp_path / "auto" / "history.csv").read_bytes()
-        assert serial == auto
+        outputs = []
+        for threads in ("1", "0", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["run", "--config", path, "--out", str(out),
+                         "--threads", threads]) == 0
+            outputs.append((out / "history.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]

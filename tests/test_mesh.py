@@ -238,6 +238,34 @@ def test_loads_four_column_dump_resets_ancestors():
     assert_array_equal(back.ancestor, np.arange(m.n_triangles))
 
 
+def test_loads_rejects_negative_ancestor():
+    m, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 1)
+    lines = pm.dumps(m).splitlines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + " -1"
+    with pytest.raises(pm.MeshError, match="negative ancestor"):
+        pm.loads("\n".join(lines))
+
+
+def test_mesh_rejects_misshaped_ancestor():
+    m = pm.build_initial_mesh("unit_square")
+    with pytest.raises(pm.MeshError, match="one entry per triangle"):
+        pm.Mesh(m.vertices, m.triangles, ancestor=[0])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:-1] + [lines[-1] + " 0"],       # ragged triangles
+    lambda lines: lines[:1] + ["0.0 x 1"] + lines[2:],   # non-numeric
+    lambda lines: lines[:1] + [lines[1] + " 7"] + lines[2:],  # 4-col vertex
+    lambda lines: ["4"] + lines[1:],                     # bad header
+    lambda lines: [],                                    # empty
+])
+def test_loads_malformed_dump_raises_mesh_error(edit):
+    m = pm.build_initial_mesh("unit_square")
+    lines = edit(pm.dumps(m).splitlines())
+    with pytest.raises(pm.MeshError):
+        pm.loads("\n".join(lines))
+
+
 def test_loads_rejects_inconsistent_flags(tmp_path):
     m = pm.build_initial_mesh("unit_square")
     lines = pm.dumps(m).splitlines()
