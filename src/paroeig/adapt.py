@@ -27,13 +27,10 @@ from .estimator import estimate
 from .linalg import b_orthonormalize, dense_sym_gen_eig, gram, minres_solve
 from .multilevel import MultilevelPreconditioner
 from .paro import (
-    DEFAULT_REL_GAP,
-    OrbitalBlock,
     ParoTolerances,
-    cluster_guesses,
-    compute_shifts,
     initial_block,
     paro_inner_loop,
+    relative_change,
 )
 
 
@@ -100,20 +97,18 @@ class RunRecord:
                            np.asarray(self.ritz_values, dtype=np.float64))
 
 
-def records_to_csv(records, include_wall_time=False):
+def records_to_csv(records):
     """Fixed-column CSV of a record list.
 
     Columns: n, n_dofs, ritz_0..ritz_{N-1}, global_estimator_sq, m_used,
-    delta1, then wall_time only on request (timings break byte-for-byte
-    reproducibility).
+    delta1. wall_time stays out: timings break byte-for-byte
+    reproducibility.
     """
     if not records:
         raise AdaptError("no records to serialize")
     n_orb = len(records[0].ritz_values)
     head = ["n", "n_dofs"] + [f"ritz_{k}" for k in range(n_orb)]
     head += ["global_estimator_sq", "m_used", "delta1"]
-    if include_wall_time:
-        head.append("wall_time")
     lines = [",".join(head)]
     for rec in records:
         if len(rec.ritz_values) != n_orb:
@@ -122,8 +117,6 @@ def records_to_csv(records, include_wall_time=False):
         row += [repr(float(v)) for v in rec.ritz_values]
         row += [repr(float(rec.global_estimator_sq)), str(rec.m_used),
                 repr(float(rec.delta1))]
-        if include_wall_time:
-            row.append(repr(float(rec.wall_time)))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -148,17 +141,6 @@ def dorfler_mark(indicators, theta):
     return np.sort(order[:count])
 
 
-def delta1(new_values, old_values):
-    """Relative eigenvalue movement between consecutive meshes."""
-    new_values = np.asarray(new_values, dtype=np.float64)
-    old_values = np.asarray(old_values, dtype=np.float64)
-    den = float(np.abs(new_values).sum())
-    num = float(np.abs(new_values - old_values).sum())
-    if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return num / den
-
-
 def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4):
     """Low-mode starting guesses from a few unshifted inverse iterations.
 
@@ -181,19 +163,16 @@ def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4):
 
 
 def transfer_block(coarse_mesh, coarse_sys, fine_mesh, fine_sys,
-                   refine_map, block, rel_gap=DEFAULT_REL_GAP):
+                   refine_map, block):
     """Carry orbitals to a refined mesh: interpolate nodally, restore
-    b-orthonormality, keep the Ritz values as the next initial data."""
+    b-orthonormality, keep the Ritz values, layout and shifts as the
+    next initial data."""
     full = coarse_sys.expand(block.vectors)
     fine_full = np.stack([
         mesh_mod.interpolate(coarse_mesh, fine_mesh, refine_map, row)
         for row in full])
     vecs = b_orthonormalize(fine_sys.restrict(fine_full), fine_sys.M)
-    layout = cluster_guesses(block.ritz_values, rel_gap)
-    moved = OrbitalBlock(layout=layout, vectors=vecs,
-                         ritz_values=block.ritz_values,
-                         shifts=np.zeros(layout.q))
-    return replace(moved, shifts=compute_shifts(moved))
+    return replace(block, vectors=vecs)
 
 
 def _effective_tols(config, mesh, coeffs, block):
@@ -224,7 +203,7 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             inverse-iteration sweeps from an rng(seed) start.
         seed: rng seed for the default start.
         threads: accepted and ignored; the orbital solves run one
-            after another (see paro.orbital_update).
+            after another. Kept only because the benchmark passes it.
         observer: optional callable (level, mesh, system, block,
             indicators) invoked once per level, after the inner loop.
 
@@ -233,7 +212,6 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
     """
     if n_orbitals < 1:
         raise AdaptError("need at least one orbital")
-    rel_gap = config.paro_tols.rel_gap
     t0 = time.perf_counter()
     if isinstance(domain, str):
         current, _ = mesh_mod.uniform_refine(
@@ -258,17 +236,19 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
                 starts = (seed_vectors(current, system) if seed_vectors
                           else default_seed_vectors(system, n_orbitals,
                                                     seed=seed))
-                block = initial_block(system, starts, rel_gap)
+                block = initial_block(system, starts,
+                                      config.paro_tols.rel_gap)
             tols = _effective_tols(config, current, coeffs, block)
             block, m_used, _ = paro_inner_loop(system, block, tols,
-                                               threads, precond)
+                                               precond)
             indicators = estimate(current, coeffs, block)
             wall = time.perf_counter() - t0
             if observer is not None:
                 observer(level, current, system, block, indicators)
             t0 = time.perf_counter()
             d1 = (np.inf if prev_values is None
-                  else delta1(block.ritz_values, prev_values))
+                  else relative_change(block.ritz_values, prev_values,
+                                       block.ritz_values))
             records.append(RunRecord(
                 n=level, n_dofs=system.n_dofs,
                 ritz_values=block.ritz_values.copy(),
@@ -286,7 +266,7 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             fine, rmap = mesh_mod.refine(current, marked, config.ell)
             fine_sys = assemble(fine, coeffs)
             block = transfer_block(current, system, fine, fine_sys, rmap,
-                                   block, rel_gap)
+                                   block)
             precond = precond.extend(rmap, fine, fine_sys)
             current, system = fine, fine_sys
         except AdaptError:

@@ -12,7 +12,9 @@ Coefficient fields come in three representations:
     initial mesh (piecewise-constant data survives refinement unchanged),
   * a callable (x, y) -> value, sampled at quadrature points.
 Quadrature only ever touches the coefficients: P1 gradients are constant
-per element, so the rules are exact whenever the data is.
+per element, so the one rule (the three edge midpoints, exact for
+quadratics) integrates the diffusion term exactly for data up to degree
+two.
 """
 
 from __future__ import annotations
@@ -30,18 +32,11 @@ class AssemblyError(ValueError):
     """Invalid coefficient data or mismatched dimensions."""
 
 
-# barycentric points and weights; weights sum to 1 (scale by |T|)
-_QUAD_RULES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (np.array([[0.5, 0.5, 0.0],
-                  [0.0, 0.5, 0.5],
-                  [0.5, 0.0, 0.5]]), np.full(3, 1 / 3)),
-    3: (np.array([[1 / 3, 1 / 3, 1 / 3],
-                  [0.6, 0.2, 0.2],
-                  [0.2, 0.6, 0.2],
-                  [0.2, 0.2, 0.6]]),
-        np.array([-27 / 48, 25 / 48, 25 / 48, 25 / 48])),
-}
+# edge-midpoint rule, exact for quadratics: barycentric points and
+# weights; weights sum to 1 (scale by |T|)
+_QUAD_RULE = (np.array([[0.5, 0.5, 0.0],
+                        [0.0, 0.5, 0.5],
+                        [0.5, 0.0, 0.5]]), np.full(3, 1 / 3))
 
 _EXACT_MASS = np.array([[2.0, 1.0, 1.0],
                         [1.0, 2.0, 1.0],
@@ -104,22 +99,26 @@ def _check_spd_matrices(mats, elements):
     bt = mats[..., 1, 0]
     d = mats[..., 1, 1]
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
-    asym = np.abs(b - bt) > 1e-12 * scale
-    half = 0.5 * (a + d)
-    eig_min = half - np.hypot(0.5 * (a - d), 0.5 * (b + bt))
-    bad = asym | (eig_min < _MIN_EIG_BOUND)
+    finite = np.isfinite(scale)                # max propagates NaN
+    # non-finite entries are reported below, not warned about here
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(b - bt) > 1e-12 * scale
+        half = 0.5 * (a + d)
+        eig_min = half - np.hypot(0.5 * (a - d), 0.5 * (b + bt))
+    bad = ~finite | asym | (eig_min < _MIN_EIG_BOUND)
     if bad.any():
         t = int(np.asarray(elements)[np.nonzero(bad)[0][0]])
-        raise AssemblyError(f"diffusion matrix is not symmetric positive "
-                            f"definite on element {t}")
+        raise AssemblyError(f"diffusion matrix is not finite, symmetric "
+                            f"and positive definite on element {t}")
 
 
 def _check_reaction_values(vals, elements):
-    bad = np.asarray(vals) < 0.0
+    vals = np.asarray(vals)
+    bad = ~np.isfinite(vals) | (vals < 0.0)
     if bad.any():
         t = int(np.asarray(elements)[np.nonzero(bad)[0][0]])
-        raise AssemblyError(f"reaction coefficient is negative on "
-                            f"element {t}")
+        raise AssemblyError(f"reaction coefficient is negative or not "
+                            f"finite on element {t}")
 
 
 def p1_gradients(mesh):
@@ -178,22 +177,35 @@ def reaction_per_element(mesh, coeffs):
     return vals
 
 
-def element_matrices(mesh, coeffs, quad_order=2):
+def _quad_points(mesh):
+    """Physical quadrature points of every element, (nt, nq, 2)."""
+    return np.einsum("qi,tid->tqd", _QUAD_RULE[0],
+                     mesh.vertices[mesh.triangles])
+
+
+def _reaction_at(fn, pts):
+    """Callable reaction sampled at (nt, nq, 2) points, validated."""
+    cvals = np.array([[float(fn(x, y)) for x, y in row]
+                      for row in pts])                        # (nt, nq)
+    _check_reaction_values(cvals.ravel(),
+                           np.repeat(np.arange(len(pts)), pts.shape[1]))
+    return cvals
+
+
+def element_matrices(mesh, coeffs):
     """Per-element 3x3 stiffness (diffusion + reaction) and exact mass.
 
     Returns (ke, me), each shaped (nt, 3, 3). ke uses the quadrature rule
     for coefficient sampling only; me is the analytic P1 mass matrix.
     """
-    if quad_order not in _QUAD_RULES:
-        raise AssemblyError("quadrature order must be 1, 2, or 3")
-    bary, weights = _QUAD_RULES[quad_order]
+    bary, weights = _QUAD_RULE
     grads, areas = p1_gradients(mesh)
     nt = mesh.n_triangles
     d_mode, d_data = _classify_diffusion(coeffs)
     r_mode, r_data = _classify_reaction(coeffs)
 
     if d_mode == "callable":
-        pts = np.einsum("qi,tid->tqd", bary, mesh.vertices[mesh.triangles])
+        pts = _quad_points(mesh)
         mats = np.stack([
             np.stack([np.asarray(d_data(x, y), dtype=np.float64)
                       for x, y in row]) for row in pts])     # (nt, nq, 2, 2)
@@ -209,13 +221,8 @@ def element_matrices(mesh, coeffs, quad_order=2):
     me = _EXACT_MASS[None, :, :] * areas[:, None, None]
 
     if r_mode == "callable":
-        pts = np.einsum("qi,tid->tqd", bary, mesh.vertices[mesh.triangles])
-        cvals = np.array([[float(r_data(x, y)) for x, y in row]
-                          for row in pts])                    # (nt, nq)
-        _check_reaction_values(cvals.ravel(),
-                               np.repeat(np.arange(nt), len(weights)))
-        phi = bary                                            # (nq, 3)
-        re = np.einsum("q,tq,qi,qj->tij", weights, cvals, phi, phi)
+        cvals = _reaction_at(r_data, _quad_points(mesh))
+        re = np.einsum("q,tq,qi,qj->tij", weights, cvals, bary, bary)
         ke += re * areas[:, None, None]
     else:
         cvals = reaction_per_element(mesh, coeffs)
@@ -234,14 +241,14 @@ def _scatter(mesh, local):
     return SparseSymMatrix(sp.tril(full, format="csr"))
 
 
-def assemble_full(mesh, coeffs, quad_order=2):
+def assemble_full(mesh, coeffs):
     """Assemble over ALL vertices, no boundary elimination.
 
     Returns (K_full, M_full) as SparseSymMatrix. Useful for kernel tests
     (constants must be in the null space of the pure diffusion part) and
     for norm computations that involve boundary vertices.
     """
-    ke, me = element_matrices(mesh, coeffs, quad_order)
+    ke, me = element_matrices(mesh, coeffs)
     return _scatter(mesh, ke), _scatter(mesh, me)
 
 
@@ -273,9 +280,9 @@ class FemSystem:
         return full[..., self.free_dofs]
 
 
-def assemble(mesh, coeffs, quad_order=2):
+def assemble(mesh, coeffs):
     """Assemble the eliminated stiffness/mass pencil on a mesh."""
-    k_full, m_full = assemble_full(mesh, coeffs, quad_order)
+    k_full, m_full = assemble_full(mesh, coeffs)
     free = mesh.interior_vertices()
     k_csr = k_full.to_csr()[free][:, free]
     m_csr = m_full.to_csr()[free][:, free]
@@ -305,11 +312,3 @@ def b_norm(sys, u):
                             f"expected ({sys.n_dofs},)")
     return float(np.sqrt(max(sys.M.quad_form(u), 0.0)))
 
-
-def matrix_to_coo_text(s):
-    """Debug export: one 'i j value' line per stored symmetric entry."""
-    coo = s.to_csr().tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return "\n".join(
-        f"{coo.row[i]} {coo.col[i]} {float(coo.data[i])!r}"
-        for i in order) + "\n"

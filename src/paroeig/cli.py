@@ -40,9 +40,10 @@ class RunConfig:
     """Flat run description parsed from a key=value file.
 
     Zero means "automatic" for minres_max_iter and "off" for
-    budget_factor. threads is read and ignored: the orbital solves run
-    one after another. Everything else maps directly onto AdaptConfig
-    and ParoTolerances, which validate the numeric ranges.
+    budget_factor. threads is parsed so that old config files still load
+    and is otherwise ignored: the orbital solves run one after another.
+    Everything else maps directly onto AdaptConfig and ParoTolerances,
+    which validate the numeric ranges.
     """
     domain: str = "unit_square"
     coefficients: str = "identity"
@@ -159,11 +160,9 @@ def build_adapt_config(config):
         initial_passes=config.initial_passes)
 
 
-def _apply_overrides(config, out_dir, threads):
+def _apply_overrides(config, out_dir):
     if out_dir is not None:
         config = replace(config, out_dir=out_dir)
-    if threads is not None:
-        config = replace(config, threads=threads)
     return config
 
 
@@ -183,15 +182,14 @@ def _summary_line(records, block):
     return f"{head},{tail}"
 
 
-def cmd_run(config_path, out_dir=None, threads=None):
+def cmd_run(config_path, out_dir=None):
     """Adaptive solve from a config file; exit 0 on convergence, 2 when
     max_refinements ran out first."""
-    config = _apply_overrides(load_config(config_path), out_dir, threads)
+    config = _apply_overrides(load_config(config_path), out_dir)
     coeffs = build_coefficients(config)
     records, block, final_mesh = adaptive_solve(
         config.domain, coeffs, config.n_orbitals,
-        build_adapt_config(config), seed=config.seed,
-        threads=config.threads or None)
+        build_adapt_config(config), seed=config.seed)
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, "history.csv"), "w",
               encoding="ascii") as fh:
@@ -207,14 +205,14 @@ _CLUSTER_DIST_TOL = 1e-6
 _ETA_RATIO_TOL = 1e-4
 
 
-def cmd_verify(config_path, out_dir=None, threads=None):
+def cmd_verify(config_path, out_dir=None):
     """Adaptive solve with a per-level reference eigensolver check.
 
     Emits verify.csv (per level: cluster distances, per-pair value gaps,
     estimator ratio) and prints one PASS/FAIL line per final-level
     check; exit 0 only if every check passes.
     """
-    config = _apply_overrides(load_config(config_path), out_dir, threads)
+    config = _apply_overrides(load_config(config_path), out_dir)
     coeffs = build_coefficients(config)
     rows = []
     last = {}
@@ -237,8 +235,7 @@ def cmd_verify(config_path, out_dir=None, threads=None):
 
     records, block, _ = adaptive_solve(
         config.domain, coeffs, config.n_orbitals,
-        build_adapt_config(config), seed=config.seed,
-        threads=config.threads or None, observer=observer)
+        build_adapt_config(config), seed=config.seed, observer=observer)
 
     q = len(last["dists"])
     header = (["n", "n_dofs"] + [f"dist_a_{i}" for i in range(q)]
@@ -290,17 +287,15 @@ def main(argv=None):
                        help="flat key=value run description")
         p.add_argument("--out", default=None,
                        help="output directory (overrides out_dir)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="ignored; the orbital solves run serially")
     p = sub.add_parser("spectrum")
     p.add_argument("--count", type=int, default=6,
                    help="how many unit-square eigenvalues to print")
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.out, args.threads)
+            return cmd_run(args.config, args.out)
         if args.command == "verify":
-            return cmd_verify(args.config, args.out, args.threads)
+            return cmd_verify(args.config, args.out)
         return cmd_spectrum(args.count)
     except (CliError, AdaptError, AssemblyError, EstimatorError,
             LinAlgError, MeshError, ParoError, VerifyError) as exc:

@@ -14,12 +14,17 @@ indicator squares and scales:
     eta2(w, T) = h_T^2 ||R_T(w)||_{0,T}^2 + sum_{e in dT} h_e ||J_e(w)||_{0,e}^2,
 
 boundary edges contributing nothing, and the block indicator on T sums
-eta2 over the orbitals. P1 specifics: gradients are constant per
-element, so for piecewise-constant diffusion the divergence term
-vanishes and jumps are constant along each edge (integrated exactly).
-For callable diffusion the divergence term uses a central finite
-difference of A at quadrature points (stencil 1e-6 * h_T) and the edge
-flux samples A at the edge midpoint.
+eta2 over the orbitals. `estimate` is the only entry point: one pass
+over the block computes the vertex values, the P1 gradients and areas,
+h_T and the coefficient data once and shares them between both terms.
+
+P1 specifics: gradients are constant per element, so for
+piecewise-constant diffusion the divergence term vanishes and jumps are
+constant along each edge (integrated exactly). The residual is sampled
+at assembly's edge-midpoint quadrature rule. For callable diffusion the
+divergence term uses a central finite difference of A at the quadrature
+points (stencil 1e-6 * h_T) and the edge flux samples A at the edge
+midpoint.
 """
 
 from __future__ import annotations
@@ -29,12 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .assembly import _classify_diffusion, _classify_reaction  # noqa: F401
-from .mesh import Mesh
 
 
 class EstimatorError(ValueError):
-    """Invalid indicator request (e.g. boundary edge jump)."""
+    """Invalid indicator data (wrong vector length, bad indicators)."""
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class Indicators:
 
     def __post_init__(self):
         pe = np.asarray(self.per_element, dtype=np.float64)
+        if not np.all(np.isfinite(pe)) or not np.isfinite(self.global_sq):
+            raise EstimatorError("local indicators must be finite")
         if np.any(pe < 0.0):
             raise EstimatorError("negative local indicator")
         total = float(pe.sum())
@@ -52,23 +57,6 @@ class Indicators:
             raise EstimatorError("global estimator does not match the "
                                  "element sum")
         object.__setattr__(self, "per_element", pe)
-
-    def to_csv(self):
-        lines = ["element_index,eta_sq"]
-        lines += [f"{t},{float(v)!r}" for t, v in enumerate(self.per_element)]
-        return "\n".join(lines) + "\n"
-
-
-def flux_jump(a_plus, grad_plus, a_minus, grad_minus, normal):
-    """Conormal flux jump (A+ g+ - A- g-) . n for one edge.
-
-    Pure formula on per-side data; jump_residual feeds it mesh values.
-    """
-    a_plus = np.asarray(a_plus, dtype=np.float64)
-    a_minus = np.asarray(a_minus, dtype=np.float64)
-    flux = a_plus @ np.asarray(grad_plus, dtype=np.float64) \
-        - a_minus @ np.asarray(grad_minus, dtype=np.float64)
-    return float(flux @ np.asarray(normal, dtype=np.float64))
 
 
 def _to_vertex_values(mesh, w):
@@ -86,72 +74,28 @@ def _to_vertex_values(mesh, w):
                          f"expected {n_free} (free) or {nv} (vertex)")
 
 
-def _gradients_of(mesh, values):
-    """Constant per-element gradients, shape (n_funcs, nt, 2)."""
-    grads, _ = assembly.p1_gradients(mesh)
-    at_tri = values[:, mesh.triangles]                 # (nf, nt, 3)
-    return np.einsum("nti,tid->ntd", at_tri, grads)
-
-
-def _diffusion_at_points(coeffs, pts):
-    """Evaluate callable diffusion at an (m, 2) point array."""
-    _, data = _classify_diffusion(coeffs)
-    return np.stack([np.asarray(data(x, y), dtype=np.float64)
-                     for x, y in pts])
-
-
-def _divergence_rows(mesh, coeffs, tri_ids, pts):
-    """div(A grad w) factor: row vector (div A) per quadrature point,
-    via central differences; zero for constant/table diffusion."""
-    mode, _ = _classify_diffusion(coeffs)
-    if mode != "callable":
-        return np.zeros((len(pts), 2))
-    h_t = mesh.diameters()[tri_ids]
-    delta = 1e-6 * h_t
-    _, data = _classify_diffusion(coeffs)
+def _divergence_rows(diffusion, pts, delta):
+    """Row vector (div A) at each (m, 2) point by central differences
+    with per-point stencil delta: (m, 2)."""
     rows = np.empty((len(pts), 2))
-    for i, ((x, y), d) in enumerate(zip(pts, delta)):
-        dax = (np.asarray(data(x + d, y)) - np.asarray(data(x - d, y))) \
-            / (2.0 * d)
-        day = (np.asarray(data(x, y + d)) - np.asarray(data(x, y - d))) \
-            / (2.0 * d)
+    for i, (x, y, d) in enumerate(zip(pts[:, 0], pts[:, 1], delta)):
+        dax = (np.asarray(diffusion(x + d, y))
+               - np.asarray(diffusion(x - d, y))) / (2.0 * d)
+        day = (np.asarray(diffusion(x, y + d))
+               - np.asarray(diffusion(x, y - d))) / (2.0 * d)
         # (div A)_j = d_x A[0, j] + d_y A[1, j]
         rows[i] = dax[0, :] + day[1, :]
     return rows
 
 
-def jump_residual(mesh, coeffs, w, e):
-    """Flux jump of a single function across interior edge e (constant
-    along the edge for P1; callable diffusion sampled at the midpoint)."""
-    if not 0 <= e < len(mesh.edge_lengths):
-        raise EstimatorError(f"edge {e} out of range")
-    t_plus, t_minus = mesh.edge_tris[e]
-    if t_minus < 0:
-        raise EstimatorError(f"edge {e} is a boundary edge")
-    values = _to_vertex_values(mesh, w)[0]
-    grads = _gradients_of(mesh, values[None, :])[0]
-    mode, _ = _classify_diffusion(coeffs)
-    if mode == "callable":
-        mid = mesh.vertices[mesh.edges[e]].mean(axis=0)
-        a_pm = _diffusion_at_points(coeffs, mid[None, :])
-        a_plus = a_minus = a_pm[0]
-    else:
-        a_all = assembly.diffusion_per_element(mesh, coeffs)
-        a_plus, a_minus = a_all[t_plus], a_all[t_minus]
-    return flux_jump(a_plus, grads[t_plus], a_minus, grads[t_minus],
-                     mesh.edge_normals[e])
-
-
-def _block_residual_samples(mesh, coeffs, block, quad_order=2):
-    """Residual samples for every orbital and element: (N, nt, nq),
-    plus quadrature weights and physical points."""
-    bary, weights = assembly._QUAD_RULES[quad_order]
-    values = _to_vertex_values(mesh, block.vectors)     # (N, nv)
-    tri_vals = values[:, mesh.triangles]                # (N, nt, 3)
-    _, me = assembly.element_matrices(mesh, assembly.Coefficients.identity())
+def _element_residuals(mesh, coeffs, lam, values, tri_vals, grads, h_t,
+                       areas):
+    """Residual of every orbital at the quadrature points, (N, nt, nq)."""
+    bary, _ = assembly._QUAD_RULE
+    me = assembly._EXACT_MASS[None, :, :] * areas[:, None, None]
     # b(u_k, u_l) over the whole mesh, via element mass matrices
     b_gram = np.einsum("kti,tij,ltj->kl", tri_vals, me, tri_vals)
-    lam = np.asarray(block.ritz_values, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
     # expand against b-normalized members: identical to the raw block
     # sum when the block is b-orthonormal (the normal case), and keeps
     # the residual 1-homogeneous in each orbital's scale
@@ -160,46 +104,42 @@ def _block_residual_samples(mesh, coeffs, block, quad_order=2):
     coef = (b_gram / norms[None, :]) * lam
     summed = coef @ (values / norms[:, None])           # (N, nv)
     sum_tri = summed[:, mesh.triangles]                 # (N, nt, 3)
-    phi = bary                                          # (nq, 3)
-    r = np.einsum("nti,qi->ntq", sum_tri, phi)
+    r = np.einsum("nti,qi->ntq", sum_tri, bary)
 
-    r_mode, r_data = _classify_reaction(coeffs)
-    pts = np.einsum("qi,tid->tqd", bary, mesh.vertices[mesh.triangles])
-    if r_mode == "callable":
-        c_q = np.array([[float(r_data(x, y)) for x, y in row]
-                        for row in pts])                # (nt, nq)
+    pts = assembly._quad_points(mesh)                   # (nt, nq, 2)
+    if callable(coeffs.reaction):
+        c_q = assembly._reaction_at(coeffs.reaction, pts)
     else:
         c_e = assembly.reaction_per_element(mesh, coeffs)
-        c_q = np.broadcast_to(c_e[:, None], (mesh.n_triangles, len(weights)))
-    w_q = np.einsum("nti,qi->ntq", tri_vals, phi)
+        c_q = np.broadcast_to(c_e[:, None], pts.shape[:2])
+    w_q = np.einsum("nti,qi->ntq", tri_vals, bary)
     r = r - c_q[None, :, :] * w_q
 
-    d_mode, _ = _classify_diffusion(coeffs)
-    if d_mode == "callable":
-        grads = _gradients_of(mesh, values)             # (N, nt, 2)
-        nt, nq = mesh.n_triangles, len(weights)
-        flat_pts = pts.reshape(-1, 2)
-        tri_ids = np.repeat(np.arange(nt), nq)
-        div_rows = _divergence_rows(mesh, coeffs, tri_ids, flat_pts)
+    if callable(coeffs.diffusion):
+        nt, nq = pts.shape[:2]
+        delta = 1e-6 * h_t[np.repeat(np.arange(nt), nq)]
+        div_rows = _divergence_rows(coeffs.diffusion, pts.reshape(-1, 2),
+                                    delta)
         div_rows = div_rows.reshape(nt, nq, 2)
         r = r + np.einsum("tqd,ntd->ntq", div_rows, grads)
-    return r, weights
+    return r
 
 
-def _edge_jumps(mesh, coeffs, block):
-    """Flux jumps per orbital per edge, zero on boundary: (N, ne)."""
-    values = _to_vertex_values(mesh, block.vectors)
-    grads = _gradients_of(mesh, values)                 # (N, nt, 2)
-    mode, _ = _classify_diffusion(coeffs)
+def _flux_jumps(mesh, coeffs, grads):
+    """Conormal flux jump of every orbital across every edge, (N, ne),
+    exactly 0 on boundary edges."""
     interior = mesh.edge_tris[:, 1] >= 0
     t_plus = mesh.edge_tris[:, 0]
     t_minus = np.where(interior, mesh.edge_tris[:, 1], t_plus)
-    if mode == "callable":
+    diffusion = coeffs.diffusion
+    if callable(diffusion):
         mids = mesh.vertices[mesh.edges].mean(axis=1)
-        a_edge = np.zeros((len(interior), 2, 2))
+        # one midpoint sample serves both sides of an edge
+        a_plus = a_minus = np.zeros((len(interior), 2, 2))
         if interior.any():
-            a_edge[interior] = _diffusion_at_points(coeffs, mids[interior])
-        a_plus = a_minus = a_edge
+            a_plus[interior] = np.stack(
+                [np.asarray(diffusion(x, y), dtype=np.float64)
+                 for x, y in mids[interior]])
     else:
         a_all = assembly.diffusion_per_element(mesh, coeffs)
         a_plus, a_minus = a_all[t_plus], a_all[t_minus]
@@ -211,33 +151,32 @@ def _edge_jumps(mesh, coeffs, block):
     return jumps
 
 
-def element_residual(mesh, coeffs, block, k, t):
-    """Residual samples of orbital k on element t at quadrature points."""
-    r, _ = _block_residual_samples(mesh, coeffs, block)
-    return r[k, t].copy()
+def _residuals(mesh, coeffs, block):
+    """One pass over the block: the data both terms share is computed
+    once.
 
-
-def local_indicator(mesh, coeffs, block, k, t):
-    """eta2 of a single orbital on a single element."""
-    r, weights = _block_residual_samples(mesh, coeffs, block)
-    areas = mesh.signed_areas()
+    Returns (r, jumps, areas, h_t): the element residual samples
+    (N, nt, nq), the flux jumps (N, ne), and the element areas and
+    diameters that scale them.
+    """
+    values = _to_vertex_values(mesh, block.vectors)     # (N, nv)
+    tri_vals = values[:, mesh.triangles]                # (N, nt, 3)
+    p1_grads, areas = assembly.p1_gradients(mesh)
+    grads = np.einsum("nti,tid->ntd", tri_vals, p1_grads)   # (N, nt, 2)
     h_t = mesh.diameters()
-    res_sq = areas[t] * float(weights @ r[k, t] ** 2)
-    jumps = _edge_jumps(mesh, coeffs, block)
-    h_e = mesh.edge_lengths[mesh.tri_edges[t]]
-    edge_sq = float((h_e ** 2 * jumps[k, mesh.tri_edges[t]] ** 2).sum())
-    return h_t[t] ** 2 * res_sq + edge_sq
+    r = _element_residuals(mesh, coeffs, block.ritz_values, values,
+                           tri_vals, grads, h_t, areas)
+    jumps = _flux_jumps(mesh, coeffs, grads)
+    return r, jumps, areas, h_t
 
 
-def estimate(mesh, coeffs, block, quad_order=2):
+def estimate(mesh, coeffs, block):
     """All local indicators eta2(block, T) and their global sum."""
-    r, weights = _block_residual_samples(mesh, coeffs, block, quad_order)
-    areas = mesh.signed_areas()
-    h_t = mesh.diameters()
+    r, jumps, areas, h_t = _residuals(mesh, coeffs, block)
+    _, weights = assembly._QUAD_RULE
     # h_T^2 * |T| * sum_q w_q R^2, summed over orbitals
     res_sq = np.einsum("ntq,q->nt", r ** 2, weights) * areas[None, :]
     per_element = (h_t ** 2)[None, :] * res_sq
-    jumps = _edge_jumps(mesh, coeffs, block)            # (N, ne)
     h_e = mesh.edge_lengths
     edge_terms = (h_e ** 2)[None, :] * jumps ** 2       # h_e * ||J||^2
     per_element = per_element + edge_terms[:, mesh.tri_edges].sum(axis=2)

@@ -167,7 +167,7 @@ def _safe_shift(shift, ritz_values):
     return shift
 
 
-def orbital_update(sys, block, tols, threads=None, precond=None):
+def orbital_update(sys, block, tols, precond=None):
     """Solve (K - shift_i M) x_ij = shift_i M u_ij for every orbital.
 
     Returns the (N, n_dofs) array of unnormalized half-step vectors.
@@ -176,10 +176,6 @@ def orbital_update(sys, block, tols, threads=None, precond=None):
     an SPD callable r -> B r with B ~ K^-1 (e.g. a
     MultilevelPreconditioner), preconditions every solve. Iteration caps
     are expected near convergence and not reported as errors.
-
-    threads is accepted and ignored: a thread pool lost to this loop
-    once the solves were preconditioned, because they hold the
-    interpreter lock most of the time.
     """
     results = []
     for i, sl in enumerate(block.layout.cluster_slices()):
@@ -231,22 +227,24 @@ def initial_block(sys, vectors, rel_gap=DEFAULT_REL_GAP):
     return ritz_step(sys, vectors, None, rel_gap)
 
 
-def delta2(new_values, old_values):
-    """Relative eigenvalue movement: sum|new - old| / sum|old|."""
+def relative_change(new_values, old_values, scale):
+    """Relative eigenvalue movement sum|new - old| / sum|scale|.
+
+    The inner loop's delta2 divides by the old values, the outer loop's
+    delta1 by the new ones. 0/0 is 0 and x/0 is inf.
+    """
     new = np.asarray(new_values, dtype=np.float64)
-    old = np.asarray(old_values, dtype=np.float64)
-    num = np.abs(new - old).sum()
-    den = np.abs(old).sum()
+    num = np.abs(new - np.asarray(old_values, dtype=np.float64)).sum()
+    den = np.abs(np.asarray(scale, dtype=np.float64)).sum()
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return float(num / den)
 
 
-def paro_inner_loop(sys, block0, tols, threads=None, precond=None):
+def paro_inner_loop(sys, block0, tols, precond=None):
     """Iterate orbital_update + ritz_step until delta2 <= tol2.
 
-    precond is handed to every orbital_update; threads is ignored (see
-    orbital_update).
+    precond is handed to every orbital_update.
 
     Returns (final block, sweeps used, delta2 history). Hitting
     max_inner is left to the caller to judge; the partial block is
@@ -256,9 +254,10 @@ def paro_inner_loop(sys, block0, tols, threads=None, precond=None):
     history = []
     m_used = 0
     for _ in range(tols.max_inner):
-        half = orbital_update(sys, block, tols, threads, precond)
+        half = orbital_update(sys, block, tols, precond)
         new_block = ritz_step(sys, half, block.layout, tols.rel_gap)
-        d2 = delta2(new_block.ritz_values, block.ritz_values)
+        d2 = relative_change(new_block.ritz_values, block.ritz_values,
+                             block.ritz_values)
         history.append(d2)
         block = new_block
         m_used += 1

@@ -119,13 +119,6 @@ def dist_a(sys, x, y):
     return float(min(val, 1.0))
 
 
-def project_a(sys, v, basis):
-    """a-orthogonal projection of v onto span(basis)."""
-    v = np.asarray(v, dtype=np.float64)
-    yo = _a_orthonormalize(sys, basis)
-    return (yo @ sys.K.matvec(v)) @ yo
-
-
 def analytic_spectrum(domain, count):
     """Dirichlet Laplacian eigenvalues pi^2 (m^2 + n^2) on the unit
     square, ascending with multiplicity; no closed form elsewhere."""

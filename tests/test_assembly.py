@@ -13,7 +13,6 @@ from paroeig.assembly import (
     b_norm,
     element_matrices,
     energy_norm,
-    matrix_to_coo_text,
     p1_gradients,
 )
 from paroeig.mesh import Mesh, build_initial_mesh, interpolate, refine, uniform_refine
@@ -54,11 +53,6 @@ class TestElementMatrices:
         k0, me = element_matrices(m, Coefficients.identity())
         k1, _ = element_matrices(m, Coefficients(np.eye(2), 3.0))
         assert_allclose(k1[0] - k0[0], 3.0 * me[0], rtol=1e-14)
-
-    def test_bad_quad_order(self):
-        with pytest.raises(AssemblyError, match="1, 2, or 3"):
-            element_matrices(unit_right_triangle(),
-                             Coefficients.identity(), quad_order=4)
 
 
 class TestGlobalInvariants:
@@ -172,6 +166,50 @@ class TestCoefficients:
         with pytest.raises(AssemblyError, match="element"):
             assemble_full(m, bad)
 
+    # non-finite data must fail like negative data, not assemble into a
+    # pencil with NaN entries; one test per coefficient representation
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["diffusion", "reaction"])
+    def test_non_finite_constant_rejected(self, field, bad):
+        m, _ = uniform_refine(build_initial_mesh("unit_square"), 1)
+        a = np.eye(2)
+        if field == "diffusion":
+            a = np.array([[1.0, 0.0], [0.0, bad]])
+        co = Coefficients(a, bad if field == "reaction" else 0.0)
+        with pytest.raises(AssemblyError, match="element 0"):
+            assemble(m, co)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["diffusion", "reaction"])
+    def test_non_finite_table_rejected(self, field, bad):
+        m0 = build_initial_mesh("unit_square")
+        m, _ = uniform_refine(m0, 1)
+        a = np.stack([np.eye(2)] * m0.n_triangles)
+        c = np.zeros(m0.n_triangles)
+        if field == "diffusion":
+            a[1, 0, 0] = bad
+        else:
+            c[1] = bad
+        first = int(np.nonzero(m.ancestor == 1)[0][0])
+        with pytest.raises(AssemblyError, match=f"element {first}"):
+            assemble(m, Coefficients(a, c))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["diffusion", "reaction"])
+    def test_non_finite_callable_rejected(self, field, bad):
+        m, _ = uniform_refine(build_initial_mesh("unit_square"), 1)
+
+        def diffusion(x, y):
+            return np.diag([1.0, bad if x > 0.6 else 1.0])
+
+        def reaction(x, y):
+            return bad if x > 0.6 else 0.0
+
+        co = (Coefficients(diffusion, 0.0) if field == "diffusion"
+              else Coefficients(np.eye(2), reaction))
+        with pytest.raises(AssemblyError, match="element"):
+            assemble(m, co)
+
     def test_table_length_mismatch(self):
         m = build_initial_mesh("l_shape")
         with pytest.raises(AssemblyError, match="table"):
@@ -213,12 +251,3 @@ class TestNorms:
         with pytest.raises(AssemblyError, match="expected"):
             energy_norm(sys, np.zeros(sys.n_dofs + 2))
 
-
-def test_coo_text_export_roundtrips():
-    k_full, _ = assemble_full(unit_right_triangle(), Coefficients.identity())
-    text = matrix_to_coo_text(k_full)
-    rows = [line.split() for line in text.strip().splitlines()]
-    rebuilt = np.zeros((3, 3))
-    for i, j, v in rows:
-        rebuilt[int(i), int(j)] = float(v)
-    assert_allclose(rebuilt, k_full.to_dense(), atol=0.0)

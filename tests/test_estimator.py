@@ -1,23 +1,26 @@
-"""Residual error indicators: frozen examples and scaling laws."""
+"""Residual error indicators: frozen examples and scaling laws.
+
+Element residuals and flux jumps are checked on the arrays `estimate`
+itself sums: the (N, nt, nq) residual samples and the (N, ne) jumps
+returned by `estimator._residuals`.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paroeig import assembly, estimator, mesh, paro, verify
 from paroeig.assembly import Coefficients
-from paroeig.estimator import (
-    EstimatorError,
-    Indicators,
-    estimate,
-    element_residual,
-    flux_jump,
-    jump_residual,
-    local_indicator,
-)
+from paroeig.estimator import EstimatorError, Indicators, estimate
 
 IDENTITY = Coefficients.identity()
 
 SINE_PAIRS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]
+
+# initial unit square: triangles (0, 1, 3) and (2, 3, 1) share the
+# diagonal edge 3 from (1, 0) to (0, 1), normal (1, 1)/sqrt(2)
+DIAGONAL = 3
 
 
 def single_orbital(vec, lam):
@@ -27,6 +30,12 @@ def single_orbital(vec, lam):
                              vectors=np.asarray(vec, dtype=np.float64)[None, :],
                              ritz_values=np.array([lam]),
                              shifts=np.array([lam]))
+
+
+def residuals(m, coeffs, block):
+    """(residual samples (N, nt, nq), flux jumps (N, ne))."""
+    r, jumps, _, _ = estimator._residuals(m, coeffs, block)
+    return r, jumps
 
 
 def sine_starts(system, points, noise, seed):
@@ -53,27 +62,35 @@ def squares():
 
 class TestFluxJump:
     def test_unit_gradient_against_diagonal_normal(self):
-        eye = np.eye(2)
-        nrm = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        jump = flux_jump(eye, (1.0, 0.0), eye, (0.0, 0.0), nrm)
-        assert jump == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
-        # edge energy h_e * ||J||^2 on the unit-square diagonal (length
-        # sqrt(2), constant jump) collapses to h_e^2 * J^2 = 1
-        h_e = np.sqrt(2.0)
-        assert h_e ** 2 * jump ** 2 == pytest.approx(1.0, abs=1e-14)
+        # gradient (1, 0) below the diagonal, (0.5, -0.5) above: same
+        # tangential part, normal jump 1/sqrt(2)
+        m = mesh.build_initial_mesh("unit_square")
+        blk = single_orbital([0.0, 1.0, 0.5, 0.0], 0.0)
+        _, jumps = residuals(m, IDENTITY, blk)
+        assert jumps[0, DIAGONAL] == pytest.approx(1.0 / np.sqrt(2.0),
+                                                   abs=1e-15)
+        # edge energy h_e * ||J||^2 on the diagonal (length sqrt(2),
+        # constant jump) collapses to h_e^2 * J^2 = 1; with lam = 0 it is
+        # all either triangle carries
+        assert np.allclose(estimate(m, IDENTITY, blk).per_element, 1.0,
+                           atol=1e-14)
 
     def test_continuous_flux_has_zero_jump(self):
-        eye = np.eye(2)
-        g = np.array([0.3, -1.7])
-        nrm = np.array([0.6, 0.8])
-        assert flux_jump(eye, g, eye, g, nrm) == pytest.approx(0.0, abs=1e-15)
+        # A = 2I below the diagonal, I above: a normal gradient twice as
+        # steep above keeps the conormal flux continuous
+        m = mesh.build_initial_mesh("unit_square")
+        table = Coefficients(np.stack([2.0 * np.eye(2), np.eye(2)]), 0.0)
+        blk = single_orbital([1.0, 0.0, -2.0, 0.0], 0.0)
+        _, jumps = residuals(m, table, blk)
+        assert jumps[0, DIAGONAL] == pytest.approx(0.0, abs=1e-15)
+        _, plain = residuals(m, IDENTITY, blk)
+        assert abs(plain[0, DIAGONAL]) > 1.0
 
     def test_globally_linear_function_no_jump(self):
-        m = mesh.build_initial_mesh("unit_square")
+        m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"), 2)
         w = m.vertices[:, 0] + 2.0 * m.vertices[:, 1]
-        for e in m.interior_edges():
-            assert jump_residual(m, IDENTITY, w, int(e)) == pytest.approx(
-                0.0, abs=1e-13)
+        _, jumps = residuals(m, IDENTITY, single_orbital(w, 1.0))
+        assert np.abs(jumps).max() <= 1e-13
 
     def test_hat_function_symmetric_jumps(self):
         m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"), 2)
@@ -81,6 +98,7 @@ class TestFluxJump:
         assert np.allclose(m.vertices[center], [0.5, 0.5])
         hat = np.zeros(m.n_vertices)
         hat[center] = 1.0
+        _, jumps = residuals(m, IDENTITY, single_orbital(hat, 0.0))
         # interior edges touching the center, grouped by direction
         axis, diag = [], []
         for e in m.interior_edges():
@@ -89,21 +107,22 @@ class TestFluxJump:
                 continue
             other = m.vertices[b if a == center else a]
             d = np.abs(other - m.vertices[center])
-            mag = abs(jump_residual(m, IDENTITY, hat, int(e)))
+            mag = abs(jumps[0, int(e)])
             (diag if d[0] > 1e-12 and d[1] > 1e-12 else axis).append(mag)
         assert len(axis) >= 2 and len(diag) >= 2
         assert np.ptp(axis) <= 1e-12
         assert np.ptp(diag) <= 1e-12
 
-    def test_boundary_edge_rejected(self):
-        m = mesh.build_initial_mesh("unit_square")
-        w = np.zeros(m.n_vertices)
-        boundary = [e for e in range(len(m.edge_lengths))
-                    if m.edge_tris[e, 1] < 0]
-        with pytest.raises(EstimatorError, match="boundary"):
-            jump_residual(m, IDENTITY, w, boundary[0])
-        with pytest.raises(EstimatorError, match="out of range"):
-            jump_residual(m, IDENTITY, w, len(m.edge_lengths))
+    def test_boundary_jumps_are_zero(self):
+        m, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 2)
+        rng = np.random.default_rng(4)
+        blk = single_orbital(rng.standard_normal(m.n_vertices), 3.0)
+        for coeffs in (IDENTITY, variable_coefficients()):
+            _, jumps = residuals(m, coeffs, blk)
+            assert jumps.shape == (1, len(m.edge_lengths))
+            boundary = m.edge_tris[:, 1] < 0
+            assert np.all(jumps[:, boundary] == 0.0)
+            assert np.all(jumps[:, ~boundary] != 0.0)
 
 
 class TestElementResidual:
@@ -111,20 +130,20 @@ class TestElementResidual:
         # orbital 2 lies in the double 5*pi^2 eigenspace, where rounding
         # picks the basis; compare against the block's own pair
         m, system, _, block = squares[4]
-        bary, _ = assembly._QUAD_RULES[2]
+        bary, _ = assembly._QUAD_RULE
         full = system.expand(block.vectors[2])
         tri_vals = full[m.triangles]                    # (nt, 3)
         expected = block.ritz_values[2] * tri_vals @ bary.T
-        for t in (0, 7, m.n_triangles - 1):
-            got = element_residual(m, IDENTITY, block, 2, t)
-            assert np.allclose(got, expected[t], rtol=1e-10, atol=1e-12)
+        r, _ = residuals(m, IDENTITY, block)
+        assert r.shape == (block.n, m.n_triangles, len(bary))
+        assert np.allclose(r[2], expected, rtol=1e-10, atol=1e-12)
 
     def test_zero_eigenvalue_zero_reaction(self):
         m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"), 2)
         rng = np.random.default_rng(5)
         blk = single_orbital(rng.standard_normal(m.n_vertices), 0.0)
-        for t in range(m.n_triangles):
-            assert np.all(element_residual(m, IDENTITY, blk, 0, t) == 0.0)
+        r, _ = residuals(m, IDENTITY, blk)
+        assert np.all(r == 0.0)
 
     def test_constant_function_with_reaction(self):
         # w == 1 has unit b-norm on the unit square, so the residual is
@@ -132,17 +151,17 @@ class TestElementResidual:
         m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"), 2)
         co = Coefficients.constant(np.eye(2), 2.0)
         blk = single_orbital(np.ones(m.n_vertices), 3.0)
-        for t in (0, 3, m.n_triangles - 1):
-            got = element_residual(m, co, blk, 0, t)
-            assert np.allclose(got, 1.0, atol=1e-12)
+        r, _ = residuals(m, co, blk)
+        assert np.allclose(r, 1.0, atol=1e-12)
 
 
 class TestLocalIndicator:
     def test_zero_orbital(self):
         m = mesh.build_initial_mesh("unit_square")
         blk = single_orbital(np.zeros(m.n_vertices), 4.0)
-        for t in range(m.n_triangles):
-            assert local_indicator(m, IDENTITY, blk, 0, t) == 0.0
+        r, jumps = residuals(m, IDENTITY, blk)
+        assert np.all(r == 0.0) and np.all(jumps == 0.0)
+        assert np.all(estimate(m, IDENTITY, blk).per_element == 0.0)
 
     def test_quadratic_homogeneity(self):
         m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"), 2)
@@ -165,11 +184,21 @@ class TestLocalIndicator:
         assert np.allclose(total.per_element, acc, rtol=1e-10)
 
     def test_local_indicator_agrees_with_estimate(self, squares):
+        # eta2(u_k, T) = h_T^2 |T| sum_q w_q R^2 + sum_{e in dT} h_e^2 J_e^2,
+        # summed orbital by orbital on single elements
         m, system, ref, block = squares[4]
         total = estimate(m, IDENTITY, block)
+        r, jumps = residuals(m, IDENTITY, block)
+        _, weights = assembly._QUAD_RULE
+        areas = m.signed_areas()
         for t in (0, 9, 31):
-            local = sum(local_indicator(m, IDENTITY, block, k, t)
-                        for k in range(block.n))
+            edges = m.tri_edges[t]
+            h_t = m.edge_lengths[edges].max()
+            local = sum(
+                h_t ** 2 * areas[t] * float(weights @ r[k, t] ** 2)
+                + float((m.edge_lengths[edges] ** 2
+                         * jumps[k, edges] ** 2).sum())
+                for k in range(block.n))
             assert local == pytest.approx(total.per_element[t], rel=1e-10)
 
 
@@ -268,11 +297,112 @@ class TestIndicators:
         with pytest.raises(EstimatorError, match="sum"):
             Indicators(per_element=np.array([1.0, 2.0]), global_sq=3.5)
 
-    def test_csv_roundtrip(self):
-        ind = Indicators(per_element=np.array([0.25, 0.5, 0.125]),
-                         global_sq=0.875)
-        lines = ind.to_csv().strip().split("\n")
-        assert lines[0] == "element_index,eta_sq"
-        parsed = [line.split(",") for line in lines[1:]]
-        assert [int(i) for i, _ in parsed] == [0, 1, 2]
-        assert [float(v) for _, v in parsed] == [0.25, 0.5, 0.125]
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(EstimatorError, match="finite"):
+            Indicators(per_element=np.array([bad, 1.0]), global_sq=bad)
+        with pytest.raises(EstimatorError, match="finite"):
+            Indicators(per_element=np.array([0.5, 1.0]), global_sq=bad)
+
+
+def variable_coefficients():
+    """Smooth callable diffusion and reaction, as in `paroeig run`."""
+    def diffusion(x, y):
+        return (2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)) * np.eye(2)
+
+    return Coefficients(diffusion, lambda x, y: x * x + y * y)
+
+
+def perturbed_block(m, coeffs, n, seed):
+    system = assembly.assemble(m, coeffs)
+    ref = verify.reference_eig(system, n)
+    noise = np.random.default_rng(seed).standard_normal(ref.vectors.shape)
+    return paro.initial_block(system, ref.vectors + 1e-3 * noise)
+
+
+class TestCoefficientRepresentations:
+    def test_constant_field_same_in_every_representation(self):
+        m0 = mesh.build_initial_mesh("l_shape")
+        m, _ = mesh.uniform_refine(m0, 3)
+        a0 = np.array([[2.0, 0.5], [0.5, 1.0]])
+        c0 = 1.5
+        const = Coefficients(a0, c0)
+        table = Coefficients(np.stack([a0] * m0.n_triangles),
+                             np.full(m0.n_triangles, c0))
+        # the central difference of a constant field is exactly 0, so
+        # the callable form adds no divergence term
+        func = Coefficients(lambda x, y: a0.copy(), lambda x, y: c0)
+        block = perturbed_block(m, const, 3, seed=1)
+        base = estimate(m, const, block).per_element
+        for coeffs in (table, func):
+            got = estimate(m, coeffs, block).per_element
+            np.testing.assert_allclose(got, base, rtol=1e-12, atol=0.0)
+
+    def test_linear_diffusion_divergence_term(self):
+        # A = (1 + x) I has div A = (1, 0); for w = 2x + 3y with lam = 0
+        # and no reaction the residual is (div A) . grad w = 2 on every
+        # element, and w has no flux jump, so eta2_T = 4 h_T^2 |T|
+        m, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 2)
+        coeffs = Coefficients(lambda x, y: (1.0 + x) * np.eye(2), 0.0)
+        w = 2.0 * m.vertices[:, 0] + 3.0 * m.vertices[:, 1]
+        got = estimate(m, coeffs, single_orbital(w, 0.0)).per_element
+        expected = 4.0 * m.diameters() ** 2 * m.signed_areas()
+        np.testing.assert_allclose(got, expected, rtol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def variable_block():
+    m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"), 3)
+    coeffs = variable_coefficients()
+    block = perturbed_block(m, coeffs, 4, seed=2)
+    # pin orbitals 1 and 2 to one shared Ritz value so they may rotate
+    lam = block.ritz_values.copy()
+    lam[1:3] = lam[1:3].mean()
+    return m, coeffs, block.vectors, lam
+
+
+def singleton_block(vectors, lam):
+    n = len(lam)
+    return paro.OrbitalBlock(layout=paro.ClusterLayout(n, (1,) * n),
+                             vectors=vectors, ritz_values=lam, shifts=lam)
+
+
+@settings(max_examples=25, deadline=None)
+@given(perm=st.permutations(range(4)),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4,
+                      max_size=4),
+       angle=st.floats(0.0, 2.0 * np.pi))
+def test_estimate_invariant_under_orbital_symmetries(variable_block, perm,
+                                                     signs, angle):
+    m, coeffs, vectors, lam = variable_block
+    base = estimate(m, coeffs, singleton_block(vectors, lam)).per_element
+    c, s = np.cos(angle), np.sin(angle)
+    rotated = vectors.copy()
+    rotated[1:3] = np.array([[c, -s], [s, c]]) @ vectors[1:3]
+    moved = np.asarray(signs)[:, None] * rotated[list(perm)]
+    got = estimate(m, coeffs,
+                   singleton_block(moved, lam[list(perm)])).per_element
+    np.testing.assert_allclose(got, base, rtol=1e-10, atol=0.0)
+
+
+def test_one_pass_shares_gradients_and_mass(monkeypatch):
+    m, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 2)
+    calls = {"p1_gradients": 0, "element_matrices": 0,
+             "_to_vertex_values": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(assembly, "p1_gradients")
+    counting(assembly, "element_matrices")
+    counting(estimator, "_to_vertex_values")
+    rng = np.random.default_rng(6)
+    blk = single_orbital(rng.standard_normal(m.n_vertices), 2.0)
+    estimate(m, variable_coefficients(), blk)
+    assert calls == {"p1_gradients": 1, "element_matrices": 0,
+                     "_to_vertex_values": 1}

@@ -15,7 +15,6 @@ from paroeig.verify import (
     fit_rate,
     galerkin_projection_gap,
     load_vector,
-    project_a,
     quasi_orthogonality_report,
     reference_eig,
     square_eigenfunction,
@@ -142,40 +141,6 @@ class TestDistA:
             lhs = dist_a(system, x1 + x2, y) ** 2
             rhs = dist_a(system, x1, y) ** 2 + dist_a(system, x2, y) ** 2
             assert lhs <= rhs + 1e-10
-
-
-class TestProjectA:
-    def test_vector_in_span_returned(self):
-        rng = np.random.default_rng(11)
-        system = dense_system(rng, 7)
-        basis = rng.standard_normal((3, 7))
-        v = np.array([0.5, -2.0, 1.25]) @ basis
-        assert np.allclose(project_a(system, v, basis), v, atol=1e-10)
-
-    def test_orthogonal_vector_projects_to_zero(self):
-        rng = np.random.default_rng(12)
-        system = dense_system(rng, 7)
-        basis = rng.standard_normal((2, 7))
-        v = rng.standard_normal(7)
-        kb = system.K.matmat(basis.T)                  # (7, 2)
-        coeffs = np.linalg.solve(basis @ kb, v @ kb)
-        v = v - coeffs @ basis
-        assert np.allclose(project_a(system, v, basis), 0.0, atol=1e-10)
-
-    def test_pythagoras_and_residual_orthogonality(self):
-        rng = np.random.default_rng(13)
-        system = dense_system(rng, 9)
-        basis = rng.standard_normal((4, 9))
-        v = rng.standard_normal(9)
-        p = project_a(system, v, basis)
-        r = v - p
-        norm_sq = float(system.K.quad_form(v))
-        split = float(system.K.quad_form(p)) + float(system.K.quad_form(r))
-        assert split == pytest.approx(norm_sq, rel=1e-10)
-        kr = system.K.matvec(r)
-        for b in basis:
-            scale = np.sqrt(system.K.quad_form(b) * system.K.quad_form(r))
-            assert abs(kr @ b) <= 1e-10 * scale
 
 
 class TestAnalyticSpectrum:
