@@ -3,7 +3,10 @@
 One refinement level runs the orbital inner iteration on the current
 mesh, evaluates the residual indicators, marks a minimal bulk of
 elements, bisects them, and carries the orbitals to the finer mesh by
-nodal interpolation. The loop stops when the relative eigenvalue
+nodal interpolation. Per-triangle data (assembly.ElementData) is built on
+the first mesh and extended after every refinement, so each triangle's
+coefficients are sampled once in the run; the level's assembly and both
+of its estimates read it. The loop stops when the relative eigenvalue
 movement between consecutive meshes (delta1) falls under tol1 or the
 refinement budget is spent.
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import mesh as mesh_mod
-from .assembly import assemble
+from .assembly import ElementData, assemble
 from .estimator import estimate
 from .linalg import b_orthonormalize, dense_sym_gen_eig, gram, minres_solve
 from .multilevel import MultilevelPreconditioner
@@ -175,12 +178,12 @@ def transfer_block(coarse_mesh, coarse_sys, fine_mesh, fine_sys,
     return replace(block, vectors=vecs)
 
 
-def _effective_tols(config, mesh, coeffs, block):
+def _effective_tols(config, mesh, coeffs, block, data):
     """Inner stop matched to the incoming block's estimator level."""
     tols = config.paro_tols
     if config.budget_factor is None:
         return tols
-    eta_sq = estimate(mesh, coeffs, block).global_sq
+    eta_sq = estimate(mesh, coeffs, block, data=data).global_sq
     lam_sum = float(np.abs(block.ritz_values).sum())
     if lam_sum == 0.0:
         return tols
@@ -225,7 +228,8 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
     for level in range(config.max_refinements + 1):
         try:
             if system is None:
-                system = assemble(current, coeffs)
+                data = ElementData(current, coeffs)
+                system = assemble(current, coeffs, data=data)
                 precond = MultilevelPreconditioner(current, system)
             if system.n_dofs < n_orbitals:
                 raise AdaptError(
@@ -238,10 +242,10 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
                                                     seed=seed))
                 block = initial_block(system, starts,
                                       config.paro_tols.rel_gap)
-            tols = _effective_tols(config, current, coeffs, block)
+            tols = _effective_tols(config, current, coeffs, block, data)
             block, m_used, _ = paro_inner_loop(system, block, tols,
                                                precond)
-            indicators = estimate(current, coeffs, block)
+            indicators = estimate(current, coeffs, block, data=data)
             wall = time.perf_counter() - t0
             if observer is not None:
                 observer(level, current, system, block, indicators)
@@ -264,7 +268,8 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             if marked.size == 0:
                 break
             fine, rmap = mesh_mod.refine(current, marked, config.ell)
-            fine_sys = assemble(fine, coeffs)
+            data = data.extend(rmap, fine)
+            fine_sys = assemble(fine, coeffs, data=data)
             block = transfer_block(current, system, fine, fine_sys, rmap,
                                    block)
             precond = precond.extend(rmap, fine, fine_sys)

@@ -15,6 +15,14 @@ Quadrature only ever touches the coefficients: P1 gradients are constant
 per element, so the one rule (the three edge midpoints, exact for
 quadratics) integrates the diffusion term exactly for data up to degree
 two.
+
+Everything per triangle that assembly and the estimator read (gradients,
+areas, diameters, coefficient samples, the finite-difference divergence
+of callable diffusion) lives in one ElementData per mesh. Each sample is
+taken and validated once: the adaptive loop builds it on the first mesh
+and extends it after every refinement, copying the rows of triangles the
+refinement kept and sampling only the new children. Called without one,
+`assemble` and `estimator.estimate` build it themselves.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ class AssemblyError(ValueError):
 _QUAD_RULE = (np.array([[0.5, 0.5, 0.0],
                         [0.0, 0.5, 0.5],
                         [0.5, 0.0, 0.5]]), np.full(3, 1 / 3))
+# quadrature point q is the midpoint of local edge _QUAD_EDGE[q] (local
+# edge i is opposite local vertex i)
+_QUAD_EDGE = (2, 0, 1)
 
 _EXACT_MASS = np.array([[2.0, 1.0, 1.0],
                         [1.0, 2.0, 1.0],
@@ -121,9 +132,11 @@ def _check_reaction_values(vals, elements):
                             f"finite on element {t}")
 
 
-def p1_gradients(mesh):
-    """Constant P1 basis gradients, shape (nt, 3, 2), and areas (nt,)."""
-    v = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
+def p1_gradients(mesh, tri_ids=None):
+    """Constant P1 basis gradients, shape (nt, 3, 2), and areas (nt,),
+    of every triangle or of the given ones."""
+    tri = mesh.triangles if tri_ids is None else mesh.triangles[tri_ids]
+    v = mesh.vertices[tri]                     # (nt, 3, 2)
     j11 = v[:, 1, 0] - v[:, 0, 0]
     j12 = v[:, 2, 0] - v[:, 0, 0]
     j21 = v[:, 1, 1] - v[:, 0, 1]
@@ -139,100 +152,199 @@ def p1_gradients(mesh):
     return grads, 0.5 * det
 
 
-def diffusion_per_element(mesh, coeffs):
-    """Diffusion matrices sampled once per element (centroid for
-    callables), shape (nt, 2, 2). Validated SPD."""
-    mode, data = _classify_diffusion(coeffs)
-    nt = mesh.n_triangles
-    if mode == "const":
-        mats = np.broadcast_to(data, (nt, 2, 2)).copy()
-    elif mode == "table":
-        if data.shape[0] <= mesh.ancestor.max(initial=-1):
-            raise AssemblyError("diffusion table is shorter than the "
-                                "ancestor index range")
-        mats = data[mesh.ancestor]
+def _divergence_rows(diffusion, pts, delta):
+    """Row vector (div A) at each (m, 2) point by central differences
+    with per-point stencil delta: (m, 2)."""
+    rows = np.empty((len(pts), 2))
+    for i, (x, y, d) in enumerate(zip(pts[:, 0], pts[:, 1], delta)):
+        dax = (np.asarray(diffusion(x + d, y))
+               - np.asarray(diffusion(x - d, y))) / (2.0 * d)
+        day = (np.asarray(diffusion(x, y + d))
+               - np.asarray(diffusion(x, y - d))) / (2.0 * d)
+        # (div A)_j = d_x A[0, j] + d_y A[1, j]
+        rows[i] = dax[0, :] + day[1, :]
+    return rows
+
+
+def _sample(mesh, coeffs, ids):
+    """Every ElementData field for the triangles ids of mesh, validated;
+    errors name the triangle's index in mesh."""
+    nt, nq = len(ids), len(_QUAD_RULE[1])
+    grads, areas = p1_gradients(mesh, ids)
+    h_t = mesh.edge_lengths[mesh.tri_edges[ids]].max(axis=1)
+    d_mode, d_data = _classify_diffusion(coeffs)
+    r_mode, r_data = _classify_reaction(coeffs)
+    for mode, data, name in ((d_mode, d_data, "diffusion"),
+                             (r_mode, r_data, "reaction")):
+        if mode == "table" and data.shape[0] <= mesh.ancestor[ids].max(
+                initial=-1):
+            raise AssemblyError(f"{name} table is shorter than the "
+                                f"ancestor index range")
+    if "callable" in (d_mode, r_mode):
+        pts = np.einsum("qi,tid->tqd", _QUAD_RULE[0],
+                        mesh.vertices[mesh.triangles[ids]])   # (nt, nq, 2)
+        at_points = np.repeat(ids, nq)
+
+    div_rows = None
+    if d_mode == "callable":
+        diffusion = np.stack([
+            np.stack([np.asarray(d_data(x, y), dtype=np.float64)
+                      for x, y in row]) for row in pts])     # (nt, nq, 2, 2)
+        _check_spd_matrices(diffusion.reshape(-1, 2, 2), at_points)
+        delta = 1e-6 * h_t[np.repeat(np.arange(nt), nq)]
+        div_rows = _divergence_rows(d_data, pts.reshape(-1, 2),
+                                    delta).reshape(nt, nq, 2)
+        bad = ~np.isfinite(div_rows).all(axis=(1, 2))
+        if bad.any():
+            raise AssemblyError(f"diffusion divergence is not finite on "
+                                f"element {int(ids[np.argmax(bad)])}")
     else:
-        cent = mesh.vertices[mesh.triangles].mean(axis=1)
-        mats = np.stack([np.asarray(data(x, y), dtype=np.float64)
-                         for x, y in cent])
-    _check_spd_matrices(mats, np.arange(nt))
-    return mats
+        diffusion = (np.broadcast_to(d_data, (nt, 2, 2)).copy()
+                     if d_mode == "const" else d_data[mesh.ancestor[ids]])
+        _check_spd_matrices(diffusion, ids)
 
-
-def reaction_per_element(mesh, coeffs):
-    """Reaction values sampled once per element (centroid for callables)."""
-    mode, data = _classify_reaction(coeffs)
-    nt = mesh.n_triangles
-    if mode == "const":
-        vals = np.full(nt, data)
-    elif mode == "table":
-        if data.shape[0] <= mesh.ancestor.max(initial=-1):
-            raise AssemblyError("reaction table is shorter than the "
-                                "ancestor index range")
-        vals = data[mesh.ancestor]
+    if r_mode == "callable":
+        reaction = np.array([[float(r_data(x, y)) for x, y in row]
+                             for row in pts])                 # (nt, nq)
+        _check_reaction_values(reaction.ravel(), at_points)
     else:
-        cent = mesh.vertices[mesh.triangles].mean(axis=1)
-        vals = np.array([float(data(x, y)) for x, y in cent])
-    _check_reaction_values(vals, np.arange(nt))
-    return vals
+        reaction = (np.full(nt, r_data) if r_mode == "const"
+                    else r_data[mesh.ancestor[ids]])
+        _check_reaction_values(reaction, ids)
+    return dict(grads=grads, areas=areas, h_t=h_t, diffusion=diffusion,
+                reaction=reaction, div_rows=div_rows)
 
 
-def _quad_points(mesh):
-    """Physical quadrature points of every element, (nt, nq, 2)."""
-    return np.einsum("qi,tid->tqd", _QUAD_RULE[0],
-                     mesh.vertices[mesh.triangles])
+def _kept_rows(refine_map, coarse, fine):
+    """(coarse ids, fine ids) of the triangles every round of refine_map
+    left whole; _refine_once keeps their vertex ids and order."""
+    src = np.arange(coarse.n_triangles)
+    dst = src
+    n_tri, n_vert = coarse.n_triangles, coarse.n_vertices
+    for rnd in refine_map.rounds:
+        offsets = rnd.child_offsets
+        if len(offsets) != n_tri + 1 or rnd.n_coarse_vertices != n_vert:
+            raise AssemblyError("refine_map does not chain from the mesh "
+                                "this element data was built for")
+        single = offsets[dst + 1] - offsets[dst] == 1
+        src, dst = src[single], offsets[dst[single]]
+        n_tri = int(offsets[-1])
+        n_vert += len(rnd.vertex_parents)
+    if (n_tri, n_vert) != (fine.n_triangles, fine.n_vertices):
+        raise AssemblyError("refine_map does not lead to the given fine "
+                            "mesh")
+    return src, dst
 
 
-def _reaction_at(fn, pts):
-    """Callable reaction sampled at (nt, nq, 2) points, validated."""
-    cvals = np.array([[float(fn(x, y)) for x, y in row]
-                      for row in pts])                        # (nt, nq)
-    _check_reaction_values(cvals.ravel(),
-                           np.repeat(np.arange(len(pts)), pts.shape[1]))
-    return cvals
+class ElementData:
+    """Per-triangle data of one mesh, shared by assembly and the
+    estimator, each coefficient sampled and validated once.
+
+    Fields, one row per triangle:
+        grads (nt, 3, 2), areas (nt,), h_t (nt,): P1 basis gradients,
+            areas and diameters.
+        diffusion: (nt, 2, 2) for constant and table data, the samples
+            at the quadrature points (nt, nq, 2, 2) for a callable.
+        reaction: (nt,) for constant and table data, (nt, nq) samples
+            for a callable.
+        div_rows: (nt, nq, 2) finite-difference div A at the quadrature
+            points for callable diffusion, else None.
+
+    Build it on the first mesh and call extend() after every refine();
+    extend returns the data of the refined mesh and leaves this one
+    untouched. The arrays are read-only.
+    """
+
+    _FIELDS = ("grads", "areas", "h_t", "diffusion", "reaction",
+               "div_rows")
+
+    def __init__(self, mesh, coeffs):
+        self._set(mesh, coeffs,
+                  _sample(mesh, coeffs, np.arange(mesh.n_triangles)))
+
+    def _set(self, mesh, coeffs, fields):
+        self.mesh, self.coeffs = mesh, coeffs
+        for name in self._FIELDS:
+            arr = fields[name]
+            if arr is not None:
+                arr.setflags(write=False)
+            setattr(self, name, arr)
+
+    def extend(self, refine_map, fine_mesh):
+        """ElementData of fine_mesh = refine(self.mesh, ...)[0].
+
+        Rows of the triangles refine_map kept whole are copied; only the
+        new children are sampled.
+        """
+        if not refine_map.rounds:          # refine() marked nothing
+            if fine_mesh is not self.mesh:
+                raise AssemblyError("an empty refine_map must return the "
+                                    "same mesh")
+            return self
+        src, dst = _kept_rows(refine_map, self.mesh, fine_mesh)
+        fresh = np.ones(fine_mesh.n_triangles, dtype=bool)
+        fresh[dst] = False
+        children = np.nonzero(fresh)[0]
+        sampled = _sample(fine_mesh, self.coeffs, children)
+        fields = {}
+        for name in self._FIELDS:
+            old = getattr(self, name)
+            if old is None:
+                fields[name] = None
+                continue
+            new = np.empty((fine_mesh.n_triangles,) + old.shape[1:])
+            new[dst] = old[src]
+            new[children] = sampled[name]
+            fields[name] = new
+        out = object.__new__(ElementData)
+        out._set(fine_mesh, self.coeffs, fields)
+        return out
 
 
-def element_matrices(mesh, coeffs):
+def _element_data(mesh, coeffs, data=None):
+    """data checked against mesh and coeffs, or ElementData(mesh, coeffs)
+    when data is None."""
+    if data is None:
+        return ElementData(mesh, coeffs)
+    if data.mesh is not mesh or data.coeffs is not coeffs:
+        raise AssemblyError("element data was built for another mesh or "
+                            "other coefficients")
+    return data
+
+
+def element_matrices(mesh, coeffs, data=None):
     """Per-element 3x3 stiffness (diffusion + reaction) and exact mass.
 
     Returns (ke, me), each shaped (nt, 3, 3). ke uses the quadrature rule
     for coefficient sampling only; me is the analytic P1 mass matrix.
+    data: the mesh's ElementData, built here when None.
     """
     bary, weights = _QUAD_RULE
-    grads, areas = p1_gradients(mesh)
-    nt = mesh.n_triangles
-    d_mode, d_data = _classify_diffusion(coeffs)
-    r_mode, r_data = _classify_reaction(coeffs)
-
-    if d_mode == "callable":
-        pts = _quad_points(mesh)
-        mats = np.stack([
-            np.stack([np.asarray(d_data(x, y), dtype=np.float64)
-                      for x, y in row]) for row in pts])     # (nt, nq, 2, 2)
-        _check_spd_matrices(
-            mats.reshape(-1, 2, 2),
-            np.repeat(np.arange(nt), len(weights)))
-        a_eff = np.einsum("q,tqab->tab", weights, mats)
-    else:
-        a_eff = diffusion_per_element(mesh, coeffs)
-    ke = np.einsum("tia,tab,tjb->tij", grads, a_eff, grads)
+    data = _element_data(mesh, coeffs, data)
+    areas = data.areas
+    a_eff = data.diffusion
+    if a_eff.ndim == 4:                        # callable: (nt, nq, 2, 2)
+        a_eff = np.einsum("q,tqab->tab", weights, a_eff)
+    ke = np.einsum("tia,tab,tjb->tij", data.grads, a_eff, data.grads)
     ke *= areas[:, None, None]
 
     me = _EXACT_MASS[None, :, :] * areas[:, None, None]
 
-    if r_mode == "callable":
-        cvals = _reaction_at(r_data, _quad_points(mesh))
-        re = np.einsum("q,tq,qi,qj->tij", weights, cvals, bary, bary)
+    if data.reaction.ndim == 2:                # callable: (nt, nq)
+        re = np.einsum("q,tq,qi,qj->tij", weights, data.reaction, bary,
+                       bary)
         ke += re * areas[:, None, None]
     else:
-        cvals = reaction_per_element(mesh, coeffs)
-        ke += cvals[:, None, None] * me
+        ke += data.reaction[:, None, None] * me
     return ke, me
 
 
 def _scatter(mesh, local):
     """Accumulate (nt, 3, 3) element matrices into a SparseSymMatrix."""
-    tri = mesh.triangles
+    # coo_matrix stores int32 indices while they fit and would copy
+    # int64 ones; passing int32 keeps one copy of the index arrays
+    fits = mesh.n_vertices <= np.iinfo(np.int32).max
+    tri = mesh.triangles.astype(np.int32 if fits else np.int64)
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     full = sp.coo_matrix((local.ravel(), (rows, cols)),
@@ -241,14 +353,14 @@ def _scatter(mesh, local):
     return SparseSymMatrix(sp.tril(full, format="csr"))
 
 
-def assemble_full(mesh, coeffs):
+def assemble_full(mesh, coeffs, data=None):
     """Assemble over ALL vertices, no boundary elimination.
 
     Returns (K_full, M_full) as SparseSymMatrix. Useful for kernel tests
     (constants must be in the null space of the pure diffusion part) and
     for norm computations that involve boundary vertices.
     """
-    ke, me = element_matrices(mesh, coeffs)
+    ke, me = element_matrices(mesh, coeffs, data)
     return _scatter(mesh, ke), _scatter(mesh, me)
 
 
@@ -280,9 +392,13 @@ class FemSystem:
         return full[..., self.free_dofs]
 
 
-def assemble(mesh, coeffs):
-    """Assemble the eliminated stiffness/mass pencil on a mesh."""
-    k_full, m_full = assemble_full(mesh, coeffs)
+def assemble(mesh, coeffs, data=None):
+    """Assemble the eliminated stiffness/mass pencil on a mesh.
+
+    data: the mesh's ElementData; without it one is built and dropped
+    before the global matrices are formed.
+    """
+    k_full, m_full = assemble_full(mesh, coeffs, data)
     free = mesh.interior_vertices()
     k_csr = k_full.to_csr()[free][:, free]
     m_csr = m_full.to_csr()[free][:, free]
@@ -293,22 +409,3 @@ def assemble(mesh, coeffs):
         n_dofs=len(free),
         n_vertices=mesh.n_vertices,
     )
-
-
-def energy_norm(sys, u):
-    """sqrt(u . K u) over free dofs."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (sys.n_dofs,):
-        raise AssemblyError(f"coefficient vector has length {u.shape}, "
-                            f"expected ({sys.n_dofs},)")
-    return float(np.sqrt(max(sys.K.quad_form(u), 0.0)))
-
-
-def b_norm(sys, u):
-    """sqrt(u . M u) over free dofs."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (sys.n_dofs,):
-        raise AssemblyError(f"coefficient vector has length {u.shape}, "
-                            f"expected ({sys.n_dofs},)")
-    return float(np.sqrt(max(sys.M.quad_form(u), 0.0)))
-

@@ -15,16 +15,19 @@ indicator squares and scales:
 
 boundary edges contributing nothing, and the block indicator on T sums
 eta2 over the orbitals. `estimate` is the only entry point: one pass
-over the block computes the vertex values, the P1 gradients and areas,
-h_T and the coefficient data once and shares them between both terms.
+over the block computes the vertex values and the orbital gradients once
+and shares them between both terms. The P1 gradients, areas, h_T and
+every coefficient sample come from the mesh's assembly.ElementData, so
+an estimate with that data calls no coefficient callable.
 
 P1 specifics: gradients are constant per element, so for
 piecewise-constant diffusion the divergence term vanishes and jumps are
 constant along each edge (integrated exactly). The residual is sampled
 at assembly's edge-midpoint quadrature rule. For callable diffusion the
 divergence term uses a central finite difference of A at the quadrature
-points (stencil 1e-6 * h_T) and the edge flux samples A at the edge
-midpoint.
+points (stencil 1e-6 * h_T), and the edge flux takes A at the edge
+midpoint from the quadrature sample of the edge's first triangle at
+that midpoint.
 """
 
 from __future__ import annotations
@@ -74,27 +77,14 @@ def _to_vertex_values(mesh, w):
                          f"expected {n_free} (free) or {nv} (vertex)")
 
 
-def _divergence_rows(diffusion, pts, delta):
-    """Row vector (div A) at each (m, 2) point by central differences
-    with per-point stencil delta: (m, 2)."""
-    rows = np.empty((len(pts), 2))
-    for i, (x, y, d) in enumerate(zip(pts[:, 0], pts[:, 1], delta)):
-        dax = (np.asarray(diffusion(x + d, y))
-               - np.asarray(diffusion(x - d, y))) / (2.0 * d)
-        day = (np.asarray(diffusion(x, y + d))
-               - np.asarray(diffusion(x, y - d))) / (2.0 * d)
-        # (div A)_j = d_x A[0, j] + d_y A[1, j]
-        rows[i] = dax[0, :] + day[1, :]
-    return rows
-
-
-def _element_residuals(mesh, coeffs, lam, values, tri_vals, grads, h_t,
-                       areas):
+def _element_residuals(mesh, data, lam, values, tri_vals, grads):
     """Residual of every orbital at the quadrature points, (N, nt, nq)."""
     bary, _ = assembly._QUAD_RULE
-    me = assembly._EXACT_MASS[None, :, :] * areas[:, None, None]
-    # b(u_k, u_l) over the whole mesh, via element mass matrices
-    b_gram = np.einsum("kti,tij,ltj->kl", tri_vals, me, tri_vals)
+    # b(u_k, u_l) over the whole mesh, via element mass matrices; the
+    # (nt, 3, 3) and (N, nt, 3) temporaries here and below are not kept
+    b_gram = np.einsum("kti,tij,ltj->kl", tri_vals,
+                       assembly._EXACT_MASS[None, :, :]
+                       * data.areas[:, None, None], tri_vals)
     lam = np.asarray(lam, dtype=np.float64)
     # expand against b-normalized members: identical to the raw block
     # sum when the block is b-orthonormal (the normal case), and keeps
@@ -103,55 +93,44 @@ def _element_residuals(mesh, coeffs, lam, values, tri_vals, grads, h_t,
     norms = np.where(norms > 0.0, norms, 1.0)
     coef = (b_gram / norms[None, :]) * lam
     summed = coef @ (values / norms[:, None])           # (N, nv)
-    sum_tri = summed[:, mesh.triangles]                 # (N, nt, 3)
-    r = np.einsum("nti,qi->ntq", sum_tri, bary)
+    r = np.einsum("nti,qi->ntq", summed[:, mesh.triangles], bary)
 
-    pts = assembly._quad_points(mesh)                   # (nt, nq, 2)
-    if callable(coeffs.reaction):
-        c_q = assembly._reaction_at(coeffs.reaction, pts)
-    else:
-        c_e = assembly.reaction_per_element(mesh, coeffs)
-        c_q = np.broadcast_to(c_e[:, None], pts.shape[:2])
+    c_q = data.reaction
+    if c_q.ndim == 1:                                   # per element
+        c_q = np.broadcast_to(c_q[:, None], r.shape[1:])
     w_q = np.einsum("nti,qi->ntq", tri_vals, bary)
     r = r - c_q[None, :, :] * w_q
 
-    if callable(coeffs.diffusion):
-        nt, nq = pts.shape[:2]
-        delta = 1e-6 * h_t[np.repeat(np.arange(nt), nq)]
-        div_rows = _divergence_rows(coeffs.diffusion, pts.reshape(-1, 2),
-                                    delta)
-        div_rows = div_rows.reshape(nt, nq, 2)
-        r = r + np.einsum("tqd,ntd->ntq", div_rows, grads)
+    if data.div_rows is not None:
+        r = r + np.einsum("tqd,ntd->ntq", data.div_rows, grads)
     return r
 
 
-def _flux_jumps(mesh, coeffs, grads):
+def _flux_jumps(mesh, data, grads):
     """Conormal flux jump of every orbital across every edge, (N, ne),
     exactly 0 on boundary edges."""
     interior = mesh.edge_tris[:, 1] >= 0
     t_plus = mesh.edge_tris[:, 0]
     t_minus = np.where(interior, mesh.edge_tris[:, 1], t_plus)
-    diffusion = coeffs.diffusion
-    if callable(diffusion):
-        mids = mesh.vertices[mesh.edges].mean(axis=1)
-        # one midpoint sample serves both sides of an edge
-        a_plus = a_minus = np.zeros((len(interior), 2, 2))
-        if interior.any():
-            a_plus[interior] = np.stack(
-                [np.asarray(diffusion(x, y), dtype=np.float64)
-                 for x, y in mids[interior]])
+    if data.diffusion.ndim == 4:
+        # one midpoint sample serves both sides of an edge: the
+        # quadrature sample of t_plus at that edge
+        local = np.argmax(mesh.tri_edges[t_plus]
+                          == np.arange(len(t_plus))[:, None], axis=1)
+        q_of_edge = np.argsort(assembly._QUAD_EDGE)[local]
+        a_plus = a_minus = data.diffusion[t_plus, q_of_edge]
     else:
-        a_all = assembly.diffusion_per_element(mesh, coeffs)
-        a_plus, a_minus = a_all[t_plus], a_all[t_minus]
-    flux_plus = np.einsum("eab,neb->nea", a_plus, grads[:, t_plus])
-    flux_minus = np.einsum("eab,neb->nea", a_minus, grads[:, t_minus])
-    jumps = np.einsum("nea,ea->ne", flux_plus - flux_minus,
-                      mesh.edge_normals)
+        a_plus = data.diffusion[t_plus]
+        a_minus = data.diffusion[t_minus]
+    # in place, one (N, ne, 2) temporary fewer than flux_plus - flux_minus
+    flux = np.einsum("eab,neb->nea", a_plus, grads[:, t_plus])
+    flux -= np.einsum("eab,neb->nea", a_minus, grads[:, t_minus])
+    jumps = np.einsum("nea,ea->ne", flux, mesh.edge_normals)
     jumps[:, ~interior] = 0.0
     return jumps
 
 
-def _residuals(mesh, coeffs, block):
+def _residuals(mesh, coeffs, block, data=None):
     """One pass over the block: the data both terms share is computed
     once.
 
@@ -159,20 +138,22 @@ def _residuals(mesh, coeffs, block):
     (N, nt, nq), the flux jumps (N, ne), and the element areas and
     diameters that scale them.
     """
+    data = assembly._element_data(mesh, coeffs, data)
     values = _to_vertex_values(mesh, block.vectors)     # (N, nv)
     tri_vals = values[:, mesh.triangles]                # (N, nt, 3)
-    p1_grads, areas = assembly.p1_gradients(mesh)
-    grads = np.einsum("nti,tid->ntd", tri_vals, p1_grads)   # (N, nt, 2)
-    h_t = mesh.diameters()
-    r = _element_residuals(mesh, coeffs, block.ritz_values, values,
-                           tri_vals, grads, h_t, areas)
-    jumps = _flux_jumps(mesh, coeffs, grads)
-    return r, jumps, areas, h_t
+    grads = np.einsum("nti,tid->ntd", tri_vals, data.grads)  # (N, nt, 2)
+    r = _element_residuals(mesh, data, block.ritz_values, values,
+                           tri_vals, grads)
+    jumps = _flux_jumps(mesh, data, grads)
+    return r, jumps, data.areas, data.h_t
 
 
-def estimate(mesh, coeffs, block):
-    """All local indicators eta2(block, T) and their global sum."""
-    r, jumps, areas, h_t = _residuals(mesh, coeffs, block)
+def estimate(mesh, coeffs, block, data=None):
+    """All local indicators eta2(block, T) and their global sum.
+
+    data: the mesh's assembly.ElementData; built here when None.
+    """
+    r, jumps, areas, h_t = _residuals(mesh, coeffs, block, data)
     _, weights = assembly._QUAD_RULE
     # h_T^2 * |T| * sum_q w_q R^2, summed over orbitals
     res_sq = np.einsum("ntq,q->nt", r ** 2, weights) * areas[None, :]

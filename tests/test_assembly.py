@@ -1,20 +1,24 @@
 """Tests for P1 assembly: analytic element matrices, kernel and mass
-invariants, Dirichlet elimination, coefficient representations."""
+invariants, Dirichlet elimination, coefficient representations, and the
+per-mesh ElementData carried across refinement."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from paroeig import adapt, paro
 from paroeig.assembly import (
     AssemblyError,
     Coefficients,
+    ElementData,
     assemble,
     assemble_full,
-    b_norm,
     element_matrices,
-    energy_norm,
     p1_gradients,
 )
+from paroeig.estimator import estimate
 from paroeig.mesh import Mesh, build_initial_mesh, interpolate, refine, uniform_refine
 
 
@@ -217,21 +221,6 @@ class TestCoefficients:
 
 
 class TestNorms:
-    def test_zero_vector(self):
-        m, _ = uniform_refine(build_initial_mesh("unit_square"), 2)
-        sys = assemble(m, Coefficients.identity())
-        assert energy_norm(sys, np.zeros(sys.n_dofs)) == 0.0
-        assert b_norm(sys, np.zeros(sys.n_dofs)) == 0.0
-
-    def test_one_by_one_arithmetic(self):
-        # K = diag(4) on a single free dof -> energy norm of [1] is 2
-        from paroeig.assembly import FemSystem
-        from paroeig.linalg import SparseSymMatrix
-        sys = FemSystem(K=SparseSymMatrix.from_dense([[4.0]]),
-                        M=SparseSymMatrix.from_dense([[1.0]]),
-                        free_dofs=np.array([0]), n_dofs=1, n_vertices=1)
-        assert energy_norm(sys, np.array([1.0])) == 2.0
-
     def test_quadratic_form_matches_element_sum(self):
         m, _ = uniform_refine(build_initial_mesh("l_shape"), 2)
         co = Coefficients(np.diag([2.0, 0.5]), 1.5)
@@ -242,12 +231,151 @@ class TestNorms:
         via_elements = sum(
             full[tri] @ ke[i] @ full[tri]
             for i, tri in enumerate(m.triangles))
-        direct = energy_norm(sys, u) ** 2
+        direct = sys.K.quad_form(u)
         assert abs(via_elements - direct) <= 1e-12 * abs(direct)
 
-    def test_dimension_mismatch(self):
-        m, _ = uniform_refine(build_initial_mesh("unit_square"), 2)
-        sys = assemble(m, Coefficients.identity())
-        with pytest.raises(AssemblyError, match="expected"):
-            energy_norm(sys, np.zeros(sys.n_dofs + 2))
 
+def variable_coefficients(calls=None):
+    """Callable coefficients as in `paroeig run`; calls, when given,
+    counts the evaluations of each field."""
+    def diffusion(x, y):
+        if calls is not None:
+            calls["diffusion"] += 1
+        return (2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)) * np.eye(2)
+
+    def reaction(x, y):
+        if calls is not None:
+            calls["reaction"] += 1
+        return x * x + y * y
+
+    return Coefficients(diffusion, reaction)
+
+
+def coefficient_cases():
+    m0 = build_initial_mesh("l_shape")
+    rng = np.random.default_rng(8)
+    table = Coefficients(
+        np.stack([np.diag(rng.uniform(0.5, 2.0, 2))
+                  for _ in range(m0.n_triangles)]),
+        rng.uniform(0.0, 2.0, m0.n_triangles))
+    return {"constant": Coefficients(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                     1.5),
+            "table": table,
+            "variable": variable_coefficients()}
+
+
+COEFFICIENT_CASES = coefficient_cases()
+BASE_MESH, _ = uniform_refine(build_initial_mesh("l_shape"), 2)
+
+
+def random_block(m, n, seed):
+    vectors = np.random.default_rng(seed).standard_normal((n, m.n_vertices))
+    lam = np.arange(1.0, n + 1.0)
+    return paro.OrbitalBlock(layout=paro.ClusterLayout(n, (1,) * n),
+                             vectors=vectors, ritz_values=lam, shifts=lam)
+
+
+def csr_bytes(matrix):
+    csr = matrix.to_csr()
+    return csr.indptr.tobytes(), csr.indices.tobytes(), csr.data.tobytes()
+
+
+class TestElementData:
+    @settings(max_examples=20, deadline=None)
+    @given(case=st.sampled_from(sorted(COEFFICIENT_CASES)),
+           ell=st.sampled_from([1, 2]),
+           picks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                   max_size=8), min_size=1, max_size=2))
+    def test_extend_matches_fresh_build(self, case, ell, picks):
+        coeffs = COEFFICIENT_CASES[case]
+        m = BASE_MESH
+        data = ElementData(m, coeffs)
+        for pick in picks:
+            marked = np.array(pick) % m.n_triangles
+            m, rmap = refine(m, marked, ell)
+            data = data.extend(rmap, m)
+        fresh = ElementData(m, coeffs)
+        for name in ElementData._FIELDS:
+            got, want = getattr(data, name), getattr(fresh, name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+        with_data = assemble(m, coeffs, data=data)
+        without = assemble(m, coeffs)
+        assert csr_bytes(with_data.K) == csr_bytes(without.K)
+        assert csr_bytes(with_data.M) == csr_bytes(without.M)
+        block = random_block(m, 2, seed=len(picks))
+        assert (estimate(m, coeffs, block, data=data).per_element.tobytes()
+                == estimate(m, coeffs, block).per_element.tobytes())
+
+    def test_constant_data_is_stored_per_element(self):
+        for name in ("constant", "table"):
+            data = ElementData(BASE_MESH, COEFFICIENT_CASES[name])
+            nt = BASE_MESH.n_triangles
+            assert data.diffusion.shape == (nt, 2, 2)
+            assert data.reaction.shape == (nt,)
+            assert data.div_rows is None
+
+    def test_adaptive_solve_samples_each_triangle_once(self):
+        # the first mesh, then only the children of every refinement
+        calls = {"diffusion": 0, "reaction": 0}
+        coeffs = variable_coefficients(calls)
+        meshes = []
+        config = adapt.AdaptConfig(max_refinements=3, initial_passes=2,
+                                   budget_factor=1.0, tol1=1e-14)
+        adapt.adaptive_solve("l_shape", coeffs, 2, config,
+                             observer=lambda lvl, m, *_: meshes.append(m))
+        assert len(meshes) == 4
+        sampled = meshes[0].n_triangles
+        for coarse, fine in zip(meshes, meshes[1:]):
+            old = set(map(tuple, coarse.triangles.tolist()))
+            sampled += sum(tuple(t) not in old
+                           for t in fine.triangles.tolist())
+        assert calls == {"diffusion": 15 * sampled,
+                         "reaction": 3 * sampled}
+        data = ElementData(meshes[-1], coeffs)
+        calls.update(diffusion=0, reaction=0)
+        estimate(meshes[-1], coeffs, random_block(meshes[-1], 2, seed=3),
+                 data=data)
+        assert calls == {"diffusion": 0, "reaction": 0}
+
+    def test_extend_rejects_a_map_from_another_mesh(self):
+        coeffs = COEFFICIENT_CASES["variable"]
+        data = ElementData(BASE_MESH, coeffs)
+        other, _ = uniform_refine(BASE_MESH, 1)
+        fine, rmap = refine(other, [0, 5], ell=2)
+        with pytest.raises(AssemblyError, match="does not chain"):
+            data.extend(rmap, fine)
+        fine, rmap = refine(BASE_MESH, [0, 5], ell=1)
+        with pytest.raises(AssemblyError, match="fine mesh"):
+            data.extend(rmap, other)
+        with pytest.raises(AssemblyError, match="another mesh"):
+            assemble(fine, coeffs, data=data)
+        # refine() with nothing marked returns the same mesh, empty map
+        same, empty = refine(BASE_MESH, [])
+        assert data.extend(empty, same) is data
+        with pytest.raises(AssemblyError, match="same mesh"):
+            data.extend(empty, other)
+
+    def test_nan_on_a_child_names_its_fine_index(self):
+        # the field turns bad after the coarse mesh was sampled: kept
+        # rows are copied, so only a child can report it
+        state = {"bad": False}
+
+        def reaction(x, y):
+            return np.nan if state["bad"] and x > 0.5 else 0.0
+
+        coeffs = Coefficients(np.eye(2), reaction)
+        data = ElementData(BASE_MESH, coeffs)
+        fine, rmap = refine(BASE_MESH, np.arange(0, BASE_MESH.n_triangles,
+                                                 3))
+        old = set(map(tuple, BASE_MESH.triangles.tolist()))
+        mids = fine.vertices[fine.edges].mean(axis=1)
+        first = next(t for t, tri in enumerate(fine.triangles.tolist())
+                     if tuple(tri) not in old
+                     and (mids[fine.tri_edges[t], 0] > 0.5).any())
+        state["bad"] = True
+        with pytest.raises(AssemblyError, match=f"element {first}$"):
+            data.extend(rmap, fine)

@@ -125,6 +125,37 @@ class TestFluxJump:
             assert np.all(jumps[:, ~boundary] != 0.0)
 
 
+    def test_callable_flux_takes_diffusion_at_edge_midpoints(self):
+        # reference: the diffusion sampled at each interior edge midpoint,
+        # one sample for both sides, edge by edge
+        coarse, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"),
+                                        2)
+        m, _ = mesh.refine(coarse, [0, 7, 11], ell=2)
+        coeffs = variable_coefficients()
+        rng = np.random.default_rng(9)
+        blk = single_orbital(rng.standard_normal(m.n_vertices), 2.0)
+        _, jumps = residuals(m, coeffs, blk)
+        grads, _ = assembly.p1_gradients(m)
+        g = np.einsum("ti,tid->td", blk.vectors[0][m.triangles], grads)
+        expected = np.zeros(len(m.edges))
+        for e in m.interior_edges():
+            t_plus, t_minus = m.edge_tris[e]
+            a = coeffs.diffusion(*m.vertices[m.edges[e]].mean(axis=0))
+            expected[e] = (a @ (g[t_plus] - g[t_minus])) @ m.edge_normals[e]
+        np.testing.assert_allclose(jumps[0], expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    def test_quadrature_points_are_edge_midpoints_bitwise(self):
+        coarse, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"),
+                                        3)
+        m, _ = mesh.refine(coarse, [1, 4, 20], ell=2)
+        bary, _ = assembly._QUAD_RULE
+        pts = np.einsum("qi,tid->tqd", bary, m.vertices[m.triangles])
+        edges = m.tri_edges[:, list(assembly._QUAD_EDGE)]     # (nt, nq)
+        mids = m.vertices[m.edges].mean(axis=1)[edges]
+        assert pts.tobytes() == mids.tobytes()
+
+
 class TestElementResidual:
     def test_p1_identity_coefficients_residual_is_lam_u(self, squares):
         # orbital 2 lies in the double 5*pi^2 eigenspace, where rounding
@@ -339,11 +370,12 @@ class TestCoefficientRepresentations:
             np.testing.assert_allclose(got, base, rtol=1e-12, atol=0.0)
 
     def test_linear_diffusion_divergence_term(self):
-        # A = (1 + x) I has div A = (1, 0); for w = 2x + 3y with lam = 0
-        # and no reaction the residual is (div A) . grad w = 2 on every
-        # element, and w has no flux jump, so eta2_T = 4 h_T^2 |T|
+        # A = (2 + x) I has div A = (1, 0) and stays positive definite
+        # on the L-shape [-1, 1]^2; for w = 2x + 3y with lam = 0 and no
+        # reaction the residual is (div A) . grad w = 2 on every element,
+        # and w has no flux jump, so eta2_T = 4 h_T^2 |T|
         m, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 2)
-        coeffs = Coefficients(lambda x, y: (1.0 + x) * np.eye(2), 0.0)
+        coeffs = Coefficients(lambda x, y: (2.0 + x) * np.eye(2), 0.0)
         w = 2.0 * m.vertices[:, 0] + 3.0 * m.vertices[:, 1]
         got = estimate(m, coeffs, single_orbital(w, 0.0)).per_element
         expected = 4.0 * m.diameters() ** 2 * m.signed_areas()
