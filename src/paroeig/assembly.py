@@ -18,15 +18,18 @@ two.
 
 Everything per triangle that assembly and the estimator read (gradients,
 areas, diameters, coefficient samples, the finite-difference divergence
-of callable diffusion) lives in one ElementData per mesh. Each sample is
-taken and validated once: the adaptive loop builds it on the first mesh
-and extends it after every refinement, copying the rows of triangles the
-refinement kept and sampling only the new children. Called without one,
+of callable diffusion, the estimator's linear maps) lives in one
+ElementData per mesh. Each sample is taken and validated once: the
+adaptive loop builds it on the first mesh and extends it after every
+refinement, copying the rows of triangles the refinement kept and
+sampling only the new children. The divergence, which only the
+estimator reads, is sampled on its first read. Called without one,
 `assemble` and `estimator.estimate` build it themselves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,23 +155,36 @@ def p1_gradients(mesh, tri_ids=None):
     return grads, 0.5 * det
 
 
-def _divergence_rows(diffusion, pts, delta):
-    """Row vector (div A) at each (m, 2) point by central differences
-    with per-point stencil delta: (m, 2)."""
-    rows = np.empty((len(pts), 2))
-    for i, (x, y, d) in enumerate(zip(pts[:, 0], pts[:, 1], delta)):
+def _quad_points(mesh, ids):
+    """Quadrature points of the triangles ids, (nt, nq, 2)."""
+    return np.einsum("qi,tid->tqd", _QUAD_RULE[0],
+                     mesh.vertices[mesh.triangles[ids]])
+
+
+def _divergence_rows(mesh, diffusion, ids, h_t):
+    """Row vector (div A) at the quadrature points of the triangles ids
+    by central differences with stencil 1e-6 * h_T: (nt, nq, 2),
+    validated; errors name the triangle's index in mesh."""
+    pts = _quad_points(mesh, ids)
+    rows = np.empty(pts.shape)
+    for t, q in np.ndindex(pts.shape[:2]):
+        (x, y), d = pts[t, q], 1e-6 * h_t[t]
         dax = (np.asarray(diffusion(x + d, y))
                - np.asarray(diffusion(x - d, y))) / (2.0 * d)
         day = (np.asarray(diffusion(x, y + d))
                - np.asarray(diffusion(x, y - d))) / (2.0 * d)
         # (div A)_j = d_x A[0, j] + d_y A[1, j]
-        rows[i] = dax[0, :] + day[1, :]
+        rows[t, q] = dax[0, :] + day[1, :]
+    bad = ~np.isfinite(rows).all(axis=(1, 2))
+    if bad.any():
+        raise AssemblyError(f"diffusion divergence is not finite on "
+                            f"element {int(ids[np.argmax(bad)])}")
     return rows
 
 
 def _sample(mesh, coeffs, ids):
-    """Every ElementData field for the triangles ids of mesh, validated;
-    errors name the triangle's index in mesh."""
+    """The eager ElementData fields for the triangles ids of mesh,
+    validated; errors name the triangle's index in mesh."""
     nt, nq = len(ids), len(_QUAD_RULE[1])
     grads, areas = p1_gradients(mesh, ids)
     h_t = mesh.edge_lengths[mesh.tri_edges[ids]].max(axis=1)
@@ -181,23 +197,14 @@ def _sample(mesh, coeffs, ids):
             raise AssemblyError(f"{name} table is shorter than the "
                                 f"ancestor index range")
     if "callable" in (d_mode, r_mode):
-        pts = np.einsum("qi,tid->tqd", _QUAD_RULE[0],
-                        mesh.vertices[mesh.triangles[ids]])   # (nt, nq, 2)
+        pts = _quad_points(mesh, ids)                         # (nt, nq, 2)
         at_points = np.repeat(ids, nq)
 
-    div_rows = None
     if d_mode == "callable":
         diffusion = np.stack([
             np.stack([np.asarray(d_data(x, y), dtype=np.float64)
                       for x, y in row]) for row in pts])     # (nt, nq, 2, 2)
         _check_spd_matrices(diffusion.reshape(-1, 2, 2), at_points)
-        delta = 1e-6 * h_t[np.repeat(np.arange(nt), nq)]
-        div_rows = _divergence_rows(d_data, pts.reshape(-1, 2),
-                                    delta).reshape(nt, nq, 2)
-        bad = ~np.isfinite(div_rows).all(axis=(1, 2))
-        if bad.any():
-            raise AssemblyError(f"diffusion divergence is not finite on "
-                                f"element {int(ids[np.argmax(bad)])}")
     else:
         diffusion = (np.broadcast_to(d_data, (nt, 2, 2)).copy()
                      if d_mode == "const" else d_data[mesh.ancestor[ids]])
@@ -212,7 +219,7 @@ def _sample(mesh, coeffs, ids):
                     else r_data[mesh.ancestor[ids]])
         _check_reaction_values(reaction, ids)
     return dict(grads=grads, areas=areas, h_t=h_t, diffusion=diffusion,
-                reaction=reaction, div_rows=div_rows)
+                reaction=reaction)
 
 
 def _kept_rows(refine_map, coarse, fine):
@@ -248,15 +255,18 @@ class ElementData:
         reaction: (nt,) for constant and table data, (nt, nq) samples
             for a callable.
         div_rows: (nt, nq, 2) finite-difference div A at the quadrature
-            points for callable diffusion, else None.
+            points for callable diffusion, else None. Only the estimator
+            reads it, so it is sampled on first read.
+        estimator_ops: the estimator's linear maps of this mesh, None
+            until the first estimate builds them (estimator._operators).
 
     Build it on the first mesh and call extend() after every refine();
     extend returns the data of the refined mesh and leaves this one
-    untouched. The arrays are read-only.
+    untouched. It carries div_rows over when they have been sampled
+    here, and never estimator_ops. The arrays are read-only.
     """
 
-    _FIELDS = ("grads", "areas", "h_t", "diffusion", "reaction",
-               "div_rows")
+    _FIELDS = ("grads", "areas", "h_t", "diffusion", "reaction")
 
     def __init__(self, mesh, coeffs):
         self._set(mesh, coeffs,
@@ -264,11 +274,19 @@ class ElementData:
 
     def _set(self, mesh, coeffs, fields):
         self.mesh, self.coeffs = mesh, coeffs
-        for name in self._FIELDS:
-            arr = fields[name]
-            if arr is not None:
-                arr.setflags(write=False)
+        self.estimator_ops = None
+        for name, arr in fields.items():
+            arr.setflags(write=False)
             setattr(self, name, arr)
+
+    @functools.cached_property
+    def div_rows(self):
+        if self.diffusion.ndim != 4:
+            return None
+        rows = _divergence_rows(self.mesh, self.coeffs.diffusion,
+                                np.arange(self.mesh.n_triangles), self.h_t)
+        rows.setflags(write=False)
+        return rows
 
     def extend(self, refine_map, fine_mesh):
         """ElementData of fine_mesh = refine(self.mesh, ...)[0].
@@ -286,12 +304,15 @@ class ElementData:
         fresh[dst] = False
         children = np.nonzero(fresh)[0]
         sampled = _sample(fine_mesh, self.coeffs, children)
+        names = list(self._FIELDS)
+        if vars(self).get("div_rows") is not None:
+            sampled["div_rows"] = _divergence_rows(
+                fine_mesh, self.coeffs.diffusion, children,
+                sampled["h_t"])
+            names.append("div_rows")
         fields = {}
-        for name in self._FIELDS:
+        for name in names:
             old = getattr(self, name)
-            if old is None:
-                fields[name] = None
-                continue
             new = np.empty((fine_mesh.n_triangles,) + old.shape[1:])
             new[dst] = old[src]
             new[children] = sampled[name]

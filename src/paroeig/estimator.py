@@ -14,20 +14,18 @@ indicator squares and scales:
     eta2(w, T) = h_T^2 ||R_T(w)||_{0,T}^2 + sum_{e in dT} h_e ||J_e(w)||_{0,e}^2,
 
 boundary edges contributing nothing, and the block indicator on T sums
-eta2 over the orbitals. `estimate` is the only entry point: one pass
-over the block computes the vertex values and the orbital gradients once
-and shares them between both terms. The P1 gradients, areas, h_T and
-every coefficient sample come from the mesh's assembly.ElementData, so
-an estimate with that data calls no coefficient callable.
+eta2 over the orbitals. `estimate` is the only entry point.
 
-P1 specifics: gradients are constant per element, so for
-piecewise-constant diffusion the divergence term vanishes and jumps are
-constant along each edge (integrated exactly). The residual is sampled
-at assembly's edge-midpoint quadrature rule. For callable diffusion the
-divergence term uses a central finite difference of A at the quadrature
-points (stencil 1e-6 * h_T), and the edge flux takes A at the edge
-midpoint from the quadrature sample of the edge's first triangle at
-that midpoint.
+Both terms are linear in the vertex values through maps fixed by the
+mesh and its assembly.ElementData, built on the first estimate that
+reads the data and kept on it (`estimator_ops`): the jump J as a sparse
+(ne, nv) matrix, six entries a row, and -c w + div A . grad w at the
+quadrature points as a sparse (nt * nq, nv) one, None without reaction
+or divergence. The quadrature is assembly's edge-midpoint rule, exact
+for P1 x P1, so the b-Gram is one GEMM of the midpoint values. For
+callable diffusion the divergence is a central difference of A at the
+quadrature points (stencil 1e-6 * h_T), and an edge's flux takes A from
+the quadrature sample of the edge's first triangle at its midpoint.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly
 
@@ -77,75 +76,77 @@ def _to_vertex_values(mesh, w):
                          f"expected {n_free} (free) or {nv} (vertex)")
 
 
-def _element_residuals(mesh, data, lam, values, tri_vals, grads):
-    """Residual of every orbital at the quadrature points, (N, nt, nq)."""
-    bary, _ = assembly._QUAD_RULE
-    # b(u_k, u_l) over the whole mesh, via element mass matrices; the
-    # (nt, 3, 3) and (N, nt, 3) temporaries here and below are not kept
-    b_gram = np.einsum("kti,tij,ltj->kl", tri_vals,
-                       assembly._EXACT_MASS[None, :, :]
-                       * data.areas[:, None, None], tri_vals)
-    lam = np.asarray(lam, dtype=np.float64)
+def _fixed_rows(coef, cols, n_cols):
+    """Read-only CSR whose row i holds coef[i] at columns cols[i]."""
+    indptr = np.arange(0, coef.size + 1, coef.shape[1], dtype=np.int32)
+    out = sp.csr_matrix((coef.ravel(), cols.ravel(), indptr),
+                        shape=(len(coef), n_cols))
+    for arr in (out.data, out.indices, out.indptr):
+        arr.setflags(write=False)
+    return out
+
+
+def _operators(data):
+    """(J, L) of data's mesh, built on the first call and kept on data."""
+    if data.estimator_ops is not None:
+        return data.estimator_ops
+    mesh = data.mesh
+    sides = mesh.edge_tris.clip(0)      # (ne, 2); boundary rows zeroed
+    # take, not fancy indexing: several times faster on these shapes
+    if data.diffusion.ndim == 4:
+        local = np.argmax(mesh.tri_edges.take(sides[:, 0], 0)
+                          == np.arange(len(sides))[:, None], axis=1)
+        q_of_edge = np.argsort(assembly._QUAD_EDGE)[local]
+        a_sides = [data.diffusion[sides[:, 0], q_of_edge]] * 2
+    else:
+        a_sides = [data.diffusion.take(t, 0) for t in sides.T]
+    # +-n . (A grad w) = (+-A^T n) . sum_i w_i grad phi_i on either side
+    coef = np.empty((len(sides), 2, 3))
+    for s, (t, a, n) in enumerate(zip(sides.T, a_sides, (
+            mesh.edge_normals, -mesh.edge_normals))):
+        np.einsum("eb,eib->ei", np.einsum("ea,eab->eb", n, a),
+                  data.grads.take(t, 0), out=coef[:, s])
+    coef[mesh.edge_tris[:, 1] < 0] = 0.0
+    tri = mesh.triangles.astype(np.int32)
+    jump = _fixed_rows(coef.reshape(-1, 6), tri.take(sides, 0),
+                       mesh.n_vertices)
+    linear, c_q = None, data.reaction
+    if c_q.any() or data.div_rows is not None:
+        bary, _ = assembly._QUAD_RULE
+        lin = -(c_q if c_q.ndim == 2 else c_q[:, None])[..., None] * bary
+        if data.div_rows is not None:
+            lin += np.einsum("tqd,tid->tqi", data.div_rows, data.grads)
+        linear = _fixed_rows(lin.reshape(-1, 3),
+                             np.repeat(tri, len(bary), axis=0),
+                             mesh.n_vertices)
+    data.estimator_ops = (jump, linear)
+    return data.estimator_ops
+
+
+def _residuals(data, block):
+    """The arrays estimate squares and sums, one column per orbital: the
+    element residual at the quadrature points (nt, nq, N) and the flux
+    jumps (ne, N), exactly 0 on boundary edges."""
+    mesh, (jump, linear) = data.mesh, _operators(data)
+    values = _to_vertex_values(mesh, block.vectors).T.copy()   # (nv, N)
+    mid = values.take(mesh.edges[:, 0], 0)
+    mid += values.take(mesh.edges[:, 1], 0)
+    mid *= 0.5                              # the quadrature values (ne, N)
+    at_q = mesh.tri_edges.take(assembly._QUAD_EDGE, 1).ravel()
+    _, weights = assembly._QUAD_RULE
+    mid_w = np.bincount(at_q, np.outer(data.areas, weights).ravel(),
+                        minlength=len(mid))
+    b_gram = mid.T @ (mid * mid_w[:, None])
     # expand against b-normalized members: identical to the raw block
     # sum when the block is b-orthonormal (the normal case), and keeps
     # the residual 1-homogeneous in each orbital's scale
-    norms = np.sqrt(np.clip(np.diag(b_gram), 0.0, None))
-    norms = np.where(norms > 0.0, norms, 1.0)
-    coef = (b_gram / norms[None, :]) * lam
-    summed = coef @ (values / norms[:, None])           # (N, nv)
-    r = np.einsum("nti,qi->ntq", summed[:, mesh.triangles], bary)
-
-    c_q = data.reaction
-    if c_q.ndim == 1:                                   # per element
-        c_q = np.broadcast_to(c_q[:, None], r.shape[1:])
-    w_q = np.einsum("nti,qi->ntq", tri_vals, bary)
-    r = r - c_q[None, :, :] * w_q
-
-    if data.div_rows is not None:
-        r = r + np.einsum("tqd,ntd->ntq", data.div_rows, grads)
-    return r
-
-
-def _flux_jumps(mesh, data, grads):
-    """Conormal flux jump of every orbital across every edge, (N, ne),
-    exactly 0 on boundary edges."""
-    interior = mesh.edge_tris[:, 1] >= 0
-    t_plus = mesh.edge_tris[:, 0]
-    t_minus = np.where(interior, mesh.edge_tris[:, 1], t_plus)
-    if data.diffusion.ndim == 4:
-        # one midpoint sample serves both sides of an edge: the
-        # quadrature sample of t_plus at that edge
-        local = np.argmax(mesh.tri_edges[t_plus]
-                          == np.arange(len(t_plus))[:, None], axis=1)
-        q_of_edge = np.argsort(assembly._QUAD_EDGE)[local]
-        a_plus = a_minus = data.diffusion[t_plus, q_of_edge]
-    else:
-        a_plus = data.diffusion[t_plus]
-        a_minus = data.diffusion[t_minus]
-    # in place, one (N, ne, 2) temporary fewer than flux_plus - flux_minus
-    flux = np.einsum("eab,neb->nea", a_plus, grads[:, t_plus])
-    flux -= np.einsum("eab,neb->nea", a_minus, grads[:, t_minus])
-    jumps = np.einsum("nea,ea->ne", flux, mesh.edge_normals)
-    jumps[:, ~interior] = 0.0
-    return jumps
-
-
-def _residuals(mesh, coeffs, block, data=None):
-    """One pass over the block: the data both terms share is computed
-    once.
-
-    Returns (r, jumps, areas, h_t): the element residual samples
-    (N, nt, nq), the flux jumps (N, ne), and the element areas and
-    diameters that scale them.
-    """
-    data = assembly._element_data(mesh, coeffs, data)
-    values = _to_vertex_values(mesh, block.vectors)     # (N, nv)
-    tri_vals = values[:, mesh.triangles]                # (N, nt, 3)
-    grads = np.einsum("nti,tid->ntd", tri_vals, data.grads)  # (N, nt, 2)
-    r = _element_residuals(mesh, data, block.ritz_values, values,
-                           tri_vals, grads)
-    jumps = _flux_jumps(mesh, data, grads)
-    return r, jumps, data.areas, data.h_t
+    norms_sq = np.diag(b_gram).clip(0.0)
+    coef = b_gram * (np.asarray(block.ritz_values, dtype=np.float64)
+                     / np.where(norms_sq > 0.0, norms_sq, 1.0))
+    r = (mid @ coef.T).take(at_q, 0)                    # (nt * nq, N)
+    if linear is not None:
+        r += linear @ values
+    return r.reshape(mesh.n_triangles, len(weights), -1), jump @ values
 
 
 def estimate(mesh, coeffs, block, data=None):
@@ -153,14 +154,13 @@ def estimate(mesh, coeffs, block, data=None):
 
     data: the mesh's assembly.ElementData; built here when None.
     """
-    r, jumps, areas, h_t = _residuals(mesh, coeffs, block, data)
-    _, weights = assembly._QUAD_RULE
-    # h_T^2 * |T| * sum_q w_q R^2, summed over orbitals
-    res_sq = np.einsum("ntq,q->nt", r ** 2, weights) * areas[None, :]
-    per_element = (h_t ** 2)[None, :] * res_sq
-    h_e = mesh.edge_lengths
-    edge_terms = (h_e ** 2)[None, :] * jumps ** 2       # h_e * ||J||^2
-    per_element = per_element + edge_terms[:, mesh.tri_edges].sum(axis=2)
-    per_element = per_element.sum(axis=0)
+    data = assembly._element_data(mesh, coeffs, data)
+    r, jumps = _residuals(data, block)
+    # h_T^2 |T| sum_q w_q R^2 + sum_{e in dT} h_e ||J||^2 (= h_e^2 J^2),
+    # summed over orbitals; the GEMV with ones sums the three edges
+    res_sq = np.einsum("tqn,tqn->tq", r, r) @ assembly._QUAD_RULE[1]
+    edge_sq = np.einsum("en,en->e", jumps, jumps) * mesh.edge_lengths ** 2
+    per_element = (data.h_t ** 2 * data.areas * res_sq
+                   + edge_sq.take(mesh.tri_edges) @ np.ones(3))
     return Indicators(per_element=per_element,
                       global_sq=float(per_element.sum()))

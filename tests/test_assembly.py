@@ -285,17 +285,22 @@ class TestElementData:
     @given(case=st.sampled_from(sorted(COEFFICIENT_CASES)),
            ell=st.sampled_from([1, 2]),
            picks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
-                                   max_size=8), min_size=1, max_size=2))
-    def test_extend_matches_fresh_build(self, case, ell, picks):
+                                   max_size=8), min_size=1, max_size=2),
+           read_div=st.booleans())
+    def test_extend_matches_fresh_build(self, case, ell, picks, read_div):
+        # read_div: the divergence rows are sampled before extending, so
+        # extend copies and extends them instead of leaving them unread
         coeffs = COEFFICIENT_CASES[case]
         m = BASE_MESH
         data = ElementData(m, coeffs)
         for pick in picks:
+            if read_div:
+                data.div_rows
             marked = np.array(pick) % m.n_triangles
             m, rmap = refine(m, marked, ell)
             data = data.extend(rmap, m)
         fresh = ElementData(m, coeffs)
-        for name in ElementData._FIELDS:
+        for name in ElementData._FIELDS + ("div_rows",):
             got, want = getattr(data, name), getattr(fresh, name)
             if want is None:
                 assert got is None
@@ -319,7 +324,9 @@ class TestElementData:
             assert data.div_rows is None
 
     def test_adaptive_solve_samples_each_triangle_once(self):
-        # the first mesh, then only the children of every refinement
+        # the first mesh, then only the children of every refinement; the
+        # estimate of every level reads the divergence rows, so each
+        # sampled triangle costs 3 diffusion samples plus 12 for them
         calls = {"diffusion": 0, "reaction": 0}
         coeffs = variable_coefficients(calls)
         meshes = []
@@ -335,11 +342,50 @@ class TestElementData:
                            for t in fine.triangles.tolist())
         assert calls == {"diffusion": 15 * sampled,
                          "reaction": 3 * sampled}
-        data = ElementData(meshes[-1], coeffs)
+
+    def test_divergence_rows_are_sampled_on_first_read(self):
+        calls = {"diffusion": 0, "reaction": 0}
+        coeffs = variable_coefficients(calls)
+        nt = BASE_MESH.n_triangles
+        # a standalone assemble never reads them
+        assemble(BASE_MESH, coeffs)
+        assert calls == {"diffusion": 3 * nt, "reaction": 3 * nt}
+        data = ElementData(BASE_MESH, coeffs)
         calls.update(diffusion=0, reaction=0)
-        estimate(meshes[-1], coeffs, random_block(meshes[-1], 2, seed=3),
-                 data=data)
-        assert calls == {"diffusion": 0, "reaction": 0}
+        block = random_block(BASE_MESH, 2, seed=3)
+        estimate(BASE_MESH, coeffs, block, data=data)
+        estimate(BASE_MESH, coeffs, block, data=data)
+        assert calls == {"diffusion": 12 * nt, "reaction": 0}
+        # extend samples the children's rows only when the parent has
+        # its own
+        fine, rmap = refine(BASE_MESH, [0, 5, 9])
+        children = fine.n_triangles - len(
+            set(map(tuple, BASE_MESH.triangles.tolist()))
+            & set(map(tuple, fine.triangles.tolist())))
+        for parent, per_child in ((ElementData(BASE_MESH, coeffs), 3),
+                                  (data, 15)):
+            calls.update(diffusion=0, reaction=0)
+            parent.extend(rmap, fine)
+            assert calls == {"diffusion": per_child * children,
+                             "reaction": 3 * children}
+
+    def test_non_finite_divergence_fails_on_first_read(self):
+        # finite at the quadrature points, NaN at the stencil points
+        # around them: assembly passes, the estimator's read fails
+        m = BASE_MESH
+        mids = m.vertices[m.edges].mean(axis=1)
+        points = set(map(tuple, mids.tolist()))
+
+        def diffusion(x, y):
+            return np.eye(2) if (x, y) in points else np.full((2, 2),
+                                                              np.nan)
+
+        coeffs = Coefficients(diffusion, 0.0)
+        data = ElementData(m, coeffs)
+        assemble(m, coeffs, data=data)
+        with pytest.raises(AssemblyError, match="divergence is not finite "
+                                                "on element 0$"):
+            estimate(m, coeffs, random_block(m, 1, seed=0), data=data)
 
     def test_extend_rejects_a_map_from_another_mesh(self):
         coeffs = COEFFICIENT_CASES["variable"]

@@ -1,8 +1,10 @@
 """Residual error indicators: frozen examples and scaling laws.
 
 Element residuals and flux jumps are checked on the arrays `estimate`
-itself sums: the (N, nt, nq) residual samples and the (N, ne) jumps
-returned by `estimator._residuals`.
+itself sums, the residual samples and jumps `estimator._residuals`
+returns, turned orbital-first: (N, nt, nq) and (N, ne). A property test
+compares `estimate` with a per-triangle, per-edge loop over the
+definition.
 """
 
 import numpy as np
@@ -33,9 +35,11 @@ def single_orbital(vec, lam):
 
 
 def residuals(m, coeffs, block):
-    """(residual samples (N, nt, nq), flux jumps (N, ne))."""
-    r, jumps, _, _ = estimator._residuals(m, coeffs, block)
-    return r, jumps
+    """(residual samples (N, nt, nq), flux jumps (N, ne)), orbital
+    first."""
+    r, jumps = estimator._residuals(assembly.ElementData(m, coeffs),
+                                    block)
+    return np.moveaxis(r, -1, 0), jumps.T
 
 
 def sine_starts(system, points, noise, seed):
@@ -420,7 +424,7 @@ def test_estimate_invariant_under_orbital_symmetries(variable_block, perm,
 def test_one_pass_shares_gradients_and_mass(monkeypatch):
     m, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 2)
     calls = {"p1_gradients": 0, "element_matrices": 0,
-             "_to_vertex_values": 0}
+             "_to_vertex_values": 0, "_fixed_rows": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -433,8 +437,114 @@ def test_one_pass_shares_gradients_and_mass(monkeypatch):
     counting(assembly, "p1_gradients")
     counting(assembly, "element_matrices")
     counting(estimator, "_to_vertex_values")
+    counting(estimator, "_fixed_rows")
     rng = np.random.default_rng(6)
     blk = single_orbital(rng.standard_normal(m.n_vertices), 2.0)
-    estimate(m, variable_coefficients(), blk)
+    coeffs = variable_coefficients()
+    estimate(m, coeffs, blk)
+    # one ElementData, one J and one L
     assert calls == {"p1_gradients": 1, "element_matrices": 0,
-                     "_to_vertex_values": 1}
+                     "_to_vertex_values": 1, "_fixed_rows": 2}
+
+    # two estimates on one ElementData build its operators once
+    data = assembly.ElementData(m, coeffs)
+    first = estimate(m, coeffs, blk, data=data).per_element
+    ops = data.estimator_ops
+    second = estimate(m, coeffs, blk, data=data).per_element
+    assert data.estimator_ops is ops and calls["_fixed_rows"] == 4
+    assert first.tobytes() == second.tobytes()
+    # read-only like the other ElementData fields
+    for op in ops:
+        for arr in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+    # the refined mesh's data starts without operators
+    fine, rmap = mesh.refine(m, [0, 3], ell=2)
+    assert data.extend(rmap, fine).estimator_ops is None
+
+
+def loop_indicators(m, coeffs, vectors, lam):
+    """eta2 of every triangle, computed triangle by triangle and edge by
+    edge from the definition, without the estimator's operators."""
+    def field(value, t, point):
+        if callable(value):
+            return np.asarray(value(*point), dtype=np.float64)
+        value = np.asarray(value, dtype=np.float64)
+        if value.ndim in (1, 3):                # per initial triangle
+            return value[m.ancestor[t]]
+        return value
+
+    def div_a(point, delta):
+        # the central difference the estimator defines, stencil delta
+        x, y = point
+        a = coeffs.diffusion
+        dax = (a(x + delta, y) - a(x - delta, y)) / (2.0 * delta)
+        day = (a(x, y + delta) - a(x, y - delta)) / (2.0 * delta)
+        return dax[0, :] + day[1, :]
+
+    n = len(vectors)
+    mids = {e: m.vertices[m.edges[e]].mean(axis=0)
+            for e in range(len(m.edges))}
+    grads, areas, gram = [], [], np.zeros((n, n))
+    for tri in m.triangles:
+        affine = np.linalg.inv(np.column_stack([m.vertices[tri],
+                                                np.ones(3)]))
+        grads.append(affine[:2].T)                      # (3, 2)
+        area = 0.5 * abs(np.linalg.det(m.vertices[tri[1:]]
+                                       - m.vertices[tri[0]]))
+        areas.append(area)
+        mass = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+        gram += vectors[:, tri] @ mass @ vectors[:, tri].T
+    out = np.zeros(m.n_triangles)
+    for t, tri in enumerate(m.triangles):
+        h_t = m.edge_lengths[m.tri_edges[t]].max()
+        for e in m.tri_edges[t]:
+            # u at the midpoint of an edge of t: mean of its end values
+            a, b = m.edges[e]
+            at_mid = 0.5 * (vectors[:, a] + vectors[:, b])
+            res = (gram * lam / np.diag(gram)) @ at_mid
+            res -= field(coeffs.reaction, t, mids[e]) * at_mid
+            if callable(coeffs.diffusion):
+                res += (vectors[:, tri] @ grads[t]) @ div_a(mids[e],
+                                                            1e-6 * h_t)
+            out[t] += h_t ** 2 * areas[t] / 3.0 * float(res @ res)
+    for e, (t1, t2) in enumerate(m.edge_tris):
+        if t2 < 0:
+            continue
+        a, b = m.vertices[m.edges[e]]
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+        flux = []
+        for t in (t1, t2):
+            # a callable is sampled once, at the edge midpoint
+            coeff = field(coeffs.diffusion, t, mids[e])
+            flux.append((vectors[:, m.triangles[t]] @ grads[t]) @ coeff.T)
+        jump = (flux[0] - flux[1]) @ normal
+        edge_sq = m.edge_lengths[e] ** 2 * float(jump @ jump)
+        out[t1] += edge_sq
+        out[t2] += edge_sq
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=st.sampled_from(["constant", "table", "callable"]),
+       n=st.sampled_from([1, 2, 3]),
+       marked=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_estimate_matches_a_per_triangle_loop(case, n, marked, seed):
+    coarse, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 1)
+    m, _ = mesh.refine(coarse, np.array(marked) % coarse.n_triangles,
+                       ell=2)
+    rng = np.random.default_rng(seed)
+    n0 = mesh.build_initial_mesh("l_shape").n_triangles
+    coeffs = {
+        "constant": Coefficients(np.array([[2.0, 0.5], [0.5, 1.0]]), 1.5),
+        "table": Coefficients(
+            np.stack([np.diag(rng.uniform(0.5, 2.0, 2))
+                      for _ in range(n0)]), rng.uniform(0.0, 2.0, n0)),
+        "callable": variable_coefficients(),
+    }[case]
+    vectors = rng.standard_normal((n, m.n_vertices))
+    lam = rng.uniform(1.0, 50.0, n)
+    got = estimate(m, coeffs, singleton_block(vectors, lam)).per_element
+    np.testing.assert_allclose(got, loop_indicators(m, coeffs, vectors, lam),
+                               rtol=1e-12, atol=0.0)
