@@ -267,6 +267,9 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
                 marked = dorfler_mark(indicators, config.theta)
             if marked.size == 0:
                 break
+            # the level's estimates are done: free J and L now, or they
+            # add to the peak memory of refine and assemble
+            data.estimator_ops = None
             fine, rmap = mesh_mod.refine(current, marked, config.ell)
             data = data.extend(rmap, fine)
             fine_sys = assemble(fine, coeffs, data=data)

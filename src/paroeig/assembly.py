@@ -258,7 +258,8 @@ class ElementData:
             points for callable diffusion, else None. Only the estimator
             reads it, so it is sampled on first read.
         estimator_ops: the estimator's linear maps of this mesh, None
-            until the first estimate builds them (estimator._operators).
+            until the first estimate builds them (estimator._operators);
+            adaptive_solve drops them once a level's estimates are done.
 
     Build it on the first mesh and call extend() after every refine();
     extend returns the data of the refined mesh and leaves this one

@@ -132,10 +132,10 @@ def _residuals(data, block):
     mid = values.take(mesh.edges[:, 0], 0)
     mid += values.take(mesh.edges[:, 1], 0)
     mid *= 0.5                              # the quadrature values (ne, N)
-    at_q = mesh.tri_edges.take(assembly._QUAD_EDGE, 1).ravel()
-    _, weights = assembly._QUAD_RULE
-    mid_w = np.bincount(at_q, np.outer(data.areas, weights).ravel(),
-                        minlength=len(mid))
+    at_q = mesh.tri_edges.take(assembly._QUAD_EDGE, 1)       # (nt, nq)
+    # the b-Gram, exact: a midpoint weighs w_q |T| over its triangles
+    mid_w = np.bincount(at_q.ravel(), np.outer(
+        data.areas, assembly._QUAD_RULE[1]).ravel(), minlength=len(mid))
     b_gram = mid.T @ (mid * mid_w[:, None])
     # expand against b-normalized members: identical to the raw block
     # sum when the block is b-orthonormal (the normal case), and keeps
@@ -143,10 +143,10 @@ def _residuals(data, block):
     norms_sq = np.diag(b_gram).clip(0.0)
     coef = b_gram * (np.asarray(block.ritz_values, dtype=np.float64)
                      / np.where(norms_sq > 0.0, norms_sq, 1.0))
-    r = (mid @ coef.T).take(at_q, 0)                    # (nt * nq, N)
+    r = (mid @ coef.T).take(at_q, 0)                    # (nt, nq, N)
     if linear is not None:
-        r += linear @ values
-    return r.reshape(mesh.n_triangles, len(weights), -1), jump @ values
+        r += (linear @ values).reshape(r.shape)
+    return r, jump @ values
 
 
 def estimate(mesh, coeffs, block, data=None):
