@@ -91,7 +91,7 @@ def _operators(data):
     if data.estimator_ops is not None:
         return data.estimator_ops
     mesh = data.mesh
-    sides = mesh.edge_tris.clip(0)      # (ne, 2); boundary rows zeroed
+    sides = mesh.edge_tris.clip(0)      # (ne, 2); boundary rows zeroed below
     # take, not fancy indexing: several times faster on these shapes
     if data.diffusion.ndim == 4:
         local = np.argmax(mesh.tri_edges.take(sides[:, 0], 0)
