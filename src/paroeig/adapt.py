@@ -208,7 +208,9 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
         threads: accepted and ignored; the orbital solves run one
             after another. Kept only because the benchmark passes it.
         observer: optional callable (level, mesh, system, block,
-            indicators) invoked once per level, after the inner loop.
+            indicators, data) invoked once per level, after the inner
+            loop; data is the mesh's ElementData, for estimates on the
+            same mesh that should not sample the coefficients again.
 
     Returns:
         (records, final_block, final_mesh); one RunRecord per level.
@@ -248,7 +250,7 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             indicators = estimate(current, coeffs, block, data=data)
             wall = time.perf_counter() - t0
             if observer is not None:
-                observer(level, current, system, block, indicators)
+                observer(level, current, system, block, indicators, data)
             t0 = time.perf_counter()
             d1 = (np.inf if prev_values is None
                   else relative_change(block.ritz_values, prev_values,

@@ -217,7 +217,7 @@ def cmd_verify(config_path, out_dir=None):
     rows = []
     last = {}
 
-    def observer(level, current, system, block, indicators):
+    def observer(level, current, system, block, indicators, data):
         ref = reference_eig(system, config.n_orbitals)
         slices = block.layout.cluster_slices()
         if rows and len(slices) != len(rows[0]) - 3 - config.n_orbitals:
@@ -227,7 +227,8 @@ def cmd_verify(config_path, out_dir=None):
                  for s in slices]
         gaps = list(block.ritz_values - ref.eigenvalues)
         ref_block = initial_block(system, ref.vectors, config.rel_gap)
-        eta_ref_sq = estimate(current, coeffs, ref_block).global_sq
+        eta_ref_sq = estimate(current, coeffs, ref_block,
+                              data=data).global_sq
         ratio = float(np.sqrt(indicators.global_sq / eta_ref_sq))
         rows.append([level, system.n_dofs, *dists, *gaps, ratio])
         last.update(system=system, block=block, ref=ref, dists=dists,

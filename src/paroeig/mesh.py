@@ -85,9 +85,7 @@ class Mesh:
             bad = int(np.argmax(areas <= 0.0))
             raise MeshError(f"triangle {bad} is flipped or degenerate "
                             f"(signed area {areas[bad]:.3e})")
-        sets = np.sort(self.triangles, axis=1)
-        if len(np.unique(sets, axis=0)) != nt:
-            raise MeshError("duplicate triangle (same vertex set twice)")
+        self._build_edge_table()
         self.generation = (np.zeros(nt, dtype=np.int64) if generation is None
                            else np.array(generation, dtype=np.int64))
         self.ancestor = (np.arange(nt, dtype=np.int64) if ancestor is None
@@ -97,7 +95,6 @@ class Mesh:
                             "triangle")
         if self.ancestor.min() < 0:
             raise MeshError("negative ancestor index")
-        self._build_edge_table()
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
         self.generation.setflags(write=False)
@@ -108,22 +105,37 @@ class Mesh:
     def _build_edge_table(self):
         nv, nt = self.n_vertices, self.n_triangles
         t = self.triangles
-        # local edge i is opposite local vertex i
-        pairs = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]],
-                         axis=1).reshape(-1, 2)
-        pairs = np.sort(pairs, axis=1)
-        codes = pairs[:, 0] * np.int64(nv) + pairs[:, 1]
-        ucodes, inv, counts = np.unique(codes, return_inverse=True,
-                                        return_counts=True)
-        ne = len(ucodes)
+        # local edge i is opposite local vertex i; pair 3 * k + i is local
+        # edge i of triangle k
+        a = t[:, [1, 2, 0]].ravel()
+        b = t[:, [2, 0, 1]].ravel()
+        codes = np.minimum(a, b) * np.int64(nv) + np.maximum(a, b)
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        first = np.ones(3 * nt, dtype=bool)
+        first[1:] = sorted_codes[1:] != sorted_codes[:-1]
+        starts = np.nonzero(first)[0]
+        counts = np.diff(starts, append=3 * nt)
+        ne = len(starts)
+        ucodes = sorted_codes[starts]
         self.edges = np.column_stack([ucodes // nv, ucodes % nv])
+        inv = np.empty(3 * nt, dtype=np.int64)
+        inv[order] = np.cumsum(first) - 1
         self.tri_edges = inv.reshape(nt, 3)
+        # a triangle and its duplicate share an edge and the vertex
+        # opposite it; when no edge has more than two triangles, the two
+        # are neighbours in the sorted order
+        opposite = t.ravel()[order]
+        duplicate = (~first[1:] & (opposite[1:] == opposite[:-1])).any()
+        if counts.max() > 2 and not duplicate:
+            # a third triangle on the edge can sort between the two
+            duplicate = len(np.unique(np.sort(t, axis=1), axis=0)) != nt
+        if duplicate:
+            raise MeshError("duplicate triangle (same vertex set twice)")
         if counts.max() > 2:
             raise MeshError("non-conforming input: an edge is shared by "
                             "more than two triangles")
-        order = np.argsort(inv, kind="stable")
         tri_of = order // 3
-        starts = np.searchsorted(inv[order], np.arange(ne))
         self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
         self.edge_tris[:, 0] = tri_of[starts]
         two = counts == 2
@@ -134,20 +146,18 @@ class Mesh:
         self.is_boundary_vertex[bnd_edges.ravel()] = True
 
         # hanging-node check: every vertex lying on an edge interior would
-        # have produced a >2-count or mismatched split, which np.unique on
-        # exact midpoint pairs already rules out for meshes built here; an
+        # have produced a >2-count or mismatched split, which the sort on
+        # exact vertex pairs already rules out for meshes built here; an
         # explicit geometric test is intentionally not attempted.
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         self.edge_lengths = np.hypot(d[:, 0], d[:, 1])
         normals = np.column_stack([d[:, 1], -d[:, 0]]) / self.edge_lengths[:, None]
-        cents = self.vertices[t].mean(axis=1)
-        mids = 0.5 * (self.vertices[self.edges[:, 0]]
-                      + self.vertices[self.edges[:, 1]])
         # orient: interior edges point from first into second triangle,
-        # boundary edges outward
-        to = np.where(two[:, None], cents[self.edge_tris[:, 1]] - mids,
-                      mids - cents[self.edge_tris[:, 0]])
-        flip = np.einsum("ij,ij->i", normals, to) < 0.0
+        # boundary edges outward, i.e. away from the first triangle's
+        # vertex opposite the edge
+        inward = (self.vertices[opposite[starts]]
+                  - self.vertices[self.edges[:, 0]])
+        flip = np.einsum("ij,ij->i", normals, inward) > 0.0
         normals[flip] *= -1.0
         self.edge_normals = normals
         for arr in (self.edges, self.tri_edges, self.edge_tris,
@@ -348,9 +358,13 @@ def refine(mesh, marked, ell=1):
         raise MeshError("ell must be >= 1")
     if not isinstance(marked, np.ndarray):
         marked = list(marked)          # read an iterator exactly once
-    ids = np.unique(np.asarray(marked, dtype=np.int64))
-    if ids.size and (ids.min() < 0 or ids.max() >= mesh.n_triangles):
+    marked = np.asarray(marked, dtype=np.int64)
+    if marked.size and (marked.min() < 0
+                        or marked.max() >= mesh.n_triangles):
         raise MeshError("marked triangle index out of range")
+    is_marked = np.zeros(mesh.n_triangles, dtype=bool)
+    is_marked[marked] = True
+    ids = np.nonzero(is_marked)[0]
     if ids.size == 0:
         return mesh, RefineMap(())
     rounds = []

@@ -240,7 +240,7 @@ def test_bisection_stays_conforming_with_bounded_shape_classes():
                       initial_passes=2,
                       paro_tols=ParoTolerances(tol2=1e-10, max_inner=40))
     adaptive_solve("l_shape", LAPLACE, 1, cfg,
-                   observer=lambda lv, m, s, b, i: seen.append(m))
+                   observer=lambda lv, m, s, b, i, d: seen.append(m))
     assert len(seen) == 11
     classes = 0
     for m in seen:

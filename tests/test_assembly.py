@@ -16,6 +16,8 @@ from paroeig.assembly import (
     assemble,
     assemble_full,
     element_matrices,
+    _evaluate,
+    _quad_points,
     p1_gradients,
 )
 from paroeig.estimator import estimate
@@ -268,11 +270,53 @@ COEFFICIENT_CASES = coefficient_cases()
 BASE_MESH, _ = uniform_refine(build_initial_mesh("l_shape"), 2)
 
 
+# two 1-by-2 rectangles on either side of the line x = -0.0, and fields
+# that tell -0.0 from 0.0
+SIGNED_ZERO_MESH = build_initial_mesh((
+    np.array([[-1.0, -1.0], [-0.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+              [-0.0, 1.0], [-1.0, 1.0]]),
+    np.array([[0, 1, 4], [0, 4, 5], [1, 2, 3], [1, 3, 4]])))
+
+
+def signed_zero_diffusion(x, y):
+    a = 2.0 + np.copysign(0.5, x)
+    b = 0.3 * np.sin(x + 2.0 * y)
+    return np.array([[a, b], [b, 2.0 + y * y]])
+
+
+SIGNED_ZERO_COEFFS = Coefficients(
+    signed_zero_diffusion,
+    lambda x, y: 1.0 + np.copysign(0.5, x) + 0.25 * x * y)
+
+
 def random_block(m, n, seed):
     vectors = np.random.default_rng(seed).standard_normal((n, m.n_vertices))
     lam = np.arange(1.0, n + 1.0)
     return paro.OrbitalBlock(layout=paro.ClusterLayout(n, (1,) * n),
                              vectors=vectors, ritz_values=lam, shifts=lam)
+
+
+def quadrature_points(m, ids):
+    """The distinct quadrature points (edge midpoints) of the triangles
+    ids, as a set of float pairs."""
+    mids = m.vertices[m.edges].mean(axis=1)
+    return set(map(tuple, mids[m.tri_edges[ids].ravel()].tolist()))
+
+
+def stencil_points(m, ids):
+    """Distinct points of the four finite-difference point sets around
+    the quadrature points of the triangles ids, each set counted on its
+    own."""
+    mids = m.vertices[m.edges].mean(axis=1)
+    h_t = m.edge_lengths[m.tri_edges].max(axis=1)
+    stencils = [set(), set(), set(), set()]
+    for t in ids:
+        d = 1e-6 * h_t[t]
+        for x, y in mids[m.tri_edges[t]].tolist():
+            for points, p in zip(stencils, ((x + d, y), (x - d, y),
+                                            (x, y + d), (x, y - d))):
+                points.add(p)
+    return sum(map(len, stencils))
 
 
 def csr_bytes(matrix):
@@ -326,7 +370,8 @@ class TestElementData:
     def test_adaptive_solve_samples_each_triangle_once(self):
         # the first mesh, then only the children of every refinement; the
         # estimate of every level reads the divergence rows, so each
-        # sampled triangle costs 3 diffusion samples plus 12 for them
+        # sampled triangle adds its quadrature points and its stencil,
+        # and a pass calls each callable once per distinct point
         calls = {"diffusion": 0, "reaction": 0}
         coeffs = variable_coefficients(calls)
         meshes = []
@@ -335,39 +380,95 @@ class TestElementData:
         adapt.adaptive_solve("l_shape", coeffs, 2, config,
                              observer=lambda lvl, m, *_: meshes.append(m))
         assert len(meshes) == 4
-        sampled = meshes[0].n_triangles
+        passes = [(meshes[0], np.arange(meshes[0].n_triangles))]
         for coarse, fine in zip(meshes, meshes[1:]):
             old = set(map(tuple, coarse.triangles.tolist()))
-            sampled += sum(tuple(t) not in old
-                           for t in fine.triangles.tolist())
-        assert calls == {"diffusion": 15 * sampled,
-                         "reaction": 3 * sampled}
+            passes.append((fine, np.array(
+                [t for t, tri in enumerate(fine.triangles.tolist())
+                 if tuple(tri) not in old])))
+        points = sum(len(quadrature_points(m, ids)) for m, ids in passes)
+        stencils = sum(stencil_points(m, ids) for m, ids in passes)
+        assert calls == {"diffusion": points + stencils, "reaction": points}
+        sampled = sum(len(ids) for _, ids in passes)
+        assert calls["diffusion"] <= 15 * sampled
+        assert calls["reaction"] <= 3 * sampled
 
     def test_divergence_rows_are_sampled_on_first_read(self):
         calls = {"diffusion": 0, "reaction": 0}
         coeffs = variable_coefficients(calls)
-        nt = BASE_MESH.n_triangles
+        every = np.arange(BASE_MESH.n_triangles)
+        points = len(quadrature_points(BASE_MESH, every))
         # a standalone assemble never reads them
         assemble(BASE_MESH, coeffs)
-        assert calls == {"diffusion": 3 * nt, "reaction": 3 * nt}
+        assert calls == {"diffusion": points, "reaction": points}
+        assert points <= 3 * len(every)
         data = ElementData(BASE_MESH, coeffs)
         calls.update(diffusion=0, reaction=0)
         block = random_block(BASE_MESH, 2, seed=3)
         estimate(BASE_MESH, coeffs, block, data=data)
         estimate(BASE_MESH, coeffs, block, data=data)
-        assert calls == {"diffusion": 12 * nt, "reaction": 0}
+        stencils = stencil_points(BASE_MESH, every)
+        assert calls == {"diffusion": stencils, "reaction": 0}
+        assert stencils <= 12 * len(every)
         # extend samples the children's rows only when the parent has
         # its own
         fine, rmap = refine(BASE_MESH, [0, 5, 9])
-        children = fine.n_triangles - len(
-            set(map(tuple, BASE_MESH.triangles.tolist()))
-            & set(map(tuple, fine.triangles.tolist())))
-        for parent, per_child in ((ElementData(BASE_MESH, coeffs), 3),
-                                  (data, 15)):
+        old = set(map(tuple, BASE_MESH.triangles.tolist()))
+        children = np.array([t for t, tri in
+                             enumerate(fine.triangles.tolist())
+                             if tuple(tri) not in old])
+        points = len(quadrature_points(fine, children))
+        stencils = stencil_points(fine, children)
+        for parent, diffusion in ((ElementData(BASE_MESH, coeffs), points),
+                                  (data, points + stencils)):
             calls.update(diffusion=0, reaction=0)
             parent.extend(rmap, fine)
-            assert calls == {"diffusion": per_child * children,
-                             "reaction": 3 * children}
+            assert calls == {"diffusion": diffusion, "reaction": points}
+
+    def test_evaluate_calls_once_per_bitwise_distinct_point(self):
+        seen = []
+
+        def field(x, y):
+            seen.append((x, y))
+            return np.copysign(1.0, x) * np.array([1.0, y])
+
+        x = np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5])
+        y = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 3.0])
+        got = _evaluate(field, x, y)
+        assert len(seen) == 4
+        assert set(map(tuple, np.signbit(seen).tolist())) == {
+            (False, False), (True, False)}
+        assert np.array_equal(got, [field(*p) for p in zip(x, y)])
+        assert got.dtype == np.float64
+
+    @settings(max_examples=15, deadline=None)
+    @given(picks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                   max_size=6), max_size=3),
+           ell=st.sampled_from([1, 2]), read_div=st.booleans())
+    def test_samples_match_a_per_point_loop(self, picks, ell, read_div):
+        m, coeffs = SIGNED_ZERO_MESH, SIGNED_ZERO_COEFFS
+        data = ElementData(m, coeffs)
+        for pick in picks:
+            if read_div:
+                data.div_rows
+            m, rmap = refine(m, np.array(pick) % m.n_triangles, ell)
+            data = data.extend(rmap, m)
+        pts = _quad_points(m, np.arange(m.n_triangles))
+        diffusion = np.empty(pts.shape[:2] + (2, 2))
+        reaction = np.empty(pts.shape[:2])
+        div_rows = np.empty(pts.shape)
+        for t, q in np.ndindex(pts.shape[:2]):
+            (x, y), d = pts[t, q], 1e-6 * data.h_t[t]
+            diffusion[t, q] = coeffs.diffusion(x, y)
+            reaction[t, q] = coeffs.reaction(x, y)
+            dax = (coeffs.diffusion(x + d, y)
+                   - coeffs.diffusion(x - d, y)) / (2.0 * d)
+            day = (coeffs.diffusion(x, y + d)
+                   - coeffs.diffusion(x, y - d)) / (2.0 * d)
+            div_rows[t, q] = dax[0, :] + day[1, :]
+        assert np.array_equal(data.diffusion, diffusion)
+        assert np.array_equal(data.reaction, reaction)
+        assert np.array_equal(data.div_rows, div_rows)
 
     def test_non_finite_divergence_fails_on_first_read(self):
         # finite at the quadrature points, NaN at the stencil points

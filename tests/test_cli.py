@@ -183,6 +183,37 @@ class TestCmdVerify:
         assert len(rows) == 6
 
 
+    def test_reference_estimate_samples_nothing_again(self, tmp_path,
+                                                      monkeypatch):
+        # verify hands each level's element data to its reference
+        # estimate, so it evaluates the coefficients exactly as often as
+        # run does
+        calls = {"diffusion": 0, "reaction": 0}
+        variable = cli._NAMED_CASES["variable"]()
+
+        def counting():
+            def diffusion(x, y):
+                calls["diffusion"] += 1
+                return variable.diffusion(x, y)
+
+            def reaction(x, y):
+                calls["reaction"] += 1
+                return variable.reaction(x, y)
+
+            return cli.Coefficients(diffusion, reaction)
+
+        monkeypatch.setitem(cli._NAMED_CASES, "variable", counting)
+        text = ("domain=l_shape\ncoefficients=variable\nn_orbitals=1\n"
+                "tol1=1e-12\nmax_refinements=2\ninitial_passes=2\n")
+        path = write_config(tmp_path, text)
+        counts = []
+        for command in ("run", "verify"):
+            calls.update(diffusion=0, reaction=0)
+            main([command, "--config", path, "--out", str(tmp_path)])
+            counts.append(dict(calls))
+        assert counts[0]["diffusion"] > 0
+        assert counts[1] == counts[0]
+
 class TestCmdSpectrum:
     def test_prints_closed_form_values(self, capsys):
         assert main(["spectrum", "--count", "3"]) == 0

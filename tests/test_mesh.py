@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from paroeig import mesh as pm
@@ -47,6 +49,16 @@ def test_explicit_duplicate_rejected():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(pm.MeshError, match="duplicate"):
         pm.Mesh(v, np.array([[0, 1, 2], [1, 2, 0]]))
+
+
+def test_duplicate_rejected_when_its_edges_have_three_triangles():
+    # every edge of triangle 0 has a neighbour between it and its copy,
+    # 4, in the sorted edge order
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                  [-1.0, 0.5], [0.5, -1.0]])
+    with pytest.raises(pm.MeshError, match="duplicate"):
+        pm.Mesh(v, np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4], [0, 5, 1],
+                             [1, 2, 0]]))
 
 
 def test_longest_edge_tie_break():
@@ -133,6 +145,42 @@ def test_conformity_after_random_refinements():
         m.assert_conforming()
     counts = np.bincount(m.tri_edges.ravel(), minlength=len(m.edges))
     assert set(np.unique(counts)) <= {1, 2}
+
+
+@settings(max_examples=25, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", SCALENE_PAIR]),
+       picks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                               max_size=6), max_size=4),
+       ell=st.sampled_from([1, 2]))
+def test_edge_table_matches_a_dict_reference(domain, picks, ell):
+    m = pm.build_initial_mesh(domain)
+    for pick in picks:
+        m, _ = pm.refine(m, np.array(pick) % m.n_triangles, ell)
+    incident = {}
+    for t, tri in enumerate(m.triangles.tolist()):
+        for i in range(3):
+            edge = tuple(sorted((tri[(i + 1) % 3], tri[(i + 2) % 3])))
+            incident.setdefault(edge, []).append((t, tri[i]))
+    edges = sorted(incident)
+    assert m.edges.tolist() == [list(e) for e in edges]
+    index = {e: k for k, e in enumerate(edges)}
+    assert m.tri_edges.tolist() == [
+        [index[tuple(sorted((tri[(i + 1) % 3], tri[(i + 2) % 3])))]
+         for i in range(3)] for tri in m.triangles.tolist()]
+    assert m.edge_tris.tolist() == [
+        [t for t, _ in incident[e]] + [-1] * (2 - len(incident[e]))
+        for e in edges]
+    boundary = {v for e in edges if len(incident[e]) == 1 for v in e}
+    assert np.nonzero(m.is_boundary_vertex)[0].tolist() == sorted(boundary)
+    for k, e in enumerate(edges):
+        a, b = m.vertices[list(e)]
+        assert m.edge_lengths[k] == np.hypot(*(b - a))
+        assert abs(m.edge_normals[k] @ (b - a)) <= 1e-12 * m.edge_lengths[k]
+        assert abs(np.hypot(*m.edge_normals[k]) - 1.0) <= 1e-14
+        # away from the first triangle, into the second
+        for (t, opposite), sign in zip(incident[e], (-1.0, 1.0)):
+            side = m.edge_normals[k] @ (m.vertices[opposite] - a)
+            assert sign * side > 0.0
 
 
 def test_similarity_classes_at_most_four_per_initial_triangle():
