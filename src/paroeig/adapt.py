@@ -66,13 +66,13 @@ class AdaptConfig:
             raise AdaptError(f"theta out of (0,1): {self.theta}")
         if self.ell < 1:
             raise AdaptError("ell must be >= 1")
-        if self.tol1 <= 0.0:
+        if not self.tol1 > 0.0:             # NaN too
             raise AdaptError("tol1 must be positive")
         if self.max_refinements < 0:
             raise AdaptError("max_refinements must be >= 0")
         if self.marking not in ("dorfler", "uniform"):
             raise AdaptError(f"unknown marking strategy {self.marking!r}")
-        if self.budget_factor is not None and self.budget_factor <= 0.0:
+        if self.budget_factor is not None and not self.budget_factor > 0.0:
             raise AdaptError("budget_factor must be positive when set")
         if self.initial_passes < 0:
             raise AdaptError("initial_passes must be >= 0")

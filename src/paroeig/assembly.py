@@ -16,11 +16,17 @@ Coefficient fields come in three representations:
     two points) and hands the value to every triangle that needs it.
     Congruent sibling triangles share a finite-difference stencil and
     neighbours share edge midpoints, which saves about 40% of the calls
-    on an adaptively refined mesh.
+    on an adaptively refined mesh. The returned values are converted to
+    float64 a chunk of points at a time; a value that is not real
+    numbers, or whose shape differs from the first, raises
+    AssemblyError.
 Quadrature only ever touches the coefficients: P1 gradients are constant
 per element, so the one rule (the three edge midpoints, exact for
 quadratics) integrates the diffusion term exactly for data up to degree
-two.
+two. The per-triangle kernels are written out entry by entry: the
+gradients straight from the inverse Jacobian, and the stiffness sum
+over the diffusion's entries in einsum's order, so they round as the
+einsum formulation does.
 
 Everything per triangle that assembly and the estimator read (gradients,
 areas, diameters, coefficient samples, the finite-difference divergence
@@ -151,13 +157,14 @@ def p1_gradients(mesh, tri_ids=None):
     j21 = v[:, 1, 1] - v[:, 0, 1]
     j22 = v[:, 2, 1] - v[:, 0, 1]
     det = j11 * j22 - j12 * j21                # = 2 * area, positive
-    inv_jt = np.empty((len(det), 2, 2))
-    inv_jt[:, 0, 0] = j22 / det
-    inv_jt[:, 0, 1] = -j21 / det
-    inv_jt[:, 1, 0] = -j12 / det
-    inv_jt[:, 1, 1] = j11 / det
-    ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    grads = np.einsum("tab,ib->tia", inv_jt, ref)
+    # rows 1 and 2 are the columns of J^-T (the reference gradients of
+    # vertices 1 and 2 are the unit vectors); row 0 is minus their sum
+    grads = np.empty((len(det), 3, 2))
+    grads[:, 1, 0] = j22 / det
+    grads[:, 1, 1] = -j12 / det
+    grads[:, 2, 0] = -j21 / det
+    grads[:, 2, 1] = j11 / det
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
     return grads, 0.5 * det
 
 
@@ -165,6 +172,36 @@ def _quad_points(mesh, ids):
     """Quadrature points of the triangles ids, (nt, nq, 2)."""
     return np.einsum("qi,tid->tqd", _QUAD_RULE[0],
                      mesh.vertices[mesh.triangles[ids]])
+
+
+# distinct points per conversion of f's returned values: bounds the list
+# of per-point values alive at once
+_CHUNK = 1024
+
+
+def _stack(returned, shape):
+    """The values f returned, as one float64 array (len, *shape); shape
+    None takes the first value's."""
+    try:
+        out = np.array(returned, dtype=np.float64)
+    except (TypeError, ValueError):
+        out = None
+    if out is not None and (shape is None or out.shape[1:] == shape):
+        return out
+    # name the first bad value, as a per-point conversion would
+    for v in returned:
+        try:
+            v = np.asarray(v, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise AssemblyError(f"coefficient callable returned {v!r}, "
+                                f"not real numbers") from exc
+        if shape is None:
+            shape = v.shape
+        elif v.shape != shape:
+            raise AssemblyError(f"coefficient callable returned shapes "
+                                f"{shape} and {v.shape}")
+    raise AssemblyError("coefficient callable returned values that do "
+                        "not form one array")
 
 
 def _evaluate(f, x, y):
@@ -179,15 +216,15 @@ def _evaluate(f, x, y):
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     distinct = order[first]
+    xs, ys = x[distinct], y[distinct]
     values = None
-    for k, (xk, yk) in enumerate(zip(x[distinct], y[distinct])):
-        v = np.asarray(f(xk, yk), dtype=np.float64)
+    for start in range(0, len(distinct), _CHUNK):
+        stop = start + _CHUNK
+        chunk = _stack(list(map(f, xs[start:stop], ys[start:stop])),
+                       None if values is None else values.shape[1:])
         if values is None:
-            values = np.empty((len(distinct),) + v.shape)
-        elif v.shape != values.shape[1:]:
-            raise AssemblyError(f"coefficient callable returned shapes "
-                                f"{values.shape[1:]} and {v.shape}")
-        values[k] = v
+            values = np.empty((len(distinct),) + chunk.shape[1:])
+        values[start:stop] = chunk
     return values[inverse]
 
 
@@ -382,7 +419,15 @@ def element_matrices(mesh, coeffs, data=None):
     a_eff = data.diffusion
     if a_eff.ndim == 4:                        # callable: (nt, nq, 2, 2)
         a_eff = np.einsum("q,tqab->tab", weights, a_eff)
-    ke = np.einsum("tia,tab,tjb->tij", data.grads, a_eff, data.grads)
+    # ke[t, i, j] = sum_ab g[t, i, a] A[t, a, b] g[t, j, b], summed from
+    # +0.0 over a then b with each product taken left to right: the
+    # order of einsum("tia,tab,tjb->tij"), so the sums are the same
+    g = data.grads
+    ke = np.zeros((len(g), 3, 3))
+    for a in range(2):
+        for b in range(2):
+            ke += (g[:, :, None, a] * a_eff[:, None, None, a, b]
+                   * g[:, None, :, b])
     ke *= areas[:, None, None]
 
     me = _EXACT_MASS[None, :, :] * areas[:, None, None]
@@ -397,7 +442,8 @@ def element_matrices(mesh, coeffs, data=None):
 
 
 def _scatter(mesh, local):
-    """Accumulate (nt, 3, 3) element matrices into a SparseSymMatrix."""
+    """Accumulate (nt, 3, 3) element matrices into the lower triangle of
+    the global matrix over all vertices, as CSR."""
     # coo_matrix stores int32 indices while they fit and would copy
     # int64 ones; passing int32 keeps one copy of the index arrays
     fits = mesh.n_vertices <= np.iinfo(np.int32).max
@@ -407,7 +453,7 @@ def _scatter(mesh, local):
     full = sp.coo_matrix((local.ravel(), (rows, cols)),
                          shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
     full.sum_duplicates()
-    return SparseSymMatrix(sp.tril(full, format="csr"))
+    return sp.tril(full, format="csr")
 
 
 def assemble_full(mesh, coeffs, data=None):
@@ -418,7 +464,8 @@ def assemble_full(mesh, coeffs, data=None):
     for norm computations that involve boundary vertices.
     """
     ke, me = element_matrices(mesh, coeffs, data)
-    return _scatter(mesh, ke), _scatter(mesh, me)
+    return tuple(SparseSymMatrix(_scatter(mesh, local))
+                 for local in (ke, me))
 
 
 @dataclass(frozen=True)
@@ -455,13 +502,13 @@ def assemble(mesh, coeffs, data=None):
     data: the mesh's ElementData; without it one is built and dropped
     before the global matrices are formed.
     """
-    k_full, m_full = assemble_full(mesh, coeffs, data)
+    ke, me = element_matrices(mesh, coeffs, data)
+    # free is ascending, so the free block of the lower triangle is the
+    # lower triangle of the free block
     free = mesh.interior_vertices()
-    k_csr = k_full.to_csr()[free][:, free]
-    m_csr = m_full.to_csr()[free][:, free]
     return FemSystem(
-        K=SparseSymMatrix(sp.tril(k_csr, format="csr")),
-        M=SparseSymMatrix(sp.tril(m_csr, format="csr")),
+        K=SparseSymMatrix(_scatter(mesh, ke)[free][:, free]),
+        M=SparseSymMatrix(_scatter(mesh, me)[free][:, free]),
         free_dofs=free,
         n_dofs=len(free),
         n_vertices=mesh.n_vertices,

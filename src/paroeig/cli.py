@@ -7,6 +7,9 @@ Subcommands:
     spectrum  print the closed-form unit-square eigenvalues
 
 Config files are flat key=value text, one key per line, "#" comments.
+The coefficients key names a case: identity, constant (diffusion times
+I plus reaction), anisotropic (diag(4, 1)) or variable (callables:
+diffusion (2 + sin(pi x) sin(pi y)) I, reaction x^2 + y^2).
 """
 
 import argparse
@@ -119,9 +122,14 @@ def load_config(path):
     return parse_config(text)
 
 
+# the variable case's diffusion is a scalar times this, at every point
+_IDENTITY = np.eye(2)
+_IDENTITY.setflags(write=False)
+
+
 def _variable_case():
     def diffusion(x, y):
-        return (2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)) * np.eye(2)
+        return (2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)) * _IDENTITY
 
     return Coefficients(diffusion, lambda x, y: x * x + y * y)
 

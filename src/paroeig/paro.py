@@ -118,10 +118,12 @@ class ParoTolerances:
     rel_gap: float = DEFAULT_REL_GAP
 
     def __post_init__(self):
-        if (self.tol2 <= 0 or self.max_inner < 1 or self.minres_tol <= 0
+        # "not x > 0" also rejects NaN
+        if (not self.tol2 > 0 or self.max_inner < 1
+                or not self.minres_tol > 0
                 or (self.minres_max_iter is not None
                     and self.minres_max_iter < 1)
-                or self.rel_gap <= 0):
+                or not self.rel_gap > 0):
             raise ParoError("tolerances must be positive")
 
 
@@ -134,7 +136,7 @@ def cluster_guesses(values, rel_gap=DEFAULT_REL_GAP):
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ParoError("need at least one eigenvalue guess")
-    if rel_gap <= 0:
+    if not rel_gap > 0:
         raise ParoError("rel_gap must be positive")
     if np.any(np.diff(v) < 0):
         raise ParoError("eigenvalue guesses must be ascending")

@@ -57,7 +57,13 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
                           f"only {sys.n_dofs} dofs")
     guards = min(4, sys.n_dofs - n_pairs)
     k_csc = sys.K.to_csr().tocsc()
-    lu = spla.splu(k_csc)
+    if not (np.isfinite(k_csc.data).all()
+            and np.isfinite(sys.M.to_csr().data).all()):
+        raise VerifyError("K and M must be finite")
+    try:
+        lu = spla.splu(k_csc)
+    except RuntimeError as exc:             # "Factor is exactly singular"
+        raise VerifyError(f"K cannot be factored: {exc}") from exc
     k_norm = _inf_norm(sys.K)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n_pairs + guards, sys.n_dofs))

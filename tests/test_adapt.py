@@ -48,6 +48,14 @@ class TestAdaptConfig:
         with pytest.raises(AdaptError, match="max_refinements"):
             AdaptConfig(max_refinements=-1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(AdaptError, match="tol1"):
+            AdaptConfig(tol1=np.nan)
+        with pytest.raises(AdaptError, match="budget_factor"):
+            AdaptConfig(budget_factor=np.nan)
+        with pytest.raises(AdaptError, match="theta"):
+            AdaptConfig(theta=np.nan)
+
 
 class TestDorflerMark:
     def test_worked_example(self):

@@ -4,7 +4,8 @@ per-mesh ElementData carried across refinement."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,11 +17,13 @@ from paroeig.assembly import (
     assemble,
     assemble_full,
     element_matrices,
+    _QUAD_RULE,
     _evaluate,
     _quad_points,
     p1_gradients,
 )
 from paroeig.estimator import estimate
+from paroeig.linalg import SparseSymMatrix
 from paroeig.mesh import Mesh, build_initial_mesh, interpolate, refine, uniform_refine
 
 
@@ -220,6 +223,38 @@ class TestCoefficients:
         m = build_initial_mesh("l_shape")
         with pytest.raises(AssemblyError, match="table"):
             assemble_full(m, Coefficients(np.stack([np.eye(2)] * 2), 0.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("diffusion", np.ones(2)),
+        ("diffusion", 1.0),
+        ("reaction", np.ones(1)),
+        ("reaction", np.eye(2)),
+        ("reaction", 1.0 + 0.0j),
+        ("reaction", "soft"),
+    ])
+    def test_malformed_callable_value_rejected(self, field, value):
+        m, _ = uniform_refine(build_initial_mesh("unit_square"), 1)
+        co = (Coefficients(lambda x, y: value, 0.0) if field == "diffusion"
+              else Coefficients(np.eye(2), lambda x, y: value))
+        with pytest.raises(AssemblyError):
+            assemble(m, co)
+
+    def test_shape_change_between_points_rejected(self):
+        # the shape changes at the second distinct point, and at points
+        # far enough in that earlier values may be converted already
+        x = np.arange(5000.0)
+        for switch in (1, 1024, 4000):
+            def field(px, py, switch=switch):
+                return np.zeros(2 if px < switch else 3)
+
+            with pytest.raises(AssemblyError,
+                               match=r"shapes \(2,\) and \(3,\)"):
+                _evaluate(field, x, np.zeros_like(x))
+        m, _ = uniform_refine(build_initial_mesh("unit_square"), 1)
+        changing = Coefficients(
+            lambda px, py: np.eye(2) if px < 0.5 else np.eye(3), 0.0)
+        with pytest.raises(AssemblyError, match="shapes"):
+            assemble(m, changing)
 
 
 class TestNorms:
@@ -526,3 +561,116 @@ class TestElementData:
         state["bad"] = True
         with pytest.raises(AssemblyError, match=f"element {first}$"):
             data.extend(rmap, fine)
+
+
+def einsum_gradients(m):
+    """P1 gradients as the contraction of J^-T with the reference
+    gradients, the reference for p1_gradients."""
+    v = m.vertices[m.triangles]
+    j11 = v[:, 1, 0] - v[:, 0, 0]
+    j12 = v[:, 2, 0] - v[:, 0, 0]
+    j21 = v[:, 1, 1] - v[:, 0, 1]
+    j22 = v[:, 2, 1] - v[:, 0, 1]
+    det = j11 * j22 - j12 * j21
+    inv_jt = np.empty((len(det), 2, 2))
+    inv_jt[:, 0, 0] = j22 / det
+    inv_jt[:, 0, 1] = -j21 / det
+    inv_jt[:, 1, 0] = -j12 / det
+    inv_jt[:, 1, 1] = j11 / det
+    ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    return np.einsum("tab,ib->tia", inv_jt, ref)
+
+
+def einsum_system(m, data, grads):
+    """(ke, K, M) from einsum element matrices and the free block of
+    the full-vertex SparseSymMatrix, the reference for assemble."""
+    bary, weights = _QUAD_RULE
+    a_eff = data.diffusion
+    if a_eff.ndim == 4:
+        a_eff = np.einsum("q,tqab->tab", weights, a_eff)
+    ke = np.einsum("tia,tab,tjb->tij", grads, a_eff, grads)
+    ke *= data.areas[:, None, None]
+    me = (np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+          / 12.0)[None, :, :] * data.areas[:, None, None]
+    if data.reaction.ndim == 2:
+        re = np.einsum("q,tq,qi,qj->tij", weights, data.reaction, bary,
+                       bary)
+        ke += re * data.areas[:, None, None]
+    else:
+        ke += data.reaction[:, None, None] * me
+    tri = m.triangles.astype(np.int32)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    free = m.interior_vertices()
+
+    def free_block(local):
+        full = sp.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(m.n_vertices, m.n_vertices)).tocsr()
+        full.sum_duplicates()
+        whole = SparseSymMatrix(sp.tril(full, format="csr")).to_csr()
+        return SparseSymMatrix(sp.tril(whole[free][:, free], format="csr"))
+
+    return ke, free_block(ke), free_block(me)
+
+
+def _jittered_mesh():
+    """The once-refined L-shape with its interior vertices moved off the
+    dyadic grid, so gradients are not powers of two and every product
+    in the element sums rounds."""
+    m, _ = uniform_refine(build_initial_mesh("l_shape"), 1)
+    vertices = m.vertices.copy()
+    inner = ~m.is_boundary_vertex
+    vertices[inner] += np.random.default_rng(4).uniform(
+        -0.1, 0.1, (inner.sum(), 2))
+    return build_initial_mesh((vertices, m.triangles))
+
+
+JITTERED_MESH = _jittered_mesh()
+
+# -0.0 off the diagonal and as the reaction: on the unit right triangle
+# every product in ke[1, 2] is -0.0, so only a sum started from +0.0,
+# as einsum's is, gives ke[1, 2] = +0.0
+NEGATIVE_ZERO_COEFFS = Coefficients(np.array([[2.0, -0.0], [-0.0, 1.0]]),
+                                    -0.0)
+
+# (mesh, coefficients): the table is indexed by the L-shape's initial
+# triangles
+KERNEL_CASES = [
+    (build_initial_mesh((unit_right_triangle().vertices, [[0, 1, 2]])),
+     NEGATIVE_ZERO_COEFFS),
+    *((BASE_MESH, COEFFICIENT_CASES[name])
+      for name in sorted(COEFFICIENT_CASES)),
+    (SIGNED_ZERO_MESH, SIGNED_ZERO_COEFFS),
+    (SIGNED_ZERO_MESH, NEGATIVE_ZERO_COEFFS),
+    (JITTERED_MESH, SIGNED_ZERO_COEFFS),
+    (JITTERED_MESH, Coefficients(np.array([[2.0, 0.7], [0.7, 1.3]]), 0.3)),
+]
+
+
+class TestKernels:
+    @settings(max_examples=30, deadline=None)
+    @example(case=0, picks=[], ell=1)
+    @given(case=st.sampled_from(range(len(KERNEL_CASES))),
+           picks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                   max_size=6), max_size=3),
+           ell=st.sampled_from([1, 2]))
+    def test_kernels_match_the_einsum_formulas(self, case, picks, ell):
+        m, coeffs = KERNEL_CASES[case]
+        for pick in picks:
+            m, _ = refine(m, np.array(pick) % m.n_triangles, ell)
+        grads = einsum_gradients(m)
+        # equal values; the einsum sum starts from +0.0, so a -0.0
+        # entry may come back as +0.0 there
+        assert np.array_equal(p1_gradients(m)[0], grads)
+        data = ElementData(m, coeffs)
+        ke, k_ref, m_ref = einsum_system(m, data, grads)
+        assert element_matrices(m, coeffs, data)[0].tobytes() == ke.tobytes()
+        system = assemble(m, coeffs, data=data)
+        assert csr_bytes(system.K) == csr_bytes(k_ref)
+        assert csr_bytes(system.M) == csr_bytes(m_ref)
+        reference = ElementData(m, coeffs)
+        reference.grads = grads
+        block = random_block(m, 2, seed=len(picks))
+        assert (estimate(m, coeffs, block, data=data).per_element.tobytes()
+                == estimate(m, coeffs, block,
+                            data=reference).per_element.tobytes())

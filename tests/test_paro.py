@@ -114,8 +114,9 @@ class TestClusterGuesses:
             cluster_guesses([2.0, 1.0])
 
     def test_nonpositive_gap_rejected(self):
-        with pytest.raises(ParoError, match="rel_gap"):
-            cluster_guesses([1.0, 2.0], rel_gap=0.0)
+        for gap in (0.0, np.nan):
+            with pytest.raises(ParoError, match="rel_gap"):
+                cluster_guesses([1.0, 2.0], rel_gap=gap)
 
     def test_gap_uses_max_of_one_and_value(self):
         # near zero the absolute scale 1 governs: gap 0.5 > 0.3*max(1,.1)
@@ -327,3 +328,7 @@ class TestInnerLoop:
             ParoTolerances(tol2=0.0)
         with pytest.raises(ParoError, match="positive"):
             ParoTolerances(max_inner=0)
+        # NaN compares False with everything, so "x <= 0" would pass it
+        for name in ("tol2", "minres_tol", "rel_gap"):
+            with pytest.raises(ParoError, match="positive"):
+                ParoTolerances(**{name: np.nan})

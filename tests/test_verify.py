@@ -63,6 +63,21 @@ class TestReferenceEig:
         with pytest.raises(VerifyError, match="only"):
             reference_eig(diag_system(np.ones(3)), 3)
 
+    @pytest.mark.parametrize("k_diag, m_diag, match", [
+        ([1.0, 0.0, 2.0, 3.0], None, "factored"),
+        ([1.0, np.nan, 2.0, 3.0], None, "finite"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, np.inf, 1.0, 1.0], "finite"),
+    ])
+    def test_singular_or_non_finite_pencil_rejected(self, k_diag, m_diag,
+                                                    match):
+        with pytest.raises(VerifyError, match=match):
+            reference_eig(diag_system(np.array(k_diag), m_diag), 1)
+
+    def test_sweep_cap_reported(self, sq6):
+        _, system, _ = sq6
+        with pytest.raises(VerifyError, match="did not reach"):
+            reference_eig(system, 6, max_iter=1)
+
     def test_lowest_eigenvalue_bracket_h32(self):
         m, _ = uniform_refine(build_initial_mesh("unit_square"), 10)
         system = assemble(m, IDENTITY)
