@@ -53,25 +53,19 @@ class AdaptError(RuntimeError):
 class AdaptConfig:
     """Outer-loop knobs; see module docstring for budget_factor."""
     theta: float = 0.5
-    ell: int = 1
     tol1: float = 1e-6
     max_refinements: int = 12
     paro_tols: ParoTolerances = field(default_factory=ParoTolerances)
-    marking: str = "dorfler"
     budget_factor: float | None = None
     initial_passes: int = 4
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise AdaptError(f"theta out of (0,1): {self.theta}")
-        if self.ell < 1:
-            raise AdaptError("ell must be >= 1")
         if not self.tol1 > 0.0:             # NaN too
             raise AdaptError("tol1 must be positive")
         if self.max_refinements < 0:
             raise AdaptError("max_refinements must be >= 0")
-        if self.marking not in ("dorfler", "uniform"):
-            raise AdaptError(f"unknown marking strategy {self.marking!r}")
         if self.budget_factor is not None and not self.budget_factor > 0.0:
             raise AdaptError("budget_factor must be positive when set")
         if self.initial_passes < 0:
@@ -170,11 +164,9 @@ def transfer_block(coarse_mesh, coarse_sys, fine_mesh, fine_sys,
     """Carry orbitals to a refined mesh: interpolate nodally, restore
     b-orthonormality, keep the Ritz values, layout and shifts as the
     next initial data."""
-    full = coarse_sys.expand(block.vectors)
-    fine_full = np.stack([
-        mesh_mod.interpolate(coarse_mesh, fine_mesh, refine_map, row)
-        for row in full])
-    vecs = b_orthonormalize(fine_sys.restrict(fine_full), fine_sys.M)
+    fine_full = mesh_mod.interpolate(coarse_mesh, fine_mesh, refine_map,
+                                     coarse_sys.expand(block.vectors).T)
+    vecs = b_orthonormalize(fine_sys.restrict(fine_full.T), fine_sys.M)
     return replace(block, vectors=vecs)
 
 
@@ -263,16 +255,13 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             prev_values = block.ritz_values.copy()
             if d1 <= config.tol1 or level == config.max_refinements:
                 break
-            if config.marking == "uniform":
-                marked = np.arange(current.n_triangles)
-            else:
-                marked = dorfler_mark(indicators, config.theta)
+            marked = dorfler_mark(indicators, config.theta)
             if marked.size == 0:
                 break
             # the level's estimates are done: free J and L now, or they
             # add to the peak memory of refine and assemble
             data.estimator_ops = None
-            fine, rmap = mesh_mod.refine(current, marked, config.ell)
+            fine, rmap = mesh_mod.refine(current, marked)
             data = data.extend(rmap, fine)
             fine_sys = assemble(fine, coeffs, data=data)
             block = transfer_block(current, system, fine, fine_sys, rmap,

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import SparseSymMatrix
-from .mesh import Mesh
+from .mesh import MeshError
 
 
 class AssemblyError(ValueError):
@@ -177,37 +177,36 @@ def _quad_points(mesh, ids):
 # distinct points per conversion of f's returned values: bounds the list
 # of per-point values alive at once
 _CHUNK = 1024
+# dtype kinds of real numbers: bool, signed and unsigned int, float
+_REAL_KINDS = "biuf"
 
 
 def _stack(returned, shape):
-    """The values f returned, as one float64 array (len, *shape); shape
-    None takes the first value's."""
+    """The values f returned, as one float64 array (len, *shape)."""
     try:
-        out = np.array(returned, dtype=np.float64)
+        out = np.array(returned)
     except (TypeError, ValueError):
         out = None
-    if out is not None and (shape is None or out.shape[1:] == shape):
-        return out
+    if (out is not None and out.dtype.kind in _REAL_KINDS
+            and out.shape[1:] == shape):
+        return out.astype(np.float64, copy=False)
     # name the first bad value, as a per-point conversion would
     for v in returned:
-        try:
-            v = np.asarray(v, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        arr = np.asarray(v)
+        if arr.dtype.kind not in _REAL_KINDS:
             raise AssemblyError(f"coefficient callable returned {v!r}, "
-                                f"not real numbers") from exc
-        if shape is None:
-            shape = v.shape
-        elif v.shape != shape:
+                                f"not real numbers")
+        if arr.shape != shape:
             raise AssemblyError(f"coefficient callable returned shapes "
-                                f"{shape} and {v.shape}")
+                                f"{shape} and {arr.shape}")
     raise AssemblyError("coefficient callable returned values that do "
                         "not form one array")
 
 
-def _evaluate(f, x, y):
-    """f at every point (x[k], y[k]) as one float64 array, (n,) + the
-    shape of f's value, with f called once per distinct point. Points
-    are compared bitwise, so 0.0 and -0.0 are two points."""
+def _evaluate(f, x, y, shape):
+    """f at every point (x[k], y[k]) as one float64 array, (n,) + shape,
+    with f called once per distinct point. Points are compared bitwise,
+    so 0.0 and -0.0 are two points."""
     keys = np.column_stack([x, y]).view(np.int64)            # (n, 2)
     order = np.lexsort((keys[:, 1], keys[:, 0]))
     sorted_keys = keys[order]
@@ -217,14 +216,11 @@ def _evaluate(f, x, y):
     inverse[order] = np.cumsum(first) - 1
     distinct = order[first]
     xs, ys = x[distinct], y[distinct]
-    values = None
+    values = np.empty((len(distinct),) + shape)
     for start in range(0, len(distinct), _CHUNK):
         stop = start + _CHUNK
-        chunk = _stack(list(map(f, xs[start:stop], ys[start:stop])),
-                       None if values is None else values.shape[1:])
-        if values is None:
-            values = np.empty((len(distinct),) + chunk.shape[1:])
-        values[start:stop] = chunk
+        values[start:stop] = _stack(
+            list(map(f, xs[start:stop], ys[start:stop])), shape)
     return values[inverse]
 
 
@@ -236,10 +232,10 @@ def _divergence_rows(mesh, diffusion, ids, h_t):
     x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
     d = np.repeat(1e-6 * h_t, pts.shape[1])
     two_d = (2.0 * d)[:, None]
-    dax = (_evaluate(diffusion, x + d, y)
-           - _evaluate(diffusion, x - d, y))[:, 0, :] / two_d
-    day = (_evaluate(diffusion, x, y + d)
-           - _evaluate(diffusion, x, y - d))[:, 1, :] / two_d
+    dax = (_evaluate(diffusion, x + d, y, (2, 2))
+           - _evaluate(diffusion, x - d, y, (2, 2)))[:, 0, :] / two_d
+    day = (_evaluate(diffusion, x, y + d, (2, 2))
+           - _evaluate(diffusion, x, y - d, (2, 2)))[:, 1, :] / two_d
     # (div A)_j = d_x A[0, j] + d_y A[1, j]
     rows = (dax + day).reshape(pts.shape)
     bad = ~np.isfinite(rows).all(axis=(1, 2))
@@ -269,10 +265,7 @@ def _sample(mesh, coeffs, ids):
         at_points = np.repeat(ids, nq)
 
     if d_mode == "callable":
-        diffusion = _evaluate(d_data, x, y)
-        if diffusion.shape[1:] != (2, 2):
-            raise AssemblyError("a diffusion callable must return a 2x2 "
-                                "array")
+        diffusion = _evaluate(d_data, x, y, (2, 2))
         _check_spd_matrices(diffusion, at_points)
         diffusion = diffusion.reshape(nt, nq, 2, 2)
     else:
@@ -281,9 +274,7 @@ def _sample(mesh, coeffs, ids):
         _check_spd_matrices(diffusion, ids)
 
     if r_mode == "callable":
-        reaction = _evaluate(r_data, x, y)
-        if reaction.ndim != 1:
-            raise AssemblyError("a reaction callable must return a scalar")
+        reaction = _evaluate(r_data, x, y, ())
         _check_reaction_values(reaction, at_points)
         reaction = reaction.reshape(nt, nq)
     else:
@@ -292,27 +283,6 @@ def _sample(mesh, coeffs, ids):
         _check_reaction_values(reaction, ids)
     return dict(grads=grads, areas=areas, h_t=h_t, diffusion=diffusion,
                 reaction=reaction)
-
-
-def _kept_rows(refine_map, coarse, fine):
-    """(coarse ids, fine ids) of the triangles every round of refine_map
-    left whole; _refine_once keeps their vertex ids and order."""
-    src = np.arange(coarse.n_triangles)
-    dst = src
-    n_tri, n_vert = coarse.n_triangles, coarse.n_vertices
-    for rnd in refine_map.rounds:
-        offsets = rnd.child_offsets
-        if len(offsets) != n_tri + 1 or rnd.n_coarse_vertices != n_vert:
-            raise AssemblyError("refine_map does not chain from the mesh "
-                                "this element data was built for")
-        single = offsets[dst + 1] - offsets[dst] == 1
-        src, dst = src[single], offsets[dst[single]]
-        n_tri = int(offsets[-1])
-        n_vert += len(rnd.vertex_parents)
-    if (n_tri, n_vert) != (fine.n_triangles, fine.n_vertices):
-        raise AssemblyError("refine_map does not lead to the given fine "
-                            "mesh")
-    return src, dst
 
 
 class ElementData:
@@ -367,12 +337,15 @@ class ElementData:
         Rows of the triangles refine_map kept whole are copied; only the
         new children are sampled.
         """
-        if not refine_map.rounds:          # refine() marked nothing
-            if fine_mesh is not self.mesh:
-                raise AssemblyError("an empty refine_map must return the "
-                                    "same mesh")
-            return self
-        src, dst = _kept_rows(refine_map, self.mesh, fine_mesh)
+        try:
+            refine_map.check(self.mesh, fine_mesh)
+        except MeshError as exc:
+            raise AssemblyError(str(exc)) from exc
+        # refine() keeps a whole triangle's vertex ids and makes it its
+        # own single child
+        offsets = refine_map.child_offsets
+        src = np.nonzero(np.diff(offsets) == 1)[0]
+        dst = offsets[src]
         fresh = np.ones(fine_mesh.n_triangles, dtype=bool)
         fresh[dst] = False
         children = np.nonzero(fresh)[0]

@@ -54,7 +54,6 @@ class RunConfig:
     reaction: float = 0.0
     n_orbitals: int = 1
     theta: float = 0.5
-    ell: int = 1
     tol1: float = 1e-6
     tol2: float = 1e-8
     rel_gap: float = 0.02
@@ -62,7 +61,6 @@ class RunConfig:
     max_inner: int = 50
     minres_tol: float = 1e-10
     minres_max_iter: int = 0
-    marking: str = "dorfler"
     budget_factor: float = 0.0
     initial_passes: int = 4
     seed: int = 0
@@ -161,9 +159,8 @@ def build_adapt_config(config):
         minres_max_iter=config.minres_max_iter or None,
         rel_gap=config.rel_gap)
     return AdaptConfig(
-        theta=config.theta, ell=config.ell, tol1=config.tol1,
+        theta=config.theta, tol1=config.tol1,
         max_refinements=config.max_refinements, paro_tols=tols,
-        marking=config.marking,
         budget_factor=config.budget_factor or None,
         initial_passes=config.initial_passes)
 

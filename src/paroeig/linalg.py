@@ -48,17 +48,9 @@ class SparseSymMatrix:
             raise LinAlgError("input must contain only the lower triangle")
         lower.sum_duplicates()
         lower.eliminate_zeros()
-        self._nnz_lower = lower.nnz
         full = (lower + sp.tril(lower, k=-1).T).tocsr()
         full.sort_indices()
         self._full = full
-
-    @classmethod
-    def from_triplets(cls, n, rows, cols, values):
-        """Build from symmetric COO triplets; upper entries are dropped
-        (their mirror images must also be present)."""
-        full = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(sp.tril(full, format="csr"))
 
     @classmethod
     def from_dense(cls, a):
@@ -68,10 +60,6 @@ class SparseSymMatrix:
     @property
     def n(self):
         return self._full.shape[0]
-
-    @property
-    def nnz_lower(self):
-        return self._nnz_lower
 
     def matvec(self, x):
         return self._full @ x

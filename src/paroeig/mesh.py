@@ -9,11 +9,11 @@ This is the classical scheme that keeps the number of similarity classes
 per initial triangle bounded (by 4) and, with midpoints shared through a
 global edge table, yields conforming meshes after closure.
 
-Closure is performed per refinement round by the edge-marking fixpoint: a
-triangle with any marked edge must have its refinement edge marked too.
-Afterwards each triangle is split according to which of its edges carry a
-midpoint (1, 2 or 3 marked edges give 2, 3 or 4 children), which bisects
-every marked edge identically from both sides.
+Each refine() call is one bisection round, closed by the edge-marking
+fixpoint: a triangle with any marked edge must have its refinement edge
+marked too. Afterwards each triangle is split according to which of its
+edges carry a midpoint (1, 2 or 3 marked edges give 2, 3 or 4 children),
+which bisects every marked edge identically from both sides.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class MeshError(ValueError):
@@ -242,30 +243,74 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class _Round:
-    """One bisection round: who split and which vertices appeared."""
-    n_coarse_vertices: int
-    vertex_parents: np.ndarray   # (k, 2) endpoint ids of each new midpoint
-    child_offsets: np.ndarray    # (nt_coarse + 1,) children of t are
-    #                              arange(child_offsets[t], child_offsets[t+1])
-
-
-@dataclass(frozen=True)
 class RefineMap:
-    """Parent-to-children bookkeeping for one refine() call."""
-    rounds: tuple
+    """What one refine() call did: which triangles split and which
+    vertices appeared.
+
+    Attributes:
+        child_offsets: (nt_coarse + 1,) the children of coarse triangle t
+            are arange(child_offsets[t], child_offsets[t + 1]).
+        prolongation: (nv_fine, nv_coarse) CSR matrix of the nodal
+            transfer: kept vertices copy their value and each midpoint
+            averages its edge endpoints. The midpoints follow the coarse
+            vertices in the order refine() appended them.
+    """
+    child_offsets: np.ndarray
+    prolongation: sp.csr_matrix
 
     def descendants(self, tri_ids):
-        """Final triangle ids descending from the given coarse ids."""
+        """Fine triangle ids descending from the given coarse ids."""
         ids = np.asarray(tri_ids, dtype=np.int64)
-        for rnd in self.rounds:
-            starts = rnd.child_offsets[ids]
-            counts = rnd.child_offsets[ids + 1] - starts
-            ids = _concat_ranges(starts, counts)
-        return ids
+        starts = self.child_offsets[ids]
+        return _concat_ranges(starts, self.child_offsets[ids + 1] - starts)
+
+    def check(self, coarse, fine):
+        """Raise MeshError unless this map leads from coarse to fine."""
+        nf, nc = self.prolongation.shape
+        if (nc, len(self.child_offsets)) != (coarse.n_vertices,
+                                             coarse.n_triangles + 1):
+            raise MeshError("refine_map does not chain from this mesh")
+        if (nf, self.child_offsets[-1]) != (fine.n_vertices,
+                                           fine.n_triangles):
+            raise MeshError("refine_map does not lead to the given fine "
+                            "mesh")
 
 
-def _refine_once(mesh, marked):
+def _nodal_prolongation(n_coarse, vertex_parents):
+    """Rows n_coarse + i average the endpoints of midpoint i; the rows
+    above copy the coarse values."""
+    k = len(vertex_parents)
+    indptr = np.concatenate([np.arange(n_coarse + 1),
+                             n_coarse + 2 * np.arange(1, k + 1)])
+    indices = np.concatenate([np.arange(n_coarse), vertex_parents.ravel()])
+    data = np.concatenate([np.ones(n_coarse), np.full(2 * k, 0.5)])
+    return sp.csr_matrix((data, indices, indptr), shape=(n_coarse + k,
+                                                         n_coarse))
+
+
+def refine(mesh, marked):
+    """Bisect every marked triangle once and close the mesh.
+
+    One round of newest-vertex bisection: the refinement edge of every
+    marked triangle is split, the closure marks the refinement edges
+    that conformity then needs, and every triangle is cut along its
+    marked edges (2, 3 or 4 children). Marked generations increase by at
+    least 1.
+
+    Args:
+        mesh: conforming Mesh.
+        marked: iterable of triangle indices to refine.
+
+    Returns:
+        (fine_mesh, refine_map). An empty marked set gives a copy of the
+        mesh and a map that adds no vertex.
+    """
+    if not isinstance(marked, np.ndarray):
+        marked = list(marked)          # read an iterator exactly once
+    marked = np.asarray(marked, dtype=np.int64)
+    if marked.size and (marked.min() < 0
+                        or marked.max() >= mesh.n_triangles):
+        raise MeshError("marked triangle index out of range")
     ref_edge = mesh.tri_edges[:, 0]
     ne = len(mesh.edges)
     edge_marked = np.zeros(ne, dtype=bool)
@@ -334,56 +379,15 @@ def _refine_once(mesh, marked):
     put(allm, 2, (M1, M0, v2), 2)
     put(allm, 3, (M1, v0, M0), 2)
 
-    fine = Mesh(vertices, tri, gen, anc)
-    rnd = _Round(nv, vertex_parents, offsets)
-    return fine, rnd
-
-
-def refine(mesh, marked, ell=1):
-    """Bisect every marked triangle at least ell times and close the mesh.
-
-    Args:
-        mesh: conforming Mesh.
-        marked: iterable of triangle indices to refine.
-        ell: bisection rounds applied to the marked elements (>= 1); each
-            round bisects every current descendant of the marked set once,
-            so marked generations increase by at least ell.
-
-    Returns:
-        (fine_mesh, refine_map). The map carries parent->children offsets
-        and midpoint parentage for nodal solution transfer. An empty marked
-        set returns the input mesh unchanged.
-    """
-    if ell < 1:
-        raise MeshError("ell must be >= 1")
-    if not isinstance(marked, np.ndarray):
-        marked = list(marked)          # read an iterator exactly once
-    marked = np.asarray(marked, dtype=np.int64)
-    if marked.size and (marked.min() < 0
-                        or marked.max() >= mesh.n_triangles):
-        raise MeshError("marked triangle index out of range")
-    is_marked = np.zeros(mesh.n_triangles, dtype=bool)
-    is_marked[marked] = True
-    ids = np.nonzero(is_marked)[0]
-    if ids.size == 0:
-        return mesh, RefineMap(())
-    rounds = []
-    current = mesh
-    target = ids
-    for _ in range(ell):
-        current, rnd = _refine_once(current, target)
-        rounds.append(rnd)
-        starts = rnd.child_offsets[target]
-        counts = rnd.child_offsets[target + 1] - starts
-        target = _concat_ranges(starts, counts)
-    return current, RefineMap(tuple(rounds))
+    return Mesh(vertices, tri, gen, anc), RefineMap(
+        offsets, _nodal_prolongation(nv, vertex_parents))
 
 
 def uniform_refine(mesh, passes=1):
     """Refine every triangle once per pass. Returns (mesh, [RefineMap...])."""
     maps = []
     for _ in range(passes):
-        mesh, rmap = refine(mesh, np.arange(mesh.n_triangles), ell=1)
+        mesh, rmap = refine(mesh, np.arange(mesh.n_triangles))
         maps.append(rmap)
     return mesh, maps
 
@@ -391,25 +395,16 @@ def uniform_refine(mesh, passes=1):
 def interpolate(coarse, fine, refine_map, u):
     """Transfer nodal values of a P1 function from coarse to fine mesh.
 
-    Exact for nested refinement: kept vertices keep their value and every
-    midpoint receives the average of its edge endpoints, in creation order.
+    u is a vector of coarse vertex values or an (nv, k) block of k such
+    columns. Exact for nested refinement: kept vertices keep their value
+    and every midpoint receives the average of its edge endpoints.
     """
+    refine_map.check(coarse, fine)
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (coarse.n_vertices,):
-        raise MeshError(f"coefficient vector has length {u.shape}, "
-                        f"expected ({coarse.n_vertices},)")
-    out = u
-    for rnd in refine_map.rounds:
-        if len(out) != rnd.n_coarse_vertices:
-            raise MeshError("refine_map does not chain from this mesh")
-        nxt = np.empty(rnd.n_coarse_vertices + len(rnd.vertex_parents))
-        nxt[:rnd.n_coarse_vertices] = out
-        nxt[rnd.n_coarse_vertices:] = 0.5 * (nxt[rnd.vertex_parents[:, 0]]
-                                             + nxt[rnd.vertex_parents[:, 1]])
-        out = nxt
-    if len(out) != fine.n_vertices:
-        raise MeshError("refine_map does not lead to the given fine mesh")
-    return out
+    if u.ndim not in (1, 2) or u.shape[0] != coarse.n_vertices:
+        raise MeshError(f"coefficients of shape {u.shape}; expected length "
+                        f"{coarse.n_vertices} along the first axis")
+    return refine_map.prolongation @ u
 
 
 # -- initial meshes ------------------------------------------------------

@@ -11,11 +11,12 @@ restricted to the vertices that level l added and their edge neighbours
 bisection grids, Chen-Nochetto-Xu 2012). B is symmetric positive
 definite, so it can precondition MINRES on the indefinite K - sigma*M.
 
-The hierarchy follows the refinement: each refine() round bisects edges
-and appends their midpoints, so the nodal prolongation is exactly the
-map of mesh.interpolate. Consecutive refinements are merged into one
-level until its vertex count has doubled, which keeps the number of
-levels (Python calls per application) logarithmic in the mesh size.
+The hierarchy follows the refinement: each refine() call appends the
+midpoints of the edges it bisects, and P_l is built from the nodal
+prolongation its RefineMap carries, the map mesh.interpolate applies.
+Consecutive refinements are merged into one level until its vertex
+count has doubled, which keeps the number of levels (Python calls per
+application) logarithmic in the mesh size.
 """
 
 from __future__ import annotations
@@ -32,25 +33,6 @@ COARSE_DOFS = 400
 # a level absorbs refinements until it has this many times the vertices
 # of the level below it
 MERGE_FACTOR = 2
-
-
-def prolongation(refine_map):
-    """Nodal prolongation of one refine() call as a sparse matrix.
-
-    Rows are the fine vertices, columns the coarse ones: kept vertices
-    copy their value, each midpoint averages its edge endpoints, round
-    by round, as mesh.interpolate does.
-    """
-    p = None
-    for rnd in refine_map.rounds:
-        nc = rnd.n_coarse_vertices
-        k = len(rnd.vertex_parents)
-        rows = np.concatenate([np.arange(nc), np.repeat(nc + np.arange(k), 2)])
-        cols = np.concatenate([np.arange(nc), rnd.vertex_parents.ravel()])
-        vals = np.concatenate([np.ones(nc), np.full(2 * k, 0.5)])
-        step = sp.csr_matrix((vals, (rows, cols)), shape=(nc + k, nc))
-        p = step if p is None else step @ p
-    return p
 
 
 @dataclass(frozen=True)
@@ -93,11 +75,9 @@ class MultilevelPreconditioner:
 
     def extend(self, refine_map, mesh, system):
         """Preconditioner for the refined mesh (with its FemSystem)."""
-        if not refine_map.rounds:          # refine() marked nothing
-            return self
         if system.n_dofs <= COARSE_DOFS:
             return MultilevelPreconditioner(mesh, system)
-        step = prolongation(refine_map)[system.free_dofs][:, self._free]
+        step = refine_map.prolongation[system.free_dofs][:, self._free]
         sizes = [self._coarse_vertices] + [lv.n_vertices
                                            for lv in self._levels]
         levels = list(self._levels)

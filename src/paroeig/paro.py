@@ -62,19 +62,6 @@ class ClusterLayout:
         s = self.starts()
         return [slice(int(s[i]), int(s[i + 1])) for i in range(self.q)]
 
-    def flat_to_pair(self, flat):
-        """Flat index -> (cluster i, within-cluster j), both 0-based."""
-        s = self.starts()
-        if not 0 <= flat < self.n:
-            raise ParoError(f"flat index {flat} out of range")
-        i = int(np.searchsorted(s, flat, side="right") - 1)
-        return i, int(flat - s[i])
-
-    def pair_to_flat(self, i, j):
-        if not (0 <= i < self.q and 0 <= j < self.d[i]):
-            raise ParoError(f"pair ({i}, {j}) out of range")
-        return int(self.starts()[i] + j)
-
 
 @dataclass(frozen=True)
 class OrbitalBlock:
@@ -154,11 +141,6 @@ def cluster_guesses(values, rel_gap=DEFAULT_REL_GAP):
 
 def _mean_shifts(values, layout):
     return np.array([values[s].mean() for s in layout.cluster_slices()])
-
-
-def compute_shifts(block):
-    """One shift per cluster: the arithmetic mean of its Ritz values."""
-    return _mean_shifts(block.ritz_values, block.layout)
 
 
 def _safe_shift(shift, ritz_values):

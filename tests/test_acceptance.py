@@ -232,7 +232,7 @@ def test_bisection_stays_conforming_with_bounded_shape_classes():
             size = max(1, current.n_triangles // 4)
             marked = np.unique(rng.integers(0, current.n_triangles,
                                             size=size))
-            current, _ = mesh.refine(current, marked, 1)
+            current, _ = mesh.refine(current, marked)
             current.assert_conforming()
             assert max(current.similarity_class_counts().values()) <= 4
     seen = []

@@ -37,12 +37,8 @@ class TestAdaptConfig:
             AdaptConfig(theta=0.0)
 
     def test_other_field_validation(self):
-        with pytest.raises(AdaptError, match="ell"):
-            AdaptConfig(ell=0)
         with pytest.raises(AdaptError, match="tol1"):
             AdaptConfig(tol1=0.0)
-        with pytest.raises(AdaptError, match="marking"):
-            AdaptConfig(marking="random")
         with pytest.raises(AdaptError, match="budget_factor"):
             AdaptConfig(budget_factor=-0.1)
         with pytest.raises(AdaptError, match="max_refinements"):
@@ -117,7 +113,7 @@ class TestTransferBlock:
         coarse_sys = assemble(coarse, IDENTITY)
         ref = verify.reference_eig(coarse_sys, 3)
         block = initial_block(coarse_sys, ref.vectors)
-        fine, rmap = mesh.refine(coarse, np.arange(coarse.n_triangles), 1)
+        fine, rmap = mesh.refine(coarse, np.arange(coarse.n_triangles))
         fine_sys = assemble(fine, IDENTITY)
         moved = transfer_block(coarse, coarse_sys, fine, fine_sys, rmap,
                                block)

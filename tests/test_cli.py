@@ -41,7 +41,6 @@ class TestParseConfig:
         assert cfg.tol1 == 0.05
         assert cfg.max_refinements == 6
         assert cfg.seed == 0
-        assert cfg.marking == "dorfler"
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("\n# only a comment\n\nseed=3  # trailing\n")
@@ -50,6 +49,14 @@ class TestParseConfig:
     def test_unknown_key_reports_line(self):
         with pytest.raises(CliError, match="line 3: unknown key 'colour'"):
             parse_config("seed=1\n\ncolour=red\n")
+
+    @pytest.mark.parametrize("line", ["ell=2", "marking=uniform"])
+    def test_removed_keys_are_unknown(self, line):
+        # refinement is one bisection round with Dorfler marking; the
+        # keys that chose otherwise are gone
+        key = line.split("=")[0]
+        with pytest.raises(CliError, match=f"line 2: unknown key '{key}'"):
+            parse_config(f"seed=1\n{line}\n")
 
     def test_missing_equals_reports_line(self):
         with pytest.raises(CliError, match="line 2: expected key=value"):

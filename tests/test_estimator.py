@@ -134,7 +134,8 @@ class TestFluxJump:
         # one sample for both sides, edge by edge
         coarse, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"),
                                         2)
-        m, _ = mesh.refine(coarse, [0, 7, 11], ell=2)
+        mid, rmap = mesh.refine(coarse, [0, 7, 11])
+        m, _ = mesh.refine(mid, rmap.descendants([0, 7, 11]))
         coeffs = variable_coefficients()
         rng = np.random.default_rng(9)
         blk = single_orbital(rng.standard_normal(m.n_vertices), 2.0)
@@ -152,7 +153,8 @@ class TestFluxJump:
     def test_quadrature_points_are_edge_midpoints_bitwise(self):
         coarse, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"),
                                         3)
-        m, _ = mesh.refine(coarse, [1, 4, 20], ell=2)
+        mid, rmap = mesh.refine(coarse, [1, 4, 20])
+        m, _ = mesh.refine(mid, rmap.descendants([1, 4, 20]))
         bary, _ = assembly._QUAD_RULE
         pts = np.einsum("qi,tid->tqd", bary, m.vertices[m.triangles])
         edges = m.tri_edges[:, list(assembly._QUAD_EDGE)]     # (nt, nq)
@@ -459,7 +461,7 @@ def test_one_pass_shares_gradients_and_mass(monkeypatch):
             with pytest.raises(ValueError):
                 arr[0] = 1
     # the refined mesh's data starts without operators
-    fine, rmap = mesh.refine(m, [0, 3], ell=2)
+    fine, rmap = mesh.refine(m, [0, 3])
     assert data.extend(rmap, fine).estimator_ops is None
 
 
@@ -532,8 +534,9 @@ def loop_indicators(m, coeffs, vectors, lam):
        seed=st.integers(0, 2 ** 16))
 def test_estimate_matches_a_per_triangle_loop(case, n, marked, seed):
     coarse, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 1)
-    m, _ = mesh.refine(coarse, np.array(marked) % coarse.n_triangles,
-                       ell=2)
+    marked = np.array(marked) % coarse.n_triangles
+    mid, rmap = mesh.refine(coarse, marked)
+    m, _ = mesh.refine(mid, rmap.descendants(marked))
     rng = np.random.default_rng(seed)
     n0 = mesh.build_initial_mesh("l_shape").n_triangles
     coeffs = {

@@ -60,13 +60,14 @@ class TestSparseSymMatrix:
         with pytest.raises(LinAlgError, match="square"):
             SparseSymMatrix(sp.csr_matrix(np.tril(np.ones((2, 3)))))
 
-    def test_from_triplets_sums_duplicates(self):
-        # 2x2 with entry (1,0) given twice: [[2, .5+.25], [.75, 3]] sym
-        rows = np.array([0, 1, 1, 1])
-        cols = np.array([0, 0, 0, 1])
-        vals = np.array([2.0, 0.5, 0.25, 3.0])
-        s = SparseSymMatrix.from_triplets(2, rows, cols, vals)
+    def test_constructor_sums_duplicates(self):
+        # 2x2 CSR with entry (1,0) stored twice: [[2, .5+.25], [.75, 3]]
+        lower = sp.csr_matrix((np.array([2.0, 0.5, 0.25, 3.0]),
+                               np.array([0, 0, 0, 1]), np.array([0, 1, 4])),
+                              shape=(2, 2))
+        s = SparseSymMatrix(lower)
         assert_allclose(s.to_dense(), [[2.0, 0.75], [0.75, 3.0]])
+        assert sp.tril(s.to_csr()).nnz == 3
 
     def test_shifted_operator(self):
         k = SparseSymMatrix.from_dense(np.diag([2.0, 5.0]))
@@ -102,7 +103,7 @@ class TestFullStorage:
         for s, nnz in ((system.K, nnz_k), (system.M, nnz_m)):
             full = s.to_csr()
             assert (full - full.T).nnz == 0
-            assert s.nnz_lower == nnz == sp.tril(full).nnz
+            assert sp.tril(full).nnz == nnz
 
     @pytest.mark.parametrize("domain,passes", [("unit_square", 6),
                                                ("l_shape", 5)])
@@ -138,7 +139,7 @@ class TestFullStorage:
         dense = lower.toarray()
         dense = dense + np.tril(dense, k=-1).T
         assert_allclose(s.to_dense(), dense, atol=0.0)
-        assert s.nnz_lower == np.count_nonzero(np.tril(dense))
+        assert sp.tril(full).nnz == np.count_nonzero(np.tril(dense))
         n = dense.shape[0]
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
@@ -181,6 +182,42 @@ class TestMinres:
         res = minres_solve(SparseSymMatrix.from_dense(a), b, tol=1e-11)
         assert isinstance(res, MinresResult)
         assert np.all(np.diff(res.residual_history) <= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+           shift=st.floats(0.0, 1.5), jacobi=st.booleans(),
+           tol=st.sampled_from([1e-2, 1e-6, 1e-10, 1e-14]),
+           cap=st.floats(0.05, 2.0))
+    def test_shifted_pencil_history_and_flag(self, n, seed, shift, jacobi,
+                                             tol, cap):
+        # K - sigma*M with sigma anywhere from 0 into the middle of the
+        # spectrum, with and without an SPD preconditioner
+        rng = np.random.default_rng(seed)
+        k = random_spd(n, seed, cond_spread=(1e-3, 10.0))
+        m = random_spd(n, seed + 1)
+        lam = scipy.linalg.eigh(k, m, eigvals_only=True)
+        op = ShiftedOperator(SparseSymMatrix.from_dense(k),
+                             SparseSymMatrix.from_dense(m),
+                             shift * lam[n // 2])
+        b = rng.standard_normal(n)
+        precond = (lambda r: r / k.diagonal()) if jacobi else None
+        max_iter = max(1, int(cap * n))
+        res = minres_solve(op, b, tol=tol, max_iter=max_iter,
+                           precond=precond)
+        hist = res.residual_history
+        beta1 = np.sqrt(b @ (precond(b) if jacobi else b))
+        assert_allclose(hist[0], beta1, rtol=1e-14)
+        assert len(hist) == res.iterations + 1
+        assert np.all(np.diff(hist) <= 0.0)
+        if res.flag == "converged":
+            # the usual exit, or 10x that on an exhausted Krylov space
+            assert hist[-1] <= 10.0 * tol * beta1
+        elif res.flag == "breakdown":
+            assert hist[-1] > 10.0 * tol * beta1
+        else:
+            assert res.flag == "max_iter"
+            assert res.iterations == max_iter
+            assert hist[-1] > tol * beta1
 
     def test_jacobi_preconditioner_agrees(self):
         a = random_spd(50, 7)

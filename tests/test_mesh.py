@@ -70,7 +70,7 @@ def test_longest_edge_tie_break():
 
 def test_refine_single_marked_with_closure():
     m = pm.build_initial_mesh("unit_square")
-    f, _ = pm.refine(m, [0], ell=1)
+    f, _ = pm.refine(m, [0])
     # closure forces the diagonal neighbour to split as well
     assert f.n_triangles == 4
     assert f.n_vertices == 5
@@ -80,24 +80,29 @@ def test_refine_single_marked_with_closure():
 
 def test_refine_reads_an_iterator_once():
     m = pm.build_initial_mesh("unit_square")
-    f, _ = pm.refine(m, (t for t in range(2)), ell=1)
+    f, _ = pm.refine(m, (t for t in range(2)))
     assert f.n_triangles == 4
     f.assert_conforming()
 
 
 def test_refine_empty_marking_identity():
     m = pm.build_initial_mesh("unit_square")
-    f, rmap = pm.refine(m, [], ell=1)
-    assert f is m
-    assert rmap.rounds == ()
+    f, rmap = pm.refine(m, [])
+    assert_array_equal(f.vertices, m.vertices)
+    assert_array_equal(f.triangles, m.triangles)
+    assert_array_equal(f.generation, m.generation)
+    assert rmap.prolongation.shape == (4, 4)
+    assert_array_equal(rmap.descendants(np.arange(2)), [0, 1])
+    u = np.arange(4.0)
+    assert_array_equal(pm.interpolate(m, f, rmap, u), u)
 
 
 def test_refine_double_bisection_trace():
-    # Hand trace of two bisection rounds on the two-triangle square with
-    # both elements marked. Round 1 splits the diagonal at (.5,.5); the
-    # four children have the outer sides as refinement edges, so round 2
-    # splits those at the side midpoints. No closure is triggered, giving
-    # 8 generation-2 triangles on 9 vertices.
+    # Hand trace of two refine() calls on the two-triangle square, the
+    # second marking every child of the first. Call 1 splits the diagonal
+    # at (.5,.5); the four children have the outer sides as refinement
+    # edges, so call 2 splits those at the side midpoints. No closure is
+    # triggered, giving 8 generation-2 triangles on 9 vertices.
     expected = {
         frozenset({(0.0, 0.0), (0.0, 0.5), (0.5, 0.5)}),
         frozenset({(0.0, 0.0), (0.5, 0.0), (0.5, 0.5)}),
@@ -109,29 +114,35 @@ def test_refine_double_bisection_trace():
         frozenset({(0.5, 0.5), (1.0, 0.5), (1.0, 1.0)}),
     }
     m = pm.build_initial_mesh("unit_square")
-    f, rmap = pm.refine(m, [0, 1], ell=2)
+    mid, first = pm.refine(m, [0, 1])
+    f, second = pm.refine(mid, first.descendants([0, 1]))
     assert f.n_triangles == 8
     assert f.n_vertices == 9
     assert_array_equal(f.generation, 2)
     got = {frozenset(map(tuple, f.vertices[t])) for t in f.triangles}
     assert got == expected
     # each original triangle owns exactly 4 descendants
-    assert len(rmap.descendants([0])) == 4
-    assert len(rmap.descendants([1])) == 4
+    assert len(second.descendants(first.descendants([0]))) == 4
+    assert len(second.descendants(first.descendants([1]))) == 4
     f.assert_conforming()
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_marked_generation_increases_by_ell(ell):
+    # ell successive refine() calls, each marking the descendants of the
+    # first call's marked set, bisect every one of them ell times or more
     rng = np.random.default_rng(3)
     m = pm.build_initial_mesh("l_shape")
     for _ in range(3):
         marked = rng.choice(m.n_triangles, size=2, replace=False)
         before = m.generation[marked]
-        f, rmap = pm.refine(m, marked, ell=ell)
-        for t, g0 in zip(marked, before):
-            kids = rmap.descendants([t])
-            assert (f.generation[kids] >= g0 + ell).all()
+        kids = [[t] for t in marked]
+        f = m
+        for _ in range(ell):
+            f, rmap = pm.refine(f, np.concatenate(kids))
+            kids = [rmap.descendants(k) for k in kids]
+        for k, g0 in zip(kids, before):
+            assert (f.generation[k] >= g0 + ell).all()
         m = f
 
 
@@ -141,7 +152,7 @@ def test_conformity_after_random_refinements():
     for _ in range(15):
         marked = rng.choice(m.n_triangles,
                             size=max(1, m.n_triangles // 6), replace=False)
-        m, _ = pm.refine(m, marked, ell=1)
+        m, _ = pm.refine(m, marked)
         m.assert_conforming()
     counts = np.bincount(m.tri_edges.ravel(), minlength=len(m.edges))
     assert set(np.unique(counts)) <= {1, 2}
@@ -150,12 +161,11 @@ def test_conformity_after_random_refinements():
 @settings(max_examples=25, deadline=None)
 @given(domain=st.sampled_from(["unit_square", "l_shape", SCALENE_PAIR]),
        picks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
-                               max_size=6), max_size=4),
-       ell=st.sampled_from([1, 2]))
-def test_edge_table_matches_a_dict_reference(domain, picks, ell):
+                               max_size=6), max_size=8))
+def test_edge_table_matches_a_dict_reference(domain, picks):
     m = pm.build_initial_mesh(domain)
     for pick in picks:
-        m, _ = pm.refine(m, np.array(pick) % m.n_triangles, ell)
+        m, _ = pm.refine(m, np.array(pick) % m.n_triangles)
     incident = {}
     for t, tri in enumerate(m.triangles.tolist()):
         for i in range(3):
@@ -189,7 +199,7 @@ def test_similarity_classes_at_most_four_per_initial_triangle():
     for _ in range(14):
         marked = rng.choice(m.n_triangles,
                             size=max(1, m.n_triangles // 5), replace=False)
-        m, _ = pm.refine(m, marked, ell=1)
+        m, _ = pm.refine(m, marked)
         assert max(m.similarity_class_counts().values()) <= 4
 
 
@@ -203,14 +213,14 @@ def test_shape_regularity_bounded_by_initial_classes():
     for _ in range(12):
         marked = rng.choice(m.n_triangles,
                             size=max(1, m.n_triangles // 4), replace=False)
-        m, _ = pm.refine(m, marked, ell=1)
+        m, _ = pm.refine(m, marked)
         ratio = (m.diameters() / m.inradii()).max()
         assert ratio <= gamma_star * (1.0 + 1e-9)
 
 
 def test_child_areas_sum_to_parent():
     m = pm.build_initial_mesh(SCALENE_PAIR)
-    f, rmap = pm.refine(m, [0], ell=1)
+    f, rmap = pm.refine(m, [0])
     a0 = m.signed_areas()
     af = f.signed_areas()
     for parent in range(m.n_triangles):
@@ -220,7 +230,7 @@ def test_child_areas_sum_to_parent():
 
 def test_interpolate_zero_and_hat():
     m = pm.build_initial_mesh("unit_square")
-    f, rmap = pm.refine(m, [0], ell=1)
+    f, rmap = pm.refine(m, [0])
     z = pm.interpolate(m, f, rmap, np.zeros(4))
     assert_array_equal(z, np.zeros(5))
     # hat at vertex 1 = (1,0): the split diagonal (1,3) is incident, so the
@@ -236,19 +246,38 @@ def test_interpolate_zero_and_hat():
 
 def test_interpolate_dimension_mismatch():
     m = pm.build_initial_mesh("unit_square")
-    f, rmap = pm.refine(m, [0], ell=1)
+    f, rmap = pm.refine(m, [0])
     with pytest.raises(pm.MeshError, match="length"):
         pm.interpolate(m, f, rmap, np.zeros(3))
+    with pytest.raises(pm.MeshError, match="length"):
+        pm.interpolate(m, f, rmap, np.zeros((3, 2)))
+    with pytest.raises(pm.MeshError, match="length"):
+        pm.interpolate(m, f, rmap, np.zeros((4, 2, 1)))
+    with pytest.raises(pm.MeshError, match="does not chain"):
+        pm.interpolate(f, f, rmap, np.zeros(5))
+    with pytest.raises(pm.MeshError, match="fine mesh"):
+        pm.interpolate(m, m, rmap, np.zeros(4))
 
 
 def test_interpolate_composes_over_multiple_rounds():
+    # three refine() calls, each bisecting the previous call's children
     m = pm.build_initial_mesh("unit_square")
-    f, rmap = pm.refine(m, [0, 1], ell=3)
-    # x + 2y is linear: nodal transfer must reproduce it exactly
+    # x + 2y is linear: nodal transfer must reproduce it exactly, for a
+    # vector and for each column of a block
     lin = m.vertices[:, 0] + 2.0 * m.vertices[:, 1]
-    u = pm.interpolate(m, f, rmap, lin)
-    assert_allclose(u, f.vertices[:, 0] + 2.0 * f.vertices[:, 1],
-                    rtol=0, atol=1e-15)
+    u, block = lin, np.column_stack([lin, -lin])
+    marked = np.arange(2)
+    f = m
+    for _ in range(3):
+        coarse = f
+        f, rmap = pm.refine(coarse, marked)
+        u = pm.interpolate(coarse, f, rmap, u)
+        block = pm.interpolate(coarse, f, rmap, block)
+        marked = rmap.descendants(marked)
+    assert_array_equal(f.generation, 3)
+    want = f.vertices[:, 0] + 2.0 * f.vertices[:, 1]
+    assert_allclose(u, want, rtol=0, atol=1e-15)
+    assert_array_equal(block, np.column_stack([u, -u]))
 
 
 def test_dump_roundtrip_and_determinism():

@@ -11,11 +11,7 @@ from paroeig.adapt import dorfler_mark
 from paroeig.assembly import Coefficients, assemble
 from paroeig.estimator import Indicators
 from paroeig.linalg import ShiftedOperator, minres_solve
-from paroeig.multilevel import (
-    COARSE_DOFS,
-    MultilevelPreconditioner,
-    prolongation,
-)
+from paroeig.multilevel import COARSE_DOFS, MultilevelPreconditioner
 
 IDENTITY = Coefficients.identity()
 VARIABLE = Coefficients(lambda x, y: (2.0 + np.sin(3.0 * x)) * np.eye(2),
@@ -82,22 +78,66 @@ def test_small_meshes_restart_the_hierarchy():
 
 
 def test_empty_refinement_keeps_the_preconditioner():
-    mesh, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
-    precond = MultilevelPreconditioner(mesh, assemble(mesh, IDENTITY))
-    same, rmap = pm.refine(mesh, [])
-    assert precond.extend(rmap, same, assemble(same, IDENTITY)) is precond
+    # a restarted hierarchy (small mesh), and one with a level above a
+    # Jacobi coarse solve
+    small, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
+    coarse, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 10)
+    large, rmap = pm.refine(coarse, [0, 1])
+    hierarchies = [
+        (small, MultilevelPreconditioner(small, assemble(small, IDENTITY))),
+        (large, MultilevelPreconditioner(coarse, assemble(coarse, IDENTITY))
+         .extend(rmap, large, assemble(large, IDENTITY)))]
+    assert hierarchies[1][1].n_levels == 2
+    for mesh, precond in hierarchies:
+        same, empty = pm.refine(mesh, [])
+        system = assemble(same, IDENTITY)
+        kept = precond.extend(empty, same, system)
+        assert np.array_equal(dense(kept, system.n_dofs),
+                              dense(precond, system.n_dofs))
 
 
-@pytest.mark.parametrize("ell", [1, 2])
-def test_prolongation_matches_interpolate(ell):
-    rng = np.random.default_rng(ell)
-    coarse, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 3)
-    marked = rng.choice(coarse.n_triangles, 10, replace=False)
-    fine, rmap = pm.refine(coarse, marked, ell=ell)
-    u = rng.standard_normal(coarse.n_vertices)
-    assert_allclose(prolongation(rmap) @ u,
-                    pm.interpolate(coarse, fine, rmap, u), rtol=0,
-                    atol=1e-15)
+@settings(max_examples=10, deadline=None)
+@given(domain=st.sampled_from([("unit_square", 10), ("l_shape", 8)]),
+       picks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                               max_size=60), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_transfers_are_nodal_interpolation(domain, picks, seed):
+    """After any sequence of refine() calls, interpolate reproduces
+    linear functions, and every preconditioner level prolongs free dofs
+    as interpolate does through the refinements merged into it."""
+    rng = np.random.default_rng(seed)
+    mesh, _ = pm.uniform_refine(pm.build_initial_mesh(domain[0]),
+                                domain[1])
+    meshes, systems, maps = [mesh], [assemble(mesh, IDENTITY)], []
+    assert systems[0].n_dofs > COARSE_DOFS       # no restart below
+    precond = MultilevelPreconditioner(mesh, systems[0])
+    for pick in picks:
+        coarse = meshes[-1]
+        fine, rmap = pm.refine(coarse, np.array(pick) % coarse.n_triangles)
+        a, b, c = rng.standard_normal(3)
+
+        def linear(m):
+            return a + b * m.vertices[:, 0] + c * m.vertices[:, 1]
+
+        assert_allclose(pm.interpolate(coarse, fine, rmap, linear(coarse)),
+                        linear(fine), rtol=0,
+                        atol=1e-12 * (abs(a) + abs(b) + abs(c)))
+        systems.append(assemble(fine, IDENTITY))
+        precond = precond.extend(rmap, fine, systems[-1])
+        meshes.append(fine)
+        maps.append(rmap)
+    index = {m.n_vertices: k for k, m in enumerate(meshes)}
+    start = index[precond._coarse_vertices]
+    for level in precond._levels:
+        stop = index[level.n_vertices]
+        u = rng.standard_normal(systems[start].n_dofs)
+        full = systems[start].expand(u)
+        for k in range(start, stop):
+            full = pm.interpolate(meshes[k], meshes[k + 1], maps[k], full)
+        assert_allclose(level.prolong @ u, systems[stop].restrict(full),
+                        rtol=0, atol=1e-14 * np.abs(u).max())
+        start = stop
+    assert start == len(meshes) - 1
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,6 @@ from paroeig.paro import (
     ParoTolerances,
     check_block,
     cluster_guesses,
-    compute_shifts,
     initial_block,
     orbital_update,
     paro_inner_loop,
@@ -71,29 +70,25 @@ def sine_seeds(m, sys, noise, seed):
 
 class TestClusterLayout:
     def test_index_maps_roundtrip(self):
+        # flat index f is member j of cluster i iff f = slices[i].start + j
         lay = ClusterLayout(q=3, d=(1, 2, 1))
         assert lay.n == 4
-        pairs = [lay.flat_to_pair(f) for f in range(4)]
+        pairs = [(i, f - sl.start)
+                 for i, sl in enumerate(lay.cluster_slices())
+                 for f in range(sl.start, sl.stop)]
         assert pairs == [(0, 0), (1, 0), (1, 1), (2, 0)]
-        assert [lay.pair_to_flat(i, j) for i, j in pairs] == [0, 1, 2, 3]
 
     def test_ordering_is_lexicographic(self):
         lay = ClusterLayout(q=2, d=(2, 2))
-        flat = [lay.pair_to_flat(i, j) for i in range(2) for j in range(2)]
-        assert flat == sorted(flat)
+        flat = [f for sl in lay.cluster_slices()
+                for f in range(sl.start, sl.stop)]
+        assert flat == list(range(lay.n))
 
     def test_invalid_multiplicity(self):
         with pytest.raises(ParoError):
             ClusterLayout(q=2, d=(1, 0))
         with pytest.raises(ParoError):
             ClusterLayout(q=1, d=(1, 1))
-
-    def test_out_of_range_indices(self):
-        lay = ClusterLayout(q=1, d=(2,))
-        with pytest.raises(ParoError):
-            lay.flat_to_pair(2)
-        with pytest.raises(ParoError):
-            lay.pair_to_flat(0, 2)
 
 
 class TestClusterGuesses:
@@ -127,31 +122,34 @@ class TestClusterGuesses:
 
 
 class TestComputeShifts:
-    def _block(self, values, d):
+    """The shifts ritz_step derives: one per cluster, the mean of its
+    Ritz values. A diagonal pencil with the unit vectors as half-steps
+    has exactly the diagonal as its Ritz values."""
+
+    @staticmethod
+    def _block(values, rel_gap=0.02):
         values = np.asarray(values, dtype=np.float64)
-        lay = ClusterLayout(q=len(d), d=tuple(d))
-        return OrbitalBlock(layout=lay,
-                            vectors=np.zeros((lay.n, 3)),
-                            ritz_values=values,
-                            shifts=np.zeros(lay.q))
+        return ritz_step(diag_system(values), np.eye(len(values)), None,
+                         rel_gap)
 
     def test_pair_mean(self):
-        blk = self._block([49.3, 49.5], d=(2,))
-        assert_allclose(compute_shifts(blk), [49.4])
+        blk = self._block([49.3, 49.5])
+        assert blk.layout.d == (2,)
+        assert_allclose(blk.shifts, [49.4])
 
     def test_singleton(self):
-        blk = self._block([19.74], d=(1,))
-        assert_allclose(compute_shifts(blk), [19.74])
+        blk = self._block([19.74])
+        assert_allclose(blk.shifts, [19.74])
 
     def test_mean_is_convex_combination(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            d = tuple(rng.integers(1, 4, size=rng.integers(1, 4)))
-            values = np.sort(rng.uniform(1.0, 100.0, sum(d)))
-            blk = self._block(values, d)
-            shifts = compute_shifts(blk)
+            values = np.sort(rng.uniform(1.0, 100.0, rng.integers(1, 10)))
+            blk = self._block(values, rel_gap=rng.uniform(0.001, 0.1))
+            assert np.array_equal(blk.ritz_values, values)
             for i, sl in enumerate(blk.layout.cluster_slices()):
-                assert values[sl].min() <= shifts[i] <= values[sl].max()
+                assert values[sl].min() <= blk.shifts[i] <= values[sl].max()
+                assert blk.shifts[i] == values[sl].mean()
 
 
 class TestOrbitalUpdate:
