@@ -140,6 +140,43 @@ def test_transfers_are_nodal_interpolation(domain, picks, seed):
     assert start == len(meshes) - 1
 
 
+def p1_evaluate(mesh, u, points):
+    """Evaluate the P1 function with vertex values u at each point, in
+    the triangle where the point's smallest barycentric coordinate is
+    largest (a containing one)."""
+    p = mesh.vertices[mesh.triangles]                     # (nt, 3, 2)
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    rel = points[:, None, :] - p[None, :, 0]              # (n, nt, 2)
+    l12 = np.einsum("tij,ntj->nti", np.linalg.inv(jac), rel)
+    lam = np.concatenate([1.0 - l12.sum(axis=2, keepdims=True), l12], 2)
+    best = lam.min(axis=2).argmax(axis=1)
+    rows = np.arange(len(points))
+    assert np.all(lam[rows, best].min(axis=1) > -1e-12)
+    return (lam[rows, best] * u[mesh.triangles[best]]).sum(axis=1)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_prolongation_matches_interpolate(ell):
+    """ell successive refine() calls: the product of the maps'
+    prolongation matrices and the chained interpolate() both evaluate
+    the coarse P1 function at every fine vertex."""
+    rng = np.random.default_rng(ell)
+    coarse, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 3)
+    u = rng.standard_normal(coarse.n_vertices)
+    fine, chained = coarse, u
+    product = np.eye(coarse.n_vertices)
+    for _ in range(ell):
+        marked = rng.choice(fine.n_triangles, 10, replace=False)
+        mesh, rmap = pm.refine(fine, marked)
+        chained = pm.interpolate(fine, mesh, rmap, chained)
+        product = rmap.prolongation @ product
+        fine = mesh
+    assert fine.n_vertices > coarse.n_vertices
+    assert_allclose(product @ u, chained, rtol=0, atol=1e-15)
+    assert_allclose(chained, p1_evaluate(coarse, u, fine.vertices),
+                    rtol=0, atol=1e-13 * np.abs(u).max())
+
+
 @pytest.fixture(scope="module")
 def graded_l_shape():
     """Meshes graded toward the reentrant corner, as an adaptive run
