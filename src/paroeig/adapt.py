@@ -151,7 +151,7 @@ def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4):
     vecs = rng.standard_normal((width, system.n_dofs))
     for _ in range(sweeps):
         vecs = b_orthonormalize(vecs, system.M)
-        rhs = system.M.matmat(vecs.T).T
+        rhs = (system.M @ vecs.T).T
         vecs = np.stack([minres_solve(system.K, r, tol=1e-10).solution
                          for r in rhs])
     vecs = b_orthonormalize(vecs, system.M)

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import SparseSymMatrix
 from .mesh import MeshError
 
 
@@ -429,23 +428,14 @@ def _scatter(mesh, local):
     return sp.tril(full, format="csr")
 
 
-def assemble_full(mesh, coeffs, data=None):
-    """Assemble over ALL vertices, no boundary elimination.
-
-    Returns (K_full, M_full) as SparseSymMatrix. Useful for kernel tests
-    (constants must be in the null space of the pure diffusion part) and
-    for norm computations that involve boundary vertices.
-    """
-    ke, me = element_matrices(mesh, coeffs, data)
-    return tuple(SparseSymMatrix(_scatter(mesh, local))
-                 for local in (ke, me))
-
-
 @dataclass(frozen=True)
 class FemSystem:
-    """Assembled pencil restricted to interior (free) vertices."""
-    K: SparseSymMatrix
-    M: SparseSymMatrix
+    """Assembled pencil restricted to interior (free) vertices.
+
+    K and M are exactly symmetric CSR matrices with sorted indices.
+    """
+    K: sp.csr_matrix
+    M: sp.csr_matrix
     free_dofs: np.ndarray
     n_dofs: int
     n_vertices: int
@@ -479,9 +469,18 @@ def assemble(mesh, coeffs, data=None):
     # free is ascending, so the free block of the lower triangle is the
     # lower triangle of the free block
     free = mesh.interior_vertices()
+    pencil = []
+    for local in (ke, me):
+        lower = _scatter(mesh, local)[free][:, free]
+        lower.sum_duplicates()
+        lower.eliminate_zeros()
+        # mirroring the strict lower triangle makes S == S.T exactly
+        full = (lower + sp.tril(lower, k=-1).T).tocsr()
+        full.sort_indices()
+        pencil.append(full)
     return FemSystem(
-        K=SparseSymMatrix(_scatter(mesh, ke)[free][:, free]),
-        M=SparseSymMatrix(_scatter(mesh, me)[free][:, free]),
+        K=pencil[0],
+        M=pencil[1],
         free_dofs=free,
         n_dofs=len(free),
         n_vertices=mesh.n_vertices,

@@ -1,10 +1,8 @@
-"""Sparse symmetric storage and the solvers behind the orbital iteration.
+"""The solvers behind the orbital iteration.
 
-A SparseSymMatrix is built from its lower triangle and stores the full
-symmetric matrix once, as a single CSR, so every product is one sparse
-matvec. The shifted operator K - sigma*M is assembled into its own CSR
-once per shift for the same reason: it is applied once per MINRES
-iteration, the hot path of the solver.
+Operators are plain scipy.sparse CSR matrices (the assembled K and M,
+and the shifted K - sigma*M built once per cluster) or dense arrays;
+every kernel here applies them with @.
 
 MINRES is implemented directly (Paige-Saunders recurrences) because the
 shifted operator K - sigma*M is indefinite whenever the shift sits inside
@@ -21,99 +19,14 @@ play are tiny (N <= ~50), where Jacobi is robust and accurate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 
 class LinAlgError(RuntimeError):
     """Numerical failure in a linear-algebra kernel."""
-
-
-class SparseSymMatrix:
-    """Symmetric sparse operator stored as one full CSR matrix.
-
-    The constructor takes the lower triangle L and stores
-    L + strict_lower(L).T, so S == S.T holds exactly by construction and
-    matvec/matmat are single sparse products.
-    """
-
-    def __init__(self, lower):
-        lower = sp.csr_matrix(lower)
-        if lower.shape[0] != lower.shape[1]:
-            raise LinAlgError("matrix must be square")
-        if sp.triu(lower, k=1).nnz != 0:
-            raise LinAlgError("input must contain only the lower triangle")
-        lower.sum_duplicates()
-        lower.eliminate_zeros()
-        full = (lower + sp.tril(lower, k=-1).T).tocsr()
-        full.sort_indices()
-        self._full = full
-
-    @classmethod
-    def from_dense(cls, a):
-        a = np.asarray(a, dtype=np.float64)
-        return cls(sp.csr_matrix(np.tril(a)))
-
-    @property
-    def n(self):
-        return self._full.shape[0]
-
-    def matvec(self, x):
-        return self._full @ x
-
-    def matmat(self, x):
-        """Apply to the columns of an (n, k) array."""
-        return self._full @ x
-
-    def quad_form(self, x):
-        return float(x @ self.matvec(x))
-
-    def diagonal(self):
-        return self._full.diagonal()
-
-    def to_csr(self):
-        """A copy of the stored full matrix."""
-        return self._full.copy()
-
-    def to_dense(self):
-        return self._full.toarray()
-
-
-@dataclass(frozen=True)
-class ShiftedOperator:
-    """The pencil operator v -> (K - sigma*M) v.
-
-    K - sigma*M is assembled into one CSR matrix at construction, so each
-    application is a single sparse matvec. Build one operator per shift
-    and share it between the solves that use that shift.
-    """
-    K: SparseSymMatrix
-    M: SparseSymMatrix
-    sigma: float
-    matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           self.K._full - self.sigma * self.M._full)
-
-    def __call__(self, v):
-        return self.matrix @ v
-
-    @property
-    def n(self):
-        return self.K.n
-
-
-def _as_apply(op):
-    if callable(op):
-        return op
-    if isinstance(op, SparseSymMatrix):
-        return op.matvec
-    a = np.asarray(op, dtype=np.float64)
-    return lambda v: a @ v
 
 
 @dataclass
@@ -129,8 +42,8 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
     """Minimum-residual iteration for a symmetric (indefinite) operator.
 
     Args:
-        S: the operator, as a callable v -> S v (e.g. ShiftedOperator) or a
-            SparseSymMatrix / dense array.
+        S: the symmetric operator, anything that applies itself with @
+            (a sparse matrix such as K - sigma*M, or a dense array).
         rhs: right-hand side.
         tol: relative residual target. With a preconditioner B it is
             measured in the B-norm: the iteration stops once
@@ -149,7 +62,6 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
             finite, the residual estimate increases, or the preconditioner
             is not positive definite.
     """
-    apply_s = _as_apply(S)
     b = np.asarray(rhs, dtype=np.float64)
     if not np.isfinite(b).all():
         raise LinAlgError("MINRES right-hand side is not finite")
@@ -183,7 +95,7 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
     while itn < max_iter:
         itn += 1
         v = y / beta
-        y = apply_s(v)
+        y = S @ v
         if itn >= 2:
             y = y - (beta / oldb) * r1
         alfa = float(v @ y)
@@ -230,7 +142,7 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
             flag = "converged" if phibar <= tol * beta1 * 10 else "breakdown"
             break
 
-    achieved = float(np.linalg.norm(b - apply_s(x)) / bnorm)
+    achieved = float(np.linalg.norm(b - S @ x) / bnorm)
     return MinresResult(x, itn, achieved, flag, np.asarray(history))
 
 
@@ -319,21 +231,19 @@ def gram(vectors, S):
     """Gram matrix G[i][j] = v_i . S v_j, symmetrized as (G + G^T) / 2.
 
     vectors: (k, n) array (rows are coefficient vectors) or list of 1-D
-    arrays; S: SparseSymMatrix (or anything with matmat/dense semantics).
+    arrays; S: a sparse matrix or dense array, applied with @.
     """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim == 1:
         v = v[None, :]
-    if isinstance(S, SparseSymMatrix):
-        sv = S.matmat(v.T)
-    else:
-        sv = np.asarray(S) @ v.T
-    g = v @ sv
+    g = v @ (S @ v.T)
     return 0.5 * (g + g.T)
 
 
 def b_orthonormalize(vectors, M):
     """Modified Gram-Schmidt in the M inner product, one extra pass.
+
+    M: a sparse matrix or dense array, applied with @.
 
     Returns a new (k, n) array spanning the same space with V M V^T = I.
     Raises LinAlgError naming the first vector whose pivot falls below
@@ -350,7 +260,7 @@ def b_orthonormalize(vectors, M):
         for _ in range(2):
             for j in range(i):
                 x = x - (mv[j] @ x) * v[j]
-        mx = M.matvec(x)
+        mx = M @ x
         pivot = float(x @ mx)
         pivot = np.sqrt(pivot) if pivot > 0.0 else 0.0
         if lead is None:

@@ -196,13 +196,6 @@ class Mesh:
     def interior_vertices(self):
         return np.nonzero(~self.is_boundary_vertex)[0]
 
-    def interior_edges(self):
-        return np.nonzero(self.edge_tris[:, 1] >= 0)[0]
-
-    def refinement_edge(self, t):
-        """Vertex pair of triangle t's refinement edge (opposite its peak)."""
-        return tuple(int(v) for v in self.triangles[t, 1:])
-
     def assert_conforming(self):
         """Rebuild the edge table and check it agrees with the stored one."""
         twin = Mesh(self.vertices, self.triangles, self.generation,

@@ -68,7 +68,7 @@ class MultilevelPreconditioner:
         self._coarse_vertices = mesh.n_vertices
         if system.n_dofs <= COARSE_DOFS:
             # K = L L^T; store U = L^T, a Fortran-ordered view, for dtrsv
-            self._coarse = np.linalg.cholesky(system.K.to_dense()).T
+            self._coarse = np.linalg.cholesky(system.K.toarray()).T
         else:
             # a large first mesh gets Jacobi, never a dense factor
             self._coarse = 1.0 / system.K.diagonal()

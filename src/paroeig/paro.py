@@ -24,7 +24,6 @@ import numpy as np
 
 from .linalg import (
     LinAlgError,
-    ShiftedOperator,
     b_orthonormalize,
     dense_sym_gen_eig,
     gram,
@@ -164,9 +163,9 @@ def orbital_update(sys, block, tols, precond=None):
     results = []
     for i, sl in enumerate(block.layout.cluster_slices()):
         shift = _safe_shift(float(block.shifts[i]), block.ritz_values)
-        op = ShiftedOperator(sys.K, sys.M, shift)
+        op = sys.K - shift * sys.M
         for flat in range(sl.start, sl.stop):
-            rhs = shift * sys.M.matvec(block.vectors[flat])
+            rhs = shift * (sys.M @ block.vectors[flat])
             if not np.any(rhs):
                 raise ParoError(f"orbital {flat} produced a zero "
                                 f"right-hand side (degenerate orbital)")

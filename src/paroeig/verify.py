@@ -36,10 +36,9 @@ class ReferencePairs:
 
 
 def _inf_norm(s):
-    csr = s.to_csr()
-    if csr.shape[0] == 0:
+    if s.shape[0] == 0:
         return 0.0
-    return float(np.abs(csr).sum(axis=1).max())
+    return float(np.abs(s).sum(axis=1).max())
 
 
 def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
@@ -56,9 +55,9 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
         raise VerifyError(f"requested {n_pairs} pairs but the system has "
                           f"only {sys.n_dofs} dofs")
     guards = min(4, sys.n_dofs - n_pairs)
-    k_csc = sys.K.to_csr().tocsc()
+    k_csc = sys.K.tocsc()
     if not (np.isfinite(k_csc.data).all()
-            and np.isfinite(sys.M.to_csr().data).all()):
+            and np.isfinite(sys.M.data).all()):
         raise VerifyError("K and M must be finite")
     try:
         lu = spla.splu(k_csc)
@@ -70,8 +69,8 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
     values = None
     res = None
     for _ in range(max_iter):
-        z = lu.solve(sys.M.matmat(v.T))               # (n, k)
-        g = z.T @ sys.M.matmat(z)
+        z = lu.solve(sys.M @ v.T)                     # (n, k)
+        g = z.T @ (sys.M @ z)
         try:
             ell = np.linalg.cholesky(0.5 * (g + g.T))
         except np.linalg.LinAlgError as exc:
@@ -82,8 +81,8 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
         m_bar = gram(q, sys.M)
         values, w = scipy.linalg.eigh(a_bar, m_bar)
         v = w.T @ q
-        kv = sys.K.matmat(v.T)
-        mv = sys.M.matmat(v.T)
+        kv = sys.K @ v.T
+        mv = sys.M @ v.T
         res = np.linalg.norm(kv - mv * values[None, :], axis=0)
         scale = tol * k_norm * np.linalg.norm(v, axis=1)
         if np.all(res[:n_pairs] <= scale[:n_pairs]):
@@ -119,7 +118,7 @@ def dist_a(sys, x, y):
     yo = _a_orthonormalize(sys, y)
     if xo.shape[0] > yo.shape[0]:
         return 1.0
-    w = yo @ sys.K.matmat(xo.T)                      # (l, k)
+    w = yo @ (sys.K @ xo.T)                          # (l, k)
     r = xo - w.T @ yo
     val = np.sqrt(max(np.linalg.eigvalsh(gram(r, sys.K)).max(), 0.0))
     return float(min(val, 1.0))
@@ -191,13 +190,13 @@ def quasi_orthogonality_report(sys, block, ref, layout):
                            - block.ritz_values[sl]).max())
         xo = _a_orthonormalize(sys, x)
         yo = _a_orthonormalize(sys, y)
-        w = yo @ sys.K.matmat(xo.T)
+        w = yo @ (sys.K @ xo.T)
         u_svd, _, vt_svd = np.linalg.svd(w)
         rot = (u_svd @ vt_svd).T
         matched = rot @ yo
         diff = xo - matched
         per_vec = np.sqrt(np.maximum(
-            np.einsum("kn,kn->k", diff, sys.K.matmat(diff.T).T), 0.0))
+            np.einsum("kn,kn->k", diff, (sys.K @ diff.T).T), 0.0))
         d_clip = min(d, 1.0)
         # 2 - 2 sqrt(1-d^2) rewritten as 2d^2/(1+sqrt(1-d^2)): the direct
         # form underflows to 0 for d near machine precision
@@ -256,8 +255,7 @@ def galerkin_projection_gap(mesh, sys, modes):
     Laplacian a(u, phi) = lam (u, phi), so the load vector only needs
     the degree-5 mass quadrature.
     """
-    k_csc = sys.K.to_csr().tocsc()
-    lu = spla.splu(k_csc)
+    lu = spla.splu(sys.K.tocsc())
     lam = modes[0][2]
     proj = []
     for m, n, lam_i in modes:

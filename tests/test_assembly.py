@@ -15,7 +15,6 @@ from paroeig.assembly import (
     Coefficients,
     ElementData,
     assemble,
-    assemble_full,
     element_matrices,
     _QUAD_RULE,
     _evaluate,
@@ -23,8 +22,14 @@ from paroeig.assembly import (
     p1_gradients,
 )
 from paroeig.estimator import estimate
-from paroeig.linalg import SparseSymMatrix
 from paroeig.mesh import Mesh, build_initial_mesh, interpolate, refine, uniform_refine
+
+
+def element_quad_form(m, local, u):
+    """u^T A u for the matrix A over all vertices that the element
+    matrices local (nt, 3, 3) sum to."""
+    ut = u[m.triangles]
+    return float(np.einsum("ti,tij,tj->", ut, local, ut))
 
 
 def unit_right_triangle():
@@ -66,24 +71,31 @@ class TestElementMatrices:
 
 class TestGlobalInvariants:
     def test_patch_test_constants_in_kernel(self):
+        # every element row sums to zero, so the stiffness matrix over
+        # all vertices annihilates constants
         m, _ = uniform_refine(build_initial_mesh("l_shape"), 3)
-        k_full, _ = assemble_full(m, Coefficients.identity())
-        ones = np.ones(m.n_vertices)
-        assert np.abs(k_full.matvec(ones)).max() <= 1e-10
+        ke, _ = element_matrices(m, Coefficients.identity())
+        assert np.abs(element_quad_form(m, ke, np.ones(m.n_vertices))) \
+            <= 1e-10
+        assert np.abs(ke.sum(axis=2)).max() <= 1e-10
 
     def test_mass_sum_equals_domain_area(self):
         for domain, area in [("unit_square", 1.0), ("l_shape", 3.0)]:
             m, _ = uniform_refine(build_initial_mesh(domain), 3)
-            _, m_full = assemble_full(m, Coefficients.identity())
-            ones = np.ones(m.n_vertices)
-            total = ones @ m_full.matvec(ones)
+            _, me = element_matrices(m, Coefficients.identity())
+            total = element_quad_form(m, me, np.ones(m.n_vertices))
             assert abs(total - area) <= 1e-12 * area
 
     def test_symmetry_is_structural(self):
-        m, _ = uniform_refine(build_initial_mesh("unit_square"), 2)
-        sys = assemble(m, Coefficients.identity())
-        k = sys.K.to_dense()
-        assert np.abs(k - k.T).max() == 0.0
+        # constant, table and callable coefficients, on meshes whose
+        # element matrices round differently above and below the diagonal
+        for m, coeffs in KERNEL_CASES:
+            sys = assemble(m, coeffs)
+            for s in (sys.K, sys.M):
+                assert isinstance(s, sp.csr_matrix)
+                assert (s != s.T).nnz == 0
+                assert s.has_sorted_indices and s.has_canonical_format
+                assert np.all(s.data != 0.0)
 
     def test_refinement_nestedness_piecewise_constant_data(self):
         m0 = build_initial_mesh("l_shape")
@@ -95,22 +107,21 @@ class TestGlobalInvariants:
         coarse, _ = uniform_refine(m0, 1)
         mid, first = refine(coarse, np.array([0, 3, 5]))
         fine, second = refine(mid, first.descendants([0, 3, 5]))
-        k_c, _ = assemble_full(coarse, co)
-        k_f, _ = assemble_full(fine, co)
         u = rng.standard_normal(coarse.n_vertices)
         u_f = interpolate(mid, fine, second,
                           interpolate(coarse, mid, first, u))
-        qc = k_c.quad_form(u)
-        qf = k_f.quad_form(u_f)
+        qc = element_quad_form(coarse, element_matrices(coarse, co)[0], u)
+        qf = element_quad_form(fine, element_matrices(fine, co)[0], u_f)
         assert abs(qf - qc) <= 1e-10 * qc
 
     def test_eliminated_system_is_spd(self):
         m, _ = uniform_refine(build_initial_mesh("unit_square"), 3)
         sys = assemble(m, Coefficients.identity())
-        wk = np.linalg.eigvalsh(sys.K.to_dense())
-        wm = np.linalg.eigvalsh(sys.M.to_dense())
+        wk = np.linalg.eigvalsh(sys.K.toarray())
+        wm = np.linalg.eigvalsh(sys.M.toarray())
         assert wk.min() > 0.0 and wm.min() > 0.0
-        assert sys.K.n == sys.n_dofs == len(sys.free_dofs)
+        assert sys.K.shape == (sys.n_dofs, sys.n_dofs)
+        assert sys.n_dofs == len(sys.free_dofs)
 
 
 class TestElimination:
@@ -118,7 +129,7 @@ class TestElimination:
         sys = assemble(build_initial_mesh("unit_square"),
                        Coefficients.identity())
         assert sys.n_dofs == 0
-        assert sys.K.n == 0 and sys.M.n == 0
+        assert sys.K.shape == sys.M.shape == (0, 0)
 
     def test_free_dofs_are_interior(self):
         m, _ = uniform_refine(build_initial_mesh("unit_square"), 2)
@@ -145,11 +156,11 @@ class TestElimination:
 class TestCoefficients:
     def test_callable_matches_constant(self):
         m, _ = uniform_refine(build_initial_mesh("l_shape"), 1)
-        k1, m1 = assemble_full(
+        k1, m1 = element_matrices(
             m, Coefficients(lambda x, y: np.eye(2), lambda x, y: 1.0))
-        k2, m2 = assemble_full(m, Coefficients(np.eye(2), 1.0))
-        assert_allclose(k1.to_dense(), k2.to_dense(), atol=1e-13)
-        assert_allclose(m1.to_dense(), m2.to_dense(), atol=1e-15)
+        k2, m2 = element_matrices(m, Coefficients(np.eye(2), 1.0))
+        assert_allclose(k1, k2, atol=1e-13)
+        assert_allclose(m1, m2, atol=1e-15)
 
     def test_table_follows_ancestors_through_refinement(self):
         # per-element stiffness on the fine mesh must scale by the table
@@ -167,7 +178,7 @@ class TestCoefficients:
         skew = Coefficients(lambda x, y: np.array([[1.0, 2.0], [2.0, 1.0]]),
                             0.0)
         with pytest.raises(AssemblyError, match="element 0"):
-            assemble_full(m, skew)
+            assemble(m, skew)
 
     def test_negative_reaction_names_element(self):
         m, _ = uniform_refine(build_initial_mesh("unit_square"), 1)
@@ -175,7 +186,7 @@ class TestCoefficients:
         tab[1] = -0.5
         bad = Coefficients(np.eye(2), np.repeat(tab, 1))
         with pytest.raises(AssemblyError, match="element"):
-            assemble_full(m, bad)
+            assemble(m, bad)
 
     # non-finite data must fail like negative data, not assemble into a
     # pencil with NaN entries; one test per coefficient representation
@@ -224,7 +235,7 @@ class TestCoefficients:
     def test_table_length_mismatch(self):
         m = build_initial_mesh("l_shape")
         with pytest.raises(AssemblyError, match="table"):
-            assemble_full(m, Coefficients(np.stack([np.eye(2)] * 2), 0.0))
+            assemble(m, Coefficients(np.stack([np.eye(2)] * 2), 0.0))
 
     @pytest.mark.parametrize("field, value", [
         ("diffusion", np.ones(2)),
@@ -276,7 +287,7 @@ class TestNorms:
         via_elements = sum(
             full[tri] @ ke[i] @ full[tri]
             for i, tri in enumerate(m.triangles))
-        direct = sys.K.quad_form(u)
+        direct = u @ (sys.K @ u)
         assert abs(via_elements - direct) <= 1e-12 * abs(direct)
 
 
@@ -362,8 +373,7 @@ def stencil_points(m, ids):
     return sum(map(len, stencils))
 
 
-def csr_bytes(matrix):
-    csr = matrix.to_csr()
+def csr_bytes(csr):
     return csr.indptr.tobytes(), csr.indices.tobytes(), csr.data.tobytes()
 
 
@@ -598,8 +608,9 @@ def einsum_gradients(m):
 
 
 def einsum_system(m, data, grads):
-    """(ke, K, M) from einsum element matrices and the free block of
-    the full-vertex SparseSymMatrix, the reference for assemble."""
+    """(ke, K, M) from einsum element matrices, the reference for
+    assemble: the free block of the dense matrix over all vertices whose
+    upper triangle mirrors its lower one."""
     bary, weights = _QUAD_RULE
     a_eff = data.diffusion
     if a_eff.ndim == 4:
@@ -620,11 +631,11 @@ def einsum_system(m, data, grads):
     free = m.interior_vertices()
 
     def free_block(local):
-        full = sp.coo_matrix((local.ravel(), (rows, cols)),
-                             shape=(m.n_vertices, m.n_vertices)).tocsr()
-        full.sum_duplicates()
-        whole = SparseSymMatrix(sp.tril(full, format="csr")).to_csr()
-        return SparseSymMatrix(sp.tril(whole[free][:, free], format="csr"))
+        whole = sp.coo_matrix((local.ravel(), (rows, cols)),
+                              shape=(m.n_vertices, m.n_vertices))
+        whole = whole.tocsr().toarray()
+        whole = np.tril(whole) + np.tril(whole, k=-1).T
+        return sp.csr_matrix(whole[np.ix_(free, free)])
 
     return ke, free_block(ke), free_block(me)
 

@@ -1,4 +1,4 @@
-"""Tests for the sparse-symmetric kernels against dense oracles.
+"""Tests for the linear-algebra kernels against dense oracles.
 
 Oracle routes are deliberately independent of the implementation:
 np.linalg.solve (LU) for linear systems, scipy.linalg.eigh for pencils.
@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from paroeig.assembly import Coefficients, assemble
+from paroeig import paro
+from paroeig.assembly import Coefficients, FemSystem, assemble
 from paroeig.linalg import (
     LinAlgError,
     MinresResult,
-    ShiftedOperator,
-    SparseSymMatrix,
     b_orthonormalize,
     dense_sym_gen_eig,
     gram,
@@ -39,129 +38,80 @@ def random_sym(n, seed):
     return 0.5 * (a + a.T)
 
 
-class TestSparseSymMatrix:
-    def test_roundtrip_matches_dense(self):
-        a = random_sym(12, 3)
-        s = SparseSymMatrix.from_dense(a)
-        assert_allclose(s.to_dense(), a, atol=1e-15)
-        x = np.arange(12, dtype=float)
-        assert_allclose(s.matvec(x), a @ x, atol=1e-12)
-        xs = np.arange(36, dtype=float).reshape(12, 3)
-        assert_allclose(s.matmat(xs), a @ xs, atol=1e-12)
-        assert_allclose(s.diagonal(), a.diagonal())
-        assert_allclose(s.quad_form(x), x @ a @ x, rtol=1e-13)
-
-    def test_rejects_upper_triangle_entries(self):
-        full = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        with pytest.raises(LinAlgError, match="lower triangle"):
-            SparseSymMatrix(full)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(LinAlgError, match="square"):
-            SparseSymMatrix(sp.csr_matrix(np.tril(np.ones((2, 3)))))
-
-    def test_constructor_sums_duplicates(self):
-        # 2x2 CSR with entry (1,0) stored twice: [[2, .5+.25], [.75, 3]]
-        lower = sp.csr_matrix((np.array([2.0, 0.5, 0.25, 3.0]),
-                               np.array([0, 0, 0, 1]), np.array([0, 1, 4])),
-                              shape=(2, 2))
-        s = SparseSymMatrix(lower)
-        assert_allclose(s.to_dense(), [[2.0, 0.75], [0.75, 3.0]])
-        assert sp.tril(s.to_csr()).nnz == 3
-
-    def test_shifted_operator(self):
-        k = SparseSymMatrix.from_dense(np.diag([2.0, 5.0]))
-        m = SparseSymMatrix.from_dense(np.eye(2))
-        op = ShiftedOperator(k, m, 2.1)
-        assert_allclose(op(np.ones(2)), [-0.1, 2.9], atol=1e-15)
-
-
 def assembled(domain, passes):
     m, _ = uniform_refine(build_initial_mesh(domain), passes)
     return assemble(m, Coefficients.identity())
 
 
-@st.composite
-def sparse_lower(draw):
-    """A random sparse lower triangle (diagonal included) as a CSR."""
-    n = draw(st.integers(1, 12))
-    seed = draw(st.integers(0, 2**32 - 1))
-    density = draw(st.floats(0.0, 1.0))
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
-    return sp.csr_matrix(np.tril(a))
+def shifted_operators(system, shifts, monkeypatch):
+    """The operator orbital_update hands to MINRES for each shift, one
+    single-orbital cluster per shift."""
+    ops = []
+    solve = paro.minres_solve
+
+    def recording(op, rhs, **kwargs):
+        ops.append(op)
+        return solve(op, rhs, **kwargs)
+
+    monkeypatch.setattr(paro, "minres_solve", recording)
+    n = len(shifts)
+    vectors = np.random.default_rng(4).standard_normal((n, system.n_dofs))
+    block = paro.OrbitalBlock(
+        layout=paro.ClusterLayout(n, (1,) * n), vectors=vectors,
+        ritz_values=2.0 * np.asarray(shifts), shifts=shifts)
+    paro.orbital_update(system, block,
+                        paro.ParoTolerances(minres_max_iter=1))
+    return ops
 
 
 class TestFullStorage:
-    """The stored full matrix and the assembled shifted operator."""
+    """The assembled full matrices and the shifted operator."""
 
     @pytest.mark.parametrize("domain,passes,nnz_k,nnz_m", [
         ("unit_square", 6, 133, 169), ("l_shape", 5, 213, 265)])
     def test_assembled_storage_symmetric_with_unchanged_nnz_lower(
             self, domain, passes, nnz_k, nnz_m):
         system = assembled(domain, passes)
-        for s, nnz in ((system.K, nnz_k), (system.M, nnz_m)):
-            full = s.to_csr()
+        for full, nnz in ((system.K, nnz_k), (system.M, nnz_m)):
             assert (full - full.T).nnz == 0
             assert sp.tril(full).nnz == nnz
 
     @pytest.mark.parametrize("domain,passes", [("unit_square", 6),
                                                ("l_shape", 5)])
-    def test_shifted_operator_matches_two_products(self, domain, passes):
+    def test_shifted_operator_matches_two_products(self, domain, passes,
+                                                   monkeypatch):
         system = assembled(domain, passes)
         v = np.random.default_rng(3).standard_normal(system.n_dofs)
-        for sigma in (0.0, 19.7, 1.0e3):
-            op = ShiftedOperator(system.K, system.M, sigma)
-            expect = system.K.matvec(v) - sigma * system.M.matvec(v)
-            err = np.linalg.norm(op(v) - expect)
+        sigmas = [1.0e-3, 19.7, 1.0e3]
+        for op, sigma in zip(shifted_operators(system, sigmas, monkeypatch),
+                             sigmas, strict=True):
+            expect = system.K @ v - sigma * (system.M @ v)
+            err = np.linalg.norm(op @ v - expect)
             assert err <= 1e-13 * np.linalg.norm(expect)
 
-    def test_shifted_operator_holds_one_csr(self):
-        k = SparseSymMatrix.from_dense(random_sym(6, 1))
-        m = SparseSymMatrix.from_dense(random_spd(6, 2))
-        op = ShiftedOperator(k, m, 0.3)
-        assert isinstance(op.matrix, sp.csr_matrix)
-        assert_allclose(op.matrix.toarray(),
-                        k.to_dense() - 0.3 * m.to_dense(), atol=1e-15)
-
-    def test_to_csr_is_a_copy(self):
-        s = SparseSymMatrix.from_dense(random_sym(4, 5))
-        before = s.to_dense()
-        s.to_csr().data[:] = 0.0
-        assert_allclose(s.to_dense(), before, atol=0.0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(sparse_lower())
-    def test_random_lower_gives_symmetric_products(self, lower):
-        s = SparseSymMatrix(lower)
-        full = s.to_csr()
-        assert (full - full.T).nnz == 0
-        dense = lower.toarray()
-        dense = dense + np.tril(dense, k=-1).T
-        assert_allclose(s.to_dense(), dense, atol=0.0)
-        assert sp.tril(full).nnz == np.count_nonzero(np.tril(dense))
-        n = dense.shape[0]
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal(n)
-        xs = rng.standard_normal((n, 3))
-        assert_allclose(s.matvec(x), dense @ x, rtol=1e-13, atol=1e-13)
-        assert_allclose(s.matmat(xs), dense @ xs, rtol=1e-13, atol=1e-13)
+    def test_shifted_operator_holds_one_csr(self, monkeypatch):
+        k, m = random_sym(6, 1), random_spd(6, 2)
+        system = FemSystem(K=sp.csr_matrix(k), M=sp.csr_matrix(m),
+                           free_dofs=np.arange(6), n_dofs=6, n_vertices=6)
+        (op,) = shifted_operators(system, [0.3], monkeypatch)
+        assert isinstance(op, sp.csr_matrix)
+        assert_allclose(op.toarray(), k - 0.3 * m, atol=1e-15)
 
 
 class TestMinres:
     def test_diagonal_spd(self):
-        s = SparseSymMatrix.from_dense(np.diag([2.0, 1.0]))
+        s = sp.csr_matrix(np.diag([2.0, 1.0]))
         res = minres_solve(s, np.array([2.0, 1.0]), tol=1e-12)
         assert_allclose(res.solution, [1.0, 1.0], atol=1e-10)
         assert res.flag == "converged"
 
     def test_diagonal_indefinite(self):
-        s = SparseSymMatrix.from_dense(np.diag([-1.0, 3.0]))
+        s = np.diag([-1.0, 3.0])
         res = minres_solve(s, np.array([1.0, 3.0]), tol=1e-12)
         assert_allclose(res.solution, [-1.0, 1.0], atol=1e-10)
 
     def test_zero_rhs_returns_zero(self):
-        s = SparseSymMatrix.from_dense(np.diag([-1.0, 3.0]))
+        s = sp.csr_matrix(np.diag([-1.0, 3.0]))
         res = minres_solve(s, np.zeros(2))
         assert res.iterations == 0
         assert res.achieved_residual == 0.0
@@ -171,7 +121,7 @@ class TestMinres:
         a = random_spd(50, 7)
         b = np.random.default_rng(8).standard_normal(50)
         oracle = np.linalg.solve(a, b)
-        res = minres_solve(SparseSymMatrix.from_dense(a), b, tol=1e-13)
+        res = minres_solve(sp.csr_matrix(a), b, tol=1e-13)
         assert res.flag == "converged"
         assert_allclose(res.solution, oracle, atol=1e-8)
         assert res.achieved_residual <= 1e-12
@@ -179,7 +129,7 @@ class TestMinres:
     def test_residual_history_monotone(self):
         a = random_sym(40, 11) + 0.1 * np.eye(40)   # indefinite
         b = np.random.default_rng(12).standard_normal(40)
-        res = minres_solve(SparseSymMatrix.from_dense(a), b, tol=1e-11)
+        res = minres_solve(sp.csr_matrix(a), b, tol=1e-11)
         assert isinstance(res, MinresResult)
         assert np.all(np.diff(res.residual_history) <= 0.0)
 
@@ -196,9 +146,7 @@ class TestMinres:
         k = random_spd(n, seed, cond_spread=(1e-3, 10.0))
         m = random_spd(n, seed + 1)
         lam = scipy.linalg.eigh(k, m, eigvals_only=True)
-        op = ShiftedOperator(SparseSymMatrix.from_dense(k),
-                             SparseSymMatrix.from_dense(m),
-                             shift * lam[n // 2])
+        op = sp.csr_matrix(k) - shift * lam[n // 2] * sp.csr_matrix(m)
         b = rng.standard_normal(n)
         precond = (lambda r: r / k.diagonal()) if jacobi else None
         max_iter = max(1, int(cap * n))
@@ -224,34 +172,33 @@ class TestMinres:
         a[np.diag_indices(50)] += np.linspace(0.0, 50.0, 50)  # skew scaling
         b = np.random.default_rng(9).standard_normal(50)
         oracle = np.linalg.solve(a, b)
-        s = SparseSymMatrix.from_dense(a)
+        s = sp.csr_matrix(a)
         d = a.diagonal()
         res = minres_solve(s, b, tol=1e-13, precond=lambda r: r / d)
         assert_allclose(res.solution, oracle, atol=1e-8)
 
     def test_precond_must_be_positive(self):
-        s = SparseSymMatrix.from_dense(np.diag([1.0, 2.0]))
+        s = sp.csr_matrix(np.diag([1.0, 2.0]))
         d = np.array([1.0, -1.0])
         with pytest.raises(LinAlgError, match="positive"):
             minres_solve(s, np.ones(2), precond=lambda r: r / d)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rhs_raises(self, bad):
-        s = SparseSymMatrix.from_dense(np.diag([2.0, 1.0, 3.0]))
+        s = sp.csr_matrix(np.diag([2.0, 1.0, 3.0]))
         rhs = np.array([1.0, bad, 1.0])
         with pytest.raises(LinAlgError, match="right-hand side"):
             minres_solve(s, rhs)
 
     def test_non_finite_operator_raises(self):
-        s = SparseSymMatrix.from_dense(np.diag([2.0, np.nan, 3.0]))
+        s = sp.csr_matrix(np.diag([2.0, np.nan, 3.0]))
         with pytest.raises(LinAlgError, match="not finite"):
             minres_solve(s, np.ones(3))
 
     def test_max_iter_is_reported_not_raised(self):
         a = random_spd(60, 21, cond_spread=(1e-6, 1.0))
         b = np.random.default_rng(22).standard_normal(60)
-        res = minres_solve(SparseSymMatrix.from_dense(a), b,
-                           tol=1e-16, max_iter=3)
+        res = minres_solve(sp.csr_matrix(a), b, tol=1e-16, max_iter=3)
         assert res.flag == "max_iter"
         assert res.iterations == 3
 
@@ -259,11 +206,10 @@ class TestMinres:
         # (K - shift*M) x = shift * M u with K=diag(2,5), M=I, shift=2.1:
         # x = 2.1 * [1/(2-2.1), 1/(5-2.1)] / sqrt(2), dominated by the
         # component whose eigenvalue is closest to the shift.
-        k = SparseSymMatrix.from_dense(np.diag([2.0, 5.0]))
-        m = SparseSymMatrix.from_dense(np.eye(2))
+        k = sp.csr_matrix(np.diag([2.0, 5.0]))
+        m = sp.identity(2, format="csr")
         u = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        res = minres_solve(ShiftedOperator(k, m, 2.1), 2.1 * m.matvec(u),
-                           tol=1e-12)
+        res = minres_solve(k - 2.1 * m, 2.1 * (m @ u), tol=1e-12)
         expect = 2.1 * np.array([1.0 / -0.1, 1.0 / 2.9]) / np.sqrt(2.0)
         assert_allclose(res.solution, expect, rtol=1e-9)
 
@@ -320,35 +266,34 @@ class TestDensePencil:
 class TestBlockUtilities:
     def test_gram_is_symmetric_and_exact(self):
         a = random_spd(10, 31)
-        s = SparseSymMatrix.from_dense(a)
         v = np.random.default_rng(32).standard_normal((3, 10))
-        g = gram(v, s)
-        assert_allclose(g, g.T, atol=0.0)      # symmetrized exactly
-        assert_allclose(g, v @ a @ v.T, atol=1e-12)
+        for s in (sp.csr_matrix(a), a):
+            g = gram(v, s)
+            assert_allclose(g, g.T, atol=0.0)      # symmetrized exactly
+            assert_allclose(g, v @ a @ v.T, atol=1e-12)
 
     def test_b_orthonormalize_gram_identity(self):
         a = random_spd(30, 41)
-        s = SparseSymMatrix.from_dense(a)
+        s = sp.csr_matrix(a)
         v = np.random.default_rng(42).standard_normal((5, 30))
         vo = b_orthonormalize(v, s)
         assert_allclose(gram(vo, s), np.eye(5), atol=1e-12)
 
     def test_b_orthonormalize_preserves_span(self):
         a = random_spd(20, 43)
-        s = SparseSymMatrix.from_dense(a)
         v = np.random.default_rng(44).standard_normal((4, 20))
-        vo = b_orthonormalize(v, s)
+        vo = b_orthonormalize(v, a)
         # rows of v must be reproduced by their projection onto span(vo)
-        proj = vo.T @ (vo @ s.matmat(v.T))
+        proj = vo.T @ (vo @ (a @ v.T))
         assert_allclose(proj, v.T, atol=1e-10)
 
     def test_duplicate_vector_raises_with_index(self):
-        s = SparseSymMatrix.from_dense(np.eye(6))
+        s = sp.identity(6, format="csr")
         v = np.random.default_rng(45).standard_normal(6)
         with pytest.raises(LinAlgError, match="vector 1"):
             b_orthonormalize(np.vstack([v, v]), s)
 
     def test_already_orthonormal_unchanged(self):
-        s = SparseSymMatrix.from_dense(np.eye(4))
+        s = sp.identity(4, format="csr")
         v = np.eye(4)[:2]
         assert_allclose(b_orthonormalize(v, s), v, atol=1e-14)
