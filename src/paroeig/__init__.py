@@ -3,7 +3,7 @@
 Subpackage map:
     mesh       conforming triangulations, newest-vertex bisection, transfer
     assembly   P1 stiffness/mass assembly with Dirichlet elimination
-    linalg     sparse symmetric storage, MINRES, dense generalized eigensolver
+    linalg     MINRES on CSR operators, Gram matrices, LAPACK Ritz pencil
     multilevel additive multilevel preconditioner on the refinement hierarchy
     paro       clustering, shifted orbital updates, Rayleigh-Ritz inner loop
     estimator  residual a posteriori indicators for an orbital block

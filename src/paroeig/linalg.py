@@ -11,9 +11,9 @@ regime here: the solver caps iterations, keeps the monotone residual
 estimate as an internal invariant, and hands possibly huge iterates back
 to the caller, whose Rayleigh-Ritz step absorbs the amplification.
 
-The dense generalized eigensolver reduces the pencil by Cholesky and
-diagonalizes with cyclic Jacobi rotations; the subspace dimensions in
-play are tiny (N <= ~50), where Jacobi is robust and accurate.
+The N x N Rayleigh-Ritz pencil goes to LAPACK (scipy.linalg.eigh); this
+module adds the input checks, the package's error type and a sign rule
+that makes its eigenvectors reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+import scipy.linalg
 
 
 class LinAlgError(RuntimeError):
@@ -149,49 +149,10 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
 # -- dense generalized eigensolver ----------------------------------------
 
 
-def _cyclic_jacobi(c, tol=1e-14, max_sweeps=60):
-    """Diagonalize a dense symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(c, dtype=np.float64)
-    n = a.shape[0]
-    q = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), q
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), q
-    skip = tol * scale / (4.0 * n)
-    for _ in range(max_sweeps):
-        strict = a.copy()
-        np.fill_diagonal(strict, 0.0)
-        if np.linalg.norm(strict) <= tol * scale:
-            return a.diagonal().copy(), q
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= skip:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta)) \
-                    if theta != 0.0 else 1.0
-                cth = 1.0 / np.hypot(1.0, t)
-                sth = t * cth
-                ap = cth * a[:, p] - sth * a[:, r]
-                ar = sth * a[:, p] + cth * a[:, r]
-                a[:, p], a[:, r] = ap, ar
-                ap = cth * a[p, :] - sth * a[r, :]
-                ar = sth * a[p, :] + cth * a[r, :]
-                a[p, :], a[r, :] = ap, ar
-                a[p, r] = a[r, p] = 0.0
-                qp = cth * q[:, p] - sth * q[:, r]
-                qr = sth * q[:, p] + cth * q[:, r]
-                q[:, p], q[:, r] = qp, qr
-    raise LinAlgError("Jacobi iteration did not reach tolerance")
-
-
 def dense_sym_gen_eig(a_bar, m_bar):
     """Solve the small dense pencil A V = M V diag(w), w ascending.
 
-    Reduction: Cholesky M = L L^T, then cyclic Jacobi on L^-1 A L^-T.
+    LAPACK's symmetric-definite solver (scipy.linalg.eigh) does the work.
     Returned eigenvector columns are M-orthonormal; each column's sign is
     fixed so its largest-magnitude entry is positive (reproducibility).
     """
@@ -199,6 +160,8 @@ def dense_sym_gen_eig(a_bar, m_bar):
     m = np.asarray(m_bar, dtype=np.float64)
     if a.shape != m.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinAlgError("pencil matrices must be square and congruent")
+    if not (np.isfinite(a).all() and np.isfinite(m).all()):
+        raise LinAlgError("pencil matrices must be finite")
     scale = max(np.abs(a).max(initial=0.0), np.abs(m).max(initial=0.0), 1.0)
     if (np.abs(a - a.T).max(initial=0.0) > 1e-8 * scale
             or np.abs(m - m.T).max(initial=0.0) > 1e-8 * scale):
@@ -206,19 +169,10 @@ def dense_sym_gen_eig(a_bar, m_bar):
     a = 0.5 * (a + a.T)
     m = 0.5 * (m + m.T)
     try:
-        ell = np.linalg.cholesky(m)
+        w, vecs = scipy.linalg.eigh(a, m)
     except np.linalg.LinAlgError as exc:
         raise LinAlgError("projected mass matrix is not positive definite "
                           "(degenerate subspace)") from exc
-    # C = L^-1 A L^-T
-    tmp = solve_triangular(ell, a, lower=True)
-    c = solve_triangular(ell, tmp.T, lower=True).T
-    c = 0.5 * (c + c.T)
-    w, q = _cyclic_jacobi(c)
-    vecs = solve_triangular(ell, q, lower=True, trans="T")
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    vecs = vecs[:, order]
     flips = vecs[np.abs(vecs).argmax(axis=0), np.arange(len(w))] < 0.0
     vecs[:, flips] *= -1.0
     return w, vecs

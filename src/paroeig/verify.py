@@ -1,10 +1,12 @@
 """Oracles and diagnostics kept independent of the solver under test.
 
-Everything here that solves a linear system or a dense eigenproblem goes
-through scipy routines (sparse LU, LAPACK eigh), deliberately sharing no
-code with the MINRES/Jacobi path used by the iteration itself. Tests that
-compare the two routes therefore compare genuinely independent
-computations.
+The independence is about the sparse pencil: reference_eig and the
+Galerkin projection solve with K through a sparse LU factorization,
+never through the iteration's own shifted MINRES solves or its
+multilevel preconditioner. Tests that compare the two routes therefore
+compare independent computations on the same K and M. The small dense
+steps on both routes (Gram matrices, the N x N Rayleigh-Ritz pencil)
+go through LAPACK; they are not where the routes differ.
 """
 
 from __future__ import annotations

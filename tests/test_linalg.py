@@ -252,6 +252,14 @@ class TestDensePencil:
         with pytest.raises(LinAlgError, match="positive definite"):
             dense_sym_gen_eig(np.eye(2), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        a = np.array([[1.0, 0.5], [0.5, bad]])
+        with pytest.raises(LinAlgError, match="finite"):
+            dense_sym_gen_eig(a, np.eye(2))
+        with pytest.raises(LinAlgError, match="finite"):
+            dense_sym_gen_eig(np.eye(2), a)
+
     def test_asymmetric_input_raises(self):
         bad = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(LinAlgError, match="symmetric"):
