@@ -213,44 +213,40 @@ _ETA_RATIO_TOL = 1e-4
 def cmd_verify(config_path, out_dir=None):
     """Adaptive solve with a per-level reference eigensolver check.
 
-    Emits verify.csv (per level: cluster distances, per-pair value gaps,
-    estimator ratio) and prints one PASS/FAIL line per final-level
-    check; exit 0 only if every check passes.
+    Emits verify.csv (per level: cluster count q, cluster distances,
+    per-pair value gaps, estimator ratio) and prints one PASS/FAIL line
+    per final-level check; exit 0 only if every check passes. The
+    cluster layout may change between levels, so the N dist_a columns
+    of a level with q < N clusters end in N - q empty cells.
     """
     config = _apply_overrides(load_config(config_path), out_dir)
     coeffs = build_coefficients(config)
-    rows = []
+    n = config.n_orbitals
+    lines = [",".join(["n", "n_dofs", "q"]
+                      + [f"dist_a_{i}" for i in range(n)]
+                      + [f"gap_{j}" for j in range(n)] + ["eta_ratio"])]
     last = {}
 
     def observer(level, current, system, block, indicators, data):
-        ref = reference_eig(system, config.n_orbitals)
-        slices = block.layout.cluster_slices()
-        if rows and len(slices) != len(rows[0]) - 3 - config.n_orbitals:
-            raise CliError("cluster count changed between levels; lower "
-                           "rel_gap or refine the initial mesh")
+        ref = reference_eig(system, n)
         dists = [dist_a(system, block.vectors[s], ref.vectors[s])
-                 for s in slices]
+                 for s in block.layout.cluster_slices()]
         gaps = list(block.ritz_values - ref.eigenvalues)
         ref_block = initial_block(system, ref.vectors, config.rel_gap)
         eta_ref_sq = estimate(current, coeffs, ref_block,
                               data=data).global_sq
         ratio = float(np.sqrt(indicators.global_sq / eta_ref_sq))
-        rows.append([level, system.n_dofs, *dists, *gaps, ratio])
+        lines.append(",".join(
+            [str(level), str(system.n_dofs), str(len(dists))]
+            + [repr(float(v)) for v in dists] + [""] * (n - len(dists))
+            + [repr(float(v)) for v in gaps + [ratio]]))
         last.update(system=system, block=block, ref=ref, dists=dists,
                     ratio=ratio)
 
     records, block, _ = adaptive_solve(
-        config.domain, coeffs, config.n_orbitals,
-        build_adapt_config(config), seed=config.seed, observer=observer)
+        config.domain, coeffs, n, build_adapt_config(config),
+        seed=config.seed, observer=observer)
 
-    q = len(last["dists"])
-    header = (["n", "n_dofs"] + [f"dist_a_{i}" for i in range(q)]
-              + [f"gap_{j}" for j in range(config.n_orbitals)]
-              + ["eta_ratio"])
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([str(row[0]), str(row[1])]
-                              + [repr(float(v)) for v in row[2:]]))
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, "verify.csv"), "w",
               encoding="ascii") as fh:

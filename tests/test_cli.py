@@ -163,7 +163,8 @@ class TestCmdVerify:
                      "quasi_orthogonality", "estimator_ratio"):
             assert f"{name} PASS" in out
         rows = (tmp_path / "verify.csv").read_text().splitlines()
-        assert rows[0] == ("n,n_dofs,dist_a_0,dist_a_1,dist_a_2,dist_a_3,"
+        assert rows[0] == ("n,n_dofs,q,dist_a_0,dist_a_1,dist_a_2,dist_a_3,"
+                           "dist_a_4,dist_a_5,"
                            "gap_0,gap_1,gap_2,gap_3,gap_4,gap_5,"
                            "eta_ratio")
         assert len(rows) == 4
@@ -186,8 +187,35 @@ class TestCmdVerify:
         code = main(["verify", "--config", path, "--out", str(tmp_path)])
         assert code == 0
         rows = (tmp_path / "verify.csv").read_text().splitlines()
-        assert rows[0] == "n,n_dofs,dist_a_0,gap_0,eta_ratio"
+        assert rows[0] == "n,n_dofs,q,dist_a_0,gap_0,eta_ratio"
         assert len(rows) == 6
+
+    def test_cluster_count_may_change_between_levels(self, tmp_path,
+                                                     capsys):
+        # four orbitals on the unit square cluster as (1, 3) on the
+        # 5-dof first mesh and as (1, 2, 1) from the next level on
+        text = ("domain=unit_square\nn_orbitals=4\ninitial_passes=3\n"
+                "max_refinements=3\n")
+        path = write_config(tmp_path, text)
+        code = main(["verify", "--config", path, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "verify.csv").read_text().splitlines()]
+        assert rows[0][:7] == ["n", "n_dofs", "q", "dist_a_0", "dist_a_1",
+                               "dist_a_2", "dist_a_3"]
+        assert [r[2] for r in rows[1:]] == ["2", "3", "3"]
+        assert all(len(r) == len(rows[0]) for r in rows)
+        for r in rows[1:]:
+            q = int(r[2])
+            assert all(v != "" for v in r[3:3 + q])
+            assert all(v == "" for v in r[3 + q:7])
+        # the PASS/FAIL lines judge the last level, with its three
+        # clusters
+        last = rows[-1]
+        dist = max(float(v) for v in last[3:6])
+        assert f"cluster_distance PASS {dist!r}" in captured.out
 
 
     def test_reference_estimate_samples_nothing_again(self, tmp_path,
