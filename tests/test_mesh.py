@@ -202,6 +202,22 @@ def test_similarity_classes_at_most_four_per_initial_triangle():
         assert max(m.similarity_class_counts().values()) <= 4
 
 
+@settings(max_examples=30, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", SCALENE_PAIR]),
+       rounds=st.lists(st.tuples(st.integers(0, 2 ** 32 - 1),
+                                 st.floats(0.0, 0.6)),
+                       min_size=1, max_size=8))
+def test_random_markings_keep_conformity_and_shape_classes(domain, rounds):
+    # each round marks a random share of the current triangles; the
+    # scalene pair is the start whose descendants take all four shapes
+    m = pm.build_initial_mesh(domain)
+    for seed, share in rounds:
+        rng = np.random.default_rng(seed)
+        m, _ = pm.refine(m, np.nonzero(rng.random(m.n_triangles) < share)[0])
+        m.assert_conforming()
+        assert max(m.similarity_class_counts().values()) <= 4
+
+
 def test_shape_regularity_bounded_by_initial_classes():
     # gamma* is determined by the (at most 4 per initial triangle) shape
     # classes; deep uniform refinement visits them all

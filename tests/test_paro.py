@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from paroeig.assembly import Coefficients, FemSystem, assemble
@@ -226,6 +228,48 @@ class TestOrbitalUpdate:
 
 
 class TestRitzStep:
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+               lambda d: max(d) >= 2),
+           seed=st.integers(0, 2 ** 32 - 1),
+           minres_max_iter=st.integers(1, 30), data=st.data())
+    def test_ritz_values_ignore_row_order_sign_and_cluster_rotation(
+            self, square16, d, seed, minres_max_iter, data):
+        # half-steps of random orbitals after a few MINRES iterations,
+        # far from eigenvectors, so the Ritz step has real work to do;
+        # the orbitals of a cluster share a shift near an eigenvalue
+        _, sys, w_ref, _ = square16
+        rng = np.random.default_rng(seed)
+        layout = ClusterLayout(len(d), d)
+        shifts = np.sort(w_ref[rng.choice(8, len(d), replace=False)]
+                         * rng.uniform(0.9, 1.1, len(d)))
+        block = OrbitalBlock(
+            layout=layout,
+            vectors=rng.standard_normal((layout.n, sys.n_dofs)),
+            ritz_values=np.repeat(shifts, d), shifts=shifts)
+        half = orbital_update(sys, block, ParoTolerances(
+            minres_max_iter=minres_max_iter))
+        base = ritz_step(sys, half, layout)
+        check_block(sys, base)
+
+        perm = data.draw(st.permutations(range(layout.n)))
+        flips = data.draw(st.lists(st.booleans(), min_size=layout.n,
+                                   max_size=layout.n))
+        sl = data.draw(st.sampled_from(
+            [sl for sl in layout.cluster_slices() if sl.stop - sl.start > 1]))
+        i, j = data.draw(st.lists(st.integers(sl.start, sl.stop - 1),
+                                  min_size=2, max_size=2, unique=True))
+        theta = data.draw(st.floats(0.0, 2.0 * np.pi))
+        rotated = half.copy()
+        rotated[i] = np.cos(theta) * half[i] - np.sin(theta) * half[j]
+        rotated[j] = np.sin(theta) * half[i] + np.cos(theta) * half[j]
+        for changed in (half[perm], np.where(flips, -1.0, 1.0)[:, None]
+                        * half, rotated):
+            out = ritz_step(sys, changed, layout)
+            assert_allclose(out.ritz_values, base.ritz_values, rtol=1e-10,
+                            atol=0.0)
+            check_block(sys, out)
+
     def test_exact_eigenvectors_reproduce_spectrum(self, square16):
         _, sys, w_ref, v_ref = square16
         n = 5
