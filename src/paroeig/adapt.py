@@ -2,9 +2,10 @@
 
 One refinement level runs the orbital inner iteration on the current
 mesh, evaluates the residual indicators, marks a minimal bulk of
-elements, bisects them, and carries the orbitals to the finer mesh by
-nodal interpolation. Per-triangle data (assembly.ElementData) is built on
-the first mesh and extended after every refinement, so each triangle's
+elements, bisects them, and carries the orbitals (free-dof vectors) to
+the finer mesh with the refinement's nodal prolongation restricted to
+the free dofs, which the preconditioner reads too. Per-triangle data
+(assembly.ElementData) is built on the first mesh and extended after every refinement, so each triangle's
 coefficients are sampled once in the run; the level's assembly and both
 of its estimates read it. The loop stops when the relative eigenvalue
 movement between consecutive meshes (delta1) falls under tol1 or the
@@ -159,14 +160,12 @@ def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4):
     return combo.T[:n_orbitals] @ vecs
 
 
-def transfer_block(coarse_mesh, coarse_sys, fine_mesh, fine_sys,
-                   refine_map, block):
-    """Carry orbitals to a refined mesh: interpolate nodally, restore
+def transfer_block(fine_sys, prolong, block):
+    """Carry orbitals to a refined mesh: interpolate nodally with prolong,
+    the (fine free dofs x coarse free dofs) nodal prolongation, restore
     b-orthonormality, keep the Ritz values, layout and shifts as the
     next initial data."""
-    fine_full = mesh_mod.interpolate(coarse_mesh, fine_mesh, refine_map,
-                                     coarse_sys.expand(block.vectors).T)
-    vecs = b_orthonormalize(fine_sys.restrict(fine_full.T), fine_sys.M)
+    vecs = b_orthonormalize((prolong @ block.vectors.T).T, fine_sys.M)
     return replace(block, vectors=vecs)
 
 
@@ -183,8 +182,8 @@ def _effective_tols(config, mesh, coeffs, block, data):
     return replace(tols, tol2=max(tols.tol2, floor))
 
 
-def adaptive_solve(domain, coeffs, n_orbitals, config,
-                   seed_vectors=None, seed=0, threads=None, observer=None):
+def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
+                   threads=None, observer=None):
     """Run the adaptive eigensolver.
 
     Args:
@@ -193,10 +192,8 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
         coeffs: Coefficients for the operator pencil.
         n_orbitals: number of wanted eigenpairs N.
         config: AdaptConfig.
-        seed_vectors: optional callable (mesh, system) -> (N, n_free)
-            starting guesses on the initial mesh; defaults to a few
-            inverse-iteration sweeps from an rng(seed) start.
-        seed: rng seed for the default start.
+        seed: rng seed of the start: a few inverse-iteration sweeps
+            from random vectors on the initial mesh.
         threads: accepted and ignored; the orbital solves run one
             after another. Kept only because the benchmark passes it.
         observer: optional callable (level, mesh, system, block,
@@ -231,11 +228,10 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
                     f"{n_orbitals} orbitals; refine the initial mesh",
                     records=records)
             if block is None:
-                starts = (seed_vectors(current, system) if seed_vectors
-                          else default_seed_vectors(system, n_orbitals,
-                                                    seed=seed))
-                block = initial_block(system, starts,
-                                      config.paro_tols.rel_gap)
+                block = initial_block(
+                    system,
+                    default_seed_vectors(system, n_orbitals, seed=seed),
+                    config.paro_tols.rel_gap)
             tols = _effective_tols(config, current, coeffs, block, data)
             block, m_used, _ = paro_inner_loop(system, block, tols,
                                                precond)
@@ -264,9 +260,10 @@ def adaptive_solve(domain, coeffs, n_orbitals, config,
             fine, rmap = mesh_mod.refine(current, marked)
             data = data.extend(rmap, fine)
             fine_sys = assemble(fine, coeffs, data=data)
-            block = transfer_block(current, system, fine, fine_sys, rmap,
-                                   block)
-            precond = precond.extend(rmap, fine, fine_sys)
+            prolong = rmap.prolongation[fine_sys.free_dofs][
+                :, system.free_dofs]
+            block = transfer_block(fine_sys, prolong, block)
+            precond = precond.extend(prolong, fine, fine_sys)
             current, system = fine, fine_sys
         except AdaptError:
             raise

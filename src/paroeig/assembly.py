@@ -432,31 +432,16 @@ def _scatter(mesh, local):
 class FemSystem:
     """Assembled pencil restricted to interior (free) vertices.
 
-    K and M are exactly symmetric CSR matrices with sorted indices.
+    K and M are exactly symmetric CSR matrices with sorted indices; row
+    and column i belong to mesh vertex free_dofs[i] (ascending).
     """
     K: sp.csr_matrix
     M: sp.csr_matrix
     free_dofs: np.ndarray
-    n_dofs: int
-    n_vertices: int
 
-    def expand(self, u):
-        """Pad a free-dof vector with zeros on Dirichlet vertices."""
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape[-1] != self.n_dofs:
-            raise AssemblyError(f"coefficient vector has length "
-                                f"{u.shape[-1]}, expected {self.n_dofs}")
-        full = np.zeros(u.shape[:-1] + (self.n_vertices,))
-        full[..., self.free_dofs] = u
-        return full
-
-    def restrict(self, full):
-        full = np.asarray(full, dtype=np.float64)
-        if full.shape[-1] != self.n_vertices:
-            raise AssemblyError(f"vertex vector has length "
-                                f"{full.shape[-1]}, expected "
-                                f"{self.n_vertices}")
-        return full[..., self.free_dofs]
+    @property
+    def n_dofs(self):
+        return len(self.free_dofs)
 
 
 def assemble(mesh, coeffs, data=None):
@@ -478,10 +463,4 @@ def assemble(mesh, coeffs, data=None):
         full = (lower + sp.tril(lower, k=-1).T).tocsr()
         full.sort_indices()
         pencil.append(full)
-    return FemSystem(
-        K=pencil[0],
-        M=pencil[1],
-        free_dofs=free,
-        n_dofs=len(free),
-        n_vertices=mesh.n_vertices,
-    )
+    return FemSystem(K=pencil[0], M=pencil[1], free_dofs=free)

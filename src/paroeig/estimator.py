@@ -14,7 +14,8 @@ indicator squares and scales:
     eta2(w, T) = h_T^2 ||R_T(w)||_{0,T}^2 + sum_{e in dT} h_e ||J_e(w)||_{0,e}^2,
 
 boundary edges contributing nothing, and the block indicator on T sums
-eta2 over the orbitals. `estimate` is the only entry point.
+eta2 over the orbitals. `estimate`, the only entry point, takes the
+orbitals as free-dof rows and pads them with boundary zeros once.
 
 Both terms are linear in the vertex values through maps fixed by the
 mesh and its assembly.ElementData, built on the first estimate that
@@ -62,18 +63,15 @@ class Indicators:
 
 
 def _to_vertex_values(mesh, w):
-    """Accept free-dof or full vertex coefficient vectors (rows)."""
-    w = np.asarray(w, dtype=np.float64)
-    nv = mesh.n_vertices
-    n_free = int((~mesh.is_boundary_vertex).sum())
-    if w.shape[-1] == nv:
-        return w if w.ndim == 2 else w[None, :]
-    if w.shape[-1] == n_free:
-        full = np.zeros(w.shape[:-1] + (nv,))
-        full[..., ~mesh.is_boundary_vertex] = w
-        return full if full.ndim == 2 else full[None, :]
-    raise EstimatorError(f"coefficient vector has length {w.shape[-1]}, "
-                         f"expected {n_free} (free) or {nv} (vertex)")
+    """Free-dof rows (N, n_free) as vertex values, one column per row
+    (nv, N), zero on the boundary."""
+    free = ~mesh.is_boundary_vertex
+    if w.shape[1] != free.sum():
+        raise EstimatorError(f"coefficient vector has length {w.shape[1]}, "
+                             f"expected {free.sum()} free dofs")
+    values = np.zeros((mesh.n_vertices, len(w)))
+    values[free] = w.T
+    return values
 
 
 def _fixed_rows(coef, cols, n_cols):
@@ -123,12 +121,12 @@ def _operators(data):
     return data.estimator_ops
 
 
-def _residuals(data, block):
-    """The arrays estimate squares and sums, one column per orbital: the
-    element residual at the quadrature points (nt, nq, N) and the flux
-    jumps (ne, N), exactly 0 on boundary edges."""
+def _residuals(data, values, ritz_values):
+    """The arrays estimate squares and sums for the P1 functions with
+    vertex values (nv, N), one column per orbital: the element residual
+    at the quadrature points (nt, nq, N) and the flux jumps (ne, N),
+    exactly 0 on boundary edges."""
     mesh, (jump, linear) = data.mesh, _operators(data)
-    values = _to_vertex_values(mesh, block.vectors).T.copy()   # (nv, N)
     mid = values.take(mesh.edges[:, 0], 0)
     mid += values.take(mesh.edges[:, 1], 0)
     mid *= 0.5                              # the quadrature values (ne, N)
@@ -141,7 +139,7 @@ def _residuals(data, block):
     # sum when the block is b-orthonormal (the normal case), and keeps
     # the residual 1-homogeneous in each orbital's scale
     norms_sq = np.diag(b_gram).clip(0.0)
-    coef = b_gram * (np.asarray(block.ritz_values, dtype=np.float64)
+    coef = b_gram * (np.asarray(ritz_values, dtype=np.float64)
                      / np.where(norms_sq > 0.0, norms_sq, 1.0))
     r = (mid @ coef.T).take(at_q, 0)                    # (nt, nq, N)
     if linear is not None:
@@ -152,10 +150,12 @@ def _residuals(data, block):
 def estimate(mesh, coeffs, block, data=None):
     """All local indicators eta2(block, T) and their global sum.
 
+    block.vectors holds one row of free-dof values per orbital.
     data: the mesh's assembly.ElementData; built here when None.
     """
     data = assembly._element_data(mesh, coeffs, data)
-    r, jumps = _residuals(data, block)
+    r, jumps = _residuals(data, _to_vertex_values(mesh, block.vectors),
+                          block.ritz_values)
     # h_T^2 |T| sum_q w_q R^2 + sum_{e in dT} h_e ||J||^2 (= h_e^2 J^2),
     # summed over orbitals; the GEMV with ones sums the three edges
     res_sq = np.einsum("tqn,tqn->tq", r, r) @ assembly._QUAD_RULE[1]

@@ -65,6 +65,9 @@ class Mesh:
             from edge_tris[e, 0] into edge_tris[e, 1], outward on the
             boundary.
         is_boundary_vertex: (nv,) bool.
+
+    Input that is not a conforming mesh over all its vertices (hanging
+    nodes and unused vertices included) raises MeshError.
     """
 
     def __init__(self, vertices, triangles, generation=None, ancestor=None):
@@ -81,6 +84,9 @@ class Mesh:
             raise MeshError("mesh needs at least one triangle")
         if self.triangles.min() < 0 or self.triangles.max() >= nv:
             raise MeshError("triangle vertex index out of range")
+        unused = np.bincount(self.triangles.ravel(), minlength=nv) == 0
+        if unused.any():
+            raise MeshError(f"vertex {np.argmax(unused)} is in no triangle")
         areas = self.signed_areas()
         if (areas <= 0.0).any():
             bad = int(np.argmax(areas <= 0.0))
@@ -145,11 +151,8 @@ class Mesh:
         self.is_boundary_vertex = np.zeros(nv, dtype=bool)
         bnd_edges = self.edges[~two]
         self.is_boundary_vertex[bnd_edges.ravel()] = True
+        self._check_hanging_nodes(bnd_edges)
 
-        # hanging-node check: every vertex lying on an edge interior would
-        # have produced a >2-count or mismatched split, which the sort on
-        # exact vertex pairs already rules out for meshes built here; an
-        # explicit geometric test is intentionally not attempted.
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         self.edge_lengths = np.hypot(d[:, 0], d[:, 1])
         normals = np.column_stack([d[:, 1], -d[:, 0]]) / self.edge_lengths[:, None]
@@ -165,6 +168,29 @@ class Mesh:
                     self.edge_lengths, self.edge_normals,
                     self.is_boundary_vertex):
             arr.setflags(write=False)
+
+    def _check_hanging_nodes(self, one_sided):
+        """Raise MeshError if a vertex lies inside an edge: the edge and
+        its two pieces then have one triangle each, and at either end of
+        the edge two of them point the same way with different lengths."""
+        ends = np.concatenate([one_sided, one_sided[:, ::-1]])
+        ends = ends[np.argsort(ends[:, 0], kind="stable")]
+        d = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
+        length = np.hypot(d[:, 0], d[:, 1])
+        unit = d / length[:, None]
+        # compare every pair of one-sided edges that share a start
+        for k in range(1, np.bincount(ends[:, 0]).max()):
+            u, v, la, lb = unit[k:], unit[:-k], length[k:], length[:-k]
+            hanging = ((ends[k:, 0] == ends[:-k, 0])
+                       & (np.abs(_cross2(u, v)) <= 1e-12)
+                       & (np.einsum("ij,ij->i", u, v) > 0.0)
+                       & (np.abs(la - lb) > 1e-12 * np.maximum(la, lb)))
+            if hanging.any():
+                i = int(np.argmax(hanging))
+                (a, inner), (_, b) = ends[[i, i + k]][
+                    np.argsort(length[[i, i + k]])]
+                raise MeshError(f"hanging node: vertex {inner} lies on "
+                                f"edge ({min(a, b)}, {max(a, b)})")
 
     # -- geometry --------------------------------------------------------
 
@@ -195,17 +221,6 @@ class Mesh:
 
     def interior_vertices(self):
         return np.nonzero(~self.is_boundary_vertex)[0]
-
-    def assert_conforming(self):
-        """Rebuild the edge table and check it agrees with the stored one."""
-        twin = Mesh(self.vertices, self.triangles, self.generation,
-                    self.ancestor)
-        if not (np.array_equal(twin.edges, self.edges)
-                and np.array_equal(twin.edge_tris, self.edge_tris)):
-            raise MeshError("stored edge table inconsistent with triangles")
-        counts = np.bincount(self.tri_edges.ravel(), minlength=len(self.edges))
-        if counts.min() < 1 or counts.max() > 2:
-            raise MeshError("edge incidence outside {1, 2}")
 
     def angles(self):
         """(nt, 3) interior angles at the three local vertices."""

@@ -13,7 +13,8 @@ definite, so it can precondition MINRES on the indefinite K - sigma*M.
 
 The hierarchy follows the refinement: each refine() call appends the
 midpoints of the edges it bisects, and P_l is built from the nodal
-prolongation its RefineMap carries, the map mesh.interpolate applies.
+prolongation its RefineMap carries, restricted to the free dofs of both
+meshes: the matrix the adaptive loop also moves the orbitals with.
 Consecutive refinements are merged into one level until its vertex
 count has doubled, which keeps the number of levels (Python calls per
 application) logarithmic in the mesh size.
@@ -64,7 +65,6 @@ class MultilevelPreconditioner:
 
     def __init__(self, mesh, system):
         self._levels = ()
-        self._free = system.free_dofs
         self._coarse_vertices = mesh.n_vertices
         if system.n_dofs <= COARSE_DOFS:
             # K = L L^T; store U = L^T, a Fortran-ordered view, for dtrsv
@@ -73,24 +73,24 @@ class MultilevelPreconditioner:
             # a large first mesh gets Jacobi, never a dense factor
             self._coarse = 1.0 / system.K.diagonal()
 
-    def extend(self, refine_map, mesh, system):
-        """Preconditioner for the refined mesh (with its FemSystem)."""
+    def extend(self, prolong, mesh, system):
+        """Preconditioner for the refined mesh (with its FemSystem);
+        prolong maps the free dofs of the previous mesh to those of
+        mesh: the refinement's nodal prolongation restricted to both."""
         if system.n_dofs <= COARSE_DOFS:
             return MultilevelPreconditioner(mesh, system)
-        step = refine_map.prolongation[system.free_dofs][:, self._free]
         sizes = [self._coarse_vertices] + [lv.n_vertices
                                            for lv in self._levels]
         levels = list(self._levels)
         if levels and sizes[-1] < MERGE_FACTOR * sizes[-2]:
-            step = step @ levels.pop().prolong
+            step = prolong @ levels.pop().prolong
             n_old = sizes[-2]
         else:
-            n_old = sizes[-1]
+            step, n_old = prolong, sizes[-1]
         levels.append(_Level(mesh.n_vertices, step, step.T,
                              _local_scale(mesh, system, n_old)))
         out = copy.copy(self)
         out._levels = tuple(levels)
-        out._free = system.free_dofs
         return out
 
     @property

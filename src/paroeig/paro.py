@@ -39,16 +39,19 @@ class ParoError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusterLayout:
-    """Partition of N ascending values into q contiguous clusters."""
-    q: int
+    """Partition of N ascending values into q = len(d) contiguous
+    clusters of sizes d."""
     d: tuple
 
     def __post_init__(self):
-        if self.q != len(self.d) or self.q < 1:
-            raise ParoError("cluster count must match multiplicity list")
-        if any(int(di) < 1 for di in self.d):
-            raise ParoError("every cluster multiplicity must be >= 1")
+        if not self.d or any(int(di) < 1 for di in self.d):
+            raise ParoError("need at least one cluster, and every "
+                            "cluster multiplicity must be >= 1")
         object.__setattr__(self, "d", tuple(int(di) for di in self.d))
+
+    @property
+    def q(self):
+        return len(self.d)
 
     @property
     def n(self):
@@ -135,7 +138,7 @@ def cluster_guesses(values, rel_gap=DEFAULT_REL_GAP):
         else:
             count += 1
     d.append(count)
-    return ClusterLayout(q=len(d), d=tuple(d))
+    return ClusterLayout(tuple(d))
 
 
 def _mean_shifts(values, layout):

@@ -48,11 +48,12 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
     One sparse LU factorization of K, then repeat: solve K Z = M V,
     M-orthonormalize, Rayleigh-Ritz (LAPACK eigh) until every wanted
     pair has residual ||K v - lam M v|| <= tol * ||K||_inf * ||v||.
-    A few guard vectors ride along to protect clustered tails.
+    Up to four guard vectors ride along to protect clustered tails, as
+    many as the dofs beyond n_pairs allow (none when n_pairs == n_dofs).
     """
     if n_pairs < 1:
         raise VerifyError("need at least one eigenpair")
-    if n_pairs >= sys.n_dofs:
+    if n_pairs > sys.n_dofs:
         raise VerifyError(f"requested {n_pairs} pairs but the system has "
                           f"only {sys.n_dofs} dofs")
     guards = min(4, sys.n_dofs - n_pairs)

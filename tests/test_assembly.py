@@ -137,21 +137,6 @@ class TestElimination:
         assert not m.is_boundary_vertex[sys.free_dofs].any()
         assert sys.n_dofs == (~m.is_boundary_vertex).sum()
 
-    def test_expand_restrict_roundtrip(self):
-        m, _ = uniform_refine(build_initial_mesh("l_shape"), 2)
-        sys = assemble(m, Coefficients.identity())
-        u = np.random.default_rng(5).standard_normal(sys.n_dofs)
-        full = sys.expand(u)
-        boundary = np.setdiff1d(np.arange(m.n_vertices), sys.free_dofs)
-        assert np.all(full[boundary] == 0.0)
-        assert_allclose(sys.restrict(full), u)
-
-    def test_expand_dimension_mismatch(self):
-        m, _ = uniform_refine(build_initial_mesh("unit_square"), 2)
-        sys = assemble(m, Coefficients.identity())
-        with pytest.raises(AssemblyError, match="expected"):
-            sys.expand(np.zeros(sys.n_dofs + 1))
-
 
 class TestCoefficients:
     def test_callable_matches_constant(self):
@@ -282,7 +267,8 @@ class TestNorms:
         co = Coefficients(np.diag([2.0, 0.5]), 1.5)
         sys = assemble(m, co)
         u = np.random.default_rng(11).standard_normal(sys.n_dofs)
-        full = sys.expand(u)
+        full = np.zeros(m.n_vertices)
+        full[sys.free_dofs] = u
         ke, _ = element_matrices(m, co)
         via_elements = sum(
             full[tri] @ ke[i] @ full[tri]
@@ -344,9 +330,10 @@ SIGNED_ZERO_COEFFS = Coefficients(
 
 
 def random_block(m, n, seed):
-    vectors = np.random.default_rng(seed).standard_normal((n, m.n_vertices))
+    vectors = np.random.default_rng(seed).standard_normal(
+        (n, len(m.interior_vertices())))
     lam = np.arange(1.0, n + 1.0)
-    return paro.OrbitalBlock(layout=paro.ClusterLayout(n, (1,) * n),
+    return paro.OrbitalBlock(layout=paro.ClusterLayout((1,) * n),
                              vectors=vectors, ritz_values=lam, shifts=lam)
 
 

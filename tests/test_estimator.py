@@ -2,9 +2,11 @@
 
 Element residuals and flux jumps are checked on the arrays `estimate`
 itself sums, the residual samples and jumps `estimator._residuals`
-returns, turned orbital-first: (N, nt, nq) and (N, ne). A property test
-compares `estimate` with a per-triangle, per-edge loop over the
-definition.
+returns, turned orbital-first: (N, nt, nq) and (N, ne). `_residuals`
+takes vertex values, so these frozen examples may use P1 functions that
+do not vanish on the boundary; `estimate` takes free-dof rows. A
+property test compares `estimate` with a per-triangle, per-edge loop
+over the definition.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ DIAGONAL = 3
 
 def single_orbital(vec, lam):
     """One-orbital block with a pinned eigenvalue estimate."""
-    layout = paro.ClusterLayout(1, (1,))
+    layout = paro.ClusterLayout((1,))
     return paro.OrbitalBlock(layout=layout,
                              vectors=np.asarray(vec, dtype=np.float64)[None, :],
                              ritz_values=np.array([lam]),
@@ -36,10 +38,24 @@ def single_orbital(vec, lam):
 
 def residuals(m, coeffs, block):
     """(residual samples (N, nt, nq), flux jumps (N, ne)), orbital
-    first."""
+    first, of a block whose rows are vertex values."""
     r, jumps = estimator._residuals(assembly.ElementData(m, coeffs),
-                                    block)
+                                    np.ascontiguousarray(block.vectors.T),
+                                    block.ritz_values)
     return np.moveaxis(r, -1, 0), jumps.T
+
+
+def on_vertices(m, block):
+    """block with its free-dof rows padded to vertex values."""
+    full = np.zeros((block.n, m.n_vertices))
+    full[:, m.interior_vertices()] = block.vectors
+    return paro.OrbitalBlock(layout=block.layout, vectors=full,
+                             ritz_values=block.ritz_values,
+                             shifts=block.shifts)
+
+
+def n_free(m):
+    return len(m.interior_vertices())
 
 
 def sine_starts(system, points, noise, seed):
@@ -70,14 +86,16 @@ class TestFluxJump:
         # tangential part, normal jump 1/sqrt(2)
         m = mesh.build_initial_mesh("unit_square")
         blk = single_orbital([0.0, 1.0, 0.5, 0.0], 0.0)
-        _, jumps = residuals(m, IDENTITY, blk)
+        r, jumps = residuals(m, IDENTITY, blk)
         assert jumps[0, DIAGONAL] == pytest.approx(1.0 / np.sqrt(2.0),
                                                    abs=1e-15)
         # edge energy h_e * ||J||^2 on the diagonal (length sqrt(2),
         # constant jump) collapses to h_e^2 * J^2 = 1; with lam = 0 it is
         # all either triangle carries
-        assert np.allclose(estimate(m, IDENTITY, blk).per_element, 1.0,
-                           atol=1e-14)
+        assert (m.edge_lengths[DIAGONAL] * jumps[0, DIAGONAL]) ** 2 \
+            == pytest.approx(1.0, abs=1e-14)
+        assert np.all(r == 0.0)
+        assert np.count_nonzero(jumps) == 1
 
     def test_continuous_flux_has_zero_jump(self):
         # A = 2I below the diagonal, I above: a normal gradient twice as
@@ -168,10 +186,10 @@ class TestElementResidual:
         # picks the basis; compare against the block's own pair
         m, system, _, block = squares[4]
         bary, _ = assembly._QUAD_RULE
-        full = system.expand(block.vectors[2])
-        tri_vals = full[m.triangles]                    # (nt, 3)
+        padded = on_vertices(m, block)
+        tri_vals = padded.vectors[2][m.triangles]       # (nt, 3)
         expected = block.ritz_values[2] * tri_vals @ bary.T
-        r, _ = residuals(m, IDENTITY, block)
+        r, _ = residuals(m, IDENTITY, padded)
         assert r.shape == (block.n, m.n_triangles, len(bary))
         assert np.allclose(r[2], expected, rtol=1e-10, atol=1e-12)
 
@@ -194,16 +212,17 @@ class TestElementResidual:
 
 class TestLocalIndicator:
     def test_zero_orbital(self):
-        m = mesh.build_initial_mesh("unit_square")
+        m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"), 2)
         blk = single_orbital(np.zeros(m.n_vertices), 4.0)
         r, jumps = residuals(m, IDENTITY, blk)
         assert np.all(r == 0.0) and np.all(jumps == 0.0)
+        blk = single_orbital(np.zeros(n_free(m)), 4.0)
         assert np.all(estimate(m, IDENTITY, blk).per_element == 0.0)
 
     def test_quadratic_homogeneity(self):
         m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"), 2)
         rng = np.random.default_rng(11)
-        w = rng.standard_normal(m.n_vertices)
+        w = rng.standard_normal(n_free(m))
         one = estimate(m, IDENTITY, single_orbital(w, 7.0))
         two = estimate(m, IDENTITY, single_orbital(2.0 * w, 7.0))
         assert np.allclose(two.per_element, 4.0 * one.per_element,
@@ -225,7 +244,7 @@ class TestLocalIndicator:
         # summed orbital by orbital on single elements
         m, system, ref, block = squares[4]
         total = estimate(m, IDENTITY, block)
-        r, jumps = residuals(m, IDENTITY, block)
+        r, jumps = residuals(m, IDENTITY, on_vertices(m, block))
         _, weights = assembly._QUAD_RULE
         areas = m.signed_areas()
         for t in (0, 9, 31):
@@ -240,6 +259,11 @@ class TestLocalIndicator:
 
 
 class TestEstimate:
+    def test_vertex_length_rows_rejected(self):
+        m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"), 2)
+        with pytest.raises(EstimatorError, match="length 9, expected 1 free"):
+            estimate(m, IDENTITY, single_orbital(np.ones(m.n_vertices), 1.0))
+
     def test_nonnegative_indicators(self, squares):
         m, system, ref, block = squares[6]
         ind = estimate(m, IDENTITY, block)
@@ -295,8 +319,7 @@ class TestEstimate:
             err = np.sqrt(lam_exact + float(uh @ (system.K @ uh))
                           - 2.0 * lam_exact * cross)
             eta = np.sqrt(estimate(m, IDENTITY,
-                                   single_orbital(system.expand(uh),
-                                                  ref.eigenvalues[0])
+                                   single_orbital(uh, ref.eigenvalues[0])
                                    ).global_sq)
             ratios.append(eta / err)
         for r in ratios[1:]:
@@ -378,14 +401,14 @@ class TestCoefficientRepresentations:
     def test_linear_diffusion_divergence_term(self):
         # A = (2 + x) I has div A = (1, 0) and stays positive definite
         # on the L-shape [-1, 1]^2; for w = 2x + 3y with lam = 0 and no
-        # reaction the residual is (div A) . grad w = 2 on every element,
-        # and w has no flux jump, so eta2_T = 4 h_T^2 |T|
+        # reaction the residual is (div A) . grad w = 2 at every sample,
+        # and w has no flux jump
         m, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 2)
         coeffs = Coefficients(lambda x, y: (2.0 + x) * np.eye(2), 0.0)
         w = 2.0 * m.vertices[:, 0] + 3.0 * m.vertices[:, 1]
-        got = estimate(m, coeffs, single_orbital(w, 0.0)).per_element
-        expected = 4.0 * m.diameters() ** 2 * m.signed_areas()
-        np.testing.assert_allclose(got, expected, rtol=1e-6)
+        r, jumps = residuals(m, coeffs, single_orbital(w, 0.0))
+        np.testing.assert_allclose(r, 2.0, rtol=1e-6)
+        assert np.abs(jumps).max() <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -401,7 +424,7 @@ def variable_block():
 
 def singleton_block(vectors, lam):
     n = len(lam)
-    return paro.OrbitalBlock(layout=paro.ClusterLayout(n, (1,) * n),
+    return paro.OrbitalBlock(layout=paro.ClusterLayout((1,) * n),
                              vectors=vectors, ritz_values=lam, shifts=lam)
 
 
@@ -441,7 +464,7 @@ def test_one_pass_shares_gradients_and_mass(monkeypatch):
     counting(estimator, "_to_vertex_values")
     counting(estimator, "_fixed_rows")
     rng = np.random.default_rng(6)
-    blk = single_orbital(rng.standard_normal(m.n_vertices), 2.0)
+    blk = single_orbital(rng.standard_normal(n_free(m)), 2.0)
     coeffs = variable_coefficients()
     estimate(m, coeffs, blk)
     # one ElementData, one J and one L
@@ -546,8 +569,9 @@ def test_estimate_matches_a_per_triangle_loop(case, n, marked, seed):
                       for _ in range(n0)]), rng.uniform(0.0, 2.0, n0)),
         "callable": variable_coefficients(),
     }[case]
-    vectors = rng.standard_normal((n, m.n_vertices))
-    lam = rng.uniform(1.0, 50.0, n)
-    got = estimate(m, coeffs, singleton_block(vectors, lam)).per_element
-    np.testing.assert_allclose(got, loop_indicators(m, coeffs, vectors, lam),
-                               rtol=1e-12, atol=0.0)
+    block = singleton_block(rng.standard_normal((n, n_free(m))),
+                            rng.uniform(1.0, 50.0, n))
+    got = estimate(m, coeffs, block).per_element
+    np.testing.assert_allclose(
+        got, loop_indicators(m, coeffs, on_vertices(m, block).vectors,
+                             block.ritz_values), rtol=1e-12, atol=0.0)

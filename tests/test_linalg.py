@@ -57,7 +57,7 @@ def shifted_operators(system, shifts, monkeypatch):
     n = len(shifts)
     vectors = np.random.default_rng(4).standard_normal((n, system.n_dofs))
     block = paro.OrbitalBlock(
-        layout=paro.ClusterLayout(n, (1,) * n), vectors=vectors,
+        layout=paro.ClusterLayout((1,) * n), vectors=vectors,
         ritz_values=2.0 * np.asarray(shifts), shifts=shifts)
     paro.orbital_update(system, block,
                         paro.ParoTolerances(minres_max_iter=1))
@@ -92,7 +92,7 @@ class TestFullStorage:
     def test_shifted_operator_holds_one_csr(self, monkeypatch):
         k, m = random_sym(6, 1), random_spd(6, 2)
         system = FemSystem(K=sp.csr_matrix(k), M=sp.csr_matrix(m),
-                           free_dofs=np.arange(6), n_dofs=6, n_vertices=6)
+                           free_dofs=np.arange(6))
         (op,) = shifted_operators(system, [0.3], monkeypatch)
         assert isinstance(op, sp.csr_matrix)
         assert_allclose(op.toarray(), k - 0.3 * m, atol=1e-15)

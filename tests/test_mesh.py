@@ -24,7 +24,6 @@ def test_unit_square_initial():
     assert set(m.triangles[0, 1:]) == set(m.triangles[1, 1:])
     assert m.is_boundary_vertex.all()
     assert_allclose(m.signed_areas(), [0.5, 0.5])
-    m.assert_conforming()
 
 
 def test_l_shape_initial():
@@ -35,7 +34,6 @@ def test_l_shape_initial():
     corner = np.nonzero((m.vertices == 0.0).all(axis=1))[0][0]
     # every square diagonal (refinement edge) meets the reentrant corner
     assert (m.triangles[:, 1:] == corner).any(axis=1).all()
-    m.assert_conforming()
 
 
 def test_explicit_flipped_rejected():
@@ -60,6 +58,54 @@ def test_duplicate_rejected_when_its_edges_have_three_triangles():
                              [1, 2, 0]]))
 
 
+def test_hanging_node_between_boundary_vertices_rejected():
+    # vertex 4 splits the diagonal (0, 2) for the two triangles above it
+    # but not for the one below; it used to become a Dirichlet vertex
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                  [0.5, 0.5]])
+    with pytest.raises(pm.MeshError,
+                       match=r"hanging node: vertex 4 lies on edge \(0, 2\)"):
+        pm.Mesh(v, [[0, 1, 2], [0, 4, 3], [4, 2, 3]])
+
+
+def grid(nx, ny):
+    """The rectangle [0, nx] x [0, ny], each unit square cut along its
+    diagonal from (i, j) to (i + 1, j + 1); vertex (i, j) is j*(nx+1)+i."""
+    vertices = np.array([[i, j] for j in range(ny + 1)
+                         for i in range(nx + 1)], dtype=np.float64)
+    triangles = []
+    for j in range(ny):
+        for i in range(nx):
+            a = j * (nx + 1) + i
+            b, c, d = a + 1, a + nx + 2, a + nx + 1
+            triangles += [[a, b, c], [a, c, d]]
+    return vertices, np.array(triangles)
+
+
+def test_interior_hanging_node_rejected():
+    vertices, triangles = grid(3, 2)
+    m = pm.Mesh(vertices, triangles)
+    assert not m.is_boundary_vertex[[5, 6]].any()
+    # split triangle (5, 6, 10) above the interior edge (5, 6) at the
+    # edge's midpoint, leaving the triangle below it whole
+    above = int(np.nonzero((np.sort(triangles, axis=1)
+                            == [5, 6, 10]).all(axis=1))[0][0])
+    vertices = np.vstack([vertices, [[1.5, 1.0]]])
+    triangles = np.vstack([np.delete(triangles, above, axis=0),
+                           [[5, 12, 10], [12, 6, 10]]])
+    with pytest.raises(pm.MeshError,
+                       match=r"hanging node: vertex 12 lies on edge \(5, 6\)"):
+        pm.Mesh(vertices, triangles)
+
+
+def test_unused_vertex_rejected():
+    # vertex 4 would be a free dof with a zero stiffness diagonal
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                  [0.5, 0.5]])
+    with pytest.raises(pm.MeshError, match="vertex 4 is in no triangle"):
+        pm.Mesh(v, [[0, 1, 2], [0, 2, 3]])
+
+
 def test_longest_edge_tie_break():
     # equilateral: all edges tie, peak becomes the smallest opposite index
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
@@ -74,14 +120,12 @@ def test_refine_single_marked_with_closure():
     assert f.n_triangles == 4
     assert f.n_vertices == 5
     assert_array_equal(f.generation, [1, 1, 1, 1])
-    f.assert_conforming()
 
 
 def test_refine_reads_an_iterator_once():
     m = pm.build_initial_mesh("unit_square")
     f, _ = pm.refine(m, (t for t in range(2)))
     assert f.n_triangles == 4
-    f.assert_conforming()
 
 
 def test_refine_empty_marking_identity():
@@ -123,7 +167,6 @@ def test_refine_double_bisection_trace():
     # each original triangle owns exactly 4 descendants
     assert len(second.descendants(first.descendants([0]))) == 4
     assert len(second.descendants(first.descendants([1]))) == 4
-    f.assert_conforming()
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -152,7 +195,6 @@ def test_conformity_after_random_refinements():
         marked = rng.choice(m.n_triangles,
                             size=max(1, m.n_triangles // 6), replace=False)
         m, _ = pm.refine(m, marked)
-        m.assert_conforming()
     counts = np.bincount(m.tri_edges.ravel(), minlength=len(m.edges))
     assert set(np.unique(counts)) <= {1, 2}
 
@@ -214,7 +256,6 @@ def test_random_markings_keep_conformity_and_shape_classes(domain, rounds):
     for seed, share in rounds:
         rng = np.random.default_rng(seed)
         m, _ = pm.refine(m, np.nonzero(rng.random(m.n_triangles) < share)[0])
-        m.assert_conforming()
         assert max(m.similarity_class_counts().values()) <= 4
 
 

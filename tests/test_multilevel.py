@@ -22,6 +22,11 @@ def dense(precond, n):
     return np.column_stack([precond(e) for e in np.eye(n)])
 
 
+def free_prolongation(rmap, coarse_sys, fine_sys):
+    """The nodal prolongation between the free dofs of two systems."""
+    return rmap.prolongation[fine_sys.free_dofs][:, coarse_sys.free_dofs]
+
+
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), refinements=st.integers(1, 3),
        fraction=st.floats(0.2, 1.0))
@@ -36,8 +41,9 @@ def test_symmetric_positive_definite_on_random_hierarchies(
         count = max(1, int(fraction * mesh.n_triangles))
         marked = rng.choice(mesh.n_triangles, count, replace=False)
         mesh, rmap = pm.refine(mesh, marked)
-        system = assemble(mesh, VARIABLE)
-        precond = precond.extend(rmap, mesh, system)
+        coarse_sys, system = system, assemble(mesh, VARIABLE)
+        precond = precond.extend(
+            free_prolongation(rmap, coarse_sys, system), mesh, system)
     x, y = rng.standard_normal((2, system.n_dofs))
     bx, by = precond(x), precond(y)
     scale = np.linalg.norm(x) * np.linalg.norm(by) \
@@ -68,10 +74,12 @@ def test_large_first_mesh_gets_a_diagonal_coarse_solve():
 
 def test_small_meshes_restart_the_hierarchy():
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
-    precond = MultilevelPreconditioner(mesh, assemble(mesh, IDENTITY))
+    coarse_sys = assemble(mesh, IDENTITY)
+    precond = MultilevelPreconditioner(mesh, coarse_sys)
     mesh, rmap = pm.refine(mesh, [0, 1, 2])
     system = assemble(mesh, IDENTITY)
-    precond = precond.extend(rmap, mesh, system)
+    precond = precond.extend(free_prolongation(rmap, coarse_sys, system),
+                             mesh, system)
     assert precond.n_levels == 1
     assert_allclose(dense(precond, system.n_dofs),
                     np.linalg.inv(system.K.toarray()), atol=1e-12)
@@ -83,15 +91,19 @@ def test_empty_refinement_keeps_the_preconditioner():
     small, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
     coarse, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 10)
     large, rmap = pm.refine(coarse, [0, 1])
+    coarse_sys, large_sys = (assemble(m, IDENTITY) for m in (coarse, large))
+    small_sys = assemble(small, IDENTITY)
     hierarchies = [
-        (small, MultilevelPreconditioner(small, assemble(small, IDENTITY))),
-        (large, MultilevelPreconditioner(coarse, assemble(coarse, IDENTITY))
-         .extend(rmap, large, assemble(large, IDENTITY)))]
-    assert hierarchies[1][1].n_levels == 2
-    for mesh, precond in hierarchies:
+        (small, small_sys, MultilevelPreconditioner(small, small_sys)),
+        (large, large_sys, MultilevelPreconditioner(coarse, coarse_sys)
+         .extend(free_prolongation(rmap, coarse_sys, large_sys), large,
+                 large_sys))]
+    assert hierarchies[1][2].n_levels == 2
+    for mesh, before, precond in hierarchies:
         same, empty = pm.refine(mesh, [])
         system = assemble(same, IDENTITY)
-        kept = precond.extend(empty, same, system)
+        kept = precond.extend(free_prolongation(empty, before, system),
+                              same, system)
         assert np.array_equal(dense(kept, system.n_dofs),
                               dense(precond, system.n_dofs))
 
@@ -123,7 +135,9 @@ def test_transfers_are_nodal_interpolation(domain, picks, seed):
                         linear(fine), rtol=0,
                         atol=1e-12 * (abs(a) + abs(b) + abs(c)))
         systems.append(assemble(fine, IDENTITY))
-        precond = precond.extend(rmap, fine, systems[-1])
+        precond = precond.extend(
+            free_prolongation(rmap, systems[-2], systems[-1]), fine,
+            systems[-1])
         meshes.append(fine)
         maps.append(rmap)
     index = {m.n_vertices: k for k, m in enumerate(meshes)}
@@ -131,10 +145,11 @@ def test_transfers_are_nodal_interpolation(domain, picks, seed):
     for level in precond._levels:
         stop = index[level.n_vertices]
         u = rng.standard_normal(systems[start].n_dofs)
-        full = systems[start].expand(u)
+        full = np.zeros(meshes[start].n_vertices)
+        full[systems[start].free_dofs] = u
         for k in range(start, stop):
             full = pm.interpolate(meshes[k], meshes[k + 1], maps[k], full)
-        assert_allclose(level.prolong @ u, systems[stop].restrict(full),
+        assert_allclose(level.prolong @ u, full[systems[stop].free_dofs],
                         rtol=0, atol=1e-14 * np.abs(u).max())
         start = stop
     assert start == len(meshes) - 1
@@ -190,8 +205,9 @@ def graded_l_shape():
         eta = mesh.diameters() ** 2 * np.hypot(*cent.T) ** (-2.0 / 3.0)
         marked = dorfler_mark(Indicators(eta, float(eta.sum())), 0.5)
         mesh, rmap = pm.refine(mesh, marked)
-        system = assemble(mesh, IDENTITY)
-        precond = precond.extend(rmap, mesh, system)
+        coarse_sys, system = system, assemble(mesh, IDENTITY)
+        precond = precond.extend(
+            free_prolongation(rmap, coarse_sys, system), mesh, system)
         out.append((system, precond))
     return out
 

@@ -35,7 +35,7 @@ def diag_system(k_diag, m_diag=None):
     m_diag = np.ones(n) if m_diag is None else np.asarray(m_diag)
     return FemSystem(K=sp.csr_matrix(np.diag(k_diag)),
                      M=sp.csr_matrix(np.diag(m_diag)),
-                     free_dofs=np.arange(n), n_dofs=n, n_vertices=n)
+                     free_dofs=np.arange(n))
 
 
 def subspace_dist_a(x, y, k):
@@ -74,24 +74,24 @@ def sine_seeds(m, sys, noise, seed):
 class TestClusterLayout:
     def test_index_maps_roundtrip(self):
         # flat index f is member j of cluster i iff f = slices[i].start + j
-        lay = ClusterLayout(q=3, d=(1, 2, 1))
-        assert lay.n == 4
+        lay = ClusterLayout((1, 2, 1))
+        assert (lay.q, lay.n) == (3, 4)
         pairs = [(i, f - sl.start)
                  for i, sl in enumerate(lay.cluster_slices())
                  for f in range(sl.start, sl.stop)]
         assert pairs == [(0, 0), (1, 0), (1, 1), (2, 0)]
 
     def test_ordering_is_lexicographic(self):
-        lay = ClusterLayout(q=2, d=(2, 2))
+        lay = ClusterLayout((2, 2))
         flat = [f for sl in lay.cluster_slices()
                 for f in range(sl.start, sl.stop)]
         assert flat == list(range(lay.n))
 
     def test_invalid_multiplicity(self):
         with pytest.raises(ParoError):
-            ClusterLayout(q=2, d=(1, 0))
-        with pytest.raises(ParoError):
-            ClusterLayout(q=1, d=(1, 1))
+            ClusterLayout((1, 0))
+        with pytest.raises(ParoError, match="at least one cluster"):
+            ClusterLayout(())
 
 
 class TestClusterGuesses:
@@ -159,7 +159,7 @@ class TestOrbitalUpdate:
     def test_exact_eigenvector_half_shift(self):
         # shift = lambda/2: half-step = (shift/(lambda-shift)) u = u
         sys = diag_system([2.0, 5.0])
-        lay = ClusterLayout(q=1, d=(1,))
+        lay = ClusterLayout((1,))
         blk = OrbitalBlock(layout=lay, vectors=np.array([[1.0, 0.0]]),
                            ritz_values=np.array([2.0]),
                            shifts=np.array([1.0]))
@@ -169,7 +169,7 @@ class TestOrbitalUpdate:
     def test_exact_eigenvector_close_shift_amplifies(self):
         # shift = 0.95*lambda: half-step = 19 u, direction unchanged
         sys = diag_system([2.0, 5.0])
-        lay = ClusterLayout(q=1, d=(1,))
+        lay = ClusterLayout((1,))
         blk = OrbitalBlock(layout=lay, vectors=np.array([[1.0, 0.0]]),
                            ritz_values=np.array([2.0]),
                            shifts=np.array([1.9]))
@@ -180,7 +180,7 @@ class TestOrbitalUpdate:
         # (K - 2.1 I) x = 2.1 u, u = [1,1]/sqrt2, K = diag(2,5):
         # x = 2.1 * [1/(2-2.1), 1/(5-2.1)] / sqrt2
         sys = diag_system([2.0, 5.0])
-        lay = ClusterLayout(q=1, d=(1,))
+        lay = ClusterLayout((1,))
         blk = OrbitalBlock(layout=lay,
                            vectors=np.array([[1.0, 1.0]]) / np.sqrt(2.0),
                            ritz_values=np.array([3.5]),
@@ -191,7 +191,7 @@ class TestOrbitalUpdate:
 
     def test_zero_rhs_is_degenerate(self):
         sys = diag_system([2.0, 5.0])
-        lay = ClusterLayout(q=1, d=(1,))
+        lay = ClusterLayout((1,))
         blk = OrbitalBlock(layout=lay, vectors=np.zeros((1, 2)),
                            ritz_values=np.array([2.0]),
                            shifts=np.array([1.0]))
@@ -209,7 +209,7 @@ class TestOrbitalUpdate:
 
         monkeypatch.setattr(paro_mod, "minres_solve", recording)
         sys = diag_system([2.0, 5.0, 5.05, 9.0])
-        lay = ClusterLayout(q=2, d=(1, 2))
+        lay = ClusterLayout((1, 2))
         blk = OrbitalBlock(layout=lay, vectors=np.eye(4)[:3] + 0.1,
                            ritz_values=np.array([2.1, 5.1, 5.2]),
                            shifts=np.array([2.05, 5.15]))
@@ -240,7 +240,7 @@ class TestRitzStep:
         # the orbitals of a cluster share a shift near an eigenvalue
         _, sys, w_ref, _ = square16
         rng = np.random.default_rng(seed)
-        layout = ClusterLayout(len(d), d)
+        layout = ClusterLayout(d)
         shifts = np.sort(w_ref[rng.choice(8, len(d), replace=False)]
                          * rng.uniform(0.9, 1.1, len(d)))
         block = OrbitalBlock(
@@ -300,7 +300,7 @@ class TestRitzStep:
 
     def test_layout_size_mismatch(self, square16):
         _, sys, _, v_ref = square16
-        lay = ClusterLayout(q=1, d=(3,))
+        lay = ClusterLayout((3,))
         with pytest.raises(ParoError, match="expected 3"):
             ritz_step(sys, v_ref[:, :2].T, lay)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.testing import assert_allclose
 
 from paroeig import paro
 from paroeig.assembly import (Coefficients, FemSystem, assemble,
@@ -29,14 +30,14 @@ def diag_system(k_diag, m_diag=None):
     m_diag = np.ones(n) if m_diag is None else np.asarray(m_diag)
     return FemSystem(K=sp.csr_matrix(np.diag(k_diag)),
                      M=sp.csr_matrix(np.diag(m_diag)),
-                     free_dofs=np.arange(n), n_dofs=n, n_vertices=n)
+                     free_dofs=np.arange(n))
 
 
 def dense_system(rng, n):
     a = rng.standard_normal((n, n))
     k = a @ a.T + n * np.eye(n)
     return FemSystem(K=sp.csr_matrix(k), M=sp.identity(n, format="csr"),
-                     free_dofs=np.arange(n), n_dofs=n, n_vertices=n)
+                     free_dofs=np.arange(n))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,14 @@ class TestReferenceEig:
 
     def test_too_many_pairs_rejected(self):
         with pytest.raises(VerifyError, match="only"):
-            reference_eig(diag_system(np.ones(3)), 3)
+            reference_eig(diag_system(np.ones(3)), 4)
+
+    def test_as_many_pairs_as_dofs(self):
+        # no room for guard vectors: the block spans the whole space
+        ref = reference_eig(diag_system(np.array([3.0, 1.0, 2.0])), 3)
+        assert_allclose(ref.eigenvalues, [1.0, 2.0, 3.0], rtol=1e-12)
+        assert_allclose(np.abs(ref.vectors), np.eye(3)[[1, 2, 0]],
+                        atol=1e-12)
 
     @pytest.mark.parametrize("k_diag, m_diag, match", [
         ([1.0, 0.0, 2.0, 3.0], None, "factored"),
@@ -210,7 +218,7 @@ class TestFitRate:
 
 class TestQuasiOrthogonality:
     def layout6(self):
-        return paro.ClusterLayout(4, (1, 2, 1, 2))
+        return paro.ClusterLayout((1, 2, 1, 2))
 
     def block_from(self, vectors, values, layout):
         shifts = np.array([values[sl].mean()
@@ -259,12 +267,12 @@ class TestQuasiOrthogonality:
 
     def test_dimension_mismatch_rejected(self, sq6):
         _, system, ref = sq6
-        layout = paro.ClusterLayout(1, (2,))
+        layout = paro.ClusterLayout((2,))
         block = self.block_from(ref.vectors[:2], ref.eigenvalues[:2],
                                 layout)
         with pytest.raises(VerifyError, match="layout"):
             quasi_orthogonality_report(system, block, ref,
-                                       paro.ClusterLayout(1, (7,)))
+                                       paro.ClusterLayout((7,)))
 
 
 class TestGalerkinGap:
