@@ -4,7 +4,7 @@ Subpackage map:
     mesh       conforming triangulations, newest-vertex bisection, transfer
     assembly   P1 stiffness/mass assembly with Dirichlet elimination
     linalg     MINRES on CSR operators, Gram matrices, LAPACK Ritz pencil
-    multilevel additive multilevel preconditioner on the refinement hierarchy
+    multilevel local multigrid V-cycle preconditioner on the bisection grids
     paro       clustering, shifted orbital updates, Rayleigh-Ritz inner loop
     estimator  residual a posteriori indicators for an orbital block
     adapt      Dorfler marking and the outer adaptive loop

@@ -5,11 +5,11 @@ mesh, evaluates the residual indicators, marks a minimal bulk of
 elements, bisects them, and carries the orbitals (free-dof vectors) to
 the finer mesh with the refinement's nodal prolongation restricted to
 the free dofs, which the preconditioner reads too. Per-triangle data
-(assembly.ElementData) is built on the first mesh and extended after every refinement, so each triangle's
-coefficients are sampled once in the run; the level's assembly and both
-of its estimates read it. The loop stops when the relative eigenvalue
-movement between consecutive meshes (delta1) falls under tol1 or the
-refinement budget is spent.
+(assembly.ElementData) is built on the first mesh and extended after
+every refinement, so each triangle's coefficients are sampled once in
+the run; the level's assembly and both of its estimates read it. The
+loop stops when the relative eigenvalue movement between consecutive
+meshes (delta1) falls under tol1 or the refinement budget is spent.
 
 The inner iteration does not need to outrun the discretization error.
 With budget_factor set, each level stops its sweeps once delta2 falls

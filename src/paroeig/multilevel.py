@@ -1,15 +1,22 @@
-"""Additive multilevel (BPX) preconditioner on the bisection hierarchy.
+"""Local multigrid V-cycle preconditioner on the bisection hierarchy.
 
-B approximates K^-1 on the finest mesh of an adaptive run:
+B approximates K^-1 on the finest mesh of an adaptive run by one
+symmetric V-cycle, written as the recursion
 
-    B = P_0 K_0^-1 P_0^T + sum_l P_l D_l^-1 P_l^T,
+    B_l = Rbar_l + Pt_l B_(l-1) Pt_l^T,  Pt_l = (I - R_l K_l) P_l,
+    Rbar_l = 2 R_l - R_l K_l R_l,
 
-where P_l prolongs free dofs of level l to the finest mesh, K_0 is the
-coarsest stiffness matrix (dense Cholesky factor), and D_l is diag(K_l)
-restricted to the vertices that level l added and their edge neighbours
-(Bramble-Pasciak-Xu 1990; local smoothing keeps it optimal on graded
-bisection grids, Chen-Nochetto-Xu 2012). B is symmetric positive
-definite, so it can precondition MINRES on the indefinite K - sigma*M.
+where P_l prolongs the free dofs of level l-1 to those of level l, K_l
+is the stiffness matrix assembled on level l's mesh, and B_0 = K_0^-1
+(dense Cholesky factor; diag(K_0)^-1 on a large first mesh). R_l is the
+l1-Jacobi smoother OMEGA D^-1 (Baker-Falgout-Kolev-Yang 2011) on the
+vertices level l added and their edge neighbours, the set S, with
+D_ii = sum_(j in S) |K_ij|, and zero off S: one smoothing step before
+and one after each coarse correction, local as Chen-Nochetto-Xu (2012)
+need for uniform optimality on graded bisection grids. Since
+lambda_max(D^-1 K_SS) <= 1 < 2 / OMEGA for any SPD K, B is symmetric
+positive definite, so it can precondition MINRES on the indefinite
+K - sigma*M.
 
 The hierarchy follows the refinement: each refine() call appends the
 midpoints of the edges it bisects, and P_l is built from the nodal
@@ -31,6 +38,8 @@ from scipy.linalg.blas import dtrsv
 
 # restart the hierarchy (exact coarse solve) while the mesh is this small
 COARSE_DOFS = 400
+# damping of the l1-Jacobi smoother; B stays SPD for any value below 2
+OMEGA = 1.6
 # a level absorbs refinements until it has this many times the vertices
 # of the level below it
 MERGE_FACTOR = 2
@@ -39,20 +48,41 @@ MERGE_FACTOR = 2
 @dataclass(frozen=True)
 class _Level:
     n_vertices: int
-    prolong: sp.csr_matrix     # free dofs of the level below -> this level
+    step: sp.csr_matrix        # nodal P: free dofs of the level below
+    prolong: sp.csr_matrix     # (I - R K) P
     restrict: sp.csc_matrix    # prolong.T, sharing its arrays
-    scale: np.ndarray          # 1 / diag(K) on the smoothing set, else 0
+    smoother: sp.csr_matrix    # 2R - R K R, zero outside the smoothing set
 
 
-def _local_scale(mesh, system, n_old):
-    """1 / diag(K) on free dofs at vertices >= n_old or sharing an edge
-    with one, 0 on every other free dof."""
+def _smoothing_set(mesh, system, n_old):
+    """Ascending indices of the free dofs at vertices >= n_old or sharing
+    an edge with one."""
     touched = np.zeros(mesh.n_vertices, dtype=bool)
     touched[n_old:] = True
     near = touched[mesh.edges].any(axis=1)
     touched[mesh.edges[near].ravel()] = True
-    return np.where(touched[system.free_dofs], 1.0 / system.K.diagonal(),
-                    0.0)
+    return np.flatnonzero(touched[system.free_dofs])
+
+
+def _level(n_vertices, step, K, S):
+    """The level for nodal step P and stiffness K, smoothing on the free
+    dofs S."""
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    r = np.zeros(K.shape[0])
+    r[S] = 1.0
+    in_kss = r[rows] * r[K.indices]         # 1 on the entries of K_SS
+    r[S] = OMEGA / np.bincount(rows, in_kss * np.abs(K.data))[S]
+    # R K and 2R - R K R on K's pattern; eliminate_zeros drops the rows
+    # outside S, and for the smoother the columns outside S too
+    rk = K.copy()
+    rk.data *= r[rows]
+    rk.eliminate_zeros()
+    smoother = K.copy()
+    smoother.data = r[rows] * (2.0 * (rows == K.indices)
+                               - K.data * r[K.indices])
+    smoother.eliminate_zeros()
+    prolong = step - rk @ step
+    return _Level(n_vertices, step, prolong, prolong.T, smoother)
 
 
 class MultilevelPreconditioner:
@@ -83,12 +113,12 @@ class MultilevelPreconditioner:
                                            for lv in self._levels]
         levels = list(self._levels)
         if levels and sizes[-1] < MERGE_FACTOR * sizes[-2]:
-            step = prolong @ levels.pop().prolong
+            step = prolong @ levels.pop().step
             n_old = sizes[-2]
         else:
             step, n_old = prolong, sizes[-1]
-        levels.append(_Level(mesh.n_vertices, step, step.T,
-                             _local_scale(mesh, system, n_old)))
+        levels.append(_level(mesh.n_vertices, step, system.K,
+                             _smoothing_set(mesh, system, n_old)))
         out = copy.copy(self)
         out._levels = tuple(levels)
         return out
@@ -102,7 +132,7 @@ class MultilevelPreconditioner:
         r = np.asarray(r, dtype=np.float64)
         local = []
         for lv in reversed(self._levels):
-            local.append(lv.scale * r)
+            local.append(lv.smoother @ r)
             r = lv.restrict @ r
         if self._coarse.ndim == 2:
             # K^-1 r = U^-1 U^-T r; BLAS dtrsv skips solve_triangular's

@@ -18,6 +18,7 @@ not an error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,16 @@ class ClusterLayout:
     d: tuple
 
     def __post_init__(self):
-        if not self.d or any(int(di) < 1 for di in self.d):
+        try:
+            # operator.index takes Python and numpy integers only
+            d = tuple(operator.index(di) for di in self.d)
+        except TypeError:
+            raise ParoError("cluster multiplicities must be integers, "
+                            f"got {self.d!r}") from None
+        if not d or min(d) < 1:
             raise ParoError("need at least one cluster, and every "
                             "cluster multiplicity must be >= 1")
-        object.__setattr__(self, "d", tuple(int(di) for di in self.d))
+        object.__setattr__(self, "d", d)
 
     @property
     def q(self):

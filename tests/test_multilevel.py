@@ -11,7 +11,7 @@ from paroeig.adapt import dorfler_mark
 from paroeig.assembly import Coefficients, assemble
 from paroeig.estimator import Indicators
 from paroeig.linalg import minres_solve
-from paroeig.multilevel import COARSE_DOFS, MultilevelPreconditioner
+from paroeig.multilevel import COARSE_DOFS, OMEGA, MultilevelPreconditioner
 
 IDENTITY = Coefficients.identity()
 VARIABLE = Coefficients(lambda x, y: (2.0 + np.sin(3.0 * x)) * np.eye(2),
@@ -51,6 +51,108 @@ def test_symmetric_positive_definite_on_random_hierarchies(
     assert abs(x @ by - y @ bx) <= 1e-12 * scale
     assert x @ bx > 0.0
     assert y @ by > 0.0
+
+
+def smoothing_set(mesh, system, n_old):
+    """Free dofs at vertices >= n_old or sharing a triangle edge with one."""
+    new = np.arange(mesh.n_vertices) >= n_old
+    near = new.copy()
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        tri = mesh.triangles[:, [a, b]]
+        near[tri[new[tri[:, 1]], 0]] = True
+        near[tri[new[tri[:, 0]], 1]] = True
+    return np.flatnonzero(near[system.free_dofs])
+
+
+def textbook_v_cycle(b_coarse, levels):
+    """B_l = Rbar + (I - R K) P B_(l-1) P^T (I - K R) with Rbar = 2R - RKR
+    and the l1-Jacobi R = OMEGA / sum_(j in S) |K_ij| on S, 0 elsewhere;
+    levels lists the dense (K, P, S) of each level, coarsest first."""
+    b = b_coarse
+    for k, p, s in levels:
+        r = np.zeros(len(k))
+        r[s] = OMEGA / np.abs(k[np.ix_(s, s)]).sum(axis=1)
+        rk = r[:, None] * k
+        e = np.eye(len(k)) - rk
+        b = 2.0 * np.diag(r) - rk * r + e @ p @ b @ p.T @ e.T
+    return b
+
+
+def refine_and_extend(mesh, system, precond, marked):
+    fine, rmap = pm.refine(mesh, marked)
+    fine_sys = assemble(fine, VARIABLE)
+    prolong = free_prolongation(rmap, system, fine_sys)
+    return (fine, fine_sys, precond.extend(prolong, fine, fine_sys),
+            prolong.toarray())
+
+
+@pytest.mark.parametrize("case", ["two_levels", "merged", "jacobi_coarse"])
+def test_v_cycle_matches_the_textbook_recursion(case):
+    """dense(precond) is the symmetric V-cycle built from dense K, P and
+    S: a Cholesky coarse solve under one level, under a level merged from
+    two refinements and one more, and a Jacobi coarse solve."""
+    rng = np.random.default_rng(3)
+    passes = 10 if case == "jacobi_coarse" else 8
+    mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"),
+                                passes)
+    system = assemble(mesh, VARIABLE)
+    precond = MultilevelPreconditioner(mesh, system)
+    k0 = system.K.toarray()
+    if case == "jacobi_coarse":
+        assert system.n_dofs > COARSE_DOFS
+        b = np.diag(1.0 / np.diag(k0))
+    else:
+        b = np.linalg.inv(k0)
+    fractions = {"two_levels": [0.5], "merged": [0.5, 0.1, 0.6],
+                 "jacobi_coarse": [0.05]}[case]
+    meshes, systems, steps = [mesh], [system], []
+    for fraction in fractions:
+        count = int(fraction * mesh.n_triangles)
+        mesh, system, precond, step = refine_and_extend(
+            mesh, system, precond,
+            rng.choice(mesh.n_triangles, count, replace=False))
+        meshes.append(mesh)
+        systems.append(system)
+        steps.append(step)
+    if case == "merged":
+        # the second refinement joins the first level, the third starts
+        # a new one
+        nv = [m.n_vertices for m in meshes]
+        assert nv[1] < 2 * nv[0] <= nv[2]
+        ends, steps = [0, 2, 3], [steps[1] @ steps[0], steps[2]]
+    else:
+        ends = [0, 1]
+    assert precond.n_levels == len(ends)
+    levels = [(systems[stop].K.toarray(), step,
+               smoothing_set(meshes[stop], systems[stop],
+                             meshes[start].n_vertices))
+              for start, stop, step in zip(ends, ends[1:], steps)]
+    oracle = textbook_v_cycle(b, levels)
+    assert_allclose(dense(precond, system.n_dofs), oracle, rtol=0,
+                    atol=1e-12 * np.abs(oracle).max())
+
+
+def test_positive_definite_when_stiffness_is_not_an_m_matrix():
+    """Obtuse triangles give K positive off-diagonal entries, and damped
+    Jacobi with OMEGA / K_ii would make B indefinite here; the l1 smoother
+    keeps B symmetric positive definite."""
+    rng = np.random.default_rng(0)
+    sheared = (np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0], [2.0, 1.0]]),
+               np.array([[0, 1, 2], [0, 2, 3]]))
+    mesh, _ = pm.uniform_refine(pm.build_initial_mesh(sheared), 8)
+    system = assemble(mesh, VARIABLE)
+    precond = MultilevelPreconditioner(mesh, system)
+    for fraction in (0.6, 0.3, 0.5):
+        count = int(fraction * mesh.n_triangles)
+        mesh, system, precond, _ = refine_and_extend(
+            mesh, system, precond,
+            rng.choice(mesh.n_triangles, count, replace=False))
+    assert precond.n_levels >= 3
+    k = system.K.toarray()
+    assert (k - np.diag(np.diag(k))).max() > 0.0
+    b = dense(precond, system.n_dofs)
+    assert_allclose(b, b.T, rtol=0, atol=1e-13 * np.abs(b).max())
+    assert np.linalg.eigvalsh(0.5 * (b + b.T)).min() > 0.0
 
 
 def test_coarse_only_hierarchy_is_the_exact_inverse():
@@ -115,8 +217,9 @@ def test_empty_refinement_keeps_the_preconditioner():
        seed=st.integers(0, 2**32 - 1))
 def test_transfers_are_nodal_interpolation(domain, picks, seed):
     """After any sequence of refine() calls, interpolate reproduces
-    linear functions, and every preconditioner level prolongs free dofs
-    as interpolate does through the refinements merged into it."""
+    linear functions, and every preconditioner level's nodal step
+    prolongs free dofs as interpolate does through the refinements
+    merged into it."""
     rng = np.random.default_rng(seed)
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh(domain[0]),
                                 domain[1])
@@ -149,7 +252,7 @@ def test_transfers_are_nodal_interpolation(domain, picks, seed):
         full[systems[start].free_dofs] = u
         for k in range(start, stop):
             full = pm.interpolate(meshes[k], meshes[k + 1], maps[k], full)
-        assert_allclose(level.prolong @ u, full[systems[stop].free_dofs],
+        assert_allclose(level.step @ u, full[systems[stop].free_dofs],
                         rtol=0, atol=1e-14 * np.abs(u).max())
         start = stop
     assert start == len(meshes) - 1
@@ -229,7 +332,7 @@ def test_iterations_stay_flat_on_graded_meshes(graded_l_shape):
     ours = [minres_iterations(s, p) for s, p in (small, large)]
     assert plain[1] >= 1.5 * plain[0]       # the sequence is a real test
     assert ours[1] < 1.5 * ours[0]
-    assert ours[1] < plain[1] / 4
+    assert ours[1] <= plain[1] / 20
 
 
 def test_levels_merge_until_vertices_double(graded_l_shape):

@@ -93,6 +93,16 @@ class TestClusterLayout:
         with pytest.raises(ParoError, match="at least one cluster"):
             ClusterLayout(())
 
+    @pytest.mark.parametrize("d", [(1.7, 2), (2.0,), ("2",), (np.nan,),
+                                   (np.float64(1.0), 1)])
+    def test_non_integer_multiplicity(self, d):
+        with pytest.raises(ParoError, match="integers"):
+            ClusterLayout(d)
+
+    def test_numpy_integers_are_multiplicities(self):
+        lay = ClusterLayout((np.int64(1), np.int32(2)))
+        assert lay.d == (1, 2) and type(lay.d[0]) is int
+
 
 class TestClusterGuesses:
     def test_analytic_square_spectrum(self):
