@@ -10,18 +10,18 @@ rate. The run also shows the estimator-matched inner stop, which cuts
 orbital sweeps on the early meshes where solving tightly is wasted.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from paroeig.adapt import AdaptConfig, adaptive_solve
 from paroeig.assembly import Coefficients
-from paroeig.paro import ParoTolerances
 from paroeig.verify import fit_rate
 
 laplace = Coefficients.identity()
-tols = ParoTolerances(tol2=1e-10, max_inner=40)
 
 config = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=16,
-                     initial_passes=2, paro_tols=tols)
+                     initial_passes=2, tol2=1e-10, max_inner=40)
 records, block, final_mesh = adaptive_solve("l_shape", laplace, 1, config)
 
 print(f"{'level':>5} {'dofs':>6} {'eigenvalue':>13} {'estimator^2':>12} "
@@ -46,8 +46,7 @@ print(f"estimator^2 slope vs dofs: {slope:.3f} (R^2 {r_sq:.3f}); "
 
 # same run with the inner stop tied to the current estimator level:
 # early meshes get solved just accurately enough
-saving = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=16,
-                     initial_passes=2, paro_tols=tols, budget_factor=0.1)
+saving = replace(config, budget_factor=0.1)
 records_b, block_b, _ = adaptive_solve("l_shape", laplace, 1, saving)
 before = sum(r.m_used for r in records)
 after = sum(r.m_used for r in records_b)

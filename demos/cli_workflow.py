@@ -20,9 +20,11 @@ with tempfile.TemporaryDirectory(prefix="paroeig_demo_") as tmp:
     workdir = pathlib.Path(tmp)
     config = workdir / "run.cfg"
     config.write_text("""
-# two orbitals on the unit square, stop once the values settle to 2%
+# three orbitals on the unit square (the ground state and the double
+# 5 pi^2 pair; two would split that pair), stop once the values settle
+# to 2%
 domain=unit_square
-n_orbitals=2
+n_orbitals=3
 theta=0.5
 tol1=0.02
 tol2=1e-10
@@ -44,9 +46,9 @@ seed=1
 
     lines = (workdir / "orbitals.txt").read_text().split()
     n_dofs = int(lines[0])
-    orbitals = np.array([float(v) for v in lines[1:]]).reshape(2, n_dofs)
-    print(f"orbitals.txt: 2 orbitals x {n_dofs} dofs, coefficient ranges "
+    orbitals = np.array([float(v) for v in lines[1:]]).reshape(3, n_dofs)
+    print(f"orbitals.txt: 3 orbitals x {n_dofs} dofs, coefficient ranges "
           f"{[f'{r.min():.3f}..{r.max():.3f}' for r in orbitals]}")
 
     print("\nclosed-form spectrum for comparison:")
-    cli.main(["spectrum", "--count", "2"])
+    cli.main(["spectrum", "--count", "3"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from paroeig.assembly import Coefficients, assemble
 from paroeig.mesh import build_initial_mesh, uniform_refine
-from paroeig.paro import ParoTolerances, initial_block, paro_inner_loop
+from paroeig.paro import initial_block, paro_inner_loop
 from paroeig.verify import (analytic_spectrum, dist_a,
                             quasi_orthogonality_report, reference_eig)
 
@@ -32,8 +32,8 @@ starts += 0.1 * rng.standard_normal(starts.shape)
 block = initial_block(system, starts)
 print(f"initial cluster multiplicities: {block.layout.d}")
 
-block, sweeps, deltas = paro_inner_loop(
-    system, block, ParoTolerances(tol2=1e-10, max_inner=60))
+block, sweeps, deltas = paro_inner_loop(system, block, tol2=1e-10,
+                                        max_inner=60)
 print(f"converged in {sweeps} sweeps, last relative move "
       f"{deltas[-1]:.2e}")
 print(f"final cluster multiplicities: {block.layout.d}\n")

@@ -11,7 +11,7 @@ import numpy as np
 
 from paroeig.assembly import Coefficients, assemble
 from paroeig.mesh import build_initial_mesh, uniform_refine
-from paroeig.paro import ParoTolerances, initial_block, paro_inner_loop
+from paroeig.paro import initial_block, paro_inner_loop
 from paroeig.verify import fit_rate, reference_eig
 
 exact = 2.0 * np.pi ** 2
@@ -29,8 +29,8 @@ for passes in (4, 6, 8, 10):
     # then run the orbital-update loop to tol2 = 1e-10
     start = reference_eig(system, 1).vectors
     block = initial_block(system, start)
-    block, sweeps, _ = paro_inner_loop(
-        system, block, ParoTolerances(tol2=1e-10, max_inner=40))
+    block, sweeps, _ = paro_inner_loop(system, block, tol2=1e-10,
+                                       max_inner=40)
 
     value = float(block.ritz_values[0])
     err = value - exact

@@ -21,7 +21,7 @@ as the tighter fallback.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .estimator import estimate
 from .linalg import b_orthonormalize, dense_sym_gen_eig, gram, minres_solve
 from .multilevel import MultilevelPreconditioner
 from .paro import (
-    ParoTolerances,
+    cluster_guesses,
     initial_block,
     paro_inner_loop,
     relative_change,
@@ -52,11 +52,14 @@ class AdaptError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdaptConfig:
-    """Outer-loop knobs; see module docstring for budget_factor."""
+    """Run knobs: the outer loop (theta, tol1, max_refinements), the
+    inner stop (tol2, max_inner sweeps) and the start (initial_passes);
+    see module docstring for budget_factor."""
     theta: float = 0.5
     tol1: float = 1e-6
     max_refinements: int = 12
-    paro_tols: ParoTolerances = field(default_factory=ParoTolerances)
+    tol2: float = 1e-8
+    max_inner: int = 50
     budget_factor: float | None = None
     initial_passes: int = 4
 
@@ -67,6 +70,10 @@ class AdaptConfig:
             raise AdaptError("tol1 must be positive")
         if self.max_refinements < 0:
             raise AdaptError("max_refinements must be >= 0")
+        if not self.tol2 > 0.0:
+            raise AdaptError("tol2 must be positive")
+        if self.max_inner < 1:
+            raise AdaptError("max_inner must be >= 1")
         if self.budget_factor is not None and not self.budget_factor > 0.0:
             raise AdaptError("budget_factor must be positive when set")
         if self.initial_passes < 0:
@@ -146,6 +153,10 @@ def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4):
     coarse meshes, then keeps the lowest Rayleigh-Ritz combinations.
     Uses only the package's own solver (MINRES on K), so adaptive runs
     stay independent of the scipy-based reference plumbing.
+
+    Raises AdaptError when the first guard value joins the cluster of
+    the N-th value: a block that splits a cluster keeps an arbitrary
+    part of it and converges to a wrong eigenpair.
     """
     rng = np.random.default_rng(seed)
     width = min(n_orbitals + 4, system.n_dofs)
@@ -156,7 +167,15 @@ def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4):
         vecs = np.stack([minres_solve(system.K, r, tol=1e-10).solution
                          for r in rhs])
     vecs = b_orthonormalize(vecs, system.M)
-    _, combo = dense_sym_gen_eig(gram(vecs, system.K), np.eye(width))
+    values, combo = dense_sym_gen_eig(gram(vecs, system.K), np.eye(width))
+    if (width > n_orbitals
+            and cluster_guesses(values[:n_orbitals + 1]).d[-1] > 1):
+        raise AdaptError(
+            f"n_orbitals={n_orbitals} splits a cluster of the first "
+            f"mesh's spectrum: Ritz values {n_orbitals} and "
+            f"{n_orbitals + 1} are {values[n_orbitals - 1]:.6g} and "
+            f"{values[n_orbitals]:.6g}; change n_orbitals or "
+            f"initial_passes")
     return combo.T[:n_orbitals] @ vecs
 
 
@@ -169,17 +188,16 @@ def transfer_block(fine_sys, prolong, block):
     return replace(block, vectors=vecs)
 
 
-def _effective_tols(config, mesh, coeffs, block, data):
+def _effective_tol2(config, mesh, coeffs, block, data):
     """Inner stop matched to the incoming block's estimator level."""
-    tols = config.paro_tols
     if config.budget_factor is None:
-        return tols
+        return config.tol2
     eta_sq = estimate(mesh, coeffs, block, data=data).global_sq
     lam_sum = float(np.abs(block.ritz_values).sum())
     if lam_sum == 0.0:
-        return tols
+        return config.tol2
     floor = config.budget_factor * eta_sq / lam_sum
-    return replace(tols, tol2=max(tols.tol2, floor))
+    return max(config.tol2, floor)
 
 
 def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
@@ -230,11 +248,10 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
             if block is None:
                 block = initial_block(
                     system,
-                    default_seed_vectors(system, n_orbitals, seed=seed),
-                    config.paro_tols.rel_gap)
-            tols = _effective_tols(config, current, coeffs, block, data)
-            block, m_used, _ = paro_inner_loop(system, block, tols,
-                                               precond)
+                    default_seed_vectors(system, n_orbitals, seed=seed))
+            tol2 = _effective_tol2(config, current, coeffs, block, data)
+            block, m_used, _ = paro_inner_loop(system, block, tol2,
+                                               config.max_inner, precond)
             indicators = estimate(current, coeffs, block, data=data)
             wall = time.perf_counter() - t0
             if observer is not None:

@@ -25,13 +25,12 @@ from .assembly import AssemblyError, Coefficients
 from .estimator import EstimatorError, estimate
 from .linalg import LinAlgError
 from .mesh import MeshError
-from .paro import ParoError, ParoTolerances, initial_block
+from .paro import ParoError, initial_block
 from .verify import (VerifyError, analytic_spectrum, dist_a,
                      quasi_orthogonality_report, reference_eig)
 
-__all__ = ["CliError", "RunConfig", "parse_config", "serialize_config",
-           "build_coefficients", "cmd_run", "cmd_verify", "cmd_spectrum",
-           "main"]
+__all__ = ["CliError", "RunConfig", "parse_config", "build_coefficients",
+           "cmd_run", "cmd_verify", "cmd_spectrum", "main"]
 
 
 class CliError(ValueError):
@@ -42,11 +41,11 @@ class CliError(ValueError):
 class RunConfig:
     """Flat run description parsed from a key=value file.
 
-    Zero means "automatic" for minres_max_iter and "off" for
-    budget_factor. threads is parsed so that old config files still load
-    and is otherwise ignored: the orbital solves run one after another.
-    Everything else maps directly onto AdaptConfig and ParoTolerances,
-    which validate the numeric ranges.
+    theta, tol1, tol2, max_refinements, max_inner, budget_factor and
+    initial_passes map onto the AdaptConfig fields of the same names,
+    which validates their ranges; a budget_factor of zero means "off".
+    threads is parsed so that old config files still load and is
+    otherwise ignored: the orbital solves run one after another.
     """
     domain: str = "unit_square"
     coefficients: str = "identity"
@@ -56,11 +55,8 @@ class RunConfig:
     theta: float = 0.5
     tol1: float = 1e-6
     tol2: float = 1e-8
-    rel_gap: float = 0.02
     max_refinements: int = 12
     max_inner: int = 50
-    minres_tol: float = 1e-10
-    minres_max_iter: int = 0
     budget_factor: float = 0.0
     initial_passes: int = 4
     seed: int = 0
@@ -99,16 +95,6 @@ def parse_config(text):
             raise CliError(f"line {lineno}: expected {kind.__name__} for "
                            f"{key}, got {value!r}") from None
     return RunConfig(**values)
-
-
-def serialize_config(config):
-    """Canonical key=value rendering; floats as shortest round-trip."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        text = repr(float(value)) if f.type is float else str(value)
-        lines.append(f"{f.name}={text}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path):
@@ -153,14 +139,10 @@ def build_coefficients(config):
 
 
 def build_adapt_config(config):
-    tols = ParoTolerances(
-        tol2=config.tol2, max_inner=config.max_inner,
-        minres_tol=config.minres_tol,
-        minres_max_iter=config.minres_max_iter or None,
-        rel_gap=config.rel_gap)
     return AdaptConfig(
         theta=config.theta, tol1=config.tol1,
-        max_refinements=config.max_refinements, paro_tols=tols,
+        max_refinements=config.max_refinements, tol2=config.tol2,
+        max_inner=config.max_inner,
         budget_factor=config.budget_factor or None,
         initial_passes=config.initial_passes)
 
@@ -232,7 +214,7 @@ def cmd_verify(config_path, out_dir=None):
         dists = [dist_a(system, block.vectors[s], ref.vectors[s])
                  for s in block.layout.cluster_slices()]
         gaps = list(block.ritz_values - ref.eigenvalues)
-        ref_block = initial_block(system, ref.vectors, config.rel_gap)
+        ref_block = initial_block(system, ref.vectors)
         eta_ref_sq = estimate(current, coeffs, ref_block,
                               data=data).global_sq
         ratio = float(np.sqrt(indicators.global_sq / eta_ref_sq))

@@ -31,7 +31,13 @@ from .linalg import (
     minres_solve,
 )
 
-DEFAULT_REL_GAP = 0.02
+# clusters split where consecutive Ritz values differ by more than this
+# relative gap: wide enough to hold a discretely split multiple eigenvalue
+REL_GAP = 0.02
+# relative B-norm residual at which every shifted solve stops; the Ritz
+# step needs only the half-steps' span, which this resolves for every
+# inner stop tol2 in use
+MINRES_TOL = 1e-10
 
 
 class ParoError(RuntimeError):
@@ -104,42 +110,21 @@ class OrbitalBlock:
         return self.layout.n
 
 
-@dataclass(frozen=True)
-class ParoTolerances:
-    """Stopping data for the inner loop; every field must be positive."""
-    tol2: float = 1e-8
-    max_inner: int = 50
-    minres_tol: float = 1e-10
-    minres_max_iter: int | None = None
-    rel_gap: float = DEFAULT_REL_GAP
-
-    def __post_init__(self):
-        # "not x > 0" also rejects NaN
-        if (not self.tol2 > 0 or self.max_inner < 1
-                or not self.minres_tol > 0
-                or (self.minres_max_iter is not None
-                    and self.minres_max_iter < 1)
-                or not self.rel_gap > 0):
-            raise ParoError("tolerances must be positive")
-
-
-def cluster_guesses(values, rel_gap=DEFAULT_REL_GAP):
+def cluster_guesses(values):
     """Group ascending eigenvalue guesses into relative-gap clusters.
 
     A new cluster starts at k iff
-        values[k] - values[k-1] > rel_gap * max(1, |values[k-1]|).
+        values[k] - values[k-1] > REL_GAP * max(1, |values[k-1]|).
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ParoError("need at least one eigenvalue guess")
-    if not rel_gap > 0:
-        raise ParoError("rel_gap must be positive")
     if np.any(np.diff(v) < 0):
         raise ParoError("eigenvalue guesses must be ascending")
     d = []
     count = 1
     for k in range(1, v.size):
-        if v[k] - v[k - 1] > rel_gap * max(1.0, abs(v[k - 1])):
+        if v[k] - v[k - 1] > REL_GAP * max(1.0, abs(v[k - 1])):
             d.append(count)
             count = 1
         else:
@@ -160,7 +145,7 @@ def _safe_shift(shift, ritz_values):
     return shift
 
 
-def orbital_update(sys, block, tols, precond=None):
+def orbital_update(sys, block, precond=None):
     """Solve (K - shift_i M) x_ij = shift_i M u_ij for every orbital.
 
     Returns the (N, n_dofs) array of unnormalized half-step vectors.
@@ -179,13 +164,12 @@ def orbital_update(sys, block, tols, precond=None):
             if not np.any(rhs):
                 raise ParoError(f"orbital {flat} produced a zero "
                                 f"right-hand side (degenerate orbital)")
-            results.append(minres_solve(op, rhs, tol=tols.minres_tol,
-                                        max_iter=tols.minres_max_iter,
+            results.append(minres_solve(op, rhs, tol=MINRES_TOL,
                                         precond=precond).solution)
     return np.vstack(results)
 
 
-def ritz_step(sys, half_steps, layout, rel_gap=DEFAULT_REL_GAP):
+def ritz_step(sys, half_steps, layout):
     """Rayleigh-Ritz on span(half_steps) -> new b-orthonormal block.
 
     The half-steps are b-orthonormalized first (their raw scales differ
@@ -206,18 +190,18 @@ def ritz_step(sys, half_steps, layout, rel_gap=DEFAULT_REL_GAP):
         values, w = dense_sym_gen_eig(a_bar, m_bar)
     except LinAlgError as exc:
         raise ParoError(
-            "half-step block is numerically rank deficient; decrease "
-            "minres_tol or perturb the initial data") from exc
+            "half-step block is numerically rank deficient; perturb "
+            "the initial data") from exc
     vectors = w.T @ basis
-    new_layout = cluster_guesses(values, rel_gap)
+    new_layout = cluster_guesses(values)
     return OrbitalBlock(layout=new_layout, vectors=vectors,
                         ritz_values=values,
                         shifts=_mean_shifts(values, new_layout))
 
 
-def initial_block(sys, vectors, rel_gap=DEFAULT_REL_GAP):
+def initial_block(sys, vectors):
     """Build a valid starting block from raw (possibly skew) vectors."""
-    return ritz_step(sys, vectors, None, rel_gap)
+    return ritz_step(sys, vectors, None)
 
 
 def relative_change(new_values, old_values, scale):
@@ -234,8 +218,9 @@ def relative_change(new_values, old_values, scale):
     return float(num / den)
 
 
-def paro_inner_loop(sys, block0, tols, precond=None):
-    """Iterate orbital_update + ritz_step until delta2 <= tol2.
+def paro_inner_loop(sys, block0, tol2, max_inner, precond=None):
+    """Iterate orbital_update + ritz_step until delta2 <= tol2, for at
+    most max_inner sweeps.
 
     precond is handed to every orbital_update.
 
@@ -243,18 +228,20 @@ def paro_inner_loop(sys, block0, tols, precond=None):
     max_inner is left to the caller to judge; the partial block is
     still a valid Ritz block.
     """
+    if not tol2 > 0 or max_inner < 1:      # "not x > 0" also rejects NaN
+        raise ParoError("tol2 must be positive and max_inner >= 1")
     block = block0
     history = []
     m_used = 0
-    for _ in range(tols.max_inner):
-        half = orbital_update(sys, block, tols, precond)
-        new_block = ritz_step(sys, half, block.layout, tols.rel_gap)
+    for _ in range(max_inner):
+        half = orbital_update(sys, block, precond)
+        new_block = ritz_step(sys, half, block.layout)
         d2 = relative_change(new_block.ritz_values, block.ritz_values,
                              block.ritz_values)
         history.append(d2)
         block = new_block
         m_used += 1
-        if d2 <= tols.tol2:
+        if d2 <= tol2:
             break
     return block, m_used, np.asarray(history)
 

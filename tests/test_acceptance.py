@@ -14,7 +14,7 @@ from paroeig import mesh, verify
 from paroeig.adapt import AdaptConfig, adaptive_solve, dorfler_mark
 from paroeig.assembly import Coefficients, assemble
 from paroeig.estimator import Indicators, estimate
-from paroeig.paro import ParoTolerances, initial_block, paro_inner_loop
+from paroeig.paro import initial_block, paro_inner_loop
 from paroeig.verify import dist_a, fit_rate, reference_eig
 
 LAPLACE = Coefficients.identity()
@@ -39,8 +39,7 @@ def sine_starts(system, points, noise, seed):
 
 def solve_block(system, starts, tol2, max_inner):
     block = initial_block(system, starts)
-    tols = ParoTolerances(tol2=tol2, max_inner=max_inner)
-    return paro_inner_loop(system, block, tols)
+    return paro_inner_loop(system, block, tol2, max_inner)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +110,7 @@ def test_estimator_gap_tracks_subspace_distance_across_meshes():
 
 def test_adaptive_estimator_contracts_linearly_in_log():
     cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=10,
-                      paro_tols=ParoTolerances(tol2=1e-10, max_inner=40))
+                      tol2=1e-10, max_inner=40)
     records, _, _ = adaptive_solve("unit_square", LAPLACE, 1, cfg)
     assert len(records) >= 9
     log_eta = np.log([r.global_estimator_sq for r in records])
@@ -154,7 +153,7 @@ def test_adaptive_beats_uniform_on_corner_singularity():
 
     cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=22,
                       initial_passes=2,
-                      paro_tols=ParoTolerances(tol2=1e-10, max_inner=40))
+                      tol2=1e-10, max_inner=40)
     records, _, _ = adaptive_solve("l_shape", LAPLACE, 1, cfg)
     errors = np.array([r.ritz_values[0] - lam_limit for r in records])
     assert np.all(errors > 0.0)
@@ -207,9 +206,8 @@ def test_matched_vector_distances_within_procrustes_bound(clustered_run):
 
 
 def test_estimator_matched_inner_stop_saves_iterations():
-    tols = ParoTolerances(tol2=1e-10, max_inner=40)
     fixed_cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=10,
-                            paro_tols=tols)
+                            tol2=1e-10, max_inner=40)
     budget_cfg = replace(fixed_cfg, budget_factor=0.1)
     fixed, _, _ = adaptive_solve("unit_square", LAPLACE, 1, fixed_cfg)
     saving, _, _ = adaptive_solve("unit_square", LAPLACE, 1, budget_cfg)
@@ -237,7 +235,7 @@ def test_bisection_stays_conforming_with_bounded_shape_classes():
     seen = []
     cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=10,
                       initial_passes=2,
-                      paro_tols=ParoTolerances(tol2=1e-10, max_inner=40))
+                      tol2=1e-10, max_inner=40)
     adaptive_solve("l_shape", LAPLACE, 1, cfg,
                    observer=lambda lv, m, s, b, i, d: seen.append(m))
     assert len(seen) == 11

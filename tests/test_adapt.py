@@ -19,7 +19,7 @@ from paroeig.adapt import (
 from paroeig.assembly import Coefficients, assemble
 from paroeig.estimator import Indicators
 from paroeig.linalg import gram
-from paroeig.paro import ParoTolerances, initial_block, relative_change
+from paroeig.paro import initial_block, relative_change
 
 IDENTITY = Coefficients.identity()
 
@@ -51,6 +51,15 @@ class TestAdaptConfig:
             AdaptConfig(budget_factor=np.nan)
         with pytest.raises(AdaptError, match="theta"):
             AdaptConfig(theta=np.nan)
+
+    def test_tolerances_must_be_positive(self):
+        with pytest.raises(AdaptError, match="tol2"):
+            AdaptConfig(tol2=0.0)
+        with pytest.raises(AdaptError, match="max_inner"):
+            AdaptConfig(max_inner=0)
+        # NaN compares False with everything, so "x <= 0" would pass it
+        with pytest.raises(AdaptError, match="tol2"):
+            AdaptConfig(tol2=np.nan)
 
 
 class TestDorflerMark:
@@ -134,8 +143,7 @@ class TestTransferBlock:
 class TestAdaptiveSolve:
     def test_single_mode_unit_square(self):
         cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=8,
-                          paro_tols=ParoTolerances(tol2=1e-10,
-                                                   max_inner=40))
+                          tol2=1e-10, max_inner=40)
         records, block, final_mesh = adaptive_solve("unit_square",
                                                     IDENTITY, 1, cfg)
         lam_exact = 2.0 * np.pi ** 2
@@ -152,8 +160,7 @@ class TestAdaptiveSolve:
 
     def test_estimator_contracts_geometrically(self):
         cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=10,
-                          paro_tols=ParoTolerances(tol2=1e-10,
-                                                   max_inner=40))
+                          tol2=1e-10, max_inner=40)
         records, _, _ = adaptive_solve("unit_square", IDENTITY, 1, cfg)
         eta_sq = np.array([r.global_estimator_sq for r in records])
         n = np.arange(len(eta_sq), dtype=float)
@@ -168,8 +175,7 @@ class TestAdaptiveSolve:
     def test_six_orbitals_resolve_cluster_pattern(self):
         cfg = AdaptConfig(theta=0.5, tol1=1e-8, max_refinements=2,
                           initial_passes=6,
-                          paro_tols=ParoTolerances(tol2=1e-10,
-                                                   max_inner=40))
+                          tol2=1e-10, max_inner=40)
         records, block, _ = adaptive_solve("unit_square", IDENTITY, 6, cfg)
         assert block.layout.d == (1, 2, 1, 2)
         targets = verify.analytic_spectrum("unit_square", 6)
@@ -179,8 +185,7 @@ class TestAdaptiveSolve:
     def test_l_shape_concentrates_at_corner(self):
         cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=12,
                           initial_passes=2,
-                          paro_tols=ParoTolerances(tol2=1e-10,
-                                                   max_inner=40))
+                          tol2=1e-10, max_inner=40)
         _, _, final_mesh = adaptive_solve("l_shape", IDENTITY, 1, cfg)
         centers = final_mesh.vertices[final_mesh.triangles].mean(axis=1)
         frac = float((np.linalg.norm(centers, axis=1) <= 0.25).mean())
@@ -192,11 +197,10 @@ class TestAdaptiveSolve:
         assert frac >= 0.05
 
     def test_budget_stop_saves_sweeps(self):
-        tols = ParoTolerances(tol2=1e-10, max_inner=40)
         fixed = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=8,
-                            paro_tols=tols)
+                            tol2=1e-10, max_inner=40)
         budget = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=8,
-                             paro_tols=tols, budget_factor=0.1)
+                             tol2=1e-10, max_inner=40, budget_factor=0.1)
         rec_f, _, _ = adaptive_solve("unit_square", IDENTITY, 1, fixed)
         rec_b, _, _ = adaptive_solve("unit_square", IDENTITY, 1, budget)
         assert sum(r.m_used for r in rec_b) < sum(r.m_used for r in rec_f)
@@ -205,8 +209,7 @@ class TestAdaptiveSolve:
 
     def test_deterministic_given_seed(self):
         cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=4,
-                          paro_tols=ParoTolerances(tol2=1e-10,
-                                                   max_inner=40))
+                          tol2=1e-10, max_inner=40)
         rec_a, _, _ = adaptive_solve("unit_square", IDENTITY, 1, cfg,
                                      seed=7)
         rec_b, _, _ = adaptive_solve("unit_square", IDENTITY, 1, cfg,
@@ -216,8 +219,7 @@ class TestAdaptiveSolve:
     def test_wall_times_cover_the_run(self):
         cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=10,
                           initial_passes=2,
-                          paro_tols=ParoTolerances(tol2=1e-10,
-                                                   max_inner=40))
+                          tol2=1e-10, max_inner=40)
         t0 = time.perf_counter()
         records, _, _ = adaptive_solve("l_shape", IDENTITY, 1, cfg)
         elapsed = time.perf_counter() - t0
@@ -229,10 +231,21 @@ class TestAdaptiveSolve:
             adaptive_solve("unit_square", IDENTITY, 1, cfg)
         assert err.value.records == []
 
+    @pytest.mark.parametrize("domain,n_orbitals,passes", [
+        ("unit_square", 3, 3), ("l_shape", 2, 1)])
+    def test_orbitals_splitting_a_cluster_rejected(self, domain,
+                                                   n_orbitals, passes):
+        # the first mesh's value N+1 lies in the cluster of value N, so
+        # the block would keep an arbitrary part of that cluster
+        cfg = AdaptConfig(initial_passes=passes, max_refinements=3)
+        with pytest.raises(AdaptError, match="splits a cluster") as err:
+            adaptive_solve(domain, IDENTITY, n_orbitals, cfg)
+        assert "change n_orbitals or initial_passes" in str(err.value)
+        assert err.value.records == []
+
     def test_mid_run_failure_keeps_partial_history(self, monkeypatch):
         cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=6,
-                          paro_tols=ParoTolerances(tol2=1e-8,
-                                                   max_inner=40))
+                          tol2=1e-8, max_inner=40)
         calls = {"n": 0}
         real = estimator.estimate
 

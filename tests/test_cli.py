@@ -11,7 +11,6 @@ from paroeig.cli import (
     build_coefficients,
     main,
     parse_config,
-    serialize_config,
 )
 
 BASE = """
@@ -50,10 +49,13 @@ class TestParseConfig:
         with pytest.raises(CliError, match="line 3: unknown key 'colour'"):
             parse_config("seed=1\n\ncolour=red\n")
 
-    @pytest.mark.parametrize("line", ["ell=2", "marking=uniform"])
+    @pytest.mark.parametrize("line", [
+        "ell=2", "marking=uniform", "rel_gap=0.05", "minres_tol=1e-12",
+        "minres_max_iter=10"])
     def test_removed_keys_are_unknown(self, line):
-        # refinement is one bisection round with Dorfler marking; the
-        # keys that chose otherwise are gone
+        # refinement is one bisection round with Dorfler marking, and the
+        # cluster gap and the shifted-solve stop are fixed; the keys that
+        # chose otherwise are gone
         key = line.split("=")[0]
         with pytest.raises(CliError, match=f"line 2: unknown key '{key}'"):
             parse_config(f"seed=1\n{line}\n")
@@ -71,13 +73,6 @@ class TestParseConfig:
     def test_duplicate_key_rejected(self):
         with pytest.raises(CliError, match="duplicate key 'seed'"):
             parse_config("seed=1\nseed=2\n")
-
-    def test_round_trip_is_stable(self):
-        cfg = parse_config(BASE + "minres_tol=3e-11\n")
-        text = serialize_config(cfg)
-        again = parse_config(text)
-        assert again == cfg
-        assert serialize_config(again) == text
 
 
 class TestBuildCoefficients:
@@ -177,6 +172,23 @@ class TestCmdVerify:
         assert main(["verify", "--config", path,
                      "--out", str(tmp_path)]) == 1
         assert "free dofs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("domain,n_orbitals,passes", [
+        # level-0 values 23.4, 96, 96, 96, 168.6: three orbitals would
+        # keep two of the three 96-modes
+        ("unit_square", 3, 3), ("l_shape", 2, 1)])
+    def test_split_cluster_exits_one(self, tmp_path, capsys, command,
+                                     domain, n_orbitals, passes):
+        text = (f"domain={domain}\nn_orbitals={n_orbitals}\n"
+                f"initial_passes={passes}\nmax_refinements=3\n")
+        path = write_config(tmp_path, text)
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "splits a cluster" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "history.csv").exists()
 
     def test_first_mesh_with_exactly_n_dofs(self, tmp_path, capsys):
         # one pass leaves the L-shape 3 free dofs: the level-0 reference

@@ -293,8 +293,7 @@ class TestEstimate:
         pts = m.vertices[system.free_dofs]
         starts = sine_starts(system, pts, noise=0.05, seed=0)
         b0 = paro.initial_block(system, starts)
-        tols = paro.ParoTolerances(tol2=1e-12, max_inner=80)
-        out, _, _ = paro.paro_inner_loop(system, b0, tols)
+        out, _, _ = paro.paro_inner_loop(system, b0, 1e-12, 80)
         eta_ref = np.sqrt(estimate(m, IDENTITY, block).global_sq)
         eta_out = np.sqrt(estimate(m, IDENTITY, out).global_sq)
         assert abs(eta_out - eta_ref) / eta_ref <= 1e-6
@@ -336,8 +335,7 @@ class TestEstimate:
                                 sine_starts(system, pts, noise=0.1, seed=2))
         ratios = []
         for tol2 in (1e-4, 1e-6, 1e-8):
-            tols = paro.ParoTolerances(tol2=tol2, max_inner=60)
-            out, _, _ = paro.paro_inner_loop(system, b0, tols)
+            out, _, _ = paro.paro_inner_loop(system, b0, tol2, 60)
             eta = np.sqrt(estimate(m, IDENTITY, out).global_sq)
             dist_sq = sum(verify.dist_a(system, ref.vectors[s],
                                         out.vectors[s]) ** 2

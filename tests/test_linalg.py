@@ -51,7 +51,7 @@ def shifted_operators(system, shifts, monkeypatch):
 
     def recording(op, rhs, **kwargs):
         ops.append(op)
-        return solve(op, rhs, **kwargs)
+        return solve(op, rhs, **dict(kwargs, max_iter=1))
 
     monkeypatch.setattr(paro, "minres_solve", recording)
     n = len(shifts)
@@ -59,8 +59,7 @@ def shifted_operators(system, shifts, monkeypatch):
     block = paro.OrbitalBlock(
         layout=paro.ClusterLayout((1,) * n), vectors=vectors,
         ritz_values=2.0 * np.asarray(shifts), shifts=shifts)
-    paro.orbital_update(system, block,
-                        paro.ParoTolerances(minres_max_iter=1))
+    paro.orbital_update(system, block)
     return ops
 
 

@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from paroeig.assembly import Coefficients, FemSystem, assemble
-from paroeig.linalg import gram
+from paroeig.linalg import gram, minres_solve
 from paroeig.mesh import build_initial_mesh, uniform_refine
 from paroeig.paro import (
     ClusterLayout,
     OrbitalBlock,
     ParoError,
-    ParoTolerances,
     check_block,
     cluster_guesses,
     initial_block,
@@ -106,31 +105,26 @@ class TestClusterLayout:
 
 class TestClusterGuesses:
     def test_analytic_square_spectrum(self):
-        lay = cluster_guesses([19.74, 49.35, 49.35, 78.96], rel_gap=0.05)
+        lay = cluster_guesses([19.74, 49.35, 49.35, 78.96])
         assert (lay.q, lay.d) == (3, (1, 2, 1))
 
     def test_single_value(self):
-        lay = cluster_guesses([7.0], rel_gap=0.05)
+        lay = cluster_guesses([7.0])
         assert (lay.q, lay.d) == (1, (1,))
 
     def test_sub_threshold_gap_merges(self):
-        lay = cluster_guesses([1.0, 1.0 + 1e-9, 5.0], rel_gap=0.01)
+        lay = cluster_guesses([1.0, 1.0 + 1e-9, 5.0])
         assert (lay.q, lay.d) == (2, (2, 1))
 
     def test_unsorted_rejected(self):
         with pytest.raises(ParoError, match="ascending"):
             cluster_guesses([2.0, 1.0])
 
-    def test_nonpositive_gap_rejected(self):
-        for gap in (0.0, np.nan):
-            with pytest.raises(ParoError, match="rel_gap"):
-                cluster_guesses([1.0, 2.0], rel_gap=gap)
-
     def test_gap_uses_max_of_one_and_value(self):
-        # near zero the absolute scale 1 governs: gap 0.5 > 0.3*max(1,.1)
-        lay = cluster_guesses([0.1, 0.6], rel_gap=0.3)
+        # near zero the absolute scale 1 governs: 0.03 > 0.02*max(1,.1)
+        lay = cluster_guesses([0.1, 0.13])
         assert lay.q == 2
-        lay = cluster_guesses([0.1, 0.35], rel_gap=0.3)
+        lay = cluster_guesses([0.1, 0.115])
         assert lay.q == 1
 
 
@@ -140,10 +134,9 @@ class TestComputeShifts:
     has exactly the diagonal as its Ritz values."""
 
     @staticmethod
-    def _block(values, rel_gap=0.02):
+    def _block(values):
         values = np.asarray(values, dtype=np.float64)
-        return ritz_step(diag_system(values), np.eye(len(values)), None,
-                         rel_gap)
+        return ritz_step(diag_system(values), np.eye(len(values)), None)
 
     def test_pair_mean(self):
         blk = self._block([49.3, 49.5])
@@ -155,14 +148,20 @@ class TestComputeShifts:
         assert_allclose(blk.shifts, [19.74])
 
     def test_mean_is_convex_combination(self):
+        # log-spreads of 0.01..0.5 against the 0.02 relative gap give
+        # singletons and clusters of several members
         rng = np.random.default_rng(17)
+        sizes = []
         for _ in range(20):
-            values = np.sort(rng.uniform(1.0, 100.0, rng.integers(1, 10)))
-            blk = self._block(values, rel_gap=rng.uniform(0.001, 0.1))
+            values = np.sort(np.exp(rng.uniform(
+                0.0, rng.uniform(0.01, 0.5), rng.integers(1, 10))))
+            blk = self._block(values)
+            sizes.extend(blk.layout.d)
             assert np.array_equal(blk.ritz_values, values)
             for i, sl in enumerate(blk.layout.cluster_slices()):
                 assert values[sl].min() <= blk.shifts[i] <= values[sl].max()
                 assert blk.shifts[i] == values[sl].mean()
+        assert min(sizes) == 1 and max(sizes) >= 3
 
 
 class TestOrbitalUpdate:
@@ -173,7 +172,7 @@ class TestOrbitalUpdate:
         blk = OrbitalBlock(layout=lay, vectors=np.array([[1.0, 0.0]]),
                            ritz_values=np.array([2.0]),
                            shifts=np.array([1.0]))
-        hs = orbital_update(sys, blk, ParoTolerances(minres_tol=1e-13))
+        hs = orbital_update(sys, blk)
         assert_allclose(hs[0], [1.0, 0.0], atol=1e-10)
 
     def test_exact_eigenvector_close_shift_amplifies(self):
@@ -183,7 +182,7 @@ class TestOrbitalUpdate:
         blk = OrbitalBlock(layout=lay, vectors=np.array([[1.0, 0.0]]),
                            ritz_values=np.array([2.0]),
                            shifts=np.array([1.9]))
-        hs = orbital_update(sys, blk, ParoTolerances(minres_tol=1e-13))
+        hs = orbital_update(sys, blk)
         assert_allclose(hs[0], [19.0, 0.0], rtol=1e-8, atol=1e-8)
 
     def test_two_dof_hand_oracle(self):
@@ -195,7 +194,7 @@ class TestOrbitalUpdate:
                            vectors=np.array([[1.0, 1.0]]) / np.sqrt(2.0),
                            ritz_values=np.array([3.5]),
                            shifts=np.array([2.1]))
-        hs = orbital_update(sys, blk, ParoTolerances(minres_tol=1e-13))
+        hs = orbital_update(sys, blk)
         expect = 2.1 * np.array([1.0 / -0.1, 1.0 / 2.9]) / np.sqrt(2.0)
         assert_allclose(hs[0], expect, rtol=1e-9)
 
@@ -206,7 +205,7 @@ class TestOrbitalUpdate:
                            ritz_values=np.array([2.0]),
                            shifts=np.array([1.0]))
         with pytest.raises(ParoError, match="zero right-hand side"):
-            orbital_update(sys, blk, ParoTolerances())
+            orbital_update(sys, blk)
 
     def test_one_operator_per_cluster(self, monkeypatch):
         import paroeig.paro as paro_mod
@@ -223,7 +222,7 @@ class TestOrbitalUpdate:
         blk = OrbitalBlock(layout=lay, vectors=np.eye(4)[:3] + 0.1,
                            ritz_values=np.array([2.1, 5.1, 5.2]),
                            shifts=np.array([2.05, 5.15]))
-        hs = orbital_update(sys, blk, ParoTolerances(minres_tol=1e-13))
+        hs = orbital_update(sys, blk)
         # three solves, the two of the second cluster on one operator
         assert len(ops) == 3 and len({id(op) for op in ops}) == 2
         assert ops[1] is ops[2]
@@ -242,9 +241,9 @@ class TestRitzStep:
     @given(d=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
                lambda d: max(d) >= 2),
            seed=st.integers(0, 2 ** 32 - 1),
-           minres_max_iter=st.integers(1, 30), data=st.data())
+           max_iter=st.integers(1, 30), data=st.data())
     def test_ritz_values_ignore_row_order_sign_and_cluster_rotation(
-            self, square16, d, seed, minres_max_iter, data):
+            self, square16, d, seed, max_iter, data):
         # half-steps of random orbitals after a few MINRES iterations,
         # far from eigenvectors, so the Ritz step has real work to do;
         # the orbitals of a cluster share a shift near an eigenvalue
@@ -253,12 +252,11 @@ class TestRitzStep:
         layout = ClusterLayout(d)
         shifts = np.sort(w_ref[rng.choice(8, len(d), replace=False)]
                          * rng.uniform(0.9, 1.1, len(d)))
-        block = OrbitalBlock(
-            layout=layout,
-            vectors=rng.standard_normal((layout.n, sys.n_dofs)),
-            ritz_values=np.repeat(shifts, d), shifts=shifts)
-        half = orbital_update(sys, block, ParoTolerances(
-            minres_max_iter=minres_max_iter))
+        vectors = rng.standard_normal((layout.n, sys.n_dofs))
+        half = np.vstack([
+            minres_solve(sys.K - shift * sys.M, shift * (sys.M @ v),
+                         max_iter=max_iter).solution
+            for shift, v in zip(np.repeat(shifts, d), vectors)])
         base = ritz_step(sys, half, layout)
         check_block(sys, base)
 
@@ -297,7 +295,7 @@ class TestRitzStep:
     def test_rank_deficiency_advises(self, square16):
         _, sys, _, v_ref = square16
         dup = np.vstack([v_ref[:, 0], v_ref[:, 0]])
-        with pytest.raises(ParoError, match="minres_tol"):
+        with pytest.raises(ParoError, match="rank deficient"):
             ritz_step(sys, dup, None)
 
     def test_min_max_lower_bound(self, square16):
@@ -324,7 +322,7 @@ class TestInnerLoop:
     def test_fixed_point_converges_in_one_sweep(self, square16):
         _, sys, _, v_ref = square16
         blk = initial_block(sys, v_ref[:, :4].T)
-        out, m_used, hist = paro_inner_loop(sys, blk, ParoTolerances())
+        out, m_used, hist = paro_inner_loop(sys, blk, 1e-8, 50)
         assert m_used == 1
         assert hist[-1] <= 1e-12
         check_block(sys, out)
@@ -332,8 +330,7 @@ class TestInnerLoop:
     def test_converges_to_reference_on_sixteenth_mesh(self, square16):
         m, sys, w_ref, _ = square16
         blk = initial_block(sys, sine_seeds(m, sys, 0.05, seed=0))
-        tols = ParoTolerances(tol2=1e-10, max_inner=60, minres_tol=1e-10)
-        out, m_used, hist = paro_inner_loop(sys, blk, tols)
+        out, m_used, hist = paro_inner_loop(sys, blk, 1e-10, 60)
         assert m_used < 60
         rel = np.abs(out.ritz_values - w_ref[:6]) / np.abs(w_ref[:6])
         assert rel.max() <= 1e-8
@@ -342,15 +339,14 @@ class TestInnerLoop:
     def test_delta2_history_eventually_decreasing(self, square16):
         m, sys, _, _ = square16
         blk = initial_block(sys, sine_seeds(m, sys, 0.05, seed=1))
-        tols = ParoTolerances(tol2=1e-10, max_inner=60)
-        _, m_used, hist = paro_inner_loop(sys, blk, tols)
-        assert m_used >= 2 and hist[-1] <= tols.tol2
+        _, m_used, hist = paro_inner_loop(sys, blk, 1e-10, 60)
+        assert m_used >= 2 and hist[-1] <= 1e-10
         assert hist[-1] <= hist[0]
 
     def test_invariant_subspace_is_reproduced(self, square16):
         _, sys, _, v_ref = square16
         blk = initial_block(sys, v_ref[:, :3].T)
-        half = orbital_update(sys, blk, ParoTolerances())
+        half = orbital_update(sys, blk)
         out = ritz_step(sys, half, blk.layout)
         assert subspace_dist_a(out.vectors, v_ref[:, :3].T, sys.K) <= 1e-9
 
@@ -359,12 +355,11 @@ class TestInnerLoop:
         # collect (error, dist^2) per sweep above the accuracy floor and
         # require the fitted ratios to agree within a factor of 10
         m, sys, w_ref, v_ref = square16
-        tols = ParoTolerances(tol2=1e-15, max_inner=8, minres_tol=1e-12)
         ratios = []
         for seed in (0, 1, 2):
             block = initial_block(sys, sine_seeds(m, sys, 0.1, seed=seed))
             for _ in range(5):
-                half = orbital_update(sys, block, tols)
+                half = orbital_update(sys, block)
                 block = ritz_step(sys, half, block.layout)
                 err = np.abs(block.ritz_values - w_ref[:6]).max()
                 dist = subspace_dist_a(block.vectors, v_ref[:, :6].T, sys.K)
@@ -376,17 +371,14 @@ class TestInnerLoop:
     def test_max_inner_returns_partial_block(self, square16):
         m, sys, _, _ = square16
         blk = initial_block(sys, sine_seeds(m, sys, 0.3, seed=2))
-        out, m_used, hist = paro_inner_loop(
-            sys, blk, ParoTolerances(tol2=1e-16, max_inner=2))
+        out, m_used, hist = paro_inner_loop(sys, blk, 1e-16, 2)
         assert m_used == 2 and len(hist) == 2
         check_block(sys, out)
 
-    def test_tolerances_must_be_positive(self):
-        with pytest.raises(ParoError, match="positive"):
-            ParoTolerances(tol2=0.0)
-        with pytest.raises(ParoError, match="positive"):
-            ParoTolerances(max_inner=0)
+    def test_tolerances_must_be_positive(self, square16):
+        _, sys, _, v_ref = square16
+        blk = initial_block(sys, v_ref[:, :2].T)
         # NaN compares False with everything, so "x <= 0" would pass it
-        for name in ("tol2", "minres_tol", "rel_gap"):
+        for tol2, max_inner in ((0.0, 5), (np.nan, 5), (1e-8, 0)):
             with pytest.raises(ParoError, match="positive"):
-                ParoTolerances(**{name: np.nan})
+                paro_inner_loop(sys, blk, tol2, max_inner)

@@ -259,7 +259,7 @@ class TestQuasiOrthogonality:
             starts.shape)
         out, _, _ = paro.paro_inner_loop(
             system, paro.initial_block(system, starts),
-            paro.ParoTolerances(tol2=1e-10, max_inner=60))
+            1e-10, 60)
         reps = quasi_orthogonality_report(system, out, ref, out.layout)
         assert [rep.dim for rep in reps] == [1, 2, 1, 2]
         for rep in reps:
