@@ -58,10 +58,16 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
         expected regime for shifted-inverse orbital updates.
 
     Raises:
-        LinAlgError: the right-hand side or the residual estimate is not
+        LinAlgError: tol is not a positive finite number or max_iter is
+            below 1; the right-hand side or the residual estimate is not
             finite, the residual estimate increases, or the preconditioner
             is not positive definite.
     """
+    if not 0.0 < tol < math.inf:           # "not" also rejects NaN
+        raise LinAlgError(f"MINRES tol must be positive and finite, "
+                          f"got {tol!r}")
+    if max_iter is not None and max_iter < 1:
+        raise LinAlgError(f"MINRES max_iter must be >= 1, got {max_iter!r}")
     b = np.asarray(rhs, dtype=np.float64)
     if not np.isfinite(b).all():
         raise LinAlgError("MINRES right-hand side is not finite")

@@ -1,22 +1,32 @@
 """Local multigrid V-cycle preconditioner on the bisection hierarchy.
 
-B approximates K^-1 on the finest mesh of an adaptive run by one
-symmetric V-cycle, written as the recursion
+B(sigma) approximates |K - sigma*M|^-1 on the finest mesh of an
+adaptive run by one symmetric V-cycle, written as the recursion
 
     B_l = Rbar_l + Pt_l B_(l-1) Pt_l^T,  Pt_l = (I - R_l K_l) P_l,
     Rbar_l = 2 R_l - R_l K_l R_l,
 
 where P_l prolongs the free dofs of level l-1 to those of level l, K_l
-is the stiffness matrix assembled on level l's mesh, and B_0 = K_0^-1
-(dense Cholesky factor; diag(K_0)^-1 on a large first mesh). R_l is the
-l1-Jacobi smoother OMEGA D^-1 (Baker-Falgout-Kolev-Yang 2011) on the
-vertices level l added and their edge neighbours, the set S, with
-D_ii = sum_(j in S) |K_ij|, and zero off S: one smoothing step before
-and one after each coarse correction, local as Chen-Nochetto-Xu (2012)
-need for uniform optimality on graded bisection grids. Since
-lambda_max(D^-1 K_SS) <= 1 < 2 / OMEGA for any SPD K, B is symmetric
-positive definite, so it can precondition MINRES on the indefinite
-K - sigma*M.
+is the stiffness matrix assembled on level l's mesh, and the coarse
+solve B_0(sigma) = |K_0 - sigma*M_0|^-1 is exact on the shifted pencil
+(Vecharynski-Knyazev 2013, absolute value preconditioning). The coarse
+level stores the eigendecomposition K_0 V = M_0 V Lambda, V^T M_0 V = I,
+and applies
+
+    B_0(sigma) = V diag(1 / max(|Lambda - sigma|, GAP_FLOOR |sigma|)) V^T,
+
+so B_0(0) = K_0^-1 and the floor keeps B_0 finite when sigma hits a
+coarse eigenvalue. On a large first mesh B_0 = diag(K_0)^-1 for every
+sigma. R_l is the l1-Jacobi smoother OMEGA D^-1
+(Baker-Falgout-Kolev-Yang 2011) on the vertices level l added and their
+edge neighbours, the set S, with D_ii = sum_(j in S) |K_ij|, and zero
+off S: one smoothing step before and one after each coarse correction,
+local as Chen-Nochetto-Xu (2012) need for uniform optimality on graded
+bisection grids. Since lambda_max(D^-1 K_SS) <= 1 < 2 / OMEGA for any
+SPD K, and B_0(sigma) is SPD, B(sigma) is symmetric positive definite,
+so it can precondition MINRES on the indefinite K - sigma*M. Only the
+coarse solve sees sigma: below sigma, the coarse modes that an unshifted
+B leaves as negative outliers of B(K - sigma*M) come out near -1.
 
 The hierarchy follows the refinement: each refine() call appends the
 midpoints of the edges it bisects, and P_l is built from the nodal
@@ -30,16 +40,22 @@ application) logarithmic in the mesh size.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrsv
+
+from .linalg import LinAlgError
 
 # restart the hierarchy (exact coarse solve) while the mesh is this small
 COARSE_DOFS = 400
 # damping of the l1-Jacobi smoother; B stays SPD for any value below 2
 OMEGA = 1.6
+# the coarse solve floors each |lambda - sigma| at this fraction of
+# |sigma|, so B stays finite when sigma is a coarse eigenvalue
+GAP_FLOOR = 1e-2
 # a level absorbs refinements until it has this many times the vertices
 # of the level below it
 MERGE_FACTOR = 2
@@ -85,20 +101,49 @@ def _level(n_vertices, step, K, S):
     return _Level(n_vertices, step, prolong, prolong.T, smoother)
 
 
+def _coarse_modes(system):
+    """(Lambda, V) with K V = M V diag(Lambda), V^T M V = I and Lambda > 0."""
+    try:
+        lam, vecs = scipy.linalg.eigh(system.K.toarray(),
+                                      system.M.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise LinAlgError(f"coarse mass matrix ({system.n_dofs} dofs) is "
+                          f"not positive definite") from exc
+    if lam.size and not lam[0] > 0.0:
+        raise LinAlgError(f"coarse stiffness matrix ({system.n_dofs} dofs) "
+                          f"is not positive definite (eigenvalue "
+                          f"{lam[0]:.3e})")
+    return lam, vecs
+
+
+def _v_cycle(levels, coarse, r):
+    """B r for the levels (coarsest first) above the coarse solve."""
+    r = np.asarray(r, dtype=np.float64)
+    local = []
+    for lv in reversed(levels):
+        local.append(lv.smoother @ r)
+        r = lv.restrict @ r
+    x = coarse(r)
+    for lv, z in zip(levels, reversed(local)):
+        x = lv.prolong @ x
+        x += z
+    return x
+
+
 class MultilevelPreconditioner:
     """r -> B r for the finest mesh of a nested refinement sequence.
 
     Build it on the first mesh with its assembled FemSystem, then call
     extend() after every refine + assemble; extend returns a new
-    preconditioner and leaves this one untouched.
+    preconditioner and leaves this one untouched. Calling it applies
+    B(0), which approximates K^-1; shifted(sigma) gives B(sigma).
     """
 
     def __init__(self, mesh, system):
         self._levels = ()
         self._coarse_vertices = mesh.n_vertices
         if system.n_dofs <= COARSE_DOFS:
-            # K = L L^T; store U = L^T, a Fortran-ordered view, for dtrsv
-            self._coarse = np.linalg.cholesky(system.K.toarray()).T
+            self._coarse = _coarse_modes(system)
         else:
             # a large first mesh gets Jacobi, never a dense factor
             self._coarse = 1.0 / system.K.diagonal()
@@ -128,19 +173,23 @@ class MultilevelPreconditioner:
         """Levels including the coarse one."""
         return 1 + len(self._levels)
 
-    def __call__(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        local = []
-        for lv in reversed(self._levels):
-            local.append(lv.smoother @ r)
-            r = lv.restrict @ r
-        if self._coarse.ndim == 2:
-            # K^-1 r = U^-1 U^-T r; BLAS dtrsv skips solve_triangular's
-            # per-call checks, which cost more than the solve here
-            x = dtrsv(self._coarse, dtrsv(self._coarse, r, trans=1))
+    def shifted(self, shift):
+        """The SPD callable r -> B(shift) r, for MINRES on
+        K - shift*M; build it once per shift."""
+        if isinstance(self._coarse, np.ndarray):
+            # a Jacobi coarse solve ignores the shift
+            jacobi = self._coarse
+
+            def coarse(r):
+                return jacobi * r
         else:
-            x = self._coarse * r
-        for lv, z in zip(self._levels, reversed(local)):
-            x = lv.prolong @ x
-            x += z
-        return x
+            lam, vecs = self._coarse
+            scale = 1.0 / np.maximum(np.abs(lam - shift),
+                                     GAP_FLOOR * abs(shift))
+
+            def coarse(r):
+                return vecs @ (scale * (vecs.T @ r))
+        return functools.partial(_v_cycle, self._levels, coarse)
+
+    def __call__(self, r):
+        return self.shifted(0.0)(r)

@@ -150,22 +150,26 @@ def orbital_update(sys, block, precond=None):
 
     Returns the (N, n_dofs) array of unnormalized half-step vectors.
     The N solves are independent and run one after another. The members
-    of a cluster share one shift and so one assembled operator. precond,
-    an SPD callable r -> B r with B ~ K^-1 (e.g. a
-    MultilevelPreconditioner), preconditions every solve. Iteration caps
-    are expected near convergence and not reported as errors.
+    of a cluster share one shift, and so one assembled operator and one
+    preconditioner. precond (e.g. a MultilevelPreconditioner) must have
+    a method shifted(shift) that returns an SPD callable r -> B r with
+    B ~ |K - shift*M|^-1; it is called once per cluster with that
+    cluster's shift, and the callable preconditions the cluster's
+    solves. Iteration caps are expected near convergence and not
+    reported as errors.
     """
     results = []
     for i, sl in enumerate(block.layout.cluster_slices()):
         shift = _safe_shift(float(block.shifts[i]), block.ritz_values)
         op = sys.K - shift * sys.M
+        apply = None if precond is None else precond.shifted(shift)
         for flat in range(sl.start, sl.stop):
             rhs = shift * (sys.M @ block.vectors[flat])
             if not np.any(rhs):
                 raise ParoError(f"orbital {flat} produced a zero "
                                 f"right-hand side (degenerate orbital)")
             results.append(minres_solve(op, rhs, tol=MINRES_TOL,
-                                        precond=precond).solution)
+                                        precond=apply).solution)
     return np.vstack(results)
 
 

@@ -201,6 +201,21 @@ class TestMinres:
         assert res.flag == "max_iter"
         assert res.iterations == 3
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_bad_tol_raises(self, tol):
+        # a 50-dof diagonal system that needs 42 iterations; a bad
+        # tol used to run it to the 4n cap
+        s = sp.csr_matrix(np.diag(np.arange(1.0, 51.0)))
+        with pytest.raises(LinAlgError, match="tol"):
+            minres_solve(s, np.ones(50), tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_bad_max_iter_raises(self, max_iter):
+        # used to return x = 0 with flag "max_iter"
+        s = sp.csr_matrix(np.diag(np.arange(1.0, 51.0)))
+        with pytest.raises(LinAlgError, match="max_iter"):
+            minres_solve(s, np.ones(50), max_iter=max_iter)
+
     def test_near_singular_shift_amplifies_eigendirection(self):
         # (K - shift*M) x = shift * M u with K=diag(2,5), M=I, shift=2.1:
         # x = 2.1 * [1/(2-2.1), 1/(5-2.1)] / sqrt(2), dominated by the

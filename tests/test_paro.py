@@ -235,6 +235,43 @@ class TestOrbitalUpdate:
                                      shift * blk.vectors[flat])
             assert_allclose(hs[flat], expect, rtol=1e-9)
 
+    def test_each_cluster_gets_its_own_shifted_preconditioner(
+            self, monkeypatch):
+        import paroeig.paro as paro_mod
+        built, used = [], []
+        solve = paro_mod.minres_solve
+
+        class Recording:
+            """Jacobi on K, tagged with the shift it was built for."""
+            def shifted(self, shift):
+                built.append(shift)
+
+                def apply(r):
+                    return r / np.array([2.0, 5.0, 5.05, 9.0])
+                apply.shift = shift
+                return apply
+
+        def recording(op, rhs, **kwargs):
+            used.append(kwargs["precond"].shift)
+            return solve(op, rhs, **kwargs)
+
+        monkeypatch.setattr(paro_mod, "minres_solve", recording)
+        sys = diag_system([2.0, 5.0, 5.05, 9.0])
+        blk = OrbitalBlock(layout=ClusterLayout((1, 2, 1)),
+                           vectors=np.eye(4) + 0.1,
+                           ritz_values=np.array([2.1, 5.1, 5.2, 8.9]),
+                           shifts=np.array([2.05, 5.15, 8.95]))
+        hs = orbital_update(sys, blk, Recording())
+        # one preconditioner per cluster, built for that cluster's shift
+        # and handed to each of its solves
+        assert built == [2.05, 5.15, 8.95]
+        assert used == [2.05, 5.15, 5.15, 8.95]
+        k = np.diag([2.0, 5.0, 5.05, 9.0])
+        for flat, shift in enumerate(used):
+            expect = np.linalg.solve(k - shift * np.eye(4),
+                                     shift * blk.vectors[flat])
+            assert_allclose(hs[flat], expect, rtol=1e-9)
+
 
 class TestRitzStep:
     @settings(max_examples=30, deadline=None)
