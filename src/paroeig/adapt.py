@@ -20,6 +20,7 @@ as the tighter fallback.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -50,6 +51,16 @@ class AdaptError(RuntimeError):
         self.records = list(records)
 
 
+def _integer(value, name):
+    """value as a Python int; AdaptError unless it is an integer."""
+    try:
+        # operator.index takes Python and numpy integers only
+        return operator.index(value)
+    except TypeError:
+        raise AdaptError(f"{name} must be an integer, "
+                         f"got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class AdaptConfig:
     """Run knobs: the outer loop (theta, tol1, max_refinements), the
@@ -64,6 +75,9 @@ class AdaptConfig:
     initial_passes: int = 4
 
     def __post_init__(self):
+        for name in ("max_refinements", "max_inner", "initial_passes"):
+            object.__setattr__(self, name,
+                               _integer(getattr(self, name), name))
         if not 0.0 < self.theta < 1.0:
             raise AdaptError(f"theta out of (0,1): {self.theta}")
         if not self.tol1 > 0.0:             # NaN too
@@ -222,6 +236,7 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
     Returns:
         (records, final_block, final_mesh); one RunRecord per level.
     """
+    n_orbitals = _integer(n_orbitals, "n_orbitals")
     if n_orbitals < 1:
         raise AdaptError("need at least one orbital")
     t0 = time.perf_counter()

@@ -10,16 +10,13 @@ Coefficient fields come in three representations:
   * a constant (2x2 array for diffusion, scalar for reaction),
   * a per-element table indexed by each triangle's ancestor in the
     initial mesh (piecewise-constant data survives refinement unchanged),
-  * a callable (x, y) -> value, sampled at quadrature points. It must
-    be a pure function of (x, y): each sampling pass calls it once per
-    distinct point (coordinates compared bitwise, so 0.0 and -0.0 are
-    two points) and hands the value to every triangle that needs it.
-    Congruent sibling triangles share a finite-difference stencil and
-    neighbours share edge midpoints, which saves about 40% of the calls
-    on an adaptively refined mesh. The returned values are converted to
-    float64 a chunk of points at a time; a value that is not real
-    numbers, or whose shape differs from the first, raises
-    AssemblyError.
+  * a callable f(x, y) of two equal-length float64 point arrays that
+    returns one value per point, (n,) for the reaction and (n, 2, 2)
+    for the diffusion, sampled at quadrature points. It must be a pure
+    function of (x, y): refinement samples only the new triangles.
+Every value must be real numbers. A callable whose values have another
+shape, or that raises TypeError or ValueError on arrays (a scalar-style
+`if x > 0.5`), raises AssemblyError.
 Quadrature only ever touches the coefficients: P1 gradients are constant
 per element, so the one rule (the three edge midpoints, exact for
 quadratics) integrates the diffusion term exactly for data up to degree
@@ -34,14 +31,12 @@ of callable diffusion, the estimator's linear maps) lives in one
 ElementData per mesh. Each sample is taken and validated once: the
 adaptive loop builds it on the first mesh and extends it after every
 refinement, copying the rows of triangles the refinement kept and
-sampling only the new children. The divergence, which only the
-estimator reads, is sampled on its first read. Called without one,
-`assemble` and `estimator.estimate` build it themselves.
+sampling only the new children. Called without one, `assemble` and
+`estimator.estimate` build it themselves.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +78,21 @@ class Coefficients:
 
     @staticmethod
     def constant(diffusion, reaction=0.0):
-        return Coefficients(np.asarray(diffusion, dtype=np.float64),
-                            float(reaction))
+        return Coefficients(_real_array(diffusion, "diffusion"),
+                            float(_real_array(reaction, "reaction")))
+
+
+# dtype kinds of real numbers: bool, signed and unsigned int, float
+_REAL_KINDS = "biuf"
+
+
+def _real_array(value, name):
+    """value as a float64 copy; AssemblyError unless it is real numbers."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in _REAL_KINDS:
+        raise AssemblyError(f"{name} must be real numbers, got {arr.dtype} "
+                            f"values")
+    return arr.astype(np.float64)
 
 
 def _classify_diffusion(coeffs):
@@ -93,7 +101,7 @@ def _classify_diffusion(coeffs):
         return "const", np.eye(2)
     if callable(d):
         return "callable", d
-    arr = np.asarray(d, dtype=np.float64)
+    arr = _real_array(d, "diffusion")
     if arr.shape == (2, 2):
         return "const", arr
     if arr.ndim == 3 and arr.shape[1:] == (2, 2):
@@ -108,7 +116,7 @@ def _classify_reaction(coeffs):
         return "const", 0.0
     if callable(c):
         return "callable", c
-    arr = np.asarray(c, dtype=np.float64)
+    arr = _real_array(c, "reaction")
     if arr.ndim == 0:
         return "const", float(arr)
     if arr.ndim == 1:
@@ -173,70 +181,39 @@ def _quad_points(mesh, ids):
                      mesh.vertices[mesh.triangles[ids]])
 
 
-# distinct points per conversion of f's returned values: bounds the list
-# of per-point values alive at once
-_CHUNK = 1024
-# dtype kinds of real numbers: bool, signed and unsigned int, float
-_REAL_KINDS = "biuf"
-
-
-def _stack(returned, shape):
-    """The values f returned, as one float64 array (len, *shape)."""
-    try:
-        out = np.array(returned)
-    except (TypeError, ValueError):
-        out = None
-    if (out is not None and out.dtype.kind in _REAL_KINDS
-            and out.shape[1:] == shape):
-        return out.astype(np.float64, copy=False)
-    # name the first bad value, as a per-point conversion would
-    for v in returned:
-        arr = np.asarray(v)
-        if arr.dtype.kind not in _REAL_KINDS:
-            raise AssemblyError(f"coefficient callable returned {v!r}, "
-                                f"not real numbers")
-        if arr.shape != shape:
-            raise AssemblyError(f"coefficient callable returned shapes "
-                                f"{shape} and {arr.shape}")
-    raise AssemblyError("coefficient callable returned values that do "
-                        "not form one array")
-
-
 def _evaluate(f, x, y, shape):
-    """f at every point (x[k], y[k]) as one float64 array, (n,) + shape,
-    with f called once per distinct point. Points are compared bitwise,
-    so 0.0 and -0.0 are two points."""
-    keys = np.column_stack([x, y]).view(np.int64)            # (n, 2)
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    distinct = order[first]
-    xs, ys = x[distinct], y[distinct]
-    values = np.empty((len(distinct),) + shape)
-    for start in range(0, len(distinct), _CHUNK):
-        stop = start + _CHUNK
-        values[start:stop] = _stack(
-            list(map(f, xs[start:stop], ys[start:stop])), shape)
-    return values[inverse]
+    """f called once on the point arrays x, y: its values as a float64
+    copy of shape (len(x),) + shape. No points make no call."""
+    want = (len(x),) + shape
+    if not len(x):
+        return np.empty(want)
+    try:
+        out = np.asarray(f(x, y))
+    except (TypeError, ValueError) as exc:
+        raise AssemblyError(
+            f"coefficient callable failed on point arrays of shape "
+            f"{x.shape}: {exc}; it must take arrays x, y and return one "
+            f"value per point") from exc
+    if out.shape != want:
+        raise AssemblyError(f"coefficient callable returned shape "
+                            f"{out.shape} for point arrays of shape "
+                            f"{x.shape}, expected {want}")
+    return _real_array(out, "coefficient callable values")
 
 
-def _divergence_rows(mesh, diffusion, ids, h_t):
-    """Row vector (div A) at the quadrature points of the triangles ids
-    by central differences with stencil 1e-6 * h_T: (nt, nq, 2),
-    validated; errors name the triangle's index in mesh."""
-    pts = _quad_points(mesh, ids)
-    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
-    d = np.repeat(1e-6 * h_t, pts.shape[1])
+def _divergence_rows(diffusion, x, y, h_t, ids):
+    """Row vector (div A) at the quadrature points (x, y) of the
+    triangles ids by central differences with stencil 1e-6 * h_T:
+    (nt, nq, 2), validated; errors name the triangle's index in mesh."""
+    nq = len(_QUAD_RULE[1])
+    d = np.repeat(1e-6 * h_t, nq)
     two_d = (2.0 * d)[:, None]
     dax = (_evaluate(diffusion, x + d, y, (2, 2))
            - _evaluate(diffusion, x - d, y, (2, 2)))[:, 0, :] / two_d
     day = (_evaluate(diffusion, x, y + d, (2, 2))
            - _evaluate(diffusion, x, y - d, (2, 2)))[:, 1, :] / two_d
     # (div A)_j = d_x A[0, j] + d_y A[1, j]
-    rows = (dax + day).reshape(pts.shape)
+    rows = (dax + day).reshape(len(ids), nq, 2)
     bad = ~np.isfinite(rows).all(axis=(1, 2))
     if bad.any():
         raise AssemblyError(f"diffusion divergence is not finite on "
@@ -245,8 +222,8 @@ def _divergence_rows(mesh, diffusion, ids, h_t):
 
 
 def _sample(mesh, coeffs, ids):
-    """The eager ElementData fields for the triangles ids of mesh,
-    validated; errors name the triangle's index in mesh."""
+    """The ElementData fields for the triangles ids of mesh, validated;
+    errors name the triangle's index in mesh."""
     nt, nq = len(ids), len(_QUAD_RULE[1])
     grads, areas = p1_gradients(mesh, ids)
     h_t = mesh.edge_lengths[mesh.tri_edges[ids]].max(axis=1)
@@ -267,10 +244,12 @@ def _sample(mesh, coeffs, ids):
         diffusion = _evaluate(d_data, x, y, (2, 2))
         _check_spd_matrices(diffusion, at_points)
         diffusion = diffusion.reshape(nt, nq, 2, 2)
+        div_rows = _divergence_rows(d_data, x, y, h_t, ids)
     else:
         diffusion = (np.broadcast_to(d_data, (nt, 2, 2)).copy()
                      if d_mode == "const" else d_data[mesh.ancestor[ids]])
         _check_spd_matrices(diffusion, ids)
+        div_rows = None
 
     if r_mode == "callable":
         reaction = _evaluate(r_data, x, y, ())
@@ -281,7 +260,7 @@ def _sample(mesh, coeffs, ids):
                     else r_data[mesh.ancestor[ids]])
         _check_reaction_values(reaction, ids)
     return dict(grads=grads, areas=areas, h_t=h_t, diffusion=diffusion,
-                reaction=reaction)
+                reaction=reaction, div_rows=div_rows)
 
 
 class ElementData:
@@ -296,19 +275,18 @@ class ElementData:
         reaction: (nt,) for constant and table data, (nt, nq) samples
             for a callable.
         div_rows: (nt, nq, 2) finite-difference div A at the quadrature
-            points for callable diffusion, else None. Only the estimator
-            reads it, so it is sampled on first read.
+            points for callable diffusion, else None.
         estimator_ops: the estimator's linear maps of this mesh, None
             until the first estimate builds them (estimator._operators);
             adaptive_solve drops them once a level's estimates are done.
 
     Build it on the first mesh and call extend() after every refine();
     extend returns the data of the refined mesh and leaves this one
-    untouched. It carries div_rows over when they have been sampled
-    here, and never estimator_ops. The arrays are read-only.
+    untouched. It carries every field but estimator_ops. The arrays are
+    read-only.
     """
 
-    _FIELDS = ("grads", "areas", "h_t", "diffusion", "reaction")
+    _FIELDS = ("grads", "areas", "h_t", "diffusion", "reaction", "div_rows")
 
     def __init__(self, mesh, coeffs):
         self._set(mesh, coeffs,
@@ -318,17 +296,9 @@ class ElementData:
         self.mesh, self.coeffs = mesh, coeffs
         self.estimator_ops = None
         for name, arr in fields.items():
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
             setattr(self, name, arr)
-
-    @functools.cached_property
-    def div_rows(self):
-        if self.diffusion.ndim != 4:
-            return None
-        rows = _divergence_rows(self.mesh, self.coeffs.diffusion,
-                                np.arange(self.mesh.n_triangles), self.h_t)
-        rows.setflags(write=False)
-        return rows
 
     def extend(self, refine_map, fine_mesh):
         """ElementData of fine_mesh = refine(self.mesh, ...)[0].
@@ -349,19 +319,14 @@ class ElementData:
         fresh[dst] = False
         children = np.nonzero(fresh)[0]
         sampled = _sample(fine_mesh, self.coeffs, children)
-        names = list(self._FIELDS)
-        if vars(self).get("div_rows") is not None:
-            sampled["div_rows"] = _divergence_rows(
-                fine_mesh, self.coeffs.diffusion, children,
-                sampled["h_t"])
-            names.append("div_rows")
-        fields = {}
-        for name in names:
+        fields = dict.fromkeys(self._FIELDS)
+        for name in self._FIELDS:
             old = getattr(self, name)
-            new = np.empty((fine_mesh.n_triangles,) + old.shape[1:])
-            new[dst] = old[src]
-            new[children] = sampled[name]
-            fields[name] = new
+            if old is not None:
+                fields[name] = new = np.empty(
+                    (fine_mesh.n_triangles,) + old.shape[1:])
+                new[dst] = old[src]
+                new[children] = sampled[name]
         out = object.__new__(ElementData)
         out._set(fine_mesh, self.coeffs, fields)
         return out

@@ -106,14 +106,10 @@ def load_config(path):
     return parse_config(text)
 
 
-# the variable case's diffusion is a scalar times this, at every point
-_IDENTITY = np.eye(2)
-_IDENTITY.setflags(write=False)
-
-
 def _variable_case():
     def diffusion(x, y):
-        return (2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)) * _IDENTITY
+        scale = 2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)
+        return scale[:, None, None] * np.eye(2)
 
     return Coefficients(diffusion, lambda x, y: x * x + y * y)
 

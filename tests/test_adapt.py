@@ -52,6 +52,27 @@ class TestAdaptConfig:
         with pytest.raises(AdaptError, match="theta"):
             AdaptConfig(theta=np.nan)
 
+    @pytest.mark.parametrize("field", ["max_refinements", "max_inner",
+                                       "initial_passes"])
+    def test_counts_must_be_integers(self, field):
+        # a float count would reach range() or the sweep loop later
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(AdaptError,
+                               match=f"{field} must be an integer"):
+                AdaptConfig(**{field: bad})
+        cfg = AdaptConfig(**{field: np.int64(3)})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
+
+    def test_orbital_count_must_be_an_integer(self):
+        cfg = AdaptConfig(max_refinements=0, initial_passes=2)
+        for bad in (1.5, 1.0, None):
+            with pytest.raises(AdaptError,
+                               match="n_orbitals must be an integer"):
+                adaptive_solve("l_shape", IDENTITY, bad, cfg)
+        records, block, _ = adaptive_solve("l_shape", IDENTITY, np.int64(1),
+                                           cfg)
+        assert block.n == 1
+
     def test_tolerances_must_be_positive(self):
         with pytest.raises(AdaptError, match="tol2"):
             AdaptConfig(tol2=0.0)

@@ -241,6 +241,21 @@ class TestCmdVerify:
         assert f"cluster_distance PASS {dist!r}" in captured.out
 
 
+    def test_variable_case_all_checks_pass(self, tmp_path, capsys):
+        # callable coefficients end to end: array sampling, the
+        # divergence term and the reference estimate on every level
+        text = ("domain=l_shape\ncoefficients=variable\nn_orbitals=3\n"
+                "initial_passes=2\nmax_refinements=10\ntol2=1e-10\n"
+                "max_inner=40\ntol1=1e-10\n")
+        path = write_config(tmp_path, text)
+        code = main(["verify", "--config", path, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [line.split()[:2] for line in captured.out.splitlines()] == [
+            ["ritz_match", "PASS"], ["cluster_distance", "PASS"],
+            ["quasi_orthogonality", "PASS"], ["estimator_ratio", "PASS"]]
+        assert code == 0
+
     def test_reference_estimate_samples_nothing_again(self, tmp_path,
                                                       monkeypatch):
         # verify hands each level's element data to its reference

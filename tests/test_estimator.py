@@ -163,7 +163,8 @@ class TestFluxJump:
         expected = np.zeros(len(m.edges))
         for e in np.nonzero(m.edge_tris[:, 1] >= 0)[0]:
             t_plus, t_minus = m.edge_tris[e]
-            a = coeffs.diffusion(*m.vertices[m.edges[e]].mean(axis=0))
+            x, y = m.vertices[m.edges[e]].mean(axis=0)[:, None]
+            a = coeffs.diffusion(x, y)[0]
             expected[e] = (a @ (g[t_plus] - g[t_minus])) @ m.edge_normals[e]
         np.testing.assert_allclose(jumps[0], expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
@@ -366,7 +367,8 @@ class TestIndicators:
 def variable_coefficients():
     """Smooth callable diffusion and reaction, as in `paroeig run`."""
     def diffusion(x, y):
-        return (2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)) * np.eye(2)
+        scale = 2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)
+        return scale[:, None, None] * np.eye(2)
 
     return Coefficients(diffusion, lambda x, y: x * x + y * y)
 
@@ -389,7 +391,8 @@ class TestCoefficientRepresentations:
                              np.full(m0.n_triangles, c0))
         # the central difference of a constant field is exactly 0, so
         # the callable form adds no divergence term
-        func = Coefficients(lambda x, y: a0.copy(), lambda x, y: c0)
+        func = Coefficients(lambda x, y: np.tile(a0, (len(x), 1, 1)),
+                            lambda x, y: np.full(len(x), c0))
         block = perturbed_block(m, const, 3, seed=1)
         base = estimate(m, const, block).per_element
         for coeffs in (table, func):
@@ -402,7 +405,8 @@ class TestCoefficientRepresentations:
         # reaction the residual is (div A) . grad w = 2 at every sample,
         # and w has no flux jump
         m, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 2)
-        coeffs = Coefficients(lambda x, y: (2.0 + x) * np.eye(2), 0.0)
+        coeffs = Coefficients(
+            lambda x, y: (2.0 + x)[:, None, None] * np.eye(2), 0.0)
         w = 2.0 * m.vertices[:, 0] + 3.0 * m.vertices[:, 1]
         r, jumps = residuals(m, coeffs, single_orbital(w, 0.0))
         np.testing.assert_allclose(r, 2.0, rtol=1e-6)
@@ -489,9 +493,13 @@ def test_one_pass_shares_gradients_and_mass(monkeypatch):
 def loop_indicators(m, coeffs, vectors, lam):
     """eta2 of every triangle, computed triangle by triangle and edge by
     edge from the definition, without the estimator's operators."""
+    def at(f, x, y):
+        # a callable's value at one point, from one-point arrays
+        return f(np.array([x]), np.array([y]))[0]
+
     def field(value, t, point):
         if callable(value):
-            return np.asarray(value(*point), dtype=np.float64)
+            return np.asarray(at(value, *point), dtype=np.float64)
         value = np.asarray(value, dtype=np.float64)
         if value.ndim in (1, 3):                # per initial triangle
             return value[m.ancestor[t]]
@@ -501,8 +509,8 @@ def loop_indicators(m, coeffs, vectors, lam):
         # the central difference the estimator defines, stencil delta
         x, y = point
         a = coeffs.diffusion
-        dax = (a(x + delta, y) - a(x - delta, y)) / (2.0 * delta)
-        day = (a(x, y + delta) - a(x, y - delta)) / (2.0 * delta)
+        dax = (at(a, x + delta, y) - at(a, x - delta, y)) / (2.0 * delta)
+        day = (at(a, x, y + delta) - at(a, x, y - delta)) / (2.0 * delta)
         return dax[0, :] + day[1, :]
 
     n = len(vectors)

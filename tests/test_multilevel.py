@@ -22,8 +22,9 @@ from paroeig.multilevel import (
 )
 
 IDENTITY = Coefficients.identity()
-VARIABLE = Coefficients(lambda x, y: (2.0 + np.sin(3.0 * x)) * np.eye(2),
-                        lambda x, y: x * x + y * y)
+VARIABLE = Coefficients(
+    lambda x, y: (2.0 + np.sin(3.0 * x))[:, None, None] * np.eye(2),
+    lambda x, y: x * x + y * y)
 
 
 def dense(precond, n):
