@@ -20,6 +20,7 @@ as the tighter fallback.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import time
 from dataclasses import dataclass, replace
@@ -78,6 +79,15 @@ class AdaptConfig:
         for name in ("max_refinements", "max_inner", "initial_passes"):
             object.__setattr__(self, name,
                                _integer(getattr(self, name), name))
+        for name in ("theta", "tol1", "tol2", "budget_factor"):
+            value = getattr(self, name)
+            if value is None and name == "budget_factor":
+                continue
+            # a str or None would reach the range tests below as a bare
+            # TypeError
+            if not isinstance(value, numbers.Real):
+                raise AdaptError(f"{name} must be a real number, "
+                                 f"got {value!r}")
         if not 0.0 < self.theta < 1.0:
             raise AdaptError(f"theta out of (0,1): {self.theta}")
         if not self.tol1 > 0.0:             # NaN too
@@ -140,12 +150,20 @@ def records_to_csv(records):
     return "\n".join(lines) + "\n"
 
 
+# squared indicators within this relative distance of the next larger
+# one count as tied: mirror-image elements agree only to rounding
+TIE_RTOL = 1e-12
+
+
 def dorfler_mark(indicators, theta):
     """Minimal bulk-criterion element set, ascending indices.
 
-    Greedy: sort squared indicators descending (ties to the lower element
-    index) and accumulate until the marked mass reaches theta times the
-    global square. A zero estimator marks nothing.
+    Greedy: sort squared indicators descending and accumulate until the
+    marked mass reaches theta times the global square. A value within
+    TIE_RTOL relative of its predecessor in that order is tied with it,
+    and tied values go by ascending element index, so rounding-level
+    differences between symmetric elements do not decide which one is
+    marked. A zero estimator marks nothing.
     """
     if not 0.0 < theta < 1.0:
         raise AdaptError(f"theta out of (0,1): {theta}")
@@ -153,6 +171,12 @@ def dorfler_mark(indicators, theta):
     if indicators.global_sq == 0.0:
         return np.empty(0, dtype=np.int64)
     order = np.lexsort((np.arange(len(per)), -per))
+    value = per[order]
+    tied = value[1:] >= value[:-1] * (1.0 - TIE_RTOL)
+    group = np.concatenate([[0], np.cumsum(~tied)])
+    # group ascends along order already, so sorting by (group, element)
+    # only reorders the tied runs; timsort does that in near-linear time
+    order = order[np.argsort(group * len(per) + order, kind="stable")]
     csum = np.cumsum(per[order])
     target = theta * indicators.global_sq
     count = int(np.searchsorted(csum, target, side="left")) + 1
@@ -160,13 +184,17 @@ def dorfler_mark(indicators, theta):
     return np.sort(order[:count])
 
 
-def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4):
+def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4,
+                         precond=None):
     """Low-mode starting guesses from a few unshifted inverse iterations.
 
     Oversamples with guard vectors so clustered tails are not missed on
     coarse meshes, then keeps the lowest Rayleigh-Ritz combinations.
-    Uses only the package's own solver (MINRES on K), so adaptive runs
-    stay independent of the scipy-based reference plumbing.
+    Uses only the package's own solver (MINRES on K, all vectors of a
+    sweep in one block call), so adaptive runs stay independent of the
+    scipy-based reference plumbing. precond is the mesh's
+    MultilevelPreconditioner, or None for unpreconditioned solves; its
+    B(0) is K^-1 itself on a first mesh of up to COARSE_DOFS dofs.
 
     Raises AdaptError when the first guard value joins the cluster of
     the N-th value: a block that splits a cluster keeps an arbitrary
@@ -175,11 +203,12 @@ def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4):
     rng = np.random.default_rng(seed)
     width = min(n_orbitals + 4, system.n_dofs)
     vecs = rng.standard_normal((width, system.n_dofs))
+    apply = None if precond is None else precond.shifted(np.zeros(width))
     for _ in range(sweeps):
         vecs = b_orthonormalize(vecs, system.M)
         rhs = (system.M @ vecs.T).T
-        vecs = np.stack([minres_solve(system.K, r, tol=1e-10).solution
-                         for r in rhs])
+        vecs = minres_solve([system.K] * width, rhs, tol=1e-10,
+                            precond=apply).solution
     vecs = b_orthonormalize(vecs, system.M)
     values, combo = dense_sym_gen_eig(gram(vecs, system.K), np.eye(width))
     if (width > n_orbitals
@@ -226,8 +255,9 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
         config: AdaptConfig.
         seed: rng seed of the start: a few inverse-iteration sweeps
             from random vectors on the initial mesh.
-        threads: accepted and ignored; the orbital solves run one
-            after another. Kept only because the benchmark passes it.
+        threads: accepted and ignored; the orbital solves of a sweep
+            run as one block MINRES call. Kept only because the
+            benchmark passes it.
         observer: optional callable (level, mesh, system, block,
             indicators, data) invoked once per level, after the inner
             loop; data is the mesh's ElementData, for estimates on the
@@ -262,8 +292,8 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
                     records=records)
             if block is None:
                 block = initial_block(
-                    system,
-                    default_seed_vectors(system, n_orbitals, seed=seed))
+                    system, default_seed_vectors(system, n_orbitals,
+                                                 seed=seed, precond=precond))
             tol2 = _effective_tol2(config, current, coeffs, block, data)
             block, m_used, _ = paro_inner_loop(system, block, tol2,
                                                config.max_inner, precond)

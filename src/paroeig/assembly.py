@@ -25,6 +25,14 @@ gradients straight from the inverse Jacobian, and the stiffness sum
 over the diffusion's entries in einsum's order, so they round as the
 einsum formulation does.
 
+The global matrices are summed straight onto one CSR pattern built from
+the mesh's edge table: the diagonal and both entries of every edge
+between free vertices. Each edge's value is the sum of its two
+triangles' entries below the diagonal, mirrored above it, so the
+matrices are symmetric by construction. M keeps the whole pattern, and
+so does every shifted K - sigma*M (FemSystem.shifted); K drops its
+exact zeros.
+
 Everything per triangle that assembly and the estimator read (gradients,
 areas, diameters, coefficient samples, the finite-difference divergence
 of callable diffusion, the estimator's linear maps) lives in one
@@ -37,6 +45,7 @@ sampling only the new children. Called without one, `assemble` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,27 +387,15 @@ def element_matrices(mesh, coeffs, data=None):
     return ke, me
 
 
-def _scatter(mesh, local):
-    """Accumulate (nt, 3, 3) element matrices into the lower triangle of
-    the global matrix over all vertices, as CSR."""
-    # coo_matrix stores int32 indices while they fit and would copy
-    # int64 ones; passing int32 keeps one copy of the index arrays
-    fits = mesh.n_vertices <= np.iinfo(np.int32).max
-    tri = mesh.triangles.astype(np.int32 if fits else np.int64)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    full = sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
-    full.sum_duplicates()
-    return sp.tril(full, format="csr")
-
-
 @dataclass(frozen=True)
 class FemSystem:
     """Assembled pencil restricted to interior (free) vertices.
 
     K and M are exactly symmetric CSR matrices with sorted indices; row
-    and column i belong to mesh vertex free_dofs[i] (ascending).
+    and column i belong to mesh vertex free_dofs[i] (ascending). M stores
+    the diagonal and both entries of every edge between free vertices;
+    K stores the same entries less its exact zeros (the stiffness of an
+    edge opposite two right angles).
     """
     K: sp.csr_matrix
     M: sp.csr_matrix
@@ -408,24 +405,116 @@ class FemSystem:
     def n_dofs(self):
         return len(self.free_dofs)
 
+    def shifted(self, sigma):
+        """K - sigma*M as a CSR matrix on M's pattern, one array
+        expression on the values. It shares M's index arrays: do not
+        modify it in place."""
+        return sp.csr_matrix(
+            (self._k_on_m_pattern - sigma * self.M.data, self.M.indices,
+             self.M.indptr), shape=self.M.shape)
+
+    @functools.cached_property
+    def _k_on_m_pattern(self):
+        """K's values at M's stored entries, 0 where K stores none.
+        assemble() sets it as it builds K; other systems search M's
+        pattern for K's entries once."""
+        n = self.M.shape[0]
+        m_codes, k_codes = (
+            np.repeat(np.arange(n), np.diff(a.indptr)) * n + a.indices
+            for a in (self.M, self.K))
+        at = np.searchsorted(m_codes, k_codes)
+        # -1 matches no code: an entry past M's last one is caught too
+        if not np.array_equal(np.append(m_codes, -1)[at], k_codes):
+            raise AssemblyError("K stores an entry outside M's pattern")
+        out = np.zeros(self.M.nnz)
+        out[at] = self.K.data
+        return out
+
+
+# local edge i of a triangle (opposite local vertex i) joins these two
+# local vertices
+_LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
+
+
+def _free_edge_pattern(mesh, free):
+    """One CSR pattern for the free block: the diagonal and both entries
+    of every edge between free vertices, sorted within each row.
+
+    Returns (indptr, indices, free_edges, source): free_edges are the ids
+    in mesh.edges of the free-free edges, and entry i of the pattern
+    takes the value source[i] of the free vertices' values followed by
+    the free edges' values.
+    """
+    nf = len(free)
+    dof = np.full(mesh.n_vertices, -1)
+    dof[free] = np.arange(nf)
+    ends = dof[mesh.edges]
+    free_edges = np.flatnonzero((ends >= 0).all(axis=1))
+    # free is ascending, so the (lo, hi) order of mesh.edges carries over
+    # to the free ids: a < c, and edges are sorted by (a, c)
+    a, c = ends[free_edges, 0], ends[free_edges, 1]
+    n_upper = np.bincount(a, minlength=nf)
+    n_lower = np.bincount(c, minlength=nf)
+    indptr = np.zeros(nf + 1, dtype=np.int64)
+    np.cumsum(n_lower + 1 + n_upper, out=indptr[1:])
+    at_diagonal = indptr[:-1] + n_lower
+    # row a lists its upper entries in edge order; row c lists its lower
+    # entries in the order of a stable sort by c
+    rank = np.arange(len(a))
+    at_upper = at_diagonal[a] + 1 + rank - (np.cumsum(n_upper) - n_upper)[a]
+    by_row = np.argsort(c, kind="stable")
+    at_lower = np.empty_like(at_upper)
+    at_lower[by_row] = (indptr[c[by_row]] + rank
+                        - (np.cumsum(n_lower) - n_lower)[c[by_row]])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    source = np.empty_like(indices)
+    indices[at_diagonal] = source[at_diagonal] = np.arange(nf)
+    indices[at_upper], source[at_upper] = c, nf + rank
+    indices[at_lower], source[at_lower] = a, nf + rank
+    return indptr, indices, free_edges, source
+
+
+def _pattern_values(mesh, free, local, pattern):
+    """The (nt, 3, 3) element matrices summed onto the pattern.
+
+    Each edge gets the sum of its two triangles' entries below the
+    diagonal (row vertex above column vertex), each vertex the sum of
+    its diagonal entries; both entries of an edge take its one value,
+    so the result is symmetric by construction.
+    """
+    _, _, free_edges, source = pattern
+    tri = mesh.triangles
+    lower = np.empty((len(tri), 3))
+    for i, (p, q) in enumerate(_LOCAL_EDGES):
+        lower[:, i] = np.where(tri[:, p] > tri[:, q], local[:, p, q],
+                               local[:, q, p])
+    on_edges = np.bincount(mesh.tri_edges.ravel(), lower.ravel(),
+                           minlength=len(mesh.edges))[free_edges]
+    on_vertices = np.bincount(tri.ravel(),
+                              np.einsum("tii->ti", local).ravel(),
+                              minlength=mesh.n_vertices)[free]
+    return np.concatenate([on_vertices, on_edges])[source]
+
 
 def assemble(mesh, coeffs, data=None):
     """Assemble the eliminated stiffness/mass pencil on a mesh.
 
+    Both matrices are summed onto one pattern built from the mesh's edge
+    table; K then drops its exact zeros.
     data: the mesh's ElementData; without it one is built and dropped
     before the global matrices are formed.
     """
     ke, me = element_matrices(mesh, coeffs, data)
-    # free is ascending, so the free block of the lower triangle is the
-    # lower triangle of the free block
     free = mesh.interior_vertices()
-    pencil = []
-    for local in (ke, me):
-        lower = _scatter(mesh, local)[free][:, free]
-        lower.sum_duplicates()
-        lower.eliminate_zeros()
-        # mirroring the strict lower triangle makes S == S.T exactly
-        full = (lower + sp.tril(lower, k=-1).T).tocsr()
-        full.sort_indices()
-        pencil.append(full)
-    return FemSystem(K=pencil[0], M=pencil[1], free_dofs=free)
+    pattern = _free_edge_pattern(mesh, free)
+    indptr, indices = pattern[:2]
+    shape = (len(free), len(free))
+    k_values = _pattern_values(mesh, free, ke, pattern)
+    M = sp.csr_matrix((_pattern_values(mesh, free, me, pattern), indices,
+                       indptr), shape=shape)
+    K = sp.csr_matrix((k_values, indices, indptr), shape=shape, copy=True)
+    K.eliminate_zeros()
+    system = FemSystem(K=K, M=M, free_dofs=free)
+    # the values K - sigma*M reads, without searching M's pattern for K's
+    object.__setattr__(system, "_k_on_m_pattern", k_values)
+    return system

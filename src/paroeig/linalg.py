@@ -10,6 +10,9 @@ the spectrum, and because near-singular solves are the normal operating
 regime here: the solver caps iterations, keeps the monotone residual
 estimate as an internal invariant, and hands possibly huge iterates back
 to the caller, whose Rayleigh-Ritz step absorbs the amplification.
+A sweep's independent solves go in as the rows of one call: each row
+keeps its own scalar recurrence, and only the preconditioner, the
+costly part of a step, is applied to all running rows at once.
 
 The N x N Rayleigh-Ritz pencil goes to LAPACK (scipy.linalg.eigh); this
 module adds the input checks, the package's error type and a sign rule
@@ -31,26 +34,51 @@ class LinAlgError(RuntimeError):
 
 @dataclass
 class MinresResult:
+    """What minres_solve returns.
+
+    For a (k, n) right-hand side, solution is (k, n); iterations counts
+    the lockstep steps (the most any row took), achieved_residual and
+    flag are the worst row's, and residual_history holds one array per
+    row. row_iterations and row_flags give each row's own count and flag
+    (one entry for a 1-D right-hand side).
+    """
     solution: np.ndarray
     iterations: int
     achieved_residual: float
     flag: str                    # "converged" | "max_iter" | "breakdown"
     residual_history: np.ndarray
+    row_iterations: tuple
+    row_flags: tuple
+
+
+# exit flags, worst last
+_FLAGS = ("converged", "max_iter", "breakdown")
 
 
 def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
-    """Minimum-residual iteration for a symmetric (indefinite) operator.
+    """Minimum-residual iteration for symmetric (indefinite) operators.
+
+    A (k, n) right-hand side runs k independent MINRES recurrences in
+    lockstep, row j on the operator S[j]. Each step applies the
+    preconditioner once, to the block of the rows still running; a row
+    stops on its own test and keeps its own iteration count and flag.
 
     Args:
         S: the symmetric operator, anything that applies itself with @
-            (a sparse matrix such as K - sigma*M, or a dense array).
-        rhs: right-hand side.
+            (a sparse matrix such as K - sigma*M, or a dense array); for
+            a (k, n) right-hand side a list or tuple of k of them.
+        rhs: right-hand side, (n,) or (k, n).
         tol: relative residual target. With a preconditioner B it is
-            measured in the B-norm: the iteration stops once
+            measured in the B-norm: a row stops once
             sqrt(r.B r) <= tol * sqrt(b.B b).
-        max_iter: iteration cap, default 4 * len(rhs).
-        precond: optional callable r -> B r applying a symmetric positive
-            definite preconditioner B (e.g. a MultilevelPreconditioner).
+        max_iter: iteration cap of every row, default 4 * n.
+        precond: optional symmetric positive definite preconditioner B.
+            For an (n,) right-hand side a callable r -> B r. For a (k, n)
+            one a callable (R, rows) -> B R, where R is the C-contiguous
+            (n, a) block whose column i is the residual of row rows[i],
+            and column i of the (n, a) result is B(rows[i]) R[:, i]: the
+            rows may use different preconditioners, as
+            MultilevelPreconditioner.shifted(shifts) does.
 
     Returns:
         MinresResult. Hitting max_iter is reported via flag, not raised:
@@ -58,33 +86,97 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
         expected regime for shifted-inverse orbital updates.
 
     Raises:
-        LinAlgError: tol is not a positive finite number or max_iter is
-            below 1; the right-hand side or the residual estimate is not
-            finite, the residual estimate increases, or the preconditioner
-            is not positive definite.
+        LinAlgError: tol is not a positive finite number, max_iter is
+            below 1, or S and rhs do not match; a right-hand side or a
+            residual estimate is not finite, a residual estimate
+            increases, or the preconditioner is not positive definite.
+            The error names the row of a (k, n) call.
     """
     if not 0.0 < tol < math.inf:           # "not" also rejects NaN
         raise LinAlgError(f"MINRES tol must be positive and finite, "
                           f"got {tol!r}")
     if max_iter is not None and max_iter < 1:
         raise LinAlgError(f"MINRES max_iter must be >= 1, got {max_iter!r}")
-    b = np.asarray(rhs, dtype=np.float64)
-    if not np.isfinite(b).all():
-        raise LinAlgError("MINRES right-hand side is not finite")
-    n = b.size
+    b = np.ascontiguousarray(rhs, dtype=np.float64)
+    block = b.ndim == 2
+    if block:
+        if not isinstance(S, (list, tuple)) or len(S) != len(b):
+            raise LinAlgError(f"a ({len(b)}, n) right-hand side needs a "
+                              f"list of {len(b)} operators")
+        ops = S
+    elif b.ndim == 1:
+        ops, b = [S], b[None, :]
+    else:
+        raise LinAlgError("MINRES right-hand side must be (n,) or (k, n)")
+    k, n = b.shape
     if max_iter is None:
         max_iter = 4 * n
+    label = [f" (row {j})" if block else "" for j in range(k)]
+    finite = np.isfinite(b).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise LinAlgError(f"MINRES right-hand side{label[j]} is not finite")
+
+    rows = [_recurrence(op, bj, tol, max_iter, lab)
+            for op, bj, lab in zip(ops, b, label)]
+    done = [None] * k
+    pending = {}                 # row -> residual waiting for B
+
+    def advance(j, y):
+        try:
+            pending[j] = rows[j].send(y)
+        except StopIteration as stop:
+            done[j] = stop.value
+            pending.pop(j, None)
+
+    for j in range(k):
+        advance(j, None)
+    while pending:
+        active = list(pending)
+        ys = _precondition(precond, [pending[j] for j in active], active,
+                           block)
+        for j, y in zip(active, ys):
+            advance(j, y)
+
+    x, itns, achieved, flags, history = zip(*done) if k else ((),) * 5
+    if not block:
+        return MinresResult(x[0], itns[0], achieved[0], flags[0],
+                            history[0], itns, flags)
+    return MinresResult(np.array(x).reshape(k, n), max(itns, default=0),
+                        max(achieved, default=0.0),
+                        max(flags, key=_FLAGS.index, default=_FLAGS[0]),
+                        history, itns, flags)
+
+
+def _precondition(precond, residuals, active, block):
+    """B applied to the residuals of the active rows, one array each."""
+    if precond is None:
+        return residuals
+    if not block:
+        return [precond(residuals[0])]
+    r = np.stack(residuals, axis=1)               # (n, a), C-contiguous
+    y = np.asarray(precond(r, np.array(active)))
+    if y.shape != r.shape:
+        raise LinAlgError(f"block preconditioner returned shape {y.shape} "
+                          f"for a block of shape {r.shape}")
+    return np.ascontiguousarray(y.T)
+
+
+def _recurrence(S, b, tol, max_iter, label):
+    """One row's Paige-Saunders recurrence as a generator: it yields each
+    residual r, is sent B r back, and returns (x, iterations, achieved
+    relative residual, flag, residual history)."""
+    n = b.size
     x = np.zeros(n)
-    if n == 0:
-        return MinresResult(x, 0, 0.0, "converged", np.zeros(0))
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return MinresResult(x, 0, 0.0, "converged", np.zeros(0))
+        return x, 0, 0.0, "converged", np.zeros(0)
     r1 = b.copy()
-    y = precond(r1) if precond is not None else r1.copy()
+    y = yield r1
     beta1 = float(r1 @ y)
     if beta1 <= 0.0:
-        raise LinAlgError("preconditioner is not positive definite")
+        raise LinAlgError(f"preconditioner is not positive "
+                          f"definite{label}")
     beta1 = np.sqrt(beta1)
 
     oldb, beta = 0.0, beta1
@@ -103,16 +195,17 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
         v = y / beta
         y = S @ v
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            y -= (beta / oldb) * r1
         alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
+        y -= (alfa / beta) * r2
         r1 = r2
         r2 = y
-        y = precond(r2) if precond is not None else r2
+        y = yield r2
         oldb = beta
         beta = float(r2 @ y)
         if beta < 0.0:
-            raise LinAlgError("preconditioner is not positive definite")
+            raise LinAlgError(f"preconditioner is not positive "
+                              f"definite{label}")
         beta = np.sqrt(beta)
 
         oldeps = epsln
@@ -126,18 +219,23 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w = (v - oldeps * w1 - delta * w2) / gamma, in the storage of
+        # w1, which no one reads afterwards; same rounding
+        w1, w2 = w2, w
+        w = w1
+        w *= -oldeps
+        w += v
+        w -= delta * w2
+        w /= gamma
+        x += phi * w
 
         if not math.isfinite(phibar):
-            raise LinAlgError(f"MINRES residual estimate is not finite "
-                              f"at iteration {itn}")
+            raise LinAlgError(f"MINRES residual estimate{label} is not "
+                              f"finite at iteration {itn}")
         # |sn| <= 1 makes this nonincreasing by construction
         if phibar > history[-1]:
-            raise LinAlgError(f"MINRES residual estimate increased at "
-                              f"iteration {itn}")
+            raise LinAlgError(f"MINRES residual estimate{label} increased "
+                              f"at iteration {itn}")
         history.append(phibar)
 
         if phibar <= tol * beta1:
@@ -149,7 +247,7 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
             break
 
     achieved = float(np.linalg.norm(b - S @ x) / bnorm)
-    return MinresResult(x, itn, achieved, flag, np.asarray(history))
+    return x, itn, achieved, flag, np.asarray(history)
 
 
 # -- dense generalized eigensolver ----------------------------------------

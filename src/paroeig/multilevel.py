@@ -26,7 +26,10 @@ bisection grids. Since lambda_max(D^-1 K_SS) <= 1 < 2 / OMEGA for any
 SPD K, and B_0(sigma) is SPD, B(sigma) is symmetric positive definite,
 so it can precondition MINRES on the indefinite K - sigma*M. Only the
 coarse solve sees sigma: below sigma, the coarse modes that an unshifted
-B leaves as negative outliers of B(K - sigma*M) come out near -1.
+B leaves as negative outliers of B(K - sigma*M) come out near -1. So
+the rows of a block MINRES call, each with its own shift, share one
+V-cycle: every level applies to the (n, a) block of residuals at once,
+and the coarse solve scales column i by its own row's diagonal.
 
 The hierarchy follows the refinement: each refine() call appends the
 midpoints of the edges it bisects, and P_l is built from the nodal
@@ -130,6 +133,21 @@ def _v_cycle(levels, coarse, r):
     return x
 
 
+def _coarse_solve(vecs, scale, r):
+    """B_0 r: V diag(scale) V^T r, or scale * r for Jacobi (vecs None)."""
+    if vecs is None:
+        return scale * r
+    return vecs @ (scale * (vecs.T @ r))
+
+
+def _shifted_v_cycle(levels, vecs, scale, r, rows):
+    """B r with the coarse scale's columns rows: one column for an (n,)
+    r, one per column of an (n, a) r."""
+    return _v_cycle(levels,
+                    functools.partial(_coarse_solve, vecs, scale[:, rows]),
+                    r)
+
+
 class MultilevelPreconditioner:
     """r -> B r for the finest mesh of a nested refinement sequence.
 
@@ -173,23 +191,31 @@ class MultilevelPreconditioner:
         """Levels including the coarse one."""
         return 1 + len(self._levels)
 
-    def shifted(self, shift):
-        """The SPD callable r -> B(shift) r, for MINRES on
-        K - shift*M; build it once per shift."""
+    def shifted(self, shifts):
+        """B(sigma), for MINRES on K - sigma*M; build it once per shift.
+
+        shifts is one number sigma, giving the SPD callable
+        r -> B(sigma) r, or an array of k shifts, one per row of a
+        block MINRES call, giving the callable (R, rows) -> Y for an
+        (n, a) block R: column i of Y is B(shifts[rows[i]]) R[:, i],
+        all a columns through one V-cycle.
+        """
+        sigma = np.asarray(shifts, dtype=np.float64)
         if isinstance(self._coarse, np.ndarray):
             # a Jacobi coarse solve ignores the shift
-            jacobi = self._coarse
-
-            def coarse(r):
-                return jacobi * r
+            vecs = None
+            scale = np.broadcast_to(self._coarse[:, None],
+                                    (len(self._coarse), sigma.size))
         else:
             lam, vecs = self._coarse
-            scale = 1.0 / np.maximum(np.abs(lam - shift),
-                                     GAP_FLOOR * abs(shift))
-
-            def coarse(r):
-                return vecs @ (scale * (vecs.T @ r))
-        return functools.partial(_v_cycle, self._levels, coarse)
+            s = sigma.ravel()
+            scale = 1.0 / np.maximum(np.abs(lam[:, None] - s),
+                                     GAP_FLOOR * np.abs(s))   # (n0, k)
+        apply = functools.partial(_shifted_v_cycle, self._levels, vecs,
+                                  scale)
+        if sigma.ndim == 0:
+            return functools.partial(apply, rows=0)
+        return apply
 
     def __call__(self, r):
         return self.shifted(0.0)(r)

@@ -3,8 +3,9 @@
 One inner sweep on a fixed mesh does, in order:
   1. group the current Ritz values into clusters (relative-gap rule),
   2. pick one shift per cluster (arithmetic mean of the cluster),
-  3. for every orbital u solve (K - shift*M) x = shift*M u, all N solves
-     independent and run one after another,
+  3. for every orbital u solve (K - shift*M) x = shift*M u; the N solves
+     are independent and run together, as one block MINRES call whose
+     rows share each step's V-cycle,
   4. Rayleigh-Ritz on the span of the half-steps, giving a b-orthonormal
      block with ascending Ritz values,
   5. stop when the relative eigenvalue movement delta2 drops below tol2.
@@ -149,28 +150,27 @@ def orbital_update(sys, block, precond=None):
     """Solve (K - shift_i M) x_ij = shift_i M u_ij for every orbital.
 
     Returns the (N, n_dofs) array of unnormalized half-step vectors.
-    The N solves are independent and run one after another. The members
-    of a cluster share one shift, and so one assembled operator and one
-    preconditioner. precond (e.g. a MultilevelPreconditioner) must have
-    a method shifted(shift) that returns an SPD callable r -> B r with
-    B ~ |K - shift*M|^-1; it is called once per cluster with that
-    cluster's shift, and the callable preconditions the cluster's
-    solves. Iteration caps are expected near convergence and not
-    reported as errors.
+    The N solves are independent and run as one block MINRES call, row
+    j on its cluster's operator; the members of a cluster share one
+    assembled operator (sys.shifted). precond (e.g. a
+    MultilevelPreconditioner) must have a method shifted(shifts) that,
+    given one shift per orbital, returns the block callable (R, rows) ->
+    B R with column i preconditioned by B ~ |K - shift*M|^-1 for
+    orbital rows[i]'s shift; it is called once per sweep. Iteration
+    caps are expected near convergence and not reported as errors.
     """
-    results = []
-    for i, sl in enumerate(block.layout.cluster_slices()):
-        shift = _safe_shift(float(block.shifts[i]), block.ritz_values)
-        op = sys.K - shift * sys.M
-        apply = None if precond is None else precond.shifted(shift)
-        for flat in range(sl.start, sl.stop):
-            rhs = shift * (sys.M @ block.vectors[flat])
-            if not np.any(rhs):
-                raise ParoError(f"orbital {flat} produced a zero "
-                                f"right-hand side (degenerate orbital)")
-            results.append(minres_solve(op, rhs, tol=MINRES_TOL,
-                                        precond=apply).solution)
-    return np.vstack(results)
+    shifts = np.array([_safe_shift(float(s), block.ritz_values)
+                       for s in block.shifts])
+    cluster = np.repeat(np.arange(block.layout.q), block.layout.d)
+    operators = [sys.shifted(s) for s in shifts]
+    rhs = shifts[cluster, None] * (sys.M @ block.vectors.T).T
+    zero = ~rhs.any(axis=1)
+    if zero.any():
+        raise ParoError(f"orbital {int(np.argmax(zero))} produced a zero "
+                        f"right-hand side (degenerate orbital)")
+    apply = None if precond is None else precond.shifted(shifts[cluster])
+    return minres_solve([operators[c] for c in cluster], rhs,
+                        tol=MINRES_TOL, precond=apply).solution
 
 
 def ritz_step(sys, half_steps, layout):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from paroeig import adapt, estimator, mesh, verify
+from paroeig import adapt, estimator, mesh, multilevel, verify
 from paroeig.adapt import (
     AdaptConfig,
     AdaptError,
@@ -73,6 +73,16 @@ class TestAdaptConfig:
                                            cfg)
         assert block.n == 1
 
+    @pytest.mark.parametrize("field,bad", [
+        ("theta", "0.5"), ("tol1", "1e-6"), ("budget_factor", "1"),
+        ("tol2", None), ("theta", None), ("tol1", [1e-6])])
+    def test_tolerances_must_be_real_numbers(self, field, bad):
+        # each used to escape as a bare TypeError from a comparison
+        with pytest.raises(AdaptError, match=f"{field} must be a real"):
+            AdaptConfig(**{field: bad})
+        # numpy floats are real numbers
+        assert getattr(AdaptConfig(**{field: np.float64(0.5)}), field) == 0.5
+
     def test_tolerances_must_be_positive(self):
         with pytest.raises(AdaptError, match="tol2"):
             AdaptConfig(tol2=0.0)
@@ -103,6 +113,22 @@ class TestDorflerMark:
     def test_ties_resolved_to_lower_index(self):
         ind = make_indicators([0.3, 0.4, 0.3, 0.0])
         assert dorfler_mark(ind, 0.5).tolist() == [0, 1]
+
+    def test_near_ties_resolved_to_lower_index(self):
+        # four mirror-image elements whose indicators agree only to the
+        # last bits; the bulk takes two of them, and which two must not
+        # depend on that rounding
+        rng = np.random.default_rng(3)
+        base = np.array([2.0, 3.3374951, 3.3374951, 1.0, 3.3374951,
+                         3.3374951])
+        for _ in range(50):
+            ulps = rng.integers(-4, 5, base.size)
+            per = base * (1.0 + ulps * np.finfo(float).eps)
+            assert dorfler_mark(make_indicators(per), 0.3).tolist() == [1, 2]
+        # values a little further apart still go by size
+        per = base.copy()
+        per[4] *= 1.0 + 1e-9
+        assert dorfler_mark(make_indicators(per), 0.3).tolist() == [1, 4]
 
     def test_invalid_theta(self):
         ind = make_indicators([1.0])
@@ -316,3 +342,27 @@ class TestDefaultSeeds:
         assert seeds.shape == (4, system.n_dofs)
         ref = verify.reference_eig(system, 4)
         assert verify.dist_a(system, seeds, ref.vectors) <= 0.3
+
+    def test_preconditioned_seed_solves_are_one_block_call_per_sweep(
+            self, monkeypatch):
+        # a first mesh of at most COARSE_DOFS dofs: B(0) is K^-1, so
+        # every seed solve is exact after one step
+        m, _ = mesh.uniform_refine(mesh.build_initial_mesh("unit_square"),
+                                   4)
+        system = assemble(m, IDENTITY)
+        assert system.n_dofs <= multilevel.COARSE_DOFS
+        calls = []
+        solve = adapt.minres_solve
+
+        def recording(ops, rhs, **kwargs):
+            res = solve(ops, rhs, **kwargs)
+            calls.append((len(ops), rhs.shape, res.row_iterations))
+            return res
+
+        monkeypatch.setattr(adapt, "minres_solve", recording)
+        precond = multilevel.MultilevelPreconditioner(m, system)
+        seeds = default_seed_vectors(system, 4, seed=1, precond=precond)
+        assert [c[:2] for c in calls] == [(8, (8, system.n_dofs))] * 4
+        assert all(it == (1,) * 8 for _, _, it in calls)
+        plain = default_seed_vectors(system, 4, seed=1)
+        assert verify.dist_a(system, seeds, plain) <= 1e-8

@@ -14,6 +14,7 @@ from paroeig.assembly import (
     AssemblyError,
     Coefficients,
     ElementData,
+    FemSystem,
     assemble,
     element_matrices,
     _QUAD_RULE,
@@ -400,6 +401,94 @@ def csr_bytes(csr):
     return csr.indptr.tobytes(), csr.indices.tobytes(), csr.data.tobytes()
 
 
+def assert_same_pencil_matrix(got, want):
+    """got and want store the same entries; the values are equal off the
+    diagonal, where each sums two triangles' terms, and within 1e-15 of
+    the largest entry on it, where the order of the sum may differ."""
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    rows = np.repeat(np.arange(want.shape[0]), np.diff(want.indptr))
+    on_diagonal = rows == want.indices
+    assert (got.data[~on_diagonal].tobytes()
+            == want.data[~on_diagonal].tobytes())
+    assert (np.abs(got.data - want.data).max(initial=0.0)
+            <= 1e-15 * np.abs(want.data).max(initial=0.0))
+
+
+def coo_pencil(mesh, coeffs):
+    """(K, M) as a COO scatter builds them: every element entry summed
+    over all vertices, the lower triangle of the free block kept without
+    its zeros, and its strict part mirrored above the diagonal."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    free = mesh.interior_vertices()
+    out = []
+    for local in element_matrices(mesh, coeffs):
+        whole = sp.coo_matrix((local.ravel(), (rows, cols)),
+                              shape=(mesh.n_vertices,) * 2).tocsr()
+        lower = sp.tril(whole, format="csr")[free][:, free]
+        lower.eliminate_zeros()
+        full = (lower + sp.tril(lower, k=-1).T).tocsr()
+        full.sort_indices()
+        out.append(full)
+    return out
+
+
+def graded_l_shape(levels):
+    """The twice-refined L-shape refined levels times more at the
+    triangles touching the reentrant corner."""
+    m, _ = uniform_refine(build_initial_mesh("l_shape"), 2)
+    for _ in range(levels):
+        corner = (np.abs(m.vertices[m.triangles]).sum(axis=2) == 0.0)
+        m, _ = refine(m, np.flatnonzero(corner.any(axis=1)))
+    return m
+
+
+class TestEdgePattern:
+    @pytest.mark.parametrize("case", ["uniform", "graded", "callable"])
+    def test_matches_the_coo_scatter(self, case):
+        """K and M summed onto the edge pattern store what the COO path
+        stores, K without its exact zeros, with values within 1e-15."""
+        mesh = {"uniform": lambda: uniform_refine(
+                    build_initial_mesh("unit_square"), 6)[0],
+                "graded": lambda: graded_l_shape(8),
+                "callable": lambda: graded_l_shape(4)}[case]()
+        coeffs = (variable_coefficients() if case == "callable"
+                  else Coefficients.identity())
+        system = assemble(mesh, coeffs)
+        k_ref, m_ref = coo_pencil(mesh, coeffs)
+        assert system.K.nnz == k_ref.nnz
+        assert_same_pencil_matrix(system.K, k_ref)
+        assert_same_pencil_matrix(system.M, m_ref)
+        if case == "uniform":
+            # right angles: K drops the stiffness of the diagonals
+            assert system.K.nnz < system.M.nnz
+
+    @pytest.mark.parametrize("assembled", [True, False])
+    def test_shifted_is_k_minus_sigma_m_on_the_mass_pattern(self,
+                                                           assembled):
+        mesh, _ = uniform_refine(build_initial_mesh("unit_square"), 4)
+        system = assemble(mesh, Coefficients.identity())
+        if not assembled:
+            # a system built by hand searches M's pattern for K's entries
+            system = FemSystem(K=system.K.copy(), M=system.M.copy(),
+                               free_dofs=system.free_dofs)
+        op = system.shifted(19.7)
+        assert isinstance(op, sp.csr_matrix)
+        assert np.array_equal(op.indptr, system.M.indptr)
+        assert np.array_equal(op.indices, system.M.indices)
+        want = (system.K - 19.7 * system.M).toarray()
+        assert np.array_equal(op.toarray(), want)
+
+    def test_shifted_needs_k_inside_the_mass_pattern(self):
+        system = FemSystem(K=sp.csr_matrix(np.ones((2, 2))),
+                           M=sp.identity(2, format="csr"),
+                           free_dofs=np.arange(2))
+        with pytest.raises(AssemblyError, match="outside M's pattern"):
+            system.shifted(1.0)
+
+
 class TestElementData:
     @settings(max_examples=20, deadline=None)
     @given(case=st.sampled_from(sorted(COEFFICIENT_CASES)),
@@ -683,8 +772,8 @@ class TestKernels:
         ke, k_ref, m_ref = einsum_system(m, data, grads)
         assert element_matrices(m, coeffs, data)[0].tobytes() == ke.tobytes()
         system = assemble(m, coeffs, data=data)
-        assert csr_bytes(system.K) == csr_bytes(k_ref)
-        assert csr_bytes(system.M) == csr_bytes(m_ref)
+        assert_same_pencil_matrix(system.K, k_ref)
+        assert_same_pencil_matrix(system.M, m_ref)
         reference = ElementData(m, coeffs)
         reference.grads = grads
         block = random_block(m, 2, seed=len(picks))

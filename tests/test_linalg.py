@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -44,13 +44,13 @@ def assembled(domain, passes):
 
 
 def shifted_operators(system, shifts, monkeypatch):
-    """The operator orbital_update hands to MINRES for each shift, one
+    """The operators orbital_update hands to its block MINRES call, one
     single-orbital cluster per shift."""
     ops = []
     solve = paro.minres_solve
 
     def recording(op, rhs, **kwargs):
-        ops.append(op)
+        ops.extend(op)
         return solve(op, rhs, **dict(kwargs, max_iter=1))
 
     monkeypatch.setattr(paro, "minres_solve", recording)
@@ -319,3 +319,114 @@ class TestBlockUtilities:
         s = sp.identity(4, format="csr")
         v = np.eye(4)[:2]
         assert_allclose(b_orthonormalize(v, s), v, atol=1e-14)
+
+
+class TestBlockMinres:
+    """A (k, n) right-hand side runs k recurrences in lockstep; each row
+    must come out as the same row solved alone."""
+
+    @staticmethod
+    def row_case(kind, n, seed):
+        """(operator, rhs, Jacobi diagonal) for one row."""
+        rng = np.random.default_rng(seed)
+        if kind == "one_step":
+            # b is an eigenvector: exact after one step
+            d = rng.uniform(1.0, 3.0, n)
+            return sp.csr_matrix(np.diag(d)), 2.0 * np.eye(n)[0], d
+        if kind == "breakdown":
+            # singular and inconsistent: the Krylov space runs out first
+            d = np.arange(n, dtype=float)
+            return np.diag(d), np.ones(n), d + 1.0
+        if kind == "zero":
+            return random_sym(n, seed), np.zeros(n), np.ones(n)
+        k = random_spd(n, seed, cond_spread=(1e-3, 10.0))
+        m = random_spd(n, seed + 1)
+        lam = scipy.linalg.eigh(k, m, eigvals_only=True)
+        shift = rng.uniform(0.0, 1.5) * lam[n // 2]
+        op = sp.csr_matrix(k) - shift * sp.csr_matrix(m)
+        return op, rng.standard_normal(n), k.diagonal()
+
+    @settings(max_examples=40, deadline=None)
+    @example(n=6, seed=1, kinds=["pencil", "one_step", "breakdown", "zero"],
+             jacobi=True, tol=1e-10, cap=2.0)
+    @example(n=6, seed=2, kinds=["breakdown", "pencil", "one_step"],
+             jacobi=False, tol=1e-14, cap=0.5)
+    @given(n=st.integers(3, 20), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(
+               ["pencil", "pencil", "one_step", "breakdown", "zero"]),
+               min_size=1, max_size=5),
+           jacobi=st.booleans(),
+           tol=st.sampled_from([1e-4, 1e-10, 1e-14]),
+           cap=st.floats(0.1, 2.0))
+    def test_rows_equal_single_solves(self, n, seed, kinds, jacobi, tol,
+                                      cap):
+        cases = [self.row_case(kind, n, seed + 7 * j)
+                 for j, kind in enumerate(kinds)]
+        ops = [c[0] for c in cases]
+        rhs = np.array([c[1] for c in cases])
+        diag = np.array([c[2] for c in cases])
+        max_iter = max(1, int(cap * n))
+        block = minres_solve(
+            ops, rhs, tol=tol, max_iter=max_iter,
+            precond=(lambda r, rows: r / diag[rows].T) if jacobi else None)
+        singles = [minres_solve(
+            op, b, tol=tol, max_iter=max_iter,
+            precond=(lambda r, d=d: r / d) if jacobi else None)
+            for op, b, d in zip(ops, rhs, diag)]
+        assert block.solution.shape == rhs.shape
+        assert block.row_iterations == tuple(s.iterations for s in singles)
+        assert block.row_flags == tuple(s.flag for s in singles)
+        assert block.iterations == max(s.iterations for s in singles)
+        assert block.flag == max((s.flag for s in singles),
+                                 key=["converged", "max_iter",
+                                      "breakdown"].index)
+        for x, s in zip(block.solution, singles):
+            scale = np.linalg.norm(s.solution)
+            assert np.linalg.norm(x - s.solution) <= 1e-12 * scale
+        for hist, s in zip(block.residual_history, singles):
+            assert_allclose(hist, s.residual_history, rtol=1e-12)
+
+    def test_each_step_preconditions_the_running_rows_once(self):
+        d = np.arange(1.0, 31.0)
+        ops = [sp.csr_matrix(np.diag(d))] * 3
+        # one, a few and many iterations
+        rhs = np.array([np.eye(30)[0], np.eye(30)[:4].sum(axis=0),
+                        np.ones(30)])
+        calls = []
+
+        def precond(r, rows):
+            assert r.flags.c_contiguous and r.shape == (30, len(rows))
+            calls.append(rows.tolist())
+            return r.copy()
+
+        res = minres_solve(ops, rhs, tol=1e-12, precond=precond)
+        # one application for the start, then one per lockstep step
+        assert len(calls) == res.iterations + 1
+        assert res.row_iterations == (1, 4, 30)
+        assert calls[0] == calls[1] == [0, 1, 2]
+        assert calls[2] == [1, 2] and calls[-1] == [2]
+
+    @pytest.mark.parametrize("bad", ["operator", "rhs", "precond"])
+    def test_errors_name_the_row(self, bad):
+        s = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+        ops, rhs = [s, s], np.ones((2, 3))
+        precond = None
+        if bad == "operator":
+            ops = [s, sp.csr_matrix(np.diag([1.0, np.nan, 3.0]))]
+            match = r"residual estimate \(row 1\) is not finite"
+        elif bad == "rhs":
+            rhs[1, 2] = np.inf
+            match = r"right-hand side \(row 1\) is not finite"
+        else:
+            sign = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
+            precond = lambda r, rows: r * sign[:, rows]    # noqa: E731
+            match = r"not positive definite \(row 1\)"
+        with pytest.raises(LinAlgError, match=match):
+            minres_solve(ops, rhs, precond=precond)
+
+    def test_rows_need_one_operator_each(self):
+        s = sp.csr_matrix(np.diag([1.0, 2.0]))
+        with pytest.raises(LinAlgError, match="list of 2 operators"):
+            minres_solve(s, np.ones((2, 2)))
+        with pytest.raises(LinAlgError, match="list of 2 operators"):
+            minres_solve([s], np.ones((2, 2)))

@@ -205,6 +205,28 @@ def test_shifted_v_cycle_is_symmetric_positive_definite(
     assert np.linalg.eigvalsh(0.5 * (b + b.T)).min() > 0.0
 
 
+def test_block_columns_equal_single_shift_applies(two_level_hierarchy):
+    """Column i of shifted(shifts)(R, rows) is shifted(shifts[rows[i]])
+    applied to R[:, i] alone, for an exact and a Jacobi coarse solve."""
+    (k0, m0), (k, _, _), precond = two_level_hierarchy
+    lam = abs_pencil_inverse(k0, m0, 0.0)[1]
+    mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 10)
+    system = assemble(mesh, IDENTITY)
+    jacobi = MultilevelPreconditioner(mesh, system)
+    shifts = np.array([0.0, 0.5 * (lam[4] + lam[5]), lam[4], 37.0])
+    rng = np.random.default_rng(6)
+    for pre, n in ((precond, len(k)), (jacobi, system.n_dofs)):
+        block = pre.shifted(shifts)
+        for rows in ([0, 1, 2, 3], [1, 3], [2]):
+            r = rng.standard_normal((n, len(rows)))
+            y = block(r, np.array(rows))
+            assert y.shape == r.shape
+            for i, j in enumerate(rows):
+                alone = pre.shifted(shifts[j])(r[:, i].copy())
+                assert_allclose(y[:, i], alone, rtol=0,
+                                atol=1e-14 * np.abs(alone).max())
+
+
 @pytest.mark.parametrize("which", ["K", "M"])
 def test_coarse_pencil_that_is_not_definite_raises(which):
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)

@@ -223,7 +223,10 @@ class TestOrbitalUpdate:
                            ritz_values=np.array([2.1, 5.1, 5.2]),
                            shifts=np.array([2.05, 5.15]))
         hs = orbital_update(sys, blk)
-        # three solves, the two of the second cluster on one operator
+        # one block call of three rows, the two of the second cluster on
+        # one operator
+        assert len(ops) == 1
+        (ops,) = ops
         assert len(ops) == 3 and len({id(op) for op in ops}) == 2
         assert ops[1] is ops[2]
         k = np.diag([2.0, 5.0, 5.05, 9.0])
@@ -235,39 +238,36 @@ class TestOrbitalUpdate:
                                      shift * blk.vectors[flat])
             assert_allclose(hs[flat], expect, rtol=1e-9)
 
-    def test_each_cluster_gets_its_own_shifted_preconditioner(
-            self, monkeypatch):
-        import paroeig.paro as paro_mod
+    def test_each_cluster_gets_its_own_shifted_preconditioner(self):
         built, used = [], []
-        solve = paro_mod.minres_solve
 
         class Recording:
-            """Jacobi on K, tagged with the shift it was built for."""
-            def shifted(self, shift):
-                built.append(shift)
+            """Jacobi on K; records the shifts it is built for and the
+            rows of each application."""
+            def shifted(self, shifts):
+                built.append(list(shifts))
 
-                def apply(r):
-                    return r / np.array([2.0, 5.0, 5.05, 9.0])
-                apply.shift = shift
+                def apply(r, rows):
+                    used.append(rows.tolist())
+                    return r / np.array([2.0, 5.0, 5.05, 9.0])[:, None]
                 return apply
 
-        def recording(op, rhs, **kwargs):
-            used.append(kwargs["precond"].shift)
-            return solve(op, rhs, **kwargs)
-
-        monkeypatch.setattr(paro_mod, "minres_solve", recording)
         sys = diag_system([2.0, 5.0, 5.05, 9.0])
         blk = OrbitalBlock(layout=ClusterLayout((1, 2, 1)),
                            vectors=np.eye(4) + 0.1,
                            ritz_values=np.array([2.1, 5.1, 5.2, 8.9]),
                            shifts=np.array([2.05, 5.15, 8.95]))
         hs = orbital_update(sys, blk, Recording())
-        # one preconditioner per cluster, built for that cluster's shift
-        # and handed to each of its solves
-        assert built == [2.05, 5.15, 8.95]
-        assert used == [2.05, 5.15, 5.15, 8.95]
+        # one block preconditioner per sweep, with each orbital's cluster
+        # shift; the first application covers every row, later ones the
+        # rows still running
+        shifts = [2.05, 5.15, 5.15, 8.95]
+        assert built == [shifts]
+        assert used[0] == [0, 1, 2, 3]
+        assert all(rows == sorted(set(rows) & set(prev))
+                   for prev, rows in zip(used, used[1:]))
         k = np.diag([2.0, 5.0, 5.05, 9.0])
-        for flat, shift in enumerate(used):
+        for flat, shift in enumerate(shifts):
             expect = np.linalg.solve(k - shift * np.eye(4),
                                      shift * blk.vectors[flat])
             assert_allclose(hs[flat], expect, rtol=1e-9)
