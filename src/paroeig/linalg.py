@@ -10,8 +10,9 @@ the spectrum, and because near-singular solves are the normal operating
 regime here: the solver caps iterations, keeps the monotone residual
 estimate as an internal invariant, and hands possibly huge iterates back
 to the caller, whose Rayleigh-Ritz step absorbs the amplification.
-A sweep's independent solves go in as the rows of one call: each row
-keeps its own scalar recurrence, and only the preconditioner, the
+Every call is a block call: a sweep's independent solves go in as the
+rows of one (k, n) right-hand side, each row on its own operator. Each
+row keeps its own scalar recurrence, and only the preconditioner, the
 costly part of a step, is applied to all running rows at once.
 
 The N x N Rayleigh-Ritz pencil goes to LAPACK (scipy.linalg.eigh); this
@@ -34,13 +35,12 @@ class LinAlgError(RuntimeError):
 
 @dataclass
 class MinresResult:
-    """What minres_solve returns.
+    """What minres_solve returns for a (k, n) right-hand side.
 
-    For a (k, n) right-hand side, solution is (k, n); iterations counts
-    the lockstep steps (the most any row took), achieved_residual and
-    flag are the worst row's, and residual_history holds one array per
-    row. row_iterations and row_flags give each row's own count and flag
-    (one entry for a 1-D right-hand side).
+    solution is (k, n); iterations counts the lockstep steps (the most
+    any row took), achieved_residual and flag are the worst row's, and
+    residual_history holds one array per row. row_iterations and
+    row_flags give each row's own count and flag.
     """
     solution: np.ndarray
     iterations: int
@@ -58,23 +58,24 @@ _FLAGS = ("converged", "max_iter", "breakdown")
 def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
     """Minimum-residual iteration for symmetric (indefinite) operators.
 
-    A (k, n) right-hand side runs k independent MINRES recurrences in
-    lockstep, row j on the operator S[j]. Each step applies the
-    preconditioner once, to the block of the rows still running; a row
-    stops on its own test and keeps its own iteration count and flag.
+    The k rows of the (k, n) right-hand side run k independent MINRES
+    recurrences in lockstep, row j on the operator S[j]. Each step
+    applies the preconditioner once, to the block of the rows still
+    running; a row stops on its own test and keeps its own iteration
+    count and flag. One solve is the one-row call minres_solve([S],
+    b[None]).
 
     Args:
-        S: the symmetric operator, anything that applies itself with @
-            (a sparse matrix such as K - sigma*M, or a dense array); for
-            a (k, n) right-hand side a list or tuple of k of them.
-        rhs: right-hand side, (n,) or (k, n).
+        S: a list or tuple of k symmetric operators, anything that
+            applies itself with @ (a sparse matrix such as K - sigma*M,
+            or a dense array); rows may share one.
+        rhs: the (k, n) right-hand sides, one per row.
         tol: relative residual target. With a preconditioner B it is
             measured in the B-norm: a row stops once
             sqrt(r.B r) <= tol * sqrt(b.B b).
         max_iter: iteration cap of every row, default 4 * n.
-        precond: optional symmetric positive definite preconditioner B.
-            For an (n,) right-hand side a callable r -> B r. For a (k, n)
-            one a callable (R, rows) -> B R, where R is the C-contiguous
+        precond: optional symmetric positive definite preconditioner, a
+            callable (R, rows) -> B R, where R is the C-contiguous
             (n, a) block whose column i is the residual of row rows[i],
             and column i of the (n, a) result is B(rows[i]) R[:, i]: the
             rows may use different preconditioners, as
@@ -87,10 +88,10 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
 
     Raises:
         LinAlgError: tol is not a positive finite number, max_iter is
-            below 1, or S and rhs do not match; a right-hand side or a
-            residual estimate is not finite, a residual estimate
-            increases, or the preconditioner is not positive definite.
-            The error names the row of a (k, n) call.
+            below 1, rhs is not (k, n) or S is not a list of k
+            operators; a right-hand side or a residual estimate is not
+            finite, a residual estimate increases, or the preconditioner
+            is not positive definite. These last errors name the row.
     """
     if not 0.0 < tol < math.inf:           # "not" also rejects NaN
         raise LinAlgError(f"MINRES tol must be positive and finite, "
@@ -98,27 +99,22 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
     if max_iter is not None and max_iter < 1:
         raise LinAlgError(f"MINRES max_iter must be >= 1, got {max_iter!r}")
     b = np.ascontiguousarray(rhs, dtype=np.float64)
-    block = b.ndim == 2
-    if block:
-        if not isinstance(S, (list, tuple)) or len(S) != len(b):
-            raise LinAlgError(f"a ({len(b)}, n) right-hand side needs a "
-                              f"list of {len(b)} operators")
-        ops = S
-    elif b.ndim == 1:
-        ops, b = [S], b[None, :]
-    else:
-        raise LinAlgError("MINRES right-hand side must be (n,) or (k, n)")
+    if b.ndim != 2:
+        raise LinAlgError(f"MINRES right-hand side must be (k, n), got "
+                          f"shape {b.shape}")
+    if not isinstance(S, (list, tuple)) or len(S) != len(b):
+        raise LinAlgError(f"a ({len(b)}, n) right-hand side needs a "
+                          f"list of {len(b)} operators")
     k, n = b.shape
     if max_iter is None:
         max_iter = 4 * n
-    label = [f" (row {j})" if block else "" for j in range(k)]
     finite = np.isfinite(b).all(axis=1)
     if not finite.all():
-        j = int(np.argmin(finite))
-        raise LinAlgError(f"MINRES right-hand side{label[j]} is not finite")
+        raise LinAlgError(f"MINRES right-hand side (row "
+                          f"{int(np.argmin(finite))}) is not finite")
 
-    rows = [_recurrence(op, bj, tol, max_iter, lab)
-            for op, bj, lab in zip(ops, b, label)]
+    rows = [_recurrence(op, bj, tol, max_iter, j)
+            for j, (op, bj) in enumerate(zip(S, b))]
     done = [None] * k
     pending = {}                 # row -> residual waiting for B
 
@@ -133,27 +129,21 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
         advance(j, None)
     while pending:
         active = list(pending)
-        ys = _precondition(precond, [pending[j] for j in active], active,
-                           block)
+        ys = _precondition(precond, [pending[j] for j in active], active)
         for j, y in zip(active, ys):
             advance(j, y)
 
     x, itns, achieved, flags, history = zip(*done) if k else ((),) * 5
-    if not block:
-        return MinresResult(x[0], itns[0], achieved[0], flags[0],
-                            history[0], itns, flags)
     return MinresResult(np.array(x).reshape(k, n), max(itns, default=0),
                         max(achieved, default=0.0),
                         max(flags, key=_FLAGS.index, default=_FLAGS[0]),
                         history, itns, flags)
 
 
-def _precondition(precond, residuals, active, block):
+def _precondition(precond, residuals, active):
     """B applied to the residuals of the active rows, one array each."""
     if precond is None:
         return residuals
-    if not block:
-        return [precond(residuals[0])]
     r = np.stack(residuals, axis=1)               # (n, a), C-contiguous
     y = np.asarray(precond(r, np.array(active)))
     if y.shape != r.shape:
@@ -162,8 +152,8 @@ def _precondition(precond, residuals, active, block):
     return np.ascontiguousarray(y.T)
 
 
-def _recurrence(S, b, tol, max_iter, label):
-    """One row's Paige-Saunders recurrence as a generator: it yields each
+def _recurrence(S, b, tol, max_iter, row):
+    """Row row's Paige-Saunders recurrence as a generator: it yields each
     residual r, is sent B r back, and returns (x, iterations, achieved
     relative residual, flag, residual history)."""
     n = b.size
@@ -176,7 +166,7 @@ def _recurrence(S, b, tol, max_iter, label):
     beta1 = float(r1 @ y)
     if beta1 <= 0.0:
         raise LinAlgError(f"preconditioner is not positive "
-                          f"definite{label}")
+                          f"definite (row {row})")
     beta1 = np.sqrt(beta1)
 
     oldb, beta = 0.0, beta1
@@ -205,7 +195,7 @@ def _recurrence(S, b, tol, max_iter, label):
         beta = float(r2 @ y)
         if beta < 0.0:
             raise LinAlgError(f"preconditioner is not positive "
-                              f"definite{label}")
+                              f"definite (row {row})")
         beta = np.sqrt(beta)
 
         oldeps = epsln
@@ -230,12 +220,12 @@ def _recurrence(S, b, tol, max_iter, label):
         x += phi * w
 
         if not math.isfinite(phibar):
-            raise LinAlgError(f"MINRES residual estimate{label} is not "
-                              f"finite at iteration {itn}")
+            raise LinAlgError(f"MINRES residual estimate (row {row}) is "
+                              f"not finite at iteration {itn}")
         # |sn| <= 1 makes this nonincreasing by construction
         if phibar > history[-1]:
-            raise LinAlgError(f"MINRES residual estimate{label} increased "
-                              f"at iteration {itn}")
+            raise LinAlgError(f"MINRES residual estimate (row {row}) "
+                              f"increased at iteration {itn}")
         history.append(phibar)
 
         if phibar <= tol * beta1:

@@ -18,6 +18,7 @@ which bisects every marked edge identically from both sides.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,17 @@ import scipy.sparse as sp
 
 class MeshError(ValueError):
     """Invalid mesh input or refinement request."""
+
+
+def _whole_numbers(values, what):
+    """values as a new int64 array; MeshError if one is not a whole
+    number (whole-valued floats, as np.loadtxt reads ids, pass)."""
+    a = np.asarray(values)
+    with np.errstate(invalid="ignore"):    # NaN and inf fail the compare
+        ids = a.astype(np.int64)
+    if not np.array_equal(ids, a):
+        raise MeshError(f"{what} must be whole numbers")
+    return ids
 
 
 def _cross2(u, v):
@@ -72,7 +84,7 @@ class Mesh:
 
     def __init__(self, vertices, triangles, generation=None, ancestor=None):
         self.vertices = np.array(vertices, dtype=np.float64)
-        self.triangles = np.array(triangles, dtype=np.int64)
+        self.triangles = _whole_numbers(triangles, "triangle vertex ids")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -94,9 +106,9 @@ class Mesh:
                             f"(signed area {areas[bad]:.3e})")
         self._build_edge_table()
         self.generation = (np.zeros(nt, dtype=np.int64) if generation is None
-                           else np.array(generation, dtype=np.int64))
+                           else _whole_numbers(generation, "generations"))
         self.ancestor = (np.arange(nt, dtype=np.int64) if ancestor is None
-                         else np.array(ancestor, dtype=np.int64))
+                         else _whole_numbers(ancestor, "ancestor ids"))
         if self.generation.shape != (nt,) or self.ancestor.shape != (nt,):
             raise MeshError("generation and ancestor need one entry per "
                             "triangle")
@@ -307,7 +319,8 @@ def refine(mesh, marked):
 
     Args:
         mesh: conforming Mesh.
-        marked: iterable of triangle indices to refine.
+        marked: iterable of integer triangle indices to refine; a
+            boolean mask or a fractional index raises MeshError.
 
     Returns:
         (fine_mesh, refine_map). An empty marked set gives a copy of the
@@ -315,7 +328,11 @@ def refine(mesh, marked):
     """
     if not isinstance(marked, np.ndarray):
         marked = list(marked)          # read an iterator exactly once
-    marked = np.asarray(marked, dtype=np.int64)
+    marked = np.asarray(marked)
+    if marked.size and marked.dtype.kind not in "iu":   # [] is float64
+        raise MeshError(f"marked triangle indices must be integers, got "
+                        f"dtype {marked.dtype}")
+    marked = marked.astype(np.int64, copy=False)
     if marked.size and (marked.min() < 0
                         or marked.max() >= mesh.n_triangles):
         raise MeshError("marked triangle index out of range")
@@ -392,7 +409,11 @@ def refine(mesh, marked):
 
 
 def uniform_refine(mesh, passes=1):
-    """Refine every triangle once per pass. Returns (mesh, [RefineMap...])."""
+    """Refine every triangle once per pass, passes a non-negative
+    integer. Returns (mesh, [RefineMap...])."""
+    if not hasattr(passes, "__index__") or operator.index(passes) < 0:
+        raise MeshError(f"passes must be a non-negative integer, got "
+                        f"{passes!r}")
     maps = []
     for _ in range(passes):
         mesh, rmap = refine(mesh, np.arange(mesh.n_triangles))

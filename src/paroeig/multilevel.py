@@ -29,7 +29,8 @@ coarse solve sees sigma: below sigma, the coarse modes that an unshifted
 B leaves as negative outliers of B(K - sigma*M) come out near -1. So
 the rows of a block MINRES call, each with its own shift, share one
 V-cycle: every level applies to the (n, a) block of residuals at once,
-and the coarse solve scales column i by its own row's diagonal.
+and the coarse solve scales column i by its own row's diagonal. That
+block callable, shifted(shifts), is the only way to apply B.
 
 The hierarchy follows the refinement: each refine() call appends the
 midpoints of the edges it bisects, and P_l is built from the nodal
@@ -119,42 +120,30 @@ def _coarse_modes(system):
     return lam, vecs
 
 
-def _v_cycle(levels, coarse, r):
-    """B r for the levels (coarsest first) above the coarse solve."""
-    r = np.asarray(r, dtype=np.float64)
+def _v_cycle(levels, vecs, scale, r, rows):
+    """B r for an (n, a) block r: the levels (coarsest first) above the
+    coarse solve V diag(scale) V^T, or scale * r for Jacobi (vecs None),
+    column i scaled by scale's column rows[i]."""
     local = []
     for lv in reversed(levels):
         local.append(lv.smoother @ r)
         r = lv.restrict @ r
-    x = coarse(r)
+    scale = scale[:, rows]
+    x = scale * r if vecs is None else vecs @ (scale * (vecs.T @ r))
     for lv, z in zip(levels, reversed(local)):
         x = lv.prolong @ x
         x += z
     return x
 
 
-def _coarse_solve(vecs, scale, r):
-    """B_0 r: V diag(scale) V^T r, or scale * r for Jacobi (vecs None)."""
-    if vecs is None:
-        return scale * r
-    return vecs @ (scale * (vecs.T @ r))
-
-
-def _shifted_v_cycle(levels, vecs, scale, r, rows):
-    """B r with the coarse scale's columns rows: one column for an (n,)
-    r, one per column of an (n, a) r."""
-    return _v_cycle(levels,
-                    functools.partial(_coarse_solve, vecs, scale[:, rows]),
-                    r)
-
-
 class MultilevelPreconditioner:
-    """r -> B r for the finest mesh of a nested refinement sequence.
+    """B(sigma) for the finest mesh of a nested refinement sequence.
 
     Build it on the first mesh with its assembled FemSystem, then call
     extend() after every refine + assemble; extend returns a new
-    preconditioner and leaves this one untouched. Calling it applies
-    B(0), which approximates K^-1; shifted(sigma) gives B(sigma).
+    preconditioner and leaves this one untouched. shifted(shifts) gives
+    the block callable of a MINRES call, one shift per row; B(0), which
+    approximates K^-1, is shifted(np.zeros(k)).
     """
 
     def __init__(self, mesh, system):
@@ -192,15 +181,18 @@ class MultilevelPreconditioner:
         return 1 + len(self._levels)
 
     def shifted(self, shifts):
-        """B(sigma), for MINRES on K - sigma*M; build it once per shift.
+        """B(sigma), one shift per row of a block MINRES call.
 
-        shifts is one number sigma, giving the SPD callable
-        r -> B(sigma) r, or an array of k shifts, one per row of a
-        block MINRES call, giving the callable (R, rows) -> Y for an
-        (n, a) block R: column i of Y is B(shifts[rows[i]]) R[:, i],
-        all a columns through one V-cycle.
+        shifts is the 1-D array of the k rows' shifts; build it once per
+        MINRES call. Returns the callable (R, rows) -> Y for an (n, a)
+        block R: column i of Y is B(shifts[rows[i]]) R[:, i], all a
+        columns through one V-cycle. Raises LinAlgError for shifts that
+        are not a 1-D array.
         """
         sigma = np.asarray(shifts, dtype=np.float64)
+        if sigma.ndim != 1:
+            raise LinAlgError(f"shifts must be a 1-D array, one per row, "
+                              f"got shape {sigma.shape}")
         if isinstance(self._coarse, np.ndarray):
             # a Jacobi coarse solve ignores the shift
             vecs = None
@@ -208,14 +200,6 @@ class MultilevelPreconditioner:
                                     (len(self._coarse), sigma.size))
         else:
             lam, vecs = self._coarse
-            s = sigma.ravel()
-            scale = 1.0 / np.maximum(np.abs(lam[:, None] - s),
-                                     GAP_FLOOR * np.abs(s))   # (n0, k)
-        apply = functools.partial(_shifted_v_cycle, self._levels, vecs,
-                                  scale)
-        if sigma.ndim == 0:
-            return functools.partial(apply, rows=0)
-        return apply
-
-    def __call__(self, r):
-        return self.shifted(0.0)(r)
+            scale = 1.0 / np.maximum(np.abs(lam[:, None] - sigma),
+                                     GAP_FLOOR * np.abs(sigma))  # (n0, k)
+        return functools.partial(_v_cycle, self._levels, vecs, scale)

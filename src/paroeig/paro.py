@@ -152,12 +152,13 @@ def orbital_update(sys, block, precond=None):
     Returns the (N, n_dofs) array of unnormalized half-step vectors.
     The N solves are independent and run as one block MINRES call, row
     j on its cluster's operator; the members of a cluster share one
-    assembled operator (sys.shifted). precond (e.g. a
-    MultilevelPreconditioner) must have a method shifted(shifts) that,
-    given one shift per orbital, returns the block callable (R, rows) ->
-    B R with column i preconditioned by B ~ |K - shift*M|^-1 for
-    orbital rows[i]'s shift; it is called once per sweep. Iteration
-    caps are expected near convergence and not reported as errors.
+    assembled operator (sys.shifted). precond is None (no
+    preconditioner) or, like a MultilevelPreconditioner, has a method
+    shifted(shifts) that takes the 1-D array of the orbitals' shifts and
+    returns minres_solve's block callable (R, rows) -> B R, column i
+    preconditioned by B ~ |K - shift*M|^-1 for orbital rows[i]'s shift;
+    it is called once per sweep. Iteration caps are expected near
+    convergence and not reported as errors.
     """
     shifts = np.array([_safe_shift(float(s), block.ritz_values)
                        for s in block.shifts])

@@ -11,10 +11,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paroeig
 import paroeig.cli
+from paroeig.linalg import minres_solve
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -40,3 +42,13 @@ def test_adaptive_workloads_are_run_configs(name):
     # workloads.build passes threads= to adaptive_solve
     assert "threads" in inspect.signature(
         paroeig.adapt.adaptive_solve).parameters
+
+
+def test_minres_result_has_the_fields_spans_read():
+    # spans._minres_counts reads .iterations and .flag of every traced
+    # minres_solve result
+    s = np.diag([1.0, 2.0, 3.0])
+    res = minres_solve([s, s], np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]))
+    assert isinstance(res.iterations, int) and res.iterations == 3
+    assert isinstance(res.flag, str) and res.flag == "converged"
+    assert spans._minres_counts(res) == {"iters": 3, "flag": "converged"}

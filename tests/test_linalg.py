@@ -100,18 +100,18 @@ class TestFullStorage:
 class TestMinres:
     def test_diagonal_spd(self):
         s = sp.csr_matrix(np.diag([2.0, 1.0]))
-        res = minres_solve(s, np.array([2.0, 1.0]), tol=1e-12)
-        assert_allclose(res.solution, [1.0, 1.0], atol=1e-10)
+        res = minres_solve([s], np.array([[2.0, 1.0]]), tol=1e-12)
+        assert_allclose(res.solution, [[1.0, 1.0]], atol=1e-10)
         assert res.flag == "converged"
 
     def test_diagonal_indefinite(self):
         s = np.diag([-1.0, 3.0])
-        res = minres_solve(s, np.array([1.0, 3.0]), tol=1e-12)
-        assert_allclose(res.solution, [-1.0, 1.0], atol=1e-10)
+        res = minres_solve([s], np.array([[1.0, 3.0]]), tol=1e-12)
+        assert_allclose(res.solution, [[-1.0, 1.0]], atol=1e-10)
 
     def test_zero_rhs_returns_zero(self):
         s = sp.csr_matrix(np.diag([-1.0, 3.0]))
-        res = minres_solve(s, np.zeros(2))
+        res = minres_solve([s], np.zeros((1, 2)))
         assert res.iterations == 0
         assert res.achieved_residual == 0.0
         assert_allclose(res.solution, 0.0)
@@ -120,17 +120,17 @@ class TestMinres:
         a = random_spd(50, 7)
         b = np.random.default_rng(8).standard_normal(50)
         oracle = np.linalg.solve(a, b)
-        res = minres_solve(sp.csr_matrix(a), b, tol=1e-13)
+        res = minres_solve([sp.csr_matrix(a)], b[None], tol=1e-13)
         assert res.flag == "converged"
-        assert_allclose(res.solution, oracle, atol=1e-8)
+        assert_allclose(res.solution[0], oracle, atol=1e-8)
         assert res.achieved_residual <= 1e-12
 
     def test_residual_history_monotone(self):
         a = random_sym(40, 11) + 0.1 * np.eye(40)   # indefinite
         b = np.random.default_rng(12).standard_normal(40)
-        res = minres_solve(sp.csr_matrix(a), b, tol=1e-11)
+        res = minres_solve([sp.csr_matrix(a)], b[None], tol=1e-11)
         assert isinstance(res, MinresResult)
-        assert np.all(np.diff(res.residual_history) <= 0.0)
+        assert np.all(np.diff(res.residual_history[0]) <= 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
@@ -147,12 +147,13 @@ class TestMinres:
         lam = scipy.linalg.eigh(k, m, eigvals_only=True)
         op = sp.csr_matrix(k) - shift * lam[n // 2] * sp.csr_matrix(m)
         b = rng.standard_normal(n)
-        precond = (lambda r: r / k.diagonal()) if jacobi else None
+        d = k.diagonal() if jacobi else np.ones(n)
+        precond = (lambda r, rows: r / d[:, None]) if jacobi else None
         max_iter = max(1, int(cap * n))
-        res = minres_solve(op, b, tol=tol, max_iter=max_iter,
+        res = minres_solve([op], b[None], tol=tol, max_iter=max_iter,
                            precond=precond)
-        hist = res.residual_history
-        beta1 = np.sqrt(b @ (precond(b) if jacobi else b))
+        (hist,) = res.residual_history
+        beta1 = np.sqrt(b @ (b / d))
         assert_allclose(hist[0], beta1, rtol=1e-14)
         assert len(hist) == res.iterations + 1
         assert np.all(np.diff(hist) <= 0.0)
@@ -173,31 +174,34 @@ class TestMinres:
         oracle = np.linalg.solve(a, b)
         s = sp.csr_matrix(a)
         d = a.diagonal()
-        res = minres_solve(s, b, tol=1e-13, precond=lambda r: r / d)
-        assert_allclose(res.solution, oracle, atol=1e-8)
+        res = minres_solve([s], b[None], tol=1e-13,
+                           precond=lambda r, rows: r / d[:, None])
+        assert_allclose(res.solution[0], oracle, atol=1e-8)
 
     def test_precond_must_be_positive(self):
         s = sp.csr_matrix(np.diag([1.0, 2.0]))
-        d = np.array([1.0, -1.0])
+        d = np.array([[1.0], [-1.0]])
         with pytest.raises(LinAlgError, match="positive"):
-            minres_solve(s, np.ones(2), precond=lambda r: r / d)
+            minres_solve([s], np.ones((1, 2)),
+                         precond=lambda r, rows: r / d)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rhs_raises(self, bad):
         s = sp.csr_matrix(np.diag([2.0, 1.0, 3.0]))
-        rhs = np.array([1.0, bad, 1.0])
+        rhs = np.array([[1.0, bad, 1.0]])
         with pytest.raises(LinAlgError, match="right-hand side"):
-            minres_solve(s, rhs)
+            minres_solve([s], rhs)
 
     def test_non_finite_operator_raises(self):
         s = sp.csr_matrix(np.diag([2.0, np.nan, 3.0]))
         with pytest.raises(LinAlgError, match="not finite"):
-            minres_solve(s, np.ones(3))
+            minres_solve([s], np.ones((1, 3)))
 
     def test_max_iter_is_reported_not_raised(self):
         a = random_spd(60, 21, cond_spread=(1e-6, 1.0))
         b = np.random.default_rng(22).standard_normal(60)
-        res = minres_solve(sp.csr_matrix(a), b, tol=1e-16, max_iter=3)
+        res = minres_solve([sp.csr_matrix(a)], b[None], tol=1e-16,
+                           max_iter=3)
         assert res.flag == "max_iter"
         assert res.iterations == 3
 
@@ -207,14 +211,14 @@ class TestMinres:
         # tol used to run it to the 4n cap
         s = sp.csr_matrix(np.diag(np.arange(1.0, 51.0)))
         with pytest.raises(LinAlgError, match="tol"):
-            minres_solve(s, np.ones(50), tol=tol)
+            minres_solve([s], np.ones((1, 50)), tol=tol)
 
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_bad_max_iter_raises(self, max_iter):
         # used to return x = 0 with flag "max_iter"
         s = sp.csr_matrix(np.diag(np.arange(1.0, 51.0)))
         with pytest.raises(LinAlgError, match="max_iter"):
-            minres_solve(s, np.ones(50), max_iter=max_iter)
+            minres_solve([s], np.ones((1, 50)), max_iter=max_iter)
 
     def test_near_singular_shift_amplifies_eigendirection(self):
         # (K - shift*M) x = shift * M u with K=diag(2,5), M=I, shift=2.1:
@@ -223,9 +227,9 @@ class TestMinres:
         k = sp.csr_matrix(np.diag([2.0, 5.0]))
         m = sp.identity(2, format="csr")
         u = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        res = minres_solve(k - 2.1 * m, 2.1 * (m @ u), tol=1e-12)
+        res = minres_solve([k - 2.1 * m], 2.1 * (m @ u)[None], tol=1e-12)
         expect = 2.1 * np.array([1.0 / -0.1, 1.0 / 2.9]) / np.sqrt(2.0)
-        assert_allclose(res.solution, expect, rtol=1e-9)
+        assert_allclose(res.solution[0], expect, rtol=1e-9)
 
 
 class TestDensePencil:
@@ -370,8 +374,9 @@ class TestBlockMinres:
             ops, rhs, tol=tol, max_iter=max_iter,
             precond=(lambda r, rows: r / diag[rows].T) if jacobi else None)
         singles = [minres_solve(
-            op, b, tol=tol, max_iter=max_iter,
-            precond=(lambda r, d=d: r / d) if jacobi else None)
+            [op], b[None], tol=tol, max_iter=max_iter,
+            precond=(lambda r, rows, d=d: r / d[:, None]) if jacobi
+            else None)
             for op, b, d in zip(ops, rhs, diag)]
         assert block.solution.shape == rhs.shape
         assert block.row_iterations == tuple(s.iterations for s in singles)
@@ -382,9 +387,9 @@ class TestBlockMinres:
                                       "breakdown"].index)
         for x, s in zip(block.solution, singles):
             scale = np.linalg.norm(s.solution)
-            assert np.linalg.norm(x - s.solution) <= 1e-12 * scale
+            assert np.linalg.norm(x - s.solution[0]) <= 1e-12 * scale
         for hist, s in zip(block.residual_history, singles):
-            assert_allclose(hist, s.residual_history, rtol=1e-12)
+            assert_allclose(hist, s.residual_history[0], rtol=1e-12)
 
     def test_each_step_preconditions_the_running_rows_once(self):
         d = np.arange(1.0, 31.0)
@@ -430,3 +435,11 @@ class TestBlockMinres:
             minres_solve(s, np.ones((2, 2)))
         with pytest.raises(LinAlgError, match="list of 2 operators"):
             minres_solve([s], np.ones((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
+    def test_rhs_must_be_k_by_n(self, shape):
+        # (3,) with a bare operator was the single-vector call
+        s = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+        for ops in (s, [s]):
+            with pytest.raises(LinAlgError, match=r"must be \(k, n\)"):
+                minres_solve(ops, np.ones(shape))

@@ -128,6 +128,61 @@ def test_refine_reads_an_iterator_once():
     assert f.n_triangles == 4
 
 
+@pytest.mark.parametrize("marked", [
+    np.arange(8) == 5,     # a mask, once cast to the ids 0 and 1
+    [1.7],                 # once truncated to triangle 1
+    np.array([5.0]),
+])
+def test_refine_rejects_masks_and_fractional_indices(marked):
+    m, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 2)
+    assert m.n_triangles == 8
+    with pytest.raises(pm.MeshError, match="must be integers"):
+        pm.refine(m, marked)
+
+
+def test_refine_takes_integer_ids_of_any_width_and_empty_markings():
+    m, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 2)
+    f, _ = pm.refine(m, [5])
+    for ids in (np.array([5], dtype=np.int32), [np.uint8(5)]):
+        assert_array_equal(pm.refine(m, ids)[0].triangles, f.triangles)
+    for empty in ([], (), np.array([])):       # [] reads as float64
+        assert pm.refine(m, empty)[0].n_triangles == 8
+
+
+@pytest.mark.parametrize("passes", [-1, 1.5, "2", None])
+def test_uniform_refine_rejects_bad_passes(passes):
+    m = pm.build_initial_mesh("unit_square")
+    with pytest.raises(pm.MeshError, match="passes must be a non-negative "
+                                           "integer"):
+        pm.uniform_refine(m, passes)
+
+
+def test_uniform_refine_takes_numpy_and_zero_passes():
+    m = pm.build_initial_mesh("unit_square")
+    same, maps = pm.uniform_refine(m, 0)
+    assert same is m and maps == []
+    assert pm.uniform_refine(m, np.int64(2))[0].n_triangles == 8
+
+
+@pytest.mark.parametrize("field", ["triangles", "generation", "ancestor"])
+@pytest.mark.parametrize("bad", [0.9, np.nan, np.inf])
+def test_mesh_rejects_ids_that_are_not_whole_numbers(field, bad):
+    m, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 1)
+    args = dict(triangles=m.triangles.astype(float),
+                generation=m.generation.astype(float),
+                ancestor=m.ancestor.astype(float))
+    # whole-valued floats, as np.loadtxt reads them, still load
+    same = pm.Mesh(m.vertices, **args)
+    for key, ids in args.items():
+        assert_array_equal(getattr(same, key), ids)
+        assert getattr(same, key).dtype == np.int64
+    # [0, 1, 2.9] used to become vertex 2 without an error
+    args[field] = args[field].copy()
+    args[field].flat[-1] += bad
+    with pytest.raises(pm.MeshError, match="must be whole numbers"):
+        pm.Mesh(m.vertices, **args)
+
+
 def test_refine_empty_marking_identity():
     m = pm.build_initial_mesh("unit_square")
     f, rmap = pm.refine(m, [])

@@ -27,8 +27,15 @@ VARIABLE = Coefficients(
     lambda x, y: x * x + y * y)
 
 
-def dense(precond, n):
-    return np.column_stack([precond(e) for e in np.eye(n)])
+def dense(precond, n, shift=0.0):
+    """The matrix of B(shift): the identity as one block, every column
+    on the one shift."""
+    return precond.shifted([shift])(np.eye(n), np.zeros(n, dtype=int))
+
+
+def apply(precond, r, shift=0.0):
+    """B(shift) r for one vector r, as a one-column block."""
+    return precond.shifted([shift])(r[:, None], np.zeros(1, dtype=int))[:, 0]
 
 
 def free_prolongation(rmap, coarse_sys, fine_sys):
@@ -54,7 +61,7 @@ def test_symmetric_positive_definite_on_random_hierarchies(
         precond = precond.extend(
             free_prolongation(rmap, coarse_sys, system), mesh, system)
     x, y = rng.standard_normal((2, system.n_dofs))
-    bx, by = precond(x), precond(y)
+    bx, by = apply(precond, x), apply(precond, y)
     scale = np.linalg.norm(x) * np.linalg.norm(by) \
         + np.linalg.norm(y) * np.linalg.norm(bx)
     assert abs(x @ by - y @ bx) <= 1e-12 * scale
@@ -174,7 +181,7 @@ def two_level_hierarchy():
 @pytest.mark.parametrize("where", ["zero", "between", "on_eigenvalue"])
 def test_shifted_v_cycle_matches_the_textbook_recursion(where,
                                                        two_level_hierarchy):
-    """dense(precond.shifted(sigma)) is the V-cycle over the coarse solve
+    """dense(precond, n, sigma) is the V-cycle over the coarse solve
     |K_0 - sigma*M_0|^-1: sigma = 0 (where it is K_0^-1), sigma between
     the 5th and 6th coarse eigenvalues, and sigma on the 5th, where
     only the floor keeps B finite."""
@@ -187,7 +194,7 @@ def test_shifted_v_cycle_matches_the_textbook_recursion(where,
         assert_allclose(b0, np.linalg.inv(k0), rtol=0,
                         atol=1e-12 * np.abs(b0).max())
     oracle = textbook_v_cycle(b0, [level])
-    b = dense(precond.shifted(shift), len(oracle))
+    b = dense(precond, len(oracle), shift)
     assert np.isfinite(b).all()
     assert_allclose(b, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
 
@@ -200,7 +207,7 @@ def test_shifted_v_cycle_is_symmetric_positive_definite(
     the largest coarse eigenvalue."""
     (k0, m0), (k, _, _), precond = two_level_hierarchy
     shift = fraction * abs_pencil_inverse(k0, m0, 0.0)[1][-1]
-    b = dense(precond.shifted(shift), len(k))
+    b = dense(precond, len(k), shift)
     assert_allclose(b, b.T, rtol=0, atol=1e-13 * np.abs(b).max())
     assert np.linalg.eigvalsh(0.5 * (b + b.T)).min() > 0.0
 
@@ -222,9 +229,20 @@ def test_block_columns_equal_single_shift_applies(two_level_hierarchy):
             y = block(r, np.array(rows))
             assert y.shape == r.shape
             for i, j in enumerate(rows):
-                alone = pre.shifted(shifts[j])(r[:, i].copy())
+                alone = apply(pre, r[:, i], shifts[j])
                 assert_allclose(y[:, i], alone, rtol=0,
                                 atol=1e-14 * np.abs(alone).max())
+
+
+@pytest.mark.parametrize("shifts", [0.0, 37.0, [[0.0, 1.0]]])
+def test_shifts_must_be_one_per_row(shifts):
+    """shifted takes a 1-D array of shifts; B(0) is shifted([0.0]) and
+    the preconditioner is not itself callable."""
+    mesh, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
+    precond = MultilevelPreconditioner(mesh, assemble(mesh, IDENTITY))
+    assert not callable(precond)
+    with pytest.raises(LinAlgError, match="1-D"):
+        precond.shifted(shifts)
 
 
 @pytest.mark.parametrize("which", ["K", "M"])
@@ -276,9 +294,9 @@ def test_large_first_mesh_gets_a_diagonal_coarse_solve():
     assert system.n_dofs > COARSE_DOFS
     precond = MultilevelPreconditioner(mesh, system)
     r = np.random.default_rng(0).standard_normal(system.n_dofs)
-    assert_allclose(precond(r), r / system.K.diagonal(), rtol=1e-15)
+    assert_allclose(apply(precond, r), r / system.K.diagonal(), rtol=1e-15)
     # a Jacobi coarse solve ignores the shift
-    assert np.array_equal(precond.shifted(37.0)(r), precond(r))
+    assert np.array_equal(apply(precond, r, 37.0), apply(precond, r))
 
 
 def test_small_meshes_restart_the_hierarchy():
@@ -423,9 +441,11 @@ def graded_l_shape():
 
 
 def minres_iterations(system, precond, shift=5.0):
+    """MINRES iterations on K - shift*M, preconditioned by the block
+    callable precond (None: unpreconditioned)."""
     op = system.K - shift * system.M
     rhs = system.M @ np.ones(system.n_dofs)
-    res = minres_solve(op, rhs, tol=1e-8, precond=precond)
+    res = minres_solve([op], rhs[None], tol=1e-8, precond=precond)
     assert res.flag == "converged"
     return res.iterations
 
@@ -436,7 +456,7 @@ def test_iterations_stay_flat_on_graded_meshes(graded_l_shape):
                  if s[0].n_dofs >= 4 * small[0].n_dofs)
     assert large[1].n_levels >= 3
     plain = [minres_iterations(s, None) for s, _ in (small, large)]
-    ours = [minres_iterations(s, p) for s, p in (small, large)]
+    ours = [minres_iterations(s, p.shifted([0.0])) for s, p in (small, large)]
     assert plain[1] >= 1.5 * plain[0]       # the sequence is a real test
     assert ours[1] < 1.5 * ours[0]
     assert ours[1] <= plain[1] / 20
@@ -460,8 +480,8 @@ def test_shift_aware_coarse_solve_removes_the_outliers(graded_l_shape):
                                     return_eigenvectors=False)
     lam.sort()
     shift = 0.5 * (lam[4] + lam[5])
-    plain = minres_iterations(system, precond, shift)
-    shifted = minres_iterations(system, precond.shifted(shift), shift)
+    plain = minres_iterations(system, precond.shifted([0.0]), shift)
+    shifted = minres_iterations(system, precond.shifted([shift]), shift)
     # measured: 26 and 16 iterations at 3 216 dofs (24-26 and 15-17
     # on every mesh of the fixture from 1 075 to 19 032 dofs)
     assert shifted <= 0.7 * plain

@@ -291,7 +291,7 @@ class TestRitzStep:
                          * rng.uniform(0.9, 1.1, len(d)))
         vectors = rng.standard_normal((layout.n, sys.n_dofs))
         half = np.vstack([
-            minres_solve(sys.K - shift * sys.M, shift * (sys.M @ v),
+            minres_solve([sys.K - shift * sys.M], shift * (sys.M @ v)[None],
                          max_iter=max_iter).solution
             for shift, v in zip(np.repeat(shifts, d), vectors)])
         base = ritz_step(sys, half, layout)
