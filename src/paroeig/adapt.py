@@ -7,15 +7,19 @@ the finer mesh with the refinement's nodal prolongation restricted to
 the free dofs, which the preconditioner reads too. Per-triangle data
 (assembly.ElementData) is built on the first mesh and extended after
 every refinement, so each triangle's coefficients are sampled once in
-the run; the level's assembly and both of its estimates read it. The
+the run; the level's assembly and its estimate read it. The
 loop stops when the relative eigenvalue movement between consecutive
 meshes (delta1) falls under tol1 or the refinement budget is spent.
 
 The inner iteration does not need to outrun the discretization error.
 With budget_factor set, each level stops its sweeps once delta2 falls
 under budget_factor * eta_sq / sum|lambda|, where eta_sq is the global
-indicator of the incoming block on the current mesh; tol2 still applies
-as the tighter fallback.
+indicator of the previous level's final block, already computed for
+marking; level 0 has none and estimates its incoming block instead, so
+a run estimates levels + 1 times. tol2 still applies as the tighter
+fallback. The previous level's indicator is on a coarser mesh and so
+somewhat larger than the incoming block's on the current one, which
+loosens the floor a little; the budget only needs its scale.
 """
 
 from __future__ import annotations
@@ -231,11 +235,11 @@ def transfer_block(fine_sys, prolong, block):
     return replace(block, vectors=vecs)
 
 
-def _effective_tol2(config, mesh, coeffs, block, data):
-    """Inner stop matched to the incoming block's estimator level."""
+def _effective_tol2(config, block, eta_sq):
+    """Inner stop matched to the estimator level eta_sq; eta_sq is read
+    only when config.budget_factor is set."""
     if config.budget_factor is None:
         return config.tol2
-    eta_sq = estimate(mesh, coeffs, block, data=data).global_sq
     lam_sum = float(np.abs(block.ritz_values).sum())
     if lam_sum == 0.0:
         return config.tol2
@@ -279,6 +283,7 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
     block = None
     system = None
     prev_values = None
+    eta_sq = None
     for level in range(config.max_refinements + 1):
         try:
             if system is None:
@@ -294,10 +299,15 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
                 block = initial_block(
                     system, default_seed_vectors(system, n_orbitals,
                                                  seed=seed, precond=precond))
-            tol2 = _effective_tol2(config, current, coeffs, block, data)
+            if eta_sq is None and config.budget_factor is not None:
+                # level 0 has no previous estimate to match
+                eta_sq = estimate(current, coeffs, block,
+                                  data=data).global_sq
+            tol2 = _effective_tol2(config, block, eta_sq)
             block, m_used, _ = paro_inner_loop(system, block, tol2,
                                                config.max_inner, precond)
             indicators = estimate(current, coeffs, block, data=data)
+            eta_sq = indicators.global_sq
             wall = time.perf_counter() - t0
             if observer is not None:
                 observer(level, current, system, block, indicators, data)

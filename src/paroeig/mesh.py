@@ -33,8 +33,11 @@ def _whole_numbers(values, what):
     """values as a new int64 array; MeshError if one is not a whole
     number (whole-valued floats, as np.loadtxt reads ids, pass)."""
     a = np.asarray(values)
-    with np.errstate(invalid="ignore"):    # NaN and inf fail the compare
-        ids = a.astype(np.int64)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the compare
+            ids = a.astype(np.int64)
+    except OverflowError:                  # Python ints beyond int64
+        raise MeshError(f"{what} must fit in int64") from None
     if not np.array_equal(ids, a):
         raise MeshError(f"{what} must be whole numbers")
     return ids
@@ -114,6 +117,8 @@ class Mesh:
                             "triangle")
         if self.ancestor.min() < 0:
             raise MeshError("negative ancestor index")
+        if self.generation.min() < 0:
+            raise MeshError("negative generation")
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
         self.generation.setflags(write=False)
@@ -544,13 +549,16 @@ def loads(text):
             raise MeshError("vertex lines need 3 columns")
         vertices = np.array([[float(r[0]), float(r[1])]
                              for r in rows[1:1 + nv]])
-        flags = np.array([int(r[2]) for r in rows[1:1 + nv]], dtype=bool)
+        flags = [int(r[2]) for r in rows[1:1 + nv]]
+        if not set(flags) <= {0, 1}:
+            raise MeshError("vertex boundary flags must be 0 or 1")
+        flags = np.array(flags, dtype=bool)
         width = {len(r) for r in rows[1 + nv:]}
         if len(width) != 1 or width.pop() not in (4, 5):
             raise MeshError("triangle lines need 4 or 5 integer columns")
         body = np.array([[int(c) for c in r] for r in rows[1 + nv:]],
                         dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # ids beyond int64 too
         raise MeshError(f"malformed mesh dump: {exc}") from exc
     ancestor = body[:, 4] if body.shape[1] == 5 else None
     mesh = Mesh(vertices, body[:, :3], generation=body[:, 3],

@@ -35,10 +35,15 @@ from .linalg import (
 # clusters split where consecutive Ritz values differ by more than this
 # relative gap: wide enough to hold a discretely split multiple eigenvalue
 REL_GAP = 0.02
-# relative B-norm residual at which every shifted solve stops; the Ritz
-# step needs only the half-steps' span, which this resolves for every
-# inner stop tol2 in use
-MINRES_TOL = 1e-10
+# relative B-norm residual at which every shifted solve stops. The Ritz
+# step needs only the half-steps' span, and inexact inverse iteration
+# converges with a fixed relative inner tolerance well below 1 (Golub and
+# Ye 2000; Berns-Mueller, Graham and Spence 2006). Against 1e-10, the
+# adaptive benchmark runs keep their levels, final dofs, sweeps and
+# layouts at 1e-5, and their Ritz values still agree with a direct
+# eigensolver to 1e-12; 1e-4 saves a few more iterations but leaves
+# less margin
+MINRES_TOL = 1e-5
 
 
 class ParoError(RuntimeError):

@@ -11,6 +11,7 @@ go through LAPACK; they are not where the routes differ.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,12 @@ def analytic_spectrum(domain, count):
     square, ascending with multiplicity; no closed form elsewhere."""
     if domain != "unit_square":
         raise VerifyError(f"no analytic spectrum for domain {domain!r}")
+    try:
+        # operator.index takes Python and numpy integers only
+        count = operator.index(count)
+    except TypeError:
+        raise VerifyError(f"count must be an integer, "
+                          f"got {count!r}") from None
     if count < 1:
         raise VerifyError("count must be positive")
     top = int(np.ceil(np.sqrt(2.0 * count))) + 2

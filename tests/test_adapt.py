@@ -4,8 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from paroeig import adapt, estimator, mesh, multilevel, verify
+from paroeig import adapt, estimator, mesh, multilevel, paro, verify
 from paroeig.adapt import (
     AdaptConfig,
     AdaptError,
@@ -253,6 +254,75 @@ class TestAdaptiveSolve:
         assert sum(r.m_used for r in rec_b) < sum(r.m_used for r in rec_f)
         assert rec_b[-1].ritz_values[0] == pytest.approx(
             rec_f[-1].ritz_values[0], rel=1e-2)
+
+    @pytest.mark.parametrize("budget_factor,extra", [(None, 0), (1.0, 1)])
+    def test_one_estimate_per_level(self, monkeypatch, budget_factor,
+                                    extra):
+        # the budget reads the previous level's estimate; only level 0
+        # estimates its incoming block
+        calls = []
+        real = estimator.estimate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adapt, "estimate", counting)
+        cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=5,
+                          tol2=1e-10, max_inner=40,
+                          budget_factor=budget_factor)
+        records, _, _ = adaptive_solve("unit_square", IDENTITY, 1, cfg)
+        assert len(records) == 6
+        assert len(calls) == len(records) + extra
+
+    @pytest.mark.parametrize("domain,n_orbitals,cfg", [
+        pytest.param("unit_square", 3,
+                     AdaptConfig(tol1=1e-12, max_refinements=10,
+                                 budget_factor=1.0), id="square_n3"),
+        pytest.param("l_shape", 1,
+                     AdaptConfig(tol1=1e-12, max_refinements=14,
+                                 initial_passes=2, tol2=1e-10,
+                                 max_inner=40), id="lshape_n1"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_loose_orbital_solves_keep_the_run(self, monkeypatch, domain,
+                                               n_orbitals, cfg, seed):
+        # the orbital solves stop at paro.MINRES_TOL; solving them to
+        # 1e-10 must give the same meshes, layouts and sweeps, and both
+        # must match a direct eigensolver on the final mesh
+        iterations = []
+        real = paro.minres_solve
+
+        def counting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            iterations.append(sum(result.row_iterations))
+            return result
+
+        def run(tol):
+            iterations.clear()
+            layouts = []
+            with monkeypatch.context() as patch:
+                patch.setattr(paro, "MINRES_TOL", tol)
+                patch.setattr(paro, "minres_solve", counting)
+                records, block, final = adaptive_solve(
+                    domain, IDENTITY, n_orbitals, cfg, seed=seed,
+                    observer=lambda lv, m, s, b, *_:
+                        layouts.append(b.layout.d))
+            ref = verify.reference_eig(assemble(final, IDENTITY),
+                                       n_orbitals)
+            assert_allclose(block.ritz_values, ref.eigenvalues, rtol=1e-8,
+                            atol=0)
+            levels = [(r.n, r.n_dofs, r.m_used) for r in records]
+            return levels, layouts, sum(iterations)
+
+        loose_levels, loose_layouts, loose_iterations = run(paro.MINRES_TOL)
+        tight_levels, tight_layouts, tight_iterations = run(1e-10)
+        # past 400 dofs the coarse solve is no longer exact and the stop
+        # decides the iteration counts
+        assert loose_levels[-1][1] > 400
+        assert loose_iterations < tight_iterations
+        assert loose_levels == tight_levels
+        assert loose_layouts == tight_layouts
 
     def test_deterministic_given_seed(self):
         cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=4,

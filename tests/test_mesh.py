@@ -434,6 +434,48 @@ def test_loads_rejects_negative_ancestor():
         pm.loads("\n".join(lines))
 
 
+def test_negative_generation_is_rejected_through_mesh_and_loads():
+    m = pm.build_initial_mesh("unit_square")
+    with pytest.raises(pm.MeshError, match="negative generation"):
+        pm.Mesh(m.vertices, m.triangles, generation=[-3, 0])
+    lines = pm.dumps(m).splitlines()
+    i, j, k, _, a = lines[-1].split()
+    lines[-1] = f"{i} {j} {k} -3 {a}"
+    with pytest.raises(pm.MeshError, match="negative generation"):
+        pm.loads("\n".join(lines))
+
+
+@pytest.mark.parametrize("column", [0, 3, 4])
+def test_loads_ids_beyond_int64_raise_mesh_error(column):
+    # np.array(..., dtype=np.int64) raises OverflowError, not ValueError
+    m = pm.build_initial_mesh("unit_square")
+    lines = pm.dumps(m).splitlines()
+    cells = lines[-1].split()
+    cells[column] = str(10 ** 20)
+    lines[-1] = " ".join(cells)
+    with pytest.raises(pm.MeshError, match="malformed mesh dump"):
+        pm.loads("\n".join(lines))
+
+
+def test_mesh_ids_beyond_int64_raise_mesh_error():
+    m = pm.build_initial_mesh("unit_square")
+    triangles = m.triangles.tolist()
+    triangles[-1][0] = 10 ** 20
+    with pytest.raises(pm.MeshError, match="must fit in int64"):
+        pm.Mesh(m.vertices, triangles)
+
+
+@pytest.mark.parametrize("flag", ["2", "-1"])
+def test_loads_rejects_boundary_flags_other_than_zero_or_one(flag):
+    m = pm.build_initial_mesh("unit_square")
+    lines = pm.dumps(m).splitlines()
+    # every vertex of the square is a corner, so 1 is the right flag and
+    # a non-zero 2 used to read as True and load
+    lines[1] = lines[1][:-1] + flag
+    with pytest.raises(pm.MeshError, match="must be 0 or 1"):
+        pm.loads("\n".join(lines))
+
+
 def test_mesh_rejects_misshaped_ancestor():
     m = pm.build_initial_mesh("unit_square")
     with pytest.raises(pm.MeshError, match="one entry per triangle"):

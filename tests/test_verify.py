@@ -187,6 +187,16 @@ class TestAnalyticSpectrum:
         with pytest.raises(VerifyError, match="no analytic spectrum"):
             analytic_spectrum("l_shape", 4)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, "3", None])
+    def test_count_must_be_an_integer(self, count):
+        # 2.5 used to reach the slice as a bare TypeError
+        with pytest.raises(VerifyError, match="count must be an integer"):
+            analytic_spectrum("unit_square", count)
+
+    def test_numpy_integer_count(self):
+        assert np.array_equal(analytic_spectrum("unit_square", np.int64(3)),
+                              analytic_spectrum("unit_square", 3))
+
 
 class TestFitRate:
     def test_exact_inverse_law(self):
