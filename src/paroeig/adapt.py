@@ -7,7 +7,8 @@ the finer mesh with the refinement's nodal prolongation restricted to
 the free dofs, which the preconditioner reads too. Per-triangle data
 (assembly.ElementData) is built on the first mesh and extended after
 every refinement, so each triangle's coefficients are sampled once in
-the run; the level's assembly and its estimate read it. The
+the run; the level's assembly and its estimates read it, and each
+estimate builds its linear maps from it afresh. The
 loop stops when the relative eigenvalue movement between consecutive
 meshes (delta1) falls under tol1 or the refinement budget is spent.
 
@@ -169,8 +170,9 @@ def dorfler_mark(indicators, theta):
     differences between symmetric elements do not decide which one is
     marked. A zero estimator marks nothing.
     """
-    if not 0.0 < theta < 1.0:
-        raise AdaptError(f"theta out of (0,1): {theta}")
+    # a str would reach the range test as a bare TypeError
+    if not isinstance(theta, numbers.Real) or not 0.0 < theta < 1.0:
+        raise AdaptError(f"theta out of (0,1): {theta!r}")
     per = indicators.per_element
     if indicators.global_sq == 0.0:
         return np.empty(0, dtype=np.int64)
@@ -188,8 +190,11 @@ def dorfler_mark(indicators, theta):
     return np.sort(order[:count])
 
 
-def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4,
-                         precond=None):
+# unshifted inverse-iteration sweeps of the starting guesses
+SEED_SWEEPS = 4
+
+
+def default_seed_vectors(system, n_orbitals, seed=0, precond=None):
     """Low-mode starting guesses from a few unshifted inverse iterations.
 
     Oversamples with guard vectors so clustered tails are not missed on
@@ -208,7 +213,7 @@ def default_seed_vectors(system, n_orbitals, seed=0, sweeps=4,
     width = min(n_orbitals + 4, system.n_dofs)
     vecs = rng.standard_normal((width, system.n_dofs))
     apply = None if precond is None else precond.shifted(np.zeros(width))
-    for _ in range(sweeps):
+    for _ in range(SEED_SWEEPS):
         vecs = b_orthonormalize(vecs, system.M)
         rhs = (system.M @ vecs.T).T
         vecs = minres_solve([system.K] * width, rhs, tol=1e-10,
@@ -326,9 +331,6 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
             marked = dorfler_mark(indicators, config.theta)
             if marked.size == 0:
                 break
-            # the level's estimates are done: free J and L now, or they
-            # add to the peak memory of refine and assemble
-            data.estimator_ops = None
             fine, rmap = mesh_mod.refine(current, marked)
             data = data.extend(rmap, fine)
             fine_sys = assemble(fine, coeffs, data=data)

@@ -27,7 +27,8 @@ einsum formulation does.
 
 The global matrices are summed straight onto one CSR pattern built from
 the mesh's edge table: the diagonal and both entries of every edge
-between free vertices. Each edge's value is the sum of its two
+between free vertices, which scipy converts from coordinate form once
+per mesh. Each edge's value is the sum of its two
 triangles' entries below the diagonal, mirrored above it, so the
 matrices are symmetric by construction. M keeps the whole pattern, and
 so does every shifted K - sigma*M (FemSystem.shifted); K drops its
@@ -35,7 +36,7 @@ exact zeros.
 
 Everything per triangle that assembly and the estimator read (gradients,
 areas, diameters, coefficient samples, the finite-difference divergence
-of callable diffusion, the estimator's linear maps) lives in one
+of callable diffusion) lives in one
 ElementData per mesh. Each sample is taken and validated once: the
 adaptive loop builds it on the first mesh and extends it after every
 refinement, copying the rows of triangles the refinement kept and
@@ -285,14 +286,10 @@ class ElementData:
             for a callable.
         div_rows: (nt, nq, 2) finite-difference div A at the quadrature
             points for callable diffusion, else None.
-        estimator_ops: the estimator's linear maps of this mesh, None
-            until the first estimate builds them (estimator._operators);
-            adaptive_solve drops them once a level's estimates are done.
 
     Build it on the first mesh and call extend() after every refine();
     extend returns the data of the refined mesh and leaves this one
-    untouched. It carries every field but estimator_ops. The arrays are
-    read-only.
+    untouched. The arrays are read-only.
     """
 
     _FIELDS = ("grads", "areas", "h_t", "diffusion", "reaction", "div_rows")
@@ -303,7 +300,6 @@ class ElementData:
 
     def _set(self, mesh, coeffs, fields):
         self.mesh, self.coeffs = mesh, coeffs
-        self.estimator_ops = None
         for name, arr in fields.items():
             if arr is not None:
                 arr.setflags(write=False)
@@ -450,28 +446,15 @@ def _free_edge_pattern(mesh, free):
     dof[free] = np.arange(nf)
     ends = dof[mesh.edges]
     free_edges = np.flatnonzero((ends >= 0).all(axis=1))
-    # free is ascending, so the (lo, hi) order of mesh.edges carries over
-    # to the free ids: a < c, and edges are sorted by (a, c)
-    a, c = ends[free_edges, 0], ends[free_edges, 1]
-    n_upper = np.bincount(a, minlength=nf)
-    n_lower = np.bincount(c, minlength=nf)
-    indptr = np.zeros(nf + 1, dtype=np.int64)
-    np.cumsum(n_lower + 1 + n_upper, out=indptr[1:])
-    at_diagonal = indptr[:-1] + n_lower
-    # row a lists its upper entries in edge order; row c lists its lower
-    # entries in the order of a stable sort by c
-    rank = np.arange(len(a))
-    at_upper = at_diagonal[a] + 1 + rank - (np.cumsum(n_upper) - n_upper)[a]
-    by_row = np.argsort(c, kind="stable")
-    at_lower = np.empty_like(at_upper)
-    at_lower[by_row] = (indptr[c[by_row]] + rank
-                        - (np.cumsum(n_lower) - n_lower)[c[by_row]])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    source = np.empty_like(indices)
-    indices[at_diagonal] = source[at_diagonal] = np.arange(nf)
-    indices[at_upper], source[at_upper] = c, nf + rank
-    indices[at_lower], source[at_lower] = a, nf + rank
-    return indptr, indices, free_edges, source
+    a, c = ends[free_edges].T
+    ids = np.arange(nf + len(free_edges))
+    rows = np.concatenate([ids[:nf], a, c])
+    cols = np.concatenate([ids[:nf], c, a])
+    # each (row, column) pair occurs once, so the conversion sums nothing
+    pattern = sp.coo_matrix((np.concatenate([ids, ids[nf:]]), (rows, cols)),
+                            shape=(nf, nf)).tocsr()
+    pattern.sort_indices()
+    return pattern.indptr, pattern.indices, free_edges, pattern.data
 
 
 def _pattern_values(mesh, free, local, pattern):

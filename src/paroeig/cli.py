@@ -149,14 +149,32 @@ def _apply_overrides(config, out_dir):
     return config
 
 
-def write_orbitals(path, block):
+def _orbitals_text(block):
     """Vector dump: first line n_dofs, then each orbital's values, one
     per line, orbitals in flat cluster order."""
     lines = [str(block.vectors.shape[1])]
     for row in block.vectors:
         lines.extend(repr(float(v)) for v in row)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _make_out_dir(path):
+    """Create the output directory before the solve, so that a path
+    that cannot be one fails before any work is done."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {path}: "
+                       f"{exc}") from exc
+
+
+def _write(out_dir, name, text):
+    path = os.path.join(out_dir, name)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _summary_line(records, block):
@@ -170,15 +188,13 @@ def cmd_run(config_path, out_dir=None):
     max_refinements ran out first."""
     config = _apply_overrides(load_config(config_path), out_dir)
     coeffs = build_coefficients(config)
+    _make_out_dir(config.out_dir)
     records, block, final_mesh = adaptive_solve(
         config.domain, coeffs, config.n_orbitals,
         build_adapt_config(config), seed=config.seed)
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "history.csv"), "w",
-              encoding="ascii") as fh:
-        fh.write(records_to_csv(records))
-    mesh_mod.dump(final_mesh, os.path.join(config.out_dir, "mesh.txt"))
-    write_orbitals(os.path.join(config.out_dir, "orbitals.txt"), block)
+    _write(config.out_dir, "history.csv", records_to_csv(records))
+    _write(config.out_dir, "mesh.txt", mesh_mod.dumps(final_mesh))
+    _write(config.out_dir, "orbitals.txt", _orbitals_text(block))
     print(_summary_line(records, block))
     return 0 if records[-1].delta1 <= config.tol1 else 2
 
@@ -199,6 +215,7 @@ def cmd_verify(config_path, out_dir=None):
     """
     config = _apply_overrides(load_config(config_path), out_dir)
     coeffs = build_coefficients(config)
+    _make_out_dir(config.out_dir)
     n = config.n_orbitals
     lines = [",".join(["n", "n_dofs", "q"]
                       + [f"dist_a_{i}" for i in range(n)]
@@ -225,10 +242,7 @@ def cmd_verify(config_path, out_dir=None):
         config.domain, coeffs, n, build_adapt_config(config),
         seed=config.seed, observer=observer)
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "verify.csv"), "w",
-              encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(config.out_dir, "verify.csv", "\n".join(lines) + "\n")
 
     ref = last["ref"]
     rel = float(np.max(np.abs(last["block"].ritz_values - ref.eigenvalues)

@@ -18,8 +18,8 @@ eta2 over the orbitals. `estimate`, the only entry point, takes the
 orbitals as free-dof rows and pads them with boundary zeros once.
 
 Both terms are linear in the vertex values through maps fixed by the
-mesh and its assembly.ElementData, built on the first estimate that
-reads the data and kept on it (`estimator_ops`): the jump J as a sparse
+mesh and its assembly.ElementData, which each estimate builds afresh
+and drops when it returns: the jump J as a sparse
 (ne, nv) matrix, six entries a row, and -c w + div A . grad w at the
 quadrature points as a sparse (nt * nq, nv) one, None without reaction
 or divergence. The quadrature is assembly's edge-midpoint rule, exact
@@ -75,19 +75,14 @@ def _to_vertex_values(mesh, w):
 
 
 def _fixed_rows(coef, cols, n_cols):
-    """Read-only CSR whose row i holds coef[i] at columns cols[i]."""
+    """CSR whose row i holds coef[i] at columns cols[i]."""
     indptr = np.arange(0, coef.size + 1, coef.shape[1], dtype=np.int32)
-    out = sp.csr_matrix((coef.ravel(), cols.ravel(), indptr),
-                        shape=(len(coef), n_cols))
-    for arr in (out.data, out.indices, out.indptr):
-        arr.setflags(write=False)
-    return out
+    return sp.csr_matrix((coef.ravel(), cols.ravel(), indptr),
+                         shape=(len(coef), n_cols))
 
 
 def _operators(data):
-    """(J, L) of data's mesh, built on the first call and kept on data."""
-    if data.estimator_ops is not None:
-        return data.estimator_ops
+    """(J, L) of data's mesh."""
     mesh = data.mesh
     sides = mesh.edge_tris.clip(0)      # (ne, 2); boundary rows zeroed below
     # take, not fancy indexing: several times faster on these shapes
@@ -117,8 +112,7 @@ def _operators(data):
         linear = _fixed_rows(lin.reshape(-1, 3),
                              np.repeat(tri, len(bary), axis=0),
                              mesh.n_vertices)
-    data.estimator_ops = (jump, linear)
-    return data.estimator_ops
+    return jump, linear
 
 
 def _residuals(data, values, ritz_values):

@@ -7,9 +7,10 @@ every kernel here applies them with @.
 MINRES is implemented directly (Paige-Saunders recurrences) because the
 shifted operator K - sigma*M is indefinite whenever the shift sits inside
 the spectrum, and because near-singular solves are the normal operating
-regime here: the solver caps iterations, keeps the monotone residual
-estimate as an internal invariant, and hands possibly huge iterates back
-to the caller, whose Rayleigh-Ritz step absorbs the amplification.
+regime here: the solver caps iterations, stops on its monotone residual
+estimate (kept as an internal invariant; the true residual b - S x is
+never formed), and hands possibly huge iterates back to the caller,
+whose Rayleigh-Ritz step absorbs the amplification.
 Every call is a block call: a sweep's independent solves go in as the
 rows of one (k, n) right-hand side, each row on its own operator. Each
 row keeps its own scalar recurrence, and only the preconditioner, the
@@ -38,13 +39,12 @@ class MinresResult:
     """What minres_solve returns for a (k, n) right-hand side.
 
     solution is (k, n); iterations counts the lockstep steps (the most
-    any row took), achieved_residual and flag are the worst row's, and
-    residual_history holds one array per row. row_iterations and
-    row_flags give each row's own count and flag.
+    any row took), flag is the worst row's, and residual_history holds
+    one array per row, the residual estimates the stop test read.
+    row_iterations and row_flags give each row's own count and flag.
     """
     solution: np.ndarray
     iterations: int
-    achieved_residual: float
     flag: str                    # "converged" | "max_iter" | "breakdown"
     residual_history: np.ndarray
     row_iterations: tuple
@@ -133,9 +133,8 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
         for j, y in zip(active, ys):
             advance(j, y)
 
-    x, itns, achieved, flags, history = zip(*done) if k else ((),) * 5
+    x, itns, flags, history = zip(*done) if k else ((),) * 4
     return MinresResult(np.array(x).reshape(k, n), max(itns, default=0),
-                        max(achieved, default=0.0),
                         max(flags, key=_FLAGS.index, default=_FLAGS[0]),
                         history, itns, flags)
 
@@ -154,13 +153,12 @@ def _precondition(precond, residuals, active):
 
 def _recurrence(S, b, tol, max_iter, row):
     """Row row's Paige-Saunders recurrence as a generator: it yields each
-    residual r, is sent B r back, and returns (x, iterations, achieved
-    relative residual, flag, residual history)."""
+    residual r, is sent B r back, and returns (x, iterations, flag,
+    residual history)."""
     n = b.size
     x = np.zeros(n)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return x, 0, 0.0, "converged", np.zeros(0)
+    if not b.any():
+        return x, 0, "converged", np.zeros(0)
     r1 = b.copy()
     y = yield r1
     beta1 = float(r1 @ y)
@@ -236,8 +234,7 @@ def _recurrence(S, b, tol, max_iter, row):
             flag = "converged" if phibar <= tol * beta1 * 10 else "breakdown"
             break
 
-    achieved = float(np.linalg.norm(b - S @ x) / bnorm)
-    return x, itn, achieved, flag, np.asarray(history)
+    return x, itn, flag, np.asarray(history)
 
 
 # -- dense generalized eigensolver ----------------------------------------

@@ -47,20 +47,6 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _concat_ranges(starts, counts):
-    """Concatenate integer ranges arange(starts[i], starts[i]+counts[i])."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size == 0 or counts.sum() == 0:
-        return np.empty(0, dtype=np.int64)
-    total = counts.sum()
-    out = np.ones(total, dtype=np.int64)
-    first = np.cumsum(counts)[:-1]
-    out[0] = starts[0]
-    if first.size:
-        out[first] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
-
-
 class Mesh:
     """Immutable conforming triangle mesh with an NVB vertex ordering.
 
@@ -227,41 +213,12 @@ class Mesh:
         """Longest edge per triangle (the element size h_T)."""
         return self.edge_lengths[self.tri_edges].max(axis=1)
 
-    def inradii(self):
-        areas = self.signed_areas()
-        perim = self.edge_lengths[self.tri_edges].sum(axis=1)
-        return 2.0 * areas / perim
-
     @property
     def h_max(self):
         return float(self.diameters().max())
 
     def interior_vertices(self):
         return np.nonzero(~self.is_boundary_vertex)[0]
-
-    def angles(self):
-        """(nt, 3) interior angles at the three local vertices."""
-        p = self.vertices[self.triangles]
-        out = np.empty((self.n_triangles, 3))
-        for i in range(3):
-            u = p[:, (i + 1) % 3] - p[:, i]
-            v = p[:, (i + 2) % 3] - p[:, i]
-            cosv = np.einsum("ij,ij->i", u, v) / (
-                np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1]))
-            out[:, i] = np.arccos(np.clip(cosv, -1.0, 1.0))
-        return out
-
-    def similarity_class_counts(self):
-        """Distinct triangle shapes per initial ancestor.
-
-        Shapes are compared by the sorted angle triple rounded to 1e-9
-        radians. Returns a dict ancestor-id -> class count.
-        """
-        key = np.round(np.sort(self.angles(), axis=1) / 1e-9).astype(np.int64)
-        rows = np.column_stack([self.ancestor, key])
-        rows = np.unique(rows, axis=0)
-        anc, counts = np.unique(rows[:, 0], return_counts=True)
-        return {int(a): int(c) for a, c in zip(anc, counts)}
 
 
 # -- refinement ----------------------------------------------------------
@@ -282,12 +239,6 @@ class RefineMap:
     """
     child_offsets: np.ndarray
     prolongation: sp.csr_matrix
-
-    def descendants(self, tri_ids):
-        """Fine triangle ids descending from the given coarse ids."""
-        ids = np.asarray(tri_ids, dtype=np.int64)
-        starts = self.child_offsets[ids]
-        return _concat_ranges(starts, self.child_offsets[ids + 1] - starts)
 
     def check(self, coarse, fine):
         """Raise MeshError unless this map leads from coarse to fine."""
@@ -513,7 +464,9 @@ def build_initial_mesh(domain):
 
 
 def dumps(mesh):
-    """Serialize to the plain text format (see dump)."""
+    """The mesh as text: "nv nt", then nv lines "x y boundary_flag",
+    then nt lines "i j k generation ancestor". Insertion order,
+    reproducible."""
     lines = [f"{mesh.n_vertices} {mesh.n_triangles}"]
     for (x, y), b in zip(mesh.vertices, mesh.is_boundary_vertex):
         lines.append(f"{float(x)!r} {float(y)!r} {int(b)}")
@@ -521,14 +474,6 @@ def dumps(mesh):
                                mesh.ancestor):
         lines.append(f"{i} {j} {k} {g} {a}")
     return "\n".join(lines) + "\n"
-
-
-def dump(mesh, path):
-    """Write the mesh as text: "nv nt", then nv lines "x y boundary_flag",
-    then nt lines "i j k generation ancestor". Insertion order,
-    reproducible."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps(mesh))
 
 
 def loads(text):

@@ -125,6 +125,8 @@ def cluster_guesses(values):
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ParoError("need at least one eigenvalue guess")
+    if not np.isfinite(v).all():
+        raise ParoError("eigenvalue guesses must be finite")
     if np.any(np.diff(v) < 0):
         raise ParoError("eigenvalue guesses must be ascending")
     d = []
@@ -179,7 +181,7 @@ def orbital_update(sys, block, precond=None):
                         tol=MINRES_TOL, precond=apply).solution
 
 
-def ritz_step(sys, half_steps, layout):
+def ritz_step(sys, half_steps):
     """Rayleigh-Ritz on span(half_steps) -> new b-orthonormal block.
 
     The half-steps are b-orthonormalized first (their raw scales differ
@@ -190,9 +192,6 @@ def ritz_step(sys, half_steps, layout):
     hs = np.asarray(half_steps, dtype=np.float64)
     if hs.ndim != 2:
         raise ParoError("half_steps must be a (N, n_dofs) array")
-    if layout is not None and hs.shape[0] != layout.n:
-        raise ParoError(f"expected {layout.n} half-step vectors, "
-                        f"got {hs.shape[0]}")
     try:
         basis = b_orthonormalize(hs, sys.M)
         a_bar = gram(basis, sys.K)
@@ -211,7 +210,7 @@ def ritz_step(sys, half_steps, layout):
 
 def initial_block(sys, vectors):
     """Build a valid starting block from raw (possibly skew) vectors."""
-    return ritz_step(sys, vectors, None)
+    return ritz_step(sys, vectors)
 
 
 def relative_change(new_values, old_values, scale):
@@ -245,7 +244,7 @@ def paro_inner_loop(sys, block0, tol2, max_inner, precond=None):
     m_used = 0
     for _ in range(max_inner):
         half = orbital_update(sys, block, precond)
-        new_block = ritz_step(sys, half, block.layout)
+        new_block = ritz_step(sys, half)
         d2 = relative_change(new_block.ritz_values, block.ritz_values,
                              block.ritz_values)
         history.append(d2)
@@ -255,22 +254,3 @@ def paro_inner_loop(sys, block0, tol2, max_inner, precond=None):
             break
     return block, m_used, np.asarray(history)
 
-
-def check_block(sys, block, tol=1e-8):
-    """Validate the post-Ritz invariants; raises ParoError on violation.
-
-    Returns the worst Gram deviation from identity (useful in tests).
-    """
-    g = gram(block.vectors, sys.M)
-    dev = float(np.abs(g - np.eye(block.n)).max()) if block.n else 0.0
-    if dev > tol:
-        raise ParoError(f"block is not b-orthonormal (deviation {dev:.3e})")
-    if np.any(np.diff(block.ritz_values) < 0):
-        raise ParoError("ritz values are not ascending")
-    for i, sl in enumerate(block.layout.cluster_slices()):
-        lo = block.ritz_values[sl].min()
-        hi = block.ritz_values[sl].max()
-        pad = 1e-12 * max(1.0, abs(hi))
-        if not (lo - pad <= block.shifts[i] <= hi + pad):
-            raise ParoError(f"shift {i} outside its cluster interval")
-    return dev

@@ -30,7 +30,6 @@ class ReferencePairs:
     """Reference discrete eigenpairs; rows of vectors are M-orthonormal."""
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    residual_norms: np.ndarray
 
     @property
     def n(self):
@@ -52,6 +51,12 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
     Up to four guard vectors ride along to protect clustered tails, as
     many as the dofs beyond n_pairs allow (none when n_pairs == n_dofs).
     """
+    try:
+        # operator.index takes Python and numpy integers only
+        n_pairs = operator.index(n_pairs)
+    except TypeError:
+        raise VerifyError(f"n_pairs must be an integer, "
+                          f"got {n_pairs!r}") from None
     if n_pairs < 1:
         raise VerifyError("need at least one eigenpair")
     if n_pairs > sys.n_dofs:
@@ -93,8 +98,7 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
                       np.abs(v).argmax(axis=1)] < 0.0
             v[flips] *= -1.0
             return ReferencePairs(eigenvalues=values[:n_pairs].copy(),
-                                  vectors=v[:n_pairs].copy(),
-                                  residual_norms=res[:n_pairs].copy())
+                                  vectors=v[:n_pairs].copy())
     raise VerifyError(f"inverse iteration did not reach tol={tol} in "
                       f"{max_iter} sweeps; residuals {res[:n_pairs]}")
 

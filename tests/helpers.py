@@ -1,0 +1,70 @@
+"""Checks and mesh measures that only the tests read.
+
+check_block validates an orbital block's post-Ritz invariants; the mesh
+functions measure shape regularity and walk a refinement's children.
+"""
+
+import numpy as np
+
+from paroeig.linalg import gram
+from paroeig.paro import ParoError
+
+
+def check_block(sys, block, tol=1e-8):
+    """Validate the post-Ritz invariants; raises ParoError on violation.
+
+    Returns the worst Gram deviation from identity (useful in tests).
+    """
+    g = gram(block.vectors, sys.M)
+    dev = float(np.abs(g - np.eye(block.n)).max()) if block.n else 0.0
+    if dev > tol:
+        raise ParoError(f"block is not b-orthonormal (deviation {dev:.3e})")
+    if np.any(np.diff(block.ritz_values) < 0):
+        raise ParoError("ritz values are not ascending")
+    for i, sl in enumerate(block.layout.cluster_slices()):
+        lo = block.ritz_values[sl].min()
+        hi = block.ritz_values[sl].max()
+        pad = 1e-12 * max(1.0, abs(hi))
+        if not (lo - pad <= block.shifts[i] <= hi + pad):
+            raise ParoError(f"shift {i} outside its cluster interval")
+    return dev
+
+
+def descendants(refine_map, tri_ids):
+    """Fine triangle ids, ascending, that refine_map made from the given
+    coarse ids."""
+    offsets = refine_map.child_offsets
+    parent = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return np.flatnonzero(np.isin(parent, tri_ids))
+
+
+def inradii(mesh):
+    areas = mesh.signed_areas()
+    perim = mesh.edge_lengths[mesh.tri_edges].sum(axis=1)
+    return 2.0 * areas / perim
+
+
+def angles(mesh):
+    """(nt, 3) interior angles at the three local vertices."""
+    p = mesh.vertices[mesh.triangles]
+    out = np.empty((mesh.n_triangles, 3))
+    for i in range(3):
+        u = p[:, (i + 1) % 3] - p[:, i]
+        v = p[:, (i + 2) % 3] - p[:, i]
+        cosv = np.einsum("ij,ij->i", u, v) / (
+            np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1]))
+        out[:, i] = np.arccos(np.clip(cosv, -1.0, 1.0))
+    return out
+
+
+def similarity_class_counts(mesh):
+    """Distinct triangle shapes per initial ancestor.
+
+    Shapes are compared by the sorted angle triple rounded to 1e-9
+    radians. Returns a dict ancestor-id -> class count.
+    """
+    key = np.round(np.sort(angles(mesh), axis=1) / 1e-9).astype(np.int64)
+    rows = np.column_stack([mesh.ancestor, key])
+    rows = np.unique(rows, axis=0)
+    anc, counts = np.unique(rows[:, 0], return_counts=True)
+    return {int(a): int(c) for a, c in zip(anc, counts)}

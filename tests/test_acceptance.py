@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import similarity_class_counts
 from paroeig import mesh, verify
 from paroeig.adapt import AdaptConfig, adaptive_solve, dorfler_mark
 from paroeig.assembly import Coefficients, assemble
@@ -231,7 +232,7 @@ def test_bisection_stays_conforming_with_bounded_shape_classes():
             marked = np.unique(rng.integers(0, current.n_triangles,
                                             size=size))
             current, _ = mesh.refine(current, marked)
-            assert max(current.similarity_class_counts().values()) <= 4
+            assert max(similarity_class_counts(current).values()) <= 4
     seen = []
     cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=10,
                       initial_passes=2,
@@ -241,7 +242,7 @@ def test_bisection_stays_conforming_with_bounded_shape_classes():
     assert len(seen) == 11
     classes = 0
     for m in seen:
-        classes = max(classes, max(m.similarity_class_counts().values()))
+        classes = max(classes, max(similarity_class_counts(m).values()))
     assert classes <= 4
     print(f"PASS bisection soundness: every mesh conforming, shape "
           f"classes per starting triangle <= {classes}")

@@ -136,6 +136,12 @@ class TestDorflerMark:
         with pytest.raises(AdaptError, match="theta"):
             dorfler_mark(ind, 1.0)
 
+    @pytest.mark.parametrize("theta", ["x", None])
+    def test_theta_must_be_a_real_number(self, theta):
+        # "x" and None used to reach the range test as a bare TypeError
+        with pytest.raises(AdaptError, match="theta"):
+            dorfler_mark(make_indicators([1.0, 2.0]), theta)
+
     def test_bound_and_minimality_randomized(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from helpers import descendants
 from paroeig import adapt, paro
 from paroeig.assembly import (
     AssemblyError,
@@ -106,7 +107,7 @@ class TestGlobalInvariants:
         co = Coefficients(tab_a, tab_c)
         coarse, _ = uniform_refine(m0, 1)
         mid, first = refine(coarse, np.array([0, 3, 5]))
-        fine, second = refine(mid, first.descendants([0, 3, 5]))
+        fine, second = refine(mid, descendants(first, [0, 3, 5]))
         u = rng.standard_normal(coarse.n_vertices)
         u_f = interpolate(mid, fine, second,
                           interpolate(coarse, mid, first, u))
@@ -464,6 +465,29 @@ class TestEdgePattern:
         if case == "uniform":
             # right angles: K drops the stiffness of the diagonals
             assert system.K.nnz < system.M.nnz
+
+    @settings(max_examples=25, deadline=None)
+    @example(domain="unit_square", case="constant", picks=[])
+    @given(domain=st.sampled_from(["unit_square", "l_shape"]),
+           case=st.sampled_from(sorted(COEFFICIENT_CASES)),
+           picks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                   max_size=6), max_size=4))
+    def test_random_refinements_match_the_coo_scatter(self, domain, case,
+                                                      picks):
+        """The pattern scipy converts from the edge table carries K and M
+        as the COO path does, with the same index dtypes, on meshes that
+        random marks refine (the unit square starts with no free dof)."""
+        mesh = build_initial_mesh(domain)
+        for pick in picks:
+            mesh, _ = refine(mesh, np.array(pick) % mesh.n_triangles)
+        coeffs = COEFFICIENT_CASES[case]
+        system = assemble(mesh, coeffs)
+        for got, want in zip((system.K, system.M), coo_pencil(mesh, coeffs),
+                             strict=True):
+            assert got.nnz == want.nnz
+            assert_same_pencil_matrix(got, want)
+            assert got.indptr.dtype == want.indptr.dtype
+            assert got.indices.dtype == want.indices.dtype
 
     @pytest.mark.parametrize("assembled", [True, False])
     def test_shifted_is_k_minus_sigma_m_on_the_mass_pattern(self,

@@ -144,6 +144,38 @@ class TestCmdRun:
         assert first == second
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("below_a_file", [False, True])
+    def test_bad_out_dir_exits_one_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, command, below_a_file):
+        # an existing file (FileExistsError) or a path below one
+        # (NotADirectoryError) cannot become the output directory
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below_a_file else taken
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("adaptive_solve ran")
+
+        monkeypatch.setattr(cli, "adaptive_solve", no_solve)
+        path = write_config(tmp_path, BASE)
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: cannot create output directory")
+
+    def test_unwritable_artifact_exits_one(self, tmp_path, capsys):
+        # a directory where history.csv should go fails the write
+        (tmp_path / "history.csv").mkdir()
+        path = write_config(tmp_path, BASE)
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot write")
+        assert "history.csv" in line
+
+
 class TestCmdVerify:
     def test_six_orbitals_all_checks_pass(self, tmp_path, capsys):
         text = ("domain=unit_square\nn_orbitals=6\ntheta=0.5\n"

@@ -64,6 +64,12 @@ class TestReferenceEig:
         with pytest.raises(VerifyError, match="only"):
             reference_eig(diag_system(np.ones(3)), 4)
 
+    @pytest.mark.parametrize("n_pairs", [1.5, "2", None])
+    def test_pair_count_must_be_an_integer(self, n_pairs):
+        # 1.5 and "2" used to leak a bare TypeError from the slicing
+        with pytest.raises(VerifyError, match="n_pairs must be an integer"):
+            reference_eig(diag_system(np.ones(3)), n_pairs)
+
     def test_as_many_pairs_as_dofs(self):
         # no room for guard vectors: the block spans the whole space
         ref = reference_eig(diag_system(np.array([3.0, 1.0, 2.0])), 3)
