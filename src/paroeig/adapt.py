@@ -25,14 +25,13 @@ loosens the floor a little; the budget only needs its scale.
 
 from __future__ import annotations
 
-import numbers
-import operator
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import mesh as mesh_mod
+from ._checks import count, real
 from .assembly import ElementData, assemble
 from .estimator import estimate
 from .linalg import b_orthonormalize, dense_sym_gen_eig, gram, minres_solve
@@ -57,16 +56,6 @@ class AdaptError(RuntimeError):
         self.records = list(records)
 
 
-def _integer(value, name):
-    """value as a Python int; AdaptError unless it is an integer."""
-    try:
-        # operator.index takes Python and numpy integers only
-        return operator.index(value)
-    except TypeError:
-        raise AdaptError(f"{name} must be an integer, "
-                         f"got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class AdaptConfig:
     """Run knobs: the outer loop (theta, tol1, max_refinements), the
@@ -81,32 +70,19 @@ class AdaptConfig:
     initial_passes: int = 4
 
     def __post_init__(self):
-        for name in ("max_refinements", "max_inner", "initial_passes"):
-            object.__setattr__(self, name,
-                               _integer(getattr(self, name), name))
+        for name, minimum in (("max_refinements", 0), ("max_inner", 1),
+                              ("initial_passes", 0)):
+            object.__setattr__(self, name, count(getattr(self, name), name,
+                                                 AdaptError, minimum))
         for name in ("theta", "tol1", "tol2", "budget_factor"):
             value = getattr(self, name)
-            if value is None and name == "budget_factor":
-                continue
-            # a str or None would reach the range tests below as a bare
-            # TypeError
-            if not isinstance(value, numbers.Real):
-                raise AdaptError(f"{name} must be a real number, "
-                                 f"got {value!r}")
+            if value is not None or name != "budget_factor":
+                value = real(value, name, AdaptError)
+                if name != "theta" and not value > 0.0:     # NaN too
+                    raise AdaptError(f"{name} must be positive, got {value}")
+                object.__setattr__(self, name, value)
         if not 0.0 < self.theta < 1.0:
             raise AdaptError(f"theta out of (0,1): {self.theta}")
-        if not self.tol1 > 0.0:             # NaN too
-            raise AdaptError("tol1 must be positive")
-        if self.max_refinements < 0:
-            raise AdaptError("max_refinements must be >= 0")
-        if not self.tol2 > 0.0:
-            raise AdaptError("tol2 must be positive")
-        if self.max_inner < 1:
-            raise AdaptError("max_inner must be >= 1")
-        if self.budget_factor is not None and not self.budget_factor > 0.0:
-            raise AdaptError("budget_factor must be positive when set")
-        if self.initial_passes < 0:
-            raise AdaptError("initial_passes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -170,8 +146,7 @@ def dorfler_mark(indicators, theta):
     differences between symmetric elements do not decide which one is
     marked. A zero estimator marks nothing.
     """
-    # a str would reach the range test as a bare TypeError
-    if not isinstance(theta, numbers.Real) or not 0.0 < theta < 1.0:
+    if not 0.0 < real(theta, "theta", AdaptError) < 1.0:
         raise AdaptError(f"theta out of (0,1): {theta!r}")
     per = indicators.per_element
     if indicators.global_sq == 0.0:
@@ -275,9 +250,9 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
     Returns:
         (records, final_block, final_mesh); one RunRecord per level.
     """
-    n_orbitals = _integer(n_orbitals, "n_orbitals")
-    if n_orbitals < 1:
-        raise AdaptError("need at least one orbital")
+    n_orbitals = count(n_orbitals, "n_orbitals", AdaptError, minimum=1)
+    if not isinstance(config, AdaptConfig):
+        raise AdaptError(f"config must be an AdaptConfig, got {config!r}")
     t0 = time.perf_counter()
     if isinstance(domain, str):
         current, _ = mesh_mod.uniform_refine(

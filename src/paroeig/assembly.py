@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._checks import real_array
 from .mesh import MeshError
 
 
@@ -88,21 +89,11 @@ class Coefficients:
 
     @staticmethod
     def constant(diffusion, reaction=0.0):
-        return Coefficients(_real_array(diffusion, "diffusion"),
-                            float(_real_array(reaction, "reaction")))
-
-
-# dtype kinds of real numbers: bool, signed and unsigned int, float
-_REAL_KINDS = "biuf"
-
-
-def _real_array(value, name):
-    """value as a float64 copy; AssemblyError unless it is real numbers."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in _REAL_KINDS:
-        raise AssemblyError(f"{name} must be real numbers, got {arr.dtype} "
-                            f"values")
-    return arr.astype(np.float64)
+        reaction = real_array(reaction, "reaction", AssemblyError)
+        if reaction.ndim:
+            raise AssemblyError("a constant reaction is a scalar")
+        return Coefficients(real_array(diffusion, "diffusion", AssemblyError,
+                                       copy=True), float(reaction))
 
 
 def _classify_diffusion(coeffs):
@@ -111,7 +102,7 @@ def _classify_diffusion(coeffs):
         return "const", np.eye(2)
     if callable(d):
         return "callable", d
-    arr = _real_array(d, "diffusion")
+    arr = real_array(d, "diffusion", AssemblyError)
     if arr.shape == (2, 2):
         return "const", arr
     if arr.ndim == 3 and arr.shape[1:] == (2, 2):
@@ -126,7 +117,7 @@ def _classify_reaction(coeffs):
         return "const", 0.0
     if callable(c):
         return "callable", c
-    arr = _real_array(c, "reaction")
+    arr = real_array(c, "reaction", AssemblyError)
     if arr.ndim == 0:
         return "const", float(arr)
     if arr.ndim == 1:
@@ -208,7 +199,8 @@ def _evaluate(f, x, y, shape):
         raise AssemblyError(f"coefficient callable returned shape "
                             f"{out.shape} for point arrays of shape "
                             f"{x.shape}, expected {want}")
-    return _real_array(out, "coefficient callable values")
+    return real_array(out, "coefficient callable values", AssemblyError,
+                      copy=True)
 
 
 def _divergence_rows(diffusion, x, y, h_t, ids):

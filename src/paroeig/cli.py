@@ -42,23 +42,23 @@ class RunConfig:
     """Flat run description parsed from a key=value file.
 
     theta, tol1, tol2, max_refinements, max_inner, budget_factor and
-    initial_passes map onto the AdaptConfig fields of the same names,
-    which validates their ranges; a budget_factor of zero means "off".
-    threads is parsed so that old config files still load and is
-    otherwise ignored: the orbital solves run one after another.
+    initial_passes are the AdaptConfig fields of the same names, with
+    its defaults; AdaptConfig validates them. A budget_factor of zero
+    means "off". threads is parsed so that old config files still load
+    and is otherwise ignored: the orbital solves run as one block.
     """
     domain: str = "unit_square"
     coefficients: str = "identity"
     diffusion: float = 1.0
     reaction: float = 0.0
     n_orbitals: int = 1
-    theta: float = 0.5
-    tol1: float = 1e-6
-    tol2: float = 1e-8
-    max_refinements: int = 12
-    max_inner: int = 50
-    budget_factor: float = 0.0
-    initial_passes: int = 4
+    theta: float = AdaptConfig.theta
+    tol1: float = AdaptConfig.tol1
+    tol2: float = AdaptConfig.tol2
+    max_refinements: int = AdaptConfig.max_refinements
+    max_inner: int = AdaptConfig.max_inner
+    budget_factor: float = AdaptConfig.budget_factor or 0.0
+    initial_passes: int = AdaptConfig.initial_passes
     seed: int = 0
     threads: int = 0
     out_dir: str = "."
@@ -135,12 +135,9 @@ def build_coefficients(config):
 
 
 def build_adapt_config(config):
-    return AdaptConfig(
-        theta=config.theta, tol1=config.tol1,
-        max_refinements=config.max_refinements, tol2=config.tol2,
-        max_inner=config.max_inner,
-        budget_factor=config.budget_factor or None,
-        initial_passes=config.initial_passes)
+    keys = {f.name: getattr(config, f.name) for f in fields(AdaptConfig)}
+    return AdaptConfig(**dict(keys, budget_factor=keys["budget_factor"]
+                              or None))
 
 
 def _apply_overrides(config, out_dir):

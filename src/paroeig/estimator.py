@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly
+from ._checks import real, real_array
 
 
 class EstimatorError(ValueError):
@@ -50,15 +51,15 @@ class Indicators:
     global_sq: float
 
     def __post_init__(self):
-        pe = np.asarray(self.per_element, dtype=np.float64)
-        if not np.all(np.isfinite(pe)) or not np.isfinite(self.global_sq):
-            raise EstimatorError("local indicators must be finite")
+        pe = real_array(self.per_element, "indicators", EstimatorError,
+                        finite=True)
         if np.any(pe < 0.0):
             raise EstimatorError("negative local indicator")
         total = float(pe.sum())
-        if abs(total - self.global_sq) > 1e-12 * max(total, 1e-300):
-            raise EstimatorError("global estimator does not match the "
-                                 "element sum")
+        gap = abs(total - real(self.global_sq, "global_sq", EstimatorError))
+        if not gap <= 1e-12 * max(total, 1e-300):      # NaN and inf too
+            raise EstimatorError("global estimator must be finite and match "
+                                 "the element sum")
         object.__setattr__(self, "per_element", pe)
 
 

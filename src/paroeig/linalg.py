@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._checks import count, real, real_array
+
 
 class LinAlgError(RuntimeError):
     """Numerical failure in a linear-algebra kernel."""
@@ -87,18 +89,16 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
         expected regime for shifted-inverse orbital updates.
 
     Raises:
-        LinAlgError: tol is not a positive finite number, max_iter is
-            below 1, rhs is not (k, n) or S is not a list of k
-            operators; a right-hand side or a residual estimate is not
+        LinAlgError: tol is not a positive finite real, max_iter not an
+            integer >= 1, rhs not a real (k, n) array or S not a list of
+            k (n, n) operators; a right-hand side or a residual estimate is not
             finite, a residual estimate increases, or the preconditioner
             is not positive definite. These last errors name the row.
     """
-    if not 0.0 < tol < math.inf:           # "not" also rejects NaN
+    if not 0.0 < real(tol, "MINRES tol", LinAlgError) < math.inf:
         raise LinAlgError(f"MINRES tol must be positive and finite, "
                           f"got {tol!r}")
-    if max_iter is not None and max_iter < 1:
-        raise LinAlgError(f"MINRES max_iter must be >= 1, got {max_iter!r}")
-    b = np.ascontiguousarray(rhs, dtype=np.float64)
+    b = np.ascontiguousarray(real_array(rhs, "rhs", LinAlgError))
     if b.ndim != 2:
         raise LinAlgError(f"MINRES right-hand side must be (k, n), got "
                           f"shape {b.shape}")
@@ -106,8 +106,11 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
         raise LinAlgError(f"a ({len(b)}, n) right-hand side needs a "
                           f"list of {len(b)} operators")
     k, n = b.shape
-    if max_iter is None:
-        max_iter = 4 * n
+    if any(getattr(op, "shape", None) != (n, n) for op in S):
+        raise LinAlgError(f"every operator must be ({n}, {n}), as the "
+                          f"right-hand side is ({k}, {n})")
+    max_iter = (4 * n if max_iter is None
+                else count(max_iter, "MINRES max_iter", LinAlgError, 1))
     finite = np.isfinite(b).all(axis=1)
     if not finite.all():
         raise LinAlgError(f"MINRES right-hand side (row "
@@ -247,12 +250,10 @@ def dense_sym_gen_eig(a_bar, m_bar):
     Returned eigenvector columns are M-orthonormal; each column's sign is
     fixed so its largest-magnitude entry is positive (reproducibility).
     """
-    a = np.asarray(a_bar, dtype=np.float64)
-    m = np.asarray(m_bar, dtype=np.float64)
+    a, m = (real_array(x, "pencil matrices", LinAlgError, finite=True)
+            for x in (a_bar, m_bar))
     if a.shape != m.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinAlgError("pencil matrices must be square and congruent")
-    if not (np.isfinite(a).all() and np.isfinite(m).all()):
-        raise LinAlgError("pencil matrices must be finite")
     scale = max(np.abs(a).max(initial=0.0), np.abs(m).max(initial=0.0), 1.0)
     if (np.abs(a - a.T).max(initial=0.0) > 1e-8 * scale
             or np.abs(m - m.T).max(initial=0.0) > 1e-8 * scale):
@@ -278,7 +279,7 @@ def gram(vectors, S):
     vectors: (k, n) array (rows are coefficient vectors) or list of 1-D
     arrays; S: a sparse matrix or dense array, applied with @.
     """
-    v = np.asarray(vectors, dtype=np.float64)
+    v = real_array(vectors, "vectors", LinAlgError)
     if v.ndim == 1:
         v = v[None, :]
     g = v @ (S @ v.T)
@@ -294,7 +295,7 @@ def b_orthonormalize(vectors, M):
     Raises LinAlgError naming the first vector whose pivot falls below
     1e-12 times the leading pivot (numerical rank deficiency).
     """
-    v = np.array(vectors, dtype=np.float64)
+    v = real_array(vectors, "vectors", LinAlgError, copy=True)
     if v.ndim == 1:
         v = v[None, :]
     k = v.shape[0]

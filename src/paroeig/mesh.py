@@ -18,29 +18,16 @@ which bisects every marked edge identically from both sides.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._checks import count, integer_array, real_array, whole_numbers
+
 
 class MeshError(ValueError):
     """Invalid mesh input or refinement request."""
-
-
-def _whole_numbers(values, what):
-    """values as a new int64 array; MeshError if one is not a whole
-    number (whole-valued floats, as np.loadtxt reads ids, pass)."""
-    a = np.asarray(values)
-    try:
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the compare
-            ids = a.astype(np.int64)
-    except OverflowError:                  # Python ints beyond int64
-        raise MeshError(f"{what} must fit in int64") from None
-    if not np.array_equal(ids, a):
-        raise MeshError(f"{what} must be whole numbers")
-    return ids
 
 
 def _cross2(u, v):
@@ -72,14 +59,15 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, generation=None, ancestor=None):
-        self.vertices = np.array(vertices, dtype=np.float64)
-        self.triangles = _whole_numbers(triangles, "triangle vertex ids")
+        self.vertices = real_array(vertices, "vertices", MeshError, copy=True)
+        self.triangles = whole_numbers(triangles, "triangles", MeshError)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
-        if not np.isfinite(self.vertices).all():
-            raise MeshError("non-finite vertex coordinate")
+        # NaN fails too; beyond 1e150 the element geometry overflows
+        if not np.abs(self.vertices).max(initial=0.0) < 1e150:
+            raise MeshError("vertices must be finite and below 1e150")
         nv, nt = len(self.vertices), len(self.triangles)
         if nt == 0:
             raise MeshError("mesh needs at least one triangle")
@@ -94,10 +82,10 @@ class Mesh:
             raise MeshError(f"triangle {bad} is flipped or degenerate "
                             f"(signed area {areas[bad]:.3e})")
         self._build_edge_table()
-        self.generation = (np.zeros(nt, dtype=np.int64) if generation is None
-                           else _whole_numbers(generation, "generations"))
-        self.ancestor = (np.arange(nt, dtype=np.int64) if ancestor is None
-                         else _whole_numbers(ancestor, "ancestor ids"))
+        gen = np.zeros(nt) if generation is None else generation
+        anc = np.arange(nt) if ancestor is None else ancestor
+        self.generation = whole_numbers(gen, "generations", MeshError)
+        self.ancestor = whole_numbers(anc, "ancestor ids", MeshError)
         if self.generation.shape != (nt,) or self.ancestor.shape != (nt,):
             raise MeshError("generation and ancestor need one entry per "
                             "triangle")
@@ -105,10 +93,9 @@ class Mesh:
             raise MeshError("negative ancestor index")
         if self.generation.min() < 0:
             raise MeshError("negative generation")
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
-        self.generation.setflags(write=False)
-        self.ancestor.setflags(write=False)
+        for arr in (self.vertices, self.triangles, self.generation,
+                    self.ancestor):
+            arr.setflags(write=False)
 
     # -- construction helpers -------------------------------------------
 
@@ -282,13 +269,7 @@ def refine(mesh, marked):
         (fine_mesh, refine_map). An empty marked set gives a copy of the
         mesh and a map that adds no vertex.
     """
-    if not isinstance(marked, np.ndarray):
-        marked = list(marked)          # read an iterator exactly once
-    marked = np.asarray(marked)
-    if marked.size and marked.dtype.kind not in "iu":   # [] is float64
-        raise MeshError(f"marked triangle indices must be integers, got "
-                        f"dtype {marked.dtype}")
-    marked = marked.astype(np.int64, copy=False)
+    marked = integer_array(marked, "marked triangle indices", MeshError)
     if marked.size and (marked.min() < 0
                         or marked.max() >= mesh.n_triangles):
         raise MeshError("marked triangle index out of range")
@@ -367,11 +348,8 @@ def refine(mesh, marked):
 def uniform_refine(mesh, passes=1):
     """Refine every triangle once per pass, passes a non-negative
     integer. Returns (mesh, [RefineMap...])."""
-    if not hasattr(passes, "__index__") or operator.index(passes) < 0:
-        raise MeshError(f"passes must be a non-negative integer, got "
-                        f"{passes!r}")
     maps = []
-    for _ in range(passes):
+    for _ in range(count(passes, "passes", MeshError)):
         mesh, rmap = refine(mesh, np.arange(mesh.n_triangles))
         maps.append(rmap)
     return mesh, maps
@@ -385,7 +363,7 @@ def interpolate(coarse, fine, refine_map, u):
     and every midpoint receives the average of its edge endpoints.
     """
     refine_map.check(coarse, fine)
-    u = np.asarray(u, dtype=np.float64)
+    u = real_array(u, "coefficients", MeshError)
     if u.ndim not in (1, 2) or u.shape[0] != coarse.n_vertices:
         raise MeshError(f"coefficients of shape {u.shape}; expected length "
                         f"{coarse.n_vertices} along the first axis")
@@ -395,14 +373,15 @@ def interpolate(coarse, fine, refine_map, u):
 # -- initial meshes ------------------------------------------------------
 
 
-def _reorder_peaks(vertices, triangles):
-    """Rotate each triangle so the longest edge is the refinement edge.
+def _reorder_peaks(mesh):
+    """mesh's triangles, each rotated so the longest edge is the
+    refinement edge.
 
     Ties are broken by the smallest opposite-vertex (global) index. Only
     rotations are used, preserving orientation.
     """
-    tri = np.array(triangles, dtype=np.int64)
-    p = np.asarray(vertices, dtype=np.float64)[tri]
+    tri = mesh.triangles
+    p = mesh.vertices[tri]
     lsq = np.empty((len(tri), 3))
     for i in range(3):
         d = p[:, (i + 1) % 3] - p[:, (i + 2) % 3]
@@ -457,7 +436,8 @@ def build_initial_mesh(domain):
         except (TypeError, ValueError):
             raise MeshError("domain must be a name or a (vertices, "
                             "triangles) pair") from None
-    return Mesh(vertices, _reorder_peaks(vertices, triangles))
+    mesh = Mesh(vertices, triangles)        # checked before the rotation
+    return Mesh(mesh.vertices, _reorder_peaks(mesh))
 
 
 # -- text dump -----------------------------------------------------------

@@ -19,11 +19,11 @@ not an error.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import count, real, real_array
 from .linalg import (
     LinAlgError,
     b_orthonormalize,
@@ -58,14 +58,12 @@ class ClusterLayout:
 
     def __post_init__(self):
         try:
-            # operator.index takes Python and numpy integers only
-            d = tuple(operator.index(di) for di in self.d)
-        except TypeError:
-            raise ParoError("cluster multiplicities must be integers, "
-                            f"got {self.d!r}") from None
-        if not d or min(d) < 1:
-            raise ParoError("need at least one cluster, and every "
-                            "cluster multiplicity must be >= 1")
+            d = tuple(count(di, "cluster multiplicities", ParoError, 1)
+                      for di in self.d)
+        except TypeError:                   # not iterable
+            d = ()
+        if not d:
+            raise ParoError(f"need at least one cluster, got {self.d!r}")
         object.__setattr__(self, "d", d)
 
     @property
@@ -97,19 +95,13 @@ class OrbitalBlock:
     shifts: np.ndarray
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        ritz = np.asarray(self.ritz_values, dtype=np.float64)
-        shifts = np.asarray(self.shifts, dtype=np.float64)
         n = self.layout.n
-        if vectors.ndim != 2 or vectors.shape[0] != n:
-            raise ParoError(f"expected {n} orbital vectors")
-        if ritz.shape != (n,):
-            raise ParoError(f"expected {n} ritz values")
-        if shifts.shape != (self.layout.q,):
-            raise ParoError(f"expected {self.layout.q} shifts")
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "ritz_values", ritz)
-        object.__setattr__(self, "shifts", shifts)
+        for name, ndim, rows in (("vectors", 2, n), ("ritz_values", 1, n),
+                                 ("shifts", 1, self.layout.q)):
+            value = real_array(getattr(self, name), name, ParoError)
+            if value.ndim != ndim or len(value) != rows:
+                raise ParoError(f"expected {rows} {name}")
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -122,11 +114,9 @@ def cluster_guesses(values):
     A new cluster starts at k iff
         values[k] - values[k-1] > REL_GAP * max(1, |values[k-1]|).
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = real_array(values, "eigenvalue guesses", ParoError, finite=True)
     if v.ndim != 1 or v.size < 1:
         raise ParoError("need at least one eigenvalue guess")
-    if not np.isfinite(v).all():
-        raise ParoError("eigenvalue guesses must be finite")
     if np.any(np.diff(v) < 0):
         raise ParoError("eigenvalue guesses must be ascending")
     d = []
@@ -189,7 +179,7 @@ def ritz_step(sys, half_steps):
     solved densely. Cluster structure is re-derived from the new Ritz
     values, so membership may legitimately shuffle between sweeps.
     """
-    hs = np.asarray(half_steps, dtype=np.float64)
+    hs = real_array(half_steps, "half_steps", ParoError)
     if hs.ndim != 2:
         raise ParoError("half_steps must be a (N, n_dofs) array")
     try:
@@ -219,12 +209,16 @@ def relative_change(new_values, old_values, scale):
     The inner loop's delta2 divides by the old values, the outer loop's
     delta1 by the new ones. 0/0 is 0 and x/0 is inf.
     """
-    new = np.asarray(new_values, dtype=np.float64)
-    num = np.abs(new - np.asarray(old_values, dtype=np.float64)).sum()
-    den = np.abs(np.asarray(scale, dtype=np.float64)).sum()
+    new, old, scale = (real_array(v, "eigenvalues", ParoError, finite=True)
+                       for v in (new_values, old_values, scale))
+    if not new.shape == old.shape == scale.shape:
+        raise ParoError("eigenvalue arrays of different shapes")
+    with np.errstate(over="ignore"):        # a sum beyond range is inf
+        num = float(np.abs(new - old).sum())
+        den = float(np.abs(scale).sum())
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
-    return float(num / den)
+    return num / den
 
 
 def paro_inner_loop(sys, block0, tol2, max_inner, precond=None):
@@ -237,7 +231,8 @@ def paro_inner_loop(sys, block0, tol2, max_inner, precond=None):
     max_inner is left to the caller to judge; the partial block is
     still a valid Ritz block.
     """
-    if not tol2 > 0 or max_inner < 1:      # "not x > 0" also rejects NaN
+    if (not real(tol2, "tol2", ParoError) > 0      # NaN too
+            or count(max_inner, "max_inner", ParoError) < 1):
         raise ParoError("tol2 must be positive and max_inner >= 1")
     block = block0
     history = []

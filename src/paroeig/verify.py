@@ -11,13 +11,13 @@ go through LAPACK; they are not where the routes differ.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
+from . import _checks
 from .linalg import gram
 
 
@@ -51,22 +51,16 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
     Up to four guard vectors ride along to protect clustered tails, as
     many as the dofs beyond n_pairs allow (none when n_pairs == n_dofs).
     """
-    try:
-        # operator.index takes Python and numpy integers only
-        n_pairs = operator.index(n_pairs)
-    except TypeError:
-        raise VerifyError(f"n_pairs must be an integer, "
-                          f"got {n_pairs!r}") from None
-    if n_pairs < 1:
-        raise VerifyError("need at least one eigenpair")
+    n_pairs = _checks.count(n_pairs, "n_pairs", VerifyError, minimum=1)
+    tol = _checks.real(tol, "tol", VerifyError)
+    max_iter = _checks.count(max_iter, "max_iter", VerifyError, minimum=1)
     if n_pairs > sys.n_dofs:
         raise VerifyError(f"requested {n_pairs} pairs but the system has "
                           f"only {sys.n_dofs} dofs")
     guards = min(4, sys.n_dofs - n_pairs)
     k_csc = sys.K.tocsc()
-    if not (np.isfinite(k_csc.data).all()
-            and np.isfinite(sys.M.data).all()):
-        raise VerifyError("K and M must be finite")
+    for data in (k_csc.data, sys.M.data):
+        _checks.real_array(data, "K and M", VerifyError, finite=True)
     try:
         lu = spla.splu(k_csc)
     except RuntimeError as exc:             # "Factor is exactly singular"
@@ -104,7 +98,7 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
 
 
 def _a_orthonormalize(sys, vectors):
-    v = np.asarray(vectors, dtype=np.float64)
+    v = _checks.real_array(vectors, "vectors", VerifyError)
     if v.ndim == 1:
         v = v[None, :]
     g = gram(v, sys.K)
@@ -136,14 +130,7 @@ def analytic_spectrum(domain, count):
     square, ascending with multiplicity; no closed form elsewhere."""
     if domain != "unit_square":
         raise VerifyError(f"no analytic spectrum for domain {domain!r}")
-    try:
-        # operator.index takes Python and numpy integers only
-        count = operator.index(count)
-    except TypeError:
-        raise VerifyError(f"count must be an integer, "
-                          f"got {count!r}") from None
-    if count < 1:
-        raise VerifyError("count must be positive")
+    count = _checks.count(count, "count", VerifyError, minimum=1)
     top = int(np.ceil(np.sqrt(2.0 * count))) + 2
     vals = np.sort([np.pi ** 2 * (m * m + n * n)
                     for m in range(1, top + 1)
@@ -152,13 +139,14 @@ def analytic_spectrum(domain, count):
 
 
 def fit_rate(x, y):
-    """Log-log least-squares slope and R^2; inputs must be positive."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size < 3 or x.shape != y.shape:
-        raise VerifyError("need at least 3 matched samples")
+    """Log-log least-squares slope and R^2 of positive finite samples,
+    not all at one x."""
+    x, y = (_checks.real_array(v, "rate samples", VerifyError, finite=True)
+            for v in (x, y))
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise VerifyError("rate fitting needs positive samples")
+    if x.ndim != 1 or x.size < 3 or x.shape != y.shape or np.ptp(x) == 0:
+        raise VerifyError("need at least 3 matched samples, not all at one x")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     fitted = slope * lx + intercept

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from paroeig import cli, mesh
+from paroeig.adapt import AdaptConfig
 from paroeig.assembly import assemble
 from paroeig.cli import (
     CliError,
     RunConfig,
+    build_adapt_config,
     build_coefficients,
     main,
     parse_config,
@@ -73,6 +75,17 @@ class TestParseConfig:
     def test_duplicate_key_rejected(self):
         with pytest.raises(CliError, match="duplicate key 'seed'"):
             parse_config("seed=1\nseed=2\n")
+
+
+class TestBuildAdaptConfig:
+    def test_defaults_are_adapt_configs(self):
+        assert build_adapt_config(RunConfig()) == AdaptConfig()
+
+    def test_zero_budget_factor_is_off(self):
+        for text, factor in (("budget_factor=0", None),
+                             ("budget_factor=2", 2.0)):
+            config = build_adapt_config(parse_config(text))
+            assert config.budget_factor == factor
 
 
 class TestBuildCoefficients:

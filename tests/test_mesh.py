@@ -153,8 +153,8 @@ def test_refine_takes_integer_ids_of_any_width_and_empty_markings():
 @pytest.mark.parametrize("passes", [-1, 1.5, "2", None])
 def test_uniform_refine_rejects_bad_passes(passes):
     m = pm.build_initial_mesh("unit_square")
-    with pytest.raises(pm.MeshError, match="passes must be a non-negative "
-                                           "integer"):
+    with pytest.raises(pm.MeshError, match="passes must be an integer "
+                                           ">= 0"):
         pm.uniform_refine(m, passes)
 
 

@@ -95,7 +95,7 @@ class TestClusterLayout:
     @pytest.mark.parametrize("d", [(1.7, 2), (2.0,), ("2",), (np.nan,),
                                    (np.float64(1.0), 1)])
     def test_non_integer_multiplicity(self, d):
-        with pytest.raises(ParoError, match="integers"):
+        with pytest.raises(ParoError, match="must be an integer"):
             ClusterLayout(d)
 
     def test_numpy_integers_are_multiplicities(self):
