@@ -55,8 +55,7 @@ for i, sl in enumerate(block.layout.cluster_slices()):
 # Procrustes matching inside each cluster: the per-vector distances
 # stay below the (1 + sqrt(d_i)) * chord bound
 print("\nper-vector matching report:")
-for report in quasi_orthogonality_report(system, block, reference,
-                                         block.layout):
+for report in quasi_orthogonality_report(system, block, reference):
     worst = max(report.per_vector)
     print(f"  cluster {report.cluster}: worst vector {worst:.2e}, "
           f"bound {report.bound:.2e}, ok={report.bound_ok}")

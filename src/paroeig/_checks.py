@@ -47,16 +47,24 @@ def real_array(value, name, error, copy=False, finite=False):
     return arr
 
 
+def _holds_bool(values):
+    """Whether nested lists or tuples hold a bool, which numpy casts to int."""
+    if isinstance(values, (list, tuple)):
+        return any(_holds_bool(v) for v in values)
+    return isinstance(values, (bool, np.bool_))
+
+
 def integer_array(values, name, error):
     """An iterable of indices, read once, as an int64 array; its dtype
     must be integer unless it is empty (numpy reads [] as float64)."""
     try:
-        arr = np.asarray(values if isinstance(values, np.ndarray)
-                         else list(values))
+        values = values if isinstance(values, np.ndarray) else list(values)
+        arr = np.asarray(values)
     except (TypeError, ValueError):     # not iterable, or ragged
         raise error(f"{name} must be integers, got {values!r}") from None
-    if arr.size and arr.dtype.kind not in "iu":
-        raise error(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.size and arr.dtype.kind not in "iu" or _holds_bool(values):
+        raise error(f"{name} must be integers, got "
+                    f"{'bools' if arr.dtype.kind in 'iu' else arr.dtype}")
     return arr.astype(np.int64, copy=False)
 
 
@@ -66,6 +74,6 @@ def whole_numbers(values, name, error):
     a = _array(values, name, error)
     with np.errstate(invalid="ignore"):  # NaN and inf fail the compare
         ids = a.astype(np.int64) if a.dtype.kind in _REAL_KINDS else None
-    if ids is None or not np.array_equal(ids, a):
+    if ids is None or not np.array_equal(ids, a) or _holds_bool(values):
         raise error(f"{name} must be whole numbers and must fit in int64")
     return ids

@@ -184,7 +184,7 @@ def default_seed_vectors(system, n_orbitals, seed=0, precond=None):
     the N-th value: a block that splits a cluster keeps an arbitrary
     part of it and converges to a wrong eigenpair.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(count(seed, "seed", AdaptError))
     width = min(n_orbitals + 4, system.n_dofs)
     vecs = rng.standard_normal((width, system.n_dofs))
     apply = None if precond is None else precond.shifted(np.zeros(width))
@@ -209,8 +209,8 @@ def default_seed_vectors(system, n_orbitals, seed=0, precond=None):
 def transfer_block(fine_sys, prolong, block):
     """Carry orbitals to a refined mesh: interpolate nodally with prolong,
     the (fine free dofs x coarse free dofs) nodal prolongation, restore
-    b-orthonormality, keep the Ritz values, layout and shifts as the
-    next initial data."""
+    b-orthonormality, keep the Ritz values (and so the layout and
+    shifts) as the next initial data."""
     vecs = b_orthonormalize((prolong @ block.vectors.T).T, fine_sys.M)
     return replace(block, vectors=vecs)
 
@@ -237,8 +237,8 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
         coeffs: Coefficients for the operator pencil.
         n_orbitals: number of wanted eigenpairs N.
         config: AdaptConfig.
-        seed: rng seed of the start: a few inverse-iteration sweeps
-            from random vectors on the initial mesh.
+        seed: integer >= 0 seeding the start: a few inverse-iteration
+            sweeps from random vectors on the initial mesh.
         threads: accepted and ignored; the orbital solves of a sweep
             run as one block MINRES call. Kept only because the
             benchmark passes it.
@@ -251,6 +251,7 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
         (records, final_block, final_mesh); one RunRecord per level.
     """
     n_orbitals = count(n_orbitals, "n_orbitals", AdaptError, minimum=1)
+    seed = count(seed, "seed", AdaptError)
     if not isinstance(config, AdaptConfig):
         raise AdaptError(f"config must be an AdaptConfig, got {config!r}")
     t0 = time.perf_counter()
@@ -262,7 +263,6 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
     records = []
     block = None
     system = None
-    prev_values = None
     eta_sq = None
     for level in range(config.max_refinements + 1):
         try:
@@ -292,15 +292,15 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
             if observer is not None:
                 observer(level, current, system, block, indicators, data)
             t0 = time.perf_counter()
-            d1 = (np.inf if prev_values is None
-                  else relative_change(block.ritz_values, prev_values,
+            d1 = (np.inf if not records
+                  else relative_change(block.ritz_values,
+                                       records[-1].ritz_values,
                                        block.ritz_values))
             records.append(RunRecord(
                 n=level, n_dofs=system.n_dofs,
                 ritz_values=block.ritz_values.copy(),
                 global_estimator_sq=indicators.global_sq,
                 m_used=m_used, delta1=d1, wall_time=wall))
-            prev_values = block.ritz_values.copy()
             if d1 <= config.tol1 or level == config.max_refinements:
                 break
             marked = dorfler_mark(indicators, config.theta)

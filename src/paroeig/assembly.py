@@ -30,9 +30,9 @@ the mesh's edge table: the diagonal and both entries of every edge
 between free vertices, which scipy converts from coordinate form once
 per mesh. Each edge's value is the sum of its two
 triangles' entries below the diagonal, mirrored above it, so the
-matrices are symmetric by construction. M keeps the whole pattern, and
-so does every shifted K - sigma*M (FemSystem.shifted); K drops its
-exact zeros.
+matrices are symmetric by construction. K keeps its exact zeros (the
+stiffness of an edge opposite two right angles), so K, M and every
+shifted K - sigma*M (FemSystem.shifted) share the one pattern.
 
 Everything per triangle that assembly and the estimator read (gradients,
 areas, diameters, coefficient samples, the finite-difference divergence
@@ -46,7 +46,6 @@ sampling only the new children. Called without one, `assemble` and
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,44 +378,34 @@ def element_matrices(mesh, coeffs, data=None):
 class FemSystem:
     """Assembled pencil restricted to interior (free) vertices.
 
-    K and M are exactly symmetric CSR matrices with sorted indices; row
-    and column i belong to mesh vertex free_dofs[i] (ascending). M stores
-    the diagonal and both entries of every edge between free vertices;
-    K stores the same entries less its exact zeros (the stiffness of an
-    edge opposite two right angles).
+    K and M are exactly symmetric CSR matrices with sorted indices on
+    one pattern, K's exact zeros included: the diagonal and both entries
+    of every edge between free vertices (AssemblyError otherwise). Row
+    and column i belong to mesh vertex free_dofs[i] (ascending).
     """
     K: sp.csr_matrix
     M: sp.csr_matrix
     free_dofs: np.ndarray
+
+    def __post_init__(self):
+        k, m = self.K, self.M
+        if not (getattr(k, "format", None) == getattr(m, "format", None)
+                == "csr" and k.shape == m.shape
+                and np.array_equal(k.indptr, m.indptr)
+                and np.array_equal(k.indices, m.indices)):
+            raise AssemblyError("K and M must be CSR on one pattern")
 
     @property
     def n_dofs(self):
         return len(self.free_dofs)
 
     def shifted(self, sigma):
-        """K - sigma*M as a CSR matrix on M's pattern, one array
+        """K - sigma*M as a CSR matrix on the pencil's pattern, one array
         expression on the values. It shares M's index arrays: do not
         modify it in place."""
         return sp.csr_matrix(
-            (self._k_on_m_pattern - sigma * self.M.data, self.M.indices,
+            (self.K.data - sigma * self.M.data, self.M.indices,
              self.M.indptr), shape=self.M.shape)
-
-    @functools.cached_property
-    def _k_on_m_pattern(self):
-        """K's values at M's stored entries, 0 where K stores none.
-        assemble() sets it as it builds K; other systems search M's
-        pattern for K's entries once."""
-        n = self.M.shape[0]
-        m_codes, k_codes = (
-            np.repeat(np.arange(n), np.diff(a.indptr)) * n + a.indices
-            for a in (self.M, self.K))
-        at = np.searchsorted(m_codes, k_codes)
-        # -1 matches no code: an entry past M's last one is caught too
-        if not np.array_equal(np.append(m_codes, -1)[at], k_codes):
-            raise AssemblyError("K stores an entry outside M's pattern")
-        out = np.zeros(self.M.nnz)
-        out[at] = self.K.data
-        return out
 
 
 # local edge i of a triangle (opposite local vertex i) joins these two
@@ -475,7 +464,7 @@ def assemble(mesh, coeffs, data=None):
     """Assemble the eliminated stiffness/mass pencil on a mesh.
 
     Both matrices are summed onto one pattern built from the mesh's edge
-    table; K then drops its exact zeros.
+    table and share its index arrays.
     data: the mesh's ElementData; without it one is built and dropped
     before the global matrices are formed.
     """
@@ -483,13 +472,7 @@ def assemble(mesh, coeffs, data=None):
     free = mesh.interior_vertices()
     pattern = _free_edge_pattern(mesh, free)
     indptr, indices = pattern[:2]
-    shape = (len(free), len(free))
-    k_values = _pattern_values(mesh, free, ke, pattern)
-    M = sp.csr_matrix((_pattern_values(mesh, free, me, pattern), indices,
-                       indptr), shape=shape)
-    K = sp.csr_matrix((k_values, indices, indptr), shape=shape, copy=True)
-    K.eliminate_zeros()
-    system = FemSystem(K=K, M=M, free_dofs=free)
-    # the values K - sigma*M reads, without searching M's pattern for K's
-    object.__setattr__(system, "_k_on_m_pattern", k_values)
-    return system
+    K, M = (sp.csr_matrix((_pattern_values(mesh, free, local, pattern),
+                           indices, indptr), shape=(len(free), len(free)))
+            for local in (ke, me))
+    return FemSystem(K=K, M=M, free_dofs=free)

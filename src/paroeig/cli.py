@@ -244,8 +244,7 @@ def cmd_verify(config_path, out_dir=None):
     ref = last["ref"]
     rel = float(np.max(np.abs(last["block"].ritz_values - ref.eigenvalues)
                        / np.abs(ref.eigenvalues)))
-    reports = quasi_orthogonality_report(last["system"], last["block"],
-                                         ref, last["block"].layout)
+    reports = quasi_orthogonality_report(last["system"], last["block"], ref)
     checks = [
         ("ritz_match", rel <= _RITZ_MATCH_TOL, rel),
         ("cluster_distance", max(last["dists"]) <= _CLUSTER_DIST_TOL,

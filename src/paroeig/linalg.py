@@ -36,25 +36,31 @@ class LinAlgError(RuntimeError):
     """Numerical failure in a linear-algebra kernel."""
 
 
+# exit flags, worst last
+_FLAGS = ("converged", "max_iter", "breakdown")
+
+
 @dataclass
 class MinresResult:
     """What minres_solve returns for a (k, n) right-hand side.
 
-    solution is (k, n); iterations counts the lockstep steps (the most
-    any row took), flag is the worst row's, and residual_history holds
-    one array per row, the residual estimates the stop test read.
-    row_iterations and row_flags give each row's own count and flag.
+    solution is (k, n); residual_history holds one array per row, the
+    residual estimates the stop test read; row_iterations and row_flags
+    give each row's own count and flag (one of _FLAGS). iterations, the
+    lockstep steps, is the most any row took; flag is the worst row's.
     """
     solution: np.ndarray
-    iterations: int
-    flag: str                    # "converged" | "max_iter" | "breakdown"
-    residual_history: np.ndarray
+    residual_history: tuple
     row_iterations: tuple
     row_flags: tuple
 
+    @property
+    def iterations(self):
+        return max(self.row_iterations, default=0)
 
-# exit flags, worst last
-_FLAGS = ("converged", "max_iter", "breakdown")
+    @property
+    def flag(self):
+        return max(self.row_flags, key=_FLAGS.index, default=_FLAGS[0])
 
 
 def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
@@ -137,9 +143,7 @@ def minres_solve(S, rhs, tol=1e-10, max_iter=None, precond=None):
             advance(j, y)
 
     x, itns, flags, history = zip(*done) if k else ((),) * 4
-    return MinresResult(np.array(x).reshape(k, n), max(itns, default=0),
-                        max(flags, key=_FLAGS.index, default=_FLAGS[0]),
-                        history, itns, flags)
+    return MinresResult(np.array(x).reshape(k, n), history, itns, flags)
 
 
 def _precondition(precond, residuals, active):

@@ -19,7 +19,7 @@ not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,33 +74,34 @@ class ClusterLayout:
     def n(self):
         return sum(self.d)
 
-    def starts(self):
-        return np.concatenate([[0], np.cumsum(self.d)])
-
     def cluster_slices(self):
-        s = self.starts()
+        s = np.concatenate([[0], np.cumsum(self.d)])
         return [slice(int(s[i]), int(s[i + 1])) for i in range(self.q)]
 
 
 @dataclass(frozen=True)
 class OrbitalBlock:
-    """A block of N orbitals with their Ritz values and cluster shifts.
+    """A block of N orbitals with their finite, ascending Ritz values.
 
-    vectors is (N, n_dofs) in flat cluster order; after a Ritz step the
-    rows are b-orthonormal and ritz_values ascend.
+    vectors is (N, n_dofs) in flat cluster order, b-orthonormal after a
+    Ritz step. Steps 1 and 2 of a sweep derive layout (cluster_guesses
+    of ritz_values) and shifts (each cluster's mean); neither is given.
     """
-    layout: ClusterLayout
     vectors: np.ndarray
     ritz_values: np.ndarray
-    shifts: np.ndarray
+    layout: ClusterLayout = field(init=False)
+    shifts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = self.layout.n
-        for name, ndim, rows in (("vectors", 2, n), ("ritz_values", 1, n),
-                                 ("shifts", 1, self.layout.q)):
-            value = real_array(getattr(self, name), name, ParoError)
-            if value.ndim != ndim or len(value) != rows:
-                raise ParoError(f"expected {rows} {name}")
+        values = real_array(self.ritz_values, "ritz_values", ParoError)
+        layout = cluster_guesses(values)
+        vectors = real_array(self.vectors, "vectors", ParoError)
+        if vectors.ndim != 2 or len(vectors) != layout.n:
+            raise ParoError(f"expected {layout.n} vectors")
+        shifts = np.array([values[s].mean()
+                           for s in layout.cluster_slices()])
+        for name, value in (("vectors", vectors), ("ritz_values", values),
+                            ("layout", layout), ("shifts", shifts)):
             object.__setattr__(self, name, value)
 
     @property
@@ -129,10 +130,6 @@ def cluster_guesses(values):
             count += 1
     d.append(count)
     return ClusterLayout(tuple(d))
-
-
-def _mean_shifts(values, layout):
-    return np.array([values[s].mean() for s in layout.cluster_slices()])
 
 
 def _safe_shift(shift, ritz_values):
@@ -176,8 +173,8 @@ def ritz_step(sys, half_steps):
 
     The half-steps are b-orthonormalized first (their raw scales differ
     by many orders of magnitude), then the N x N projected pencil is
-    solved densely. Cluster structure is re-derived from the new Ritz
-    values, so membership may legitimately shuffle between sweeps.
+    solved densely. The new block derives its clusters from the new
+    Ritz values, so membership may legitimately shuffle between sweeps.
     """
     hs = real_array(half_steps, "half_steps", ParoError)
     if hs.ndim != 2:
@@ -191,11 +188,7 @@ def ritz_step(sys, half_steps):
         raise ParoError(
             "half-step block is numerically rank deficient; perturb "
             "the initial data") from exc
-    vectors = w.T @ basis
-    new_layout = cluster_guesses(values)
-    return OrbitalBlock(layout=new_layout, vectors=vectors,
-                        ritz_values=values,
-                        shifts=_mean_shifts(values, new_layout))
+    return OrbitalBlock(vectors=w.T @ basis, ritz_values=values)
 
 
 def initial_block(sys, vectors):

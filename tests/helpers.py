@@ -1,13 +1,30 @@
-"""Checks and mesh measures that only the tests read.
+"""Checks, pencils and mesh measures that only the tests read.
 
-check_block validates an orbital block's post-Ritz invariants; the mesh
-functions measure shape regularity and walk a refinement's children.
+check_block validates an orbital block's post-Ritz invariants; pencil
+builds a FemSystem from hand-written matrices; the mesh functions
+measure shape regularity and walk a refinement's children.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
+from paroeig.assembly import FemSystem
 from paroeig.linalg import gram
 from paroeig.paro import ParoError
+
+
+def pencil(k, m):
+    """FemSystem of the dense or sparse (n, n) matrices k and m, both
+    stored on the union of their nonzero patterns, as FemSystem needs;
+    free_dofs is arange(n)."""
+    k, m = (np.asarray(sp.csr_matrix(a).toarray(), dtype=np.float64)
+            for a in (k, m))
+    stored = (k != 0.0) | (m != 0.0)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    indices = np.nonzero(stored)[1]
+    k_csr, m_csr = (sp.csr_matrix((a[stored], indices, indptr),
+                                  shape=a.shape) for a in (k, m))
+    return FemSystem(K=k_csr, M=m_csr, free_dofs=np.arange(len(k)))
 
 
 def check_block(sys, block, tol=1e-8):

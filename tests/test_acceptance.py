@@ -177,7 +177,7 @@ def test_marking_sets_exact_and_minimal():
     for _ in range(1000):
         per = rng.uniform(0.0, 1.0, size=int(rng.integers(3, 60))) ** 2
         per += 1e-9
-        ind = Indicators(per_element=per, global_sq=float(per.sum()))
+        ind = Indicators(per)
         for theta in (0.2, 0.5, 0.8):
             marked = dorfler_mark(ind, theta)
             total = float(per[marked].sum())
@@ -190,8 +190,7 @@ def test_marking_sets_exact_and_minimal():
 
 def test_matched_vector_distances_within_procrustes_bound(clustered_run):
     system, block, ref = clustered_run
-    reports = verify.quasi_orthogonality_report(system, block, ref,
-                                                block.layout)
+    reports = verify.quasi_orthogonality_report(system, block, ref)
     worst = 0.0
     for report in reports:
         d = report.dist

@@ -27,7 +27,7 @@ IDENTITY = Coefficients.identity()
 
 def make_indicators(values):
     values = np.asarray(values, dtype=np.float64)
-    return Indicators(per_element=values, global_sq=float(values.sum()))
+    return Indicators(values)
 
 
 class TestAdaptConfig:

@@ -96,7 +96,10 @@ class TestGlobalInvariants:
                 assert isinstance(s, sp.csr_matrix)
                 assert (s != s.T).nnz == 0
                 assert s.has_sorted_indices and s.has_canonical_format
-                assert np.all(s.data != 0.0)
+            # one pattern, K's exact zeros included; M stores no zero
+            assert np.array_equal(sys.K.indptr, sys.M.indptr)
+            assert np.array_equal(sys.K.indices, sys.M.indices)
+            assert np.all(sys.M.data != 0.0)
 
     def test_refinement_nestedness_piecewise_constant_data(self):
         m0 = build_initial_mesh("l_shape")
@@ -379,9 +382,7 @@ SIGNED_ZERO_COEFFS = Coefficients(
 def random_block(m, n, seed):
     vectors = np.random.default_rng(seed).standard_normal(
         (n, len(m.interior_vertices())))
-    lam = np.arange(1.0, n + 1.0)
-    return paro.OrbitalBlock(layout=paro.ClusterLayout((1,) * n),
-                             vectors=vectors, ritz_values=lam, shifts=lam)
+    return paro.OrbitalBlock(vectors, np.arange(1.0, n + 1.0))
 
 
 def new_triangles(coarse, fine):
@@ -414,6 +415,13 @@ def assert_same_pencil_matrix(got, want):
             == want.data[~on_diagonal].tobytes())
     assert (np.abs(got.data - want.data).max(initial=0.0)
             <= 1e-15 * np.abs(want.data).max(initial=0.0))
+
+
+def without_zeros(csr):
+    """A copy of csr that does not store its exact zeros."""
+    out = csr.copy()
+    out.eliminate_zeros()
+    return out
 
 
 def coo_pencil(mesh, coeffs):
@@ -450,7 +458,8 @@ class TestEdgePattern:
     @pytest.mark.parametrize("case", ["uniform", "graded", "callable"])
     def test_matches_the_coo_scatter(self, case):
         """K and M summed onto the edge pattern store what the COO path
-        stores, K without its exact zeros, with values within 1e-15."""
+        stores, with values within 1e-15; K keeps its exact zeros, which
+        the COO path drops."""
         mesh = {"uniform": lambda: uniform_refine(
                     build_initial_mesh("unit_square"), 6)[0],
                 "graded": lambda: graded_l_shape(8),
@@ -459,12 +468,12 @@ class TestEdgePattern:
                   else Coefficients.identity())
         system = assemble(mesh, coeffs)
         k_ref, m_ref = coo_pencil(mesh, coeffs)
-        assert system.K.nnz == k_ref.nnz
-        assert_same_pencil_matrix(system.K, k_ref)
+        assert_same_pencil_matrix(without_zeros(system.K), k_ref)
         assert_same_pencil_matrix(system.M, m_ref)
         if case == "uniform":
-            # right angles: K drops the stiffness of the diagonals
-            assert system.K.nnz < system.M.nnz
+            # right angles: the stiffness of the diagonals is an exact
+            # zero, which K stores on M's pattern
+            assert system.K.count_nonzero() < system.K.nnz == system.M.nnz
 
     @settings(max_examples=25, deadline=None)
     @example(domain="unit_square", case="constant", picks=[])
@@ -482,8 +491,8 @@ class TestEdgePattern:
             mesh, _ = refine(mesh, np.array(pick) % mesh.n_triangles)
         coeffs = COEFFICIENT_CASES[case]
         system = assemble(mesh, coeffs)
-        for got, want in zip((system.K, system.M), coo_pencil(mesh, coeffs),
-                             strict=True):
+        for got, want in zip((without_zeros(system.K), system.M),
+                             coo_pencil(mesh, coeffs), strict=True):
             assert got.nnz == want.nnz
             assert_same_pencil_matrix(got, want)
             assert got.indptr.dtype == want.indptr.dtype
@@ -495,7 +504,7 @@ class TestEdgePattern:
         mesh, _ = uniform_refine(build_initial_mesh("unit_square"), 4)
         system = assemble(mesh, Coefficients.identity())
         if not assembled:
-            # a system built by hand searches M's pattern for K's entries
+            # a system built from copies, which share no index arrays
             system = FemSystem(K=system.K.copy(), M=system.M.copy(),
                                free_dofs=system.free_dofs)
         op = system.shifted(19.7)
@@ -506,11 +515,13 @@ class TestEdgePattern:
         assert np.array_equal(op.toarray(), want)
 
     def test_shifted_needs_k_inside_the_mass_pattern(self):
-        system = FemSystem(K=sp.csr_matrix(np.ones((2, 2))),
-                           M=sp.identity(2, format="csr"),
-                           free_dofs=np.arange(2))
-        with pytest.raises(AssemblyError, match="outside M's pattern"):
-            system.shifted(1.0)
+        # the pencil refuses K and M on different patterns up front
+        with pytest.raises(AssemblyError, match="one pattern"):
+            FemSystem(K=sp.csr_matrix(np.ones((2, 2))),
+                      M=sp.identity(2, format="csr"),
+                      free_dofs=np.arange(2))
+        with pytest.raises(AssemblyError, match="one pattern"):
+            FemSystem(K=np.eye(2), M=np.eye(2), free_dofs=np.arange(2))
 
 
 class TestElementData:

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import pencil
 from paroeig import mesh as pm
-from paroeig.adapt import AdaptConfig, AdaptError, adaptive_solve
-from paroeig.assembly import AssemblyError, Coefficients, FemSystem
+from paroeig.adapt import (AdaptConfig, AdaptError, adaptive_solve,
+                           default_seed_vectors)
+from paroeig.assembly import AssemblyError, Coefficients
 from paroeig.estimator import EstimatorError, Indicators
 from paroeig.linalg import (LinAlgError, b_orthonormalize, dense_sym_gen_eig,
                             gram, minres_solve)
@@ -24,8 +26,7 @@ from paroeig.verify import (VerifyError, analytic_spectrum, fit_rate,
 
 SQUARE = pm.build_initial_mesh("unit_square")
 S3 = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-SYSTEM = FemSystem(K=S3, M=sp.identity(3, format="csr"),
-                   free_dofs=np.arange(3))
+SYSTEM = pencil(S3, np.eye(3))
 COMPLEX = np.array([[1.0, 0.5j, 0.0], [0.0, 1.0, 0.0]])
 CASES = {
     # imaginary part dropped with only a ComplexWarning
@@ -40,10 +41,9 @@ CASES = {
     "dense_sym_gen_eig_complex": (
         LinAlgError, lambda: dense_sym_gen_eig(np.eye(2) + 0j, np.eye(2))),
     "indicators_complex": (
-        EstimatorError, lambda: Indicators(np.array([1.0 + 1j, 1.0]), 2.0)),
+        EstimatorError, lambda: Indicators(np.array([1.0 + 1j, 1.0]))),
     "orbital_block_complex_vectors": (
-        ParoError, lambda: OrbitalBlock(ClusterLayout((2,)), COMPLEX,
-                                        np.ones(2), np.ones(1))),
+        ParoError, lambda: OrbitalBlock(COMPLEX, np.ones(2))),
     # bare builtin errors
     "mesh_string_vertices": (
         MeshError, lambda: pm.Mesh(np.full((4, 2), "x"), SQUARE.triangles)),
@@ -63,8 +63,6 @@ CASES = {
     "relative_change_lengths": (
         ParoError, lambda: relative_change([1.0, 2.0], [1.0, 2.0, 3.0],
                                            [1.0, 2.0])),
-    "indicators_string_total": (
-        EstimatorError, lambda: Indicators(np.array([1.0, 1.0]), "2")),
     "fit_rate_strings": (
         VerifyError, lambda: fit_rate(["1", "2", "3"], [1.0, 2.0, 3.0])),
     # used to reach LAPACK, which printed DLASCL lines to stderr
@@ -106,6 +104,21 @@ CASES = {
         LinAlgError, lambda: minres_solve([S3], np.ones((1, 3)), tol=True)),
     "constant_bool_reaction": (
         AssemblyError, lambda: Coefficients.constant(np.eye(2), True)),
+    "reference_eig_bool_seed": (
+        VerifyError, lambda: reference_eig(SYSTEM, 1, seed=True)),
+    "reference_eig_negative_seed": (
+        VerifyError, lambda: reference_eig(SYSTEM, 1, seed=-1)),
+    "default_seed_vectors_fractional_seed": (
+        AdaptError, lambda: default_seed_vectors(SYSTEM, 1, seed=0.5)),
+    "adaptive_solve_bool_seed": (
+        AdaptError, lambda: adaptive_solve(
+            "unit_square", Coefficients.identity(), 1, AdaptConfig(),
+            seed=True)),
+    # numpy reads a bool beside integers as an integer
+    "refine_bool_in_marks": (MeshError, lambda: pm.refine(SQUARE, [0, True])),
+    "mesh_bool_in_triangles": (
+        MeshError, lambda: pm.Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                   [[0, 1, True]])),
     # the ids were truncated to integers before Mesh saw them
     "initial_mesh_fractional_ids": (
         MeshError, lambda: pm.build_initial_mesh(
@@ -119,6 +132,10 @@ CASES = {
         ParoError, lambda: relative_change([np.inf], [np.inf], [1.0])),
     "fit_rate_one_x": (
         VerifyError, lambda: fit_rate([2.0, 2.0, 2.0], [1.0, 1.0, 1.5])),
+    # compared elementwise, then failed the truth test with a ValueError
+    "analytic_spectrum_array_domain": (
+        VerifyError, lambda: analytic_spectrum(np.array(["unit_square"] * 2),
+                                               3)),
 }
 
 

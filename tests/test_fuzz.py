@@ -6,16 +6,20 @@ IndexError from deep inside numpy, or a warning that pytest's
 filterwarnings turns into an error. Strategies are bounded so that no
 input allocates a large mesh or runs a solve: at most 3 refinement
 passes, at most 50 analytic eigenvalues, and no adaptive_solve call.
+Two invariants are checked on the same small refined meshes: the
+loads(dumps(m)) round trip, and K and M assembled on one pattern.
 """
 
 from dataclasses import fields
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from helpers import pencil
 from paroeig import cli
 from paroeig import mesh as pm
 from paroeig.adapt import AdaptConfig, AdaptError
@@ -34,8 +38,7 @@ ERRORS = (AdaptError, AssemblyError, CliError, EstimatorError, LinAlgError,
 FUZZ = settings(max_examples=40, deadline=None)
 
 MESH8 = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 2)[0]
-SYSTEM = FemSystem(K=sp.csr_matrix(np.diag([1.0, 2.0, 3.0])),
-                   M=sp.identity(3, format="csr"), free_dofs=np.arange(3))
+SYSTEM = pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
 
 # one value of any kind an argument might be given
 scalars = st.one_of(
@@ -128,12 +131,22 @@ def test_uniform_refine_passes(passes):
     returns_or_raises_own(pm.uniform_refine, MESH8, passes)
 
 
-@FUZZ
-@given(st.lists(st.sampled_from(range(8)), max_size=12), st.integers(0, 3))
-def test_dumps_loads_round_trip(marks, rounds):
+# marks that refine MESH8 up to three times: small meshes, many shapes
+marks = st.lists(st.sampled_from(range(8)), max_size=12)
+rounds = st.integers(0, 3)
+
+
+def refined(marks, rounds):
     m = MESH8
     for _ in range(rounds):
         m, _ = pm.refine(m, [t % m.n_triangles for t in marks])
+    return m
+
+
+@FUZZ
+@given(marks, rounds)
+def test_dumps_loads_round_trip(marks, rounds):
+    m = refined(marks, rounds)
     back = pm.loads(pm.dumps(m))
     for name in ("vertices", "triangles", "generation", "ancestor"):
         assert_array_equal(getattr(back, name), getattr(m, name))
@@ -232,6 +245,26 @@ def test_fit_rate(x, y):
 
 
 @FUZZ
-@given(st.one_of(scalars, st.integers(-1, 4)))
-def test_reference_eig_pairs(n_pairs):
-    returns_or_raises_own(reference_eig, SYSTEM, n_pairs)
+@given(st.one_of(scalars, st.integers(-1, 4)),
+       st.one_of(scalars, st.integers(-1, 4)))
+def test_reference_eig_pairs(n_pairs, seed):
+    returns_or_raises_own(reference_eig, SYSTEM, n_pairs, seed=seed)
+
+
+@FUZZ
+@given(marks, rounds, st.floats(-1e3, 1e3))
+def test_assembled_pencil_has_one_pattern(marks, rounds, sigma):
+    """K and M share one pattern, K's exact zeros included, so shifted is
+    K - sigma*M entry by entry; the pencil refuses two patterns."""
+    system = assemble(refined(marks, rounds), Coefficients.identity())
+    k, m = system.K, system.M
+    assert np.array_equal(k.indptr, m.indptr)
+    assert np.array_equal(k.indices, m.indices)
+    assert np.array_equal(system.shifted(sigma).toarray(),
+                          k.toarray() - sigma * m.toarray())
+    # the same matrix without its last stored entry
+    last = sp.csr_matrix((k.data[:-1], k.indices[:-1],
+                          np.minimum(k.indptr, k.nnz - 1)), shape=k.shape)
+    for pair in ((last, m), (k, last)):
+        with pytest.raises(AssemblyError, match="one pattern"):
+            FemSystem(*pair, free_dofs=system.free_dofs)

@@ -431,7 +431,7 @@ def graded_l_shape():
     while system.n_dofs < 14000:
         cent = mesh.vertices[mesh.triangles].mean(axis=1)
         eta = mesh.diameters() ** 2 * np.hypot(*cent.T) ** (-2.0 / 3.0)
-        marked = dorfler_mark(Indicators(eta, float(eta.sum())), 0.5)
+        marked = dorfler_mark(Indicators(eta), 0.5)
         mesh, rmap = pm.refine(mesh, marked)
         coarse_sys, system = system, assemble(mesh, IDENTITY)
         precond = precond.extend(

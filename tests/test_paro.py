@@ -4,6 +4,8 @@ The reference route is scipy.linalg.eigh on densified pencils, which
 shares no code with the iteration under test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import check_block
-from paroeig.assembly import Coefficients, FemSystem, assemble
+from helpers import check_block, pencil
+from paroeig.assembly import Coefficients, assemble
 from paroeig.linalg import gram, minres_solve
 from paroeig.mesh import build_initial_mesh, uniform_refine
 from paroeig.paro import (
@@ -32,9 +34,7 @@ from paroeig.paro import (
 def diag_system(k_diag, m_diag=None):
     n = len(k_diag)
     m_diag = np.ones(n) if m_diag is None else np.asarray(m_diag)
-    return FemSystem(K=sp.csr_matrix(np.diag(k_diag)),
-                     M=sp.csr_matrix(np.diag(m_diag)),
-                     free_dofs=np.arange(n))
+    return pencil(np.diag(k_diag), np.diag(m_diag))
 
 
 def subspace_dist_a(x, y, k):
@@ -137,7 +137,7 @@ class TestClusterGuesses:
 
 
 class TestComputeShifts:
-    """The shifts ritz_step derives: one per cluster, the mean of its
+    """The shifts a block derives: one per cluster, the mean of its
     Ritz values. A diagonal pencil with the unit vectors as half-steps
     has exactly the diagonal as its Ritz values."""
 
@@ -171,47 +171,59 @@ class TestComputeShifts:
                 assert blk.shifts[i] == values[sl].mean()
         assert min(sizes) == 1 and max(sizes) >= 3
 
+    def test_block_derives_layout_and_shifts_from_its_values(self):
+        values = np.array([19.74, 49.3, 49.5, 78.96])
+        blk = OrbitalBlock(np.eye(4), values)
+        assert blk.layout == cluster_guesses(values)
+        assert blk.layout.d == (1, 2, 1)
+        assert blk.shifts.tolist() == [19.74, values[1:3].mean(), 78.96]
+        # replacing the vectors derives the same layout and shifts again
+        moved = replace(blk, vectors=2.0 * np.eye(4))
+        assert moved.layout == blk.layout
+        assert np.array_equal(moved.shifts, blk.shifts)
+        with pytest.raises(ParoError, match="ascending"):
+            OrbitalBlock(np.eye(2), np.array([2.0, 1.0]))
+        with pytest.raises(ParoError, match="expected 4 vectors"):
+            OrbitalBlock(np.eye(3, 4), values)
+
+
+# a singleton cluster's shift is its own Ritz value, which orbital_update
+# moves off it by this factor so the shifted operator is not singular
+NUDGED = 1.0 - 1e-10
+
 
 class TestOrbitalUpdate:
     def test_exact_eigenvector_half_shift(self):
         # shift = lambda/2: half-step = (shift/(lambda-shift)) u = u
         sys = diag_system([2.0, 5.0])
-        lay = ClusterLayout((1,))
-        blk = OrbitalBlock(layout=lay, vectors=np.array([[1.0, 0.0]]),
-                           ritz_values=np.array([2.0]),
-                           shifts=np.array([1.0]))
+        blk = OrbitalBlock(np.array([[1.0, 0.0]]), np.array([1.0]))
         hs = orbital_update(sys, blk)
-        assert_allclose(hs[0], [1.0, 0.0], atol=1e-10)
+        s = NUDGED
+        assert_allclose(hs[0], [s / (2.0 - s), 0.0], rtol=1e-10, atol=0.0)
+        assert_allclose(hs[0], [1.0, 0.0], atol=1e-9)
 
     def test_exact_eigenvector_close_shift_amplifies(self):
         # shift = 0.95*lambda: half-step = 19 u, direction unchanged
         sys = diag_system([2.0, 5.0])
-        lay = ClusterLayout((1,))
-        blk = OrbitalBlock(layout=lay, vectors=np.array([[1.0, 0.0]]),
-                           ritz_values=np.array([2.0]),
-                           shifts=np.array([1.9]))
+        blk = OrbitalBlock(np.array([[1.0, 0.0]]), np.array([1.9]))
         hs = orbital_update(sys, blk)
         assert_allclose(hs[0], [19.0, 0.0], rtol=1e-8, atol=1e-8)
 
     def test_two_dof_hand_oracle(self):
-        # (K - 2.1 I) x = 2.1 u, u = [1,1]/sqrt2, K = diag(2,5):
-        # x = 2.1 * [1/(2-2.1), 1/(5-2.1)] / sqrt2
+        # (K - s I) x = s u, u = [1,1]/sqrt2, K = diag(2,5):
+        # x = s * [1/(2-s), 1/(5-s)] / sqrt2 for the shift s ~ 2.1
         sys = diag_system([2.0, 5.0])
-        lay = ClusterLayout((1,))
-        blk = OrbitalBlock(layout=lay,
-                           vectors=np.array([[1.0, 1.0]]) / np.sqrt(2.0),
-                           ritz_values=np.array([3.5]),
-                           shifts=np.array([2.1]))
+        blk = OrbitalBlock(np.array([[1.0, 1.0]]) / np.sqrt(2.0),
+                           np.array([2.1]))
         hs = orbital_update(sys, blk)
-        expect = 2.1 * np.array([1.0 / -0.1, 1.0 / 2.9]) / np.sqrt(2.0)
+        s = 2.1 * NUDGED
+        expect = s * np.array([1.0 / (2.0 - s), 1.0 / (5.0 - s)])
+        expect /= np.sqrt(2.0)
         assert_allclose(hs[0], expect, rtol=1e-9)
 
     def test_zero_rhs_is_degenerate(self):
         sys = diag_system([2.0, 5.0])
-        lay = ClusterLayout((1,))
-        blk = OrbitalBlock(layout=lay, vectors=np.zeros((1, 2)),
-                           ritz_values=np.array([2.0]),
-                           shifts=np.array([1.0]))
+        blk = OrbitalBlock(np.zeros((1, 2)), np.array([1.0]))
         with pytest.raises(ParoError, match="zero right-hand side"):
             orbital_update(sys, blk)
 
@@ -226,10 +238,8 @@ class TestOrbitalUpdate:
 
         monkeypatch.setattr(paro_mod, "minres_solve", recording)
         sys = diag_system([2.0, 5.0, 5.05, 9.0])
-        lay = ClusterLayout((1, 2))
-        blk = OrbitalBlock(layout=lay, vectors=np.eye(4)[:3] + 0.1,
-                           ritz_values=np.array([2.1, 5.1, 5.2]),
-                           shifts=np.array([2.05, 5.15]))
+        blk = OrbitalBlock(np.eye(4)[:3] + 0.1, np.array([2.1, 5.1, 5.2]))
+        assert blk.layout.d == (1, 2)
         hs = orbital_update(sys, blk)
         # one block call of three rows, the two of the second cluster on
         # one operator
@@ -238,10 +248,10 @@ class TestOrbitalUpdate:
         assert len(ops) == 3 and len({id(op) for op in ops}) == 2
         assert ops[1] is ops[2]
         k = np.diag([2.0, 5.0, 5.05, 9.0])
-        for op, shift in zip(ops[:2], [2.05, 5.15]):
+        for op, shift in zip(ops[:2], [2.1 * NUDGED, 5.15]):
             assert isinstance(op, sp.csr_matrix)
             assert_allclose(op.toarray(), k - shift * np.eye(4), atol=0.0)
-        for flat, shift in enumerate([2.05, 5.15, 5.15]):
+        for flat, shift in enumerate([2.1 * NUDGED, 5.15, 5.15]):
             expect = np.linalg.solve(k - shift * np.eye(4),
                                      shift * blk.vectors[flat])
             assert_allclose(hs[flat], expect, rtol=1e-9)
@@ -261,15 +271,13 @@ class TestOrbitalUpdate:
                 return apply
 
         sys = diag_system([2.0, 5.0, 5.05, 9.0])
-        blk = OrbitalBlock(layout=ClusterLayout((1, 2, 1)),
-                           vectors=np.eye(4) + 0.1,
-                           ritz_values=np.array([2.1, 5.1, 5.2, 8.9]),
-                           shifts=np.array([2.05, 5.15, 8.95]))
+        blk = OrbitalBlock(np.eye(4) + 0.1, np.array([2.1, 5.1, 5.2, 8.9]))
+        assert blk.layout.d == (1, 2, 1)
         hs = orbital_update(sys, blk, Recording())
         # one block preconditioner per sweep, with each orbital's cluster
         # shift; the first application covers every row, later ones the
         # rows still running
-        shifts = [2.05, 5.15, 5.15, 8.95]
+        shifts = [2.1 * NUDGED, 5.15, 5.15, 8.9 * NUDGED]
         assert built == [shifts]
         assert used[0] == [0, 1, 2, 3]
         assert all(rows == sorted(set(rows) & set(prev))

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from helpers import pencil
 from paroeig import paro
-from paroeig.assembly import (Coefficients, FemSystem, assemble,
-                               element_matrices)
+from paroeig.assembly import Coefficients, assemble, element_matrices
 from paroeig.linalg import dense_sym_gen_eig
 from paroeig.mesh import build_initial_mesh, uniform_refine
 from paroeig.verify import (
+    ReferencePairs,
     VerifyError,
     analytic_spectrum,
     dist_a,
@@ -28,16 +28,13 @@ IDENTITY = Coefficients.identity()
 def diag_system(k_diag, m_diag=None):
     n = len(k_diag)
     m_diag = np.ones(n) if m_diag is None else np.asarray(m_diag)
-    return FemSystem(K=sp.csr_matrix(np.diag(k_diag)),
-                     M=sp.csr_matrix(np.diag(m_diag)),
-                     free_dofs=np.arange(n))
+    return pencil(np.diag(k_diag), np.diag(m_diag))
 
 
 def dense_system(rng, n):
     a = rng.standard_normal((n, n))
     k = a @ a.T + n * np.eye(n)
-    return FemSystem(K=sp.csr_matrix(k), M=sp.identity(n, format="csr"),
-                     free_dofs=np.arange(n))
+    return pencil(k, np.eye(n))
 
 
 @pytest.fixture(scope="module")
@@ -233,33 +230,27 @@ class TestFitRate:
 
 
 class TestQuasiOrthogonality:
-    def layout6(self):
-        return paro.ClusterLayout((1, 2, 1, 2))
-
-    def block_from(self, vectors, values, layout):
-        shifts = np.array([values[sl].mean()
-                           for sl in layout.cluster_slices()])
-        return paro.OrbitalBlock(layout=layout, vectors=vectors,
-                                 ritz_values=values, shifts=shifts)
+    def block_from(self, vectors, values):
+        block = paro.OrbitalBlock(vectors, values)
+        assert block.layout.d == (1, 2, 1, 2)
+        return block
 
     def test_identical_block_reports_zeros(self, sq6):
         _, system, ref = sq6
-        layout = self.layout6()
-        block = self.block_from(ref.vectors, ref.eigenvalues, layout)
-        for rep in quasi_orthogonality_report(system, block, ref, layout):
+        block = self.block_from(ref.vectors, ref.eigenvalues)
+        for rep in quasi_orthogonality_report(system, block, ref):
             assert rep.dist <= 1e-9
             assert rep.max_gap <= 1e-9
             assert rep.bound_ok
 
     def test_internal_rotation_leaves_distance_zero(self, sq6):
         _, system, ref = sq6
-        layout = self.layout6()
         th = np.pi / 6
         q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         vecs = ref.vectors.copy()
         vecs[1:3] = q @ vecs[1:3]
-        block = self.block_from(vecs, ref.eigenvalues.copy(), layout)
-        reps = quasi_orthogonality_report(system, block, ref, layout)
+        block = self.block_from(vecs, ref.eigenvalues.copy())
+        reps = quasi_orthogonality_report(system, block, ref)
         assert reps[1].dist <= 1e-9
         assert reps[1].max_gap == 0.0
         assert reps[1].bound_ok
@@ -276,19 +267,17 @@ class TestQuasiOrthogonality:
         out, _, _ = paro.paro_inner_loop(
             system, paro.initial_block(system, starts),
             1e-10, 60)
-        reps = quasi_orthogonality_report(system, out, ref, out.layout)
+        reps = quasi_orthogonality_report(system, out, ref)
         assert [rep.dim for rep in reps] == [1, 2, 1, 2]
         for rep in reps:
             assert rep.bound_ok
 
     def test_dimension_mismatch_rejected(self, sq6):
         _, system, ref = sq6
-        layout = paro.ClusterLayout((2,))
-        block = self.block_from(ref.vectors[:2], ref.eigenvalues[:2],
-                                layout)
-        with pytest.raises(VerifyError, match="layout"):
-            quasi_orthogonality_report(system, block, ref,
-                                       paro.ClusterLayout((7,)))
+        block = self.block_from(ref.vectors, ref.eigenvalues)
+        fewer = ReferencePairs(ref.eigenvalues[:5], ref.vectors[:5])
+        with pytest.raises(VerifyError, match="6 orbitals"):
+            quasi_orthogonality_report(system, block, fewer)
 
 
 class TestGalerkinGap:
