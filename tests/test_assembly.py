@@ -792,6 +792,8 @@ KERNEL_CASES = [
 class TestKernels:
     @settings(max_examples=30, deadline=None)
     @example(case=0, picks=[])
+    # right angles on the signed-zero mesh: K stores exact zeros
+    @example(case=5, picks=[[0], [0], [0], [0, 1]])
     @given(case=st.sampled_from(range(len(KERNEL_CASES))),
            picks=st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1,
                                    max_size=6), max_size=5))
@@ -807,7 +809,11 @@ class TestKernels:
         ke, k_ref, m_ref = einsum_system(m, data, grads)
         assert element_matrices(m, coeffs, data)[0].tobytes() == ke.tobytes()
         system = assemble(m, coeffs, data=data)
-        assert_same_pencil_matrix(system.K, k_ref)
+        # K stores its exact zeros on M's pattern; the dense reference
+        # stores no zero
+        assert np.array_equal(system.K.indptr, system.M.indptr)
+        assert np.array_equal(system.K.indices, system.M.indices)
+        assert_same_pencil_matrix(without_zeros(system.K), k_ref)
         assert_same_pencil_matrix(system.M, m_ref)
         reference = ElementData(m, coeffs)
         reference.grads = grads
