@@ -1,16 +1,18 @@
 """Outer adaptive loop: solve, estimate, mark, refine, transfer.
 
-One refinement level runs the orbital inner iteration on the current
-mesh, evaluates the residual indicators, marks a minimal bulk of
-elements, bisects them, and carries the orbitals (free-dof vectors) to
-the finer mesh with the refinement's nodal prolongation restricted to
-the free dofs, which the preconditioner reads too. Per-triangle data
-(assembly.ElementData) is built on the first mesh and extended after
-every refinement, so each triangle's coefficients are sampled once in
-the run; the level's assembly and its estimates read it, and each
-estimate builds its linear maps from it afresh. The
-loop stops when the relative eigenvalue movement between consecutive
-meshes (delta1) falls under tol1 or the refinement budget is spent.
+Each refinement level runs on one Level: the mesh's per-triangle data
+(assembly.ElementData, which holds the mesh and the coefficients), its
+pencil and its preconditioner. The loop runs the orbital inner iteration
+on it, evaluates the residual indicators and marks a minimal bulk of
+elements; Level.refine bisects them into the next level and forms the
+nodal prolongation between the two meshes' free dofs, which extends the
+preconditioner and carries the orbitals (free-dof vectors). The
+ElementData is built on the first mesh and extended after every
+refinement, so each triangle's coefficients are sampled once in the run;
+the level's assembly and its estimates read it, and each estimate builds
+its linear maps from it afresh. The loop stops when the relative
+eigenvalue movement between consecutive meshes (delta1) falls under tol1
+or the refinement budget is spent.
 
 The inner iteration does not need to outrun the discretization error.
 With budget_factor set, each level stops its sweeps once delta2 falls
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import mesh as mesh_mod
 from ._checks import count, real
-from .assembly import ElementData, assemble
+from .assembly import ElementData, FemSystem, assemble
 from .estimator import estimate
 from .linalg import b_orthonormalize, dense_sym_gen_eig, gram, minres_solve
 from .multilevel import MultilevelPreconditioner
@@ -215,16 +217,47 @@ def transfer_block(fine_sys, prolong, block):
     return replace(block, vectors=vecs)
 
 
+@dataclass(frozen=True)
+class Level:
+    """One mesh of an adaptive run: its ElementData (which holds the mesh
+    and the coefficients), its FemSystem and its preconditioner."""
+    data: ElementData
+    system: FemSystem
+    precond: MultilevelPreconditioner
+
+    @property
+    def mesh(self):
+        return self.data.mesh
+
+    @classmethod
+    def first(cls, mesh, coeffs):
+        data = ElementData(mesh, coeffs)
+        system = assemble(mesh, coeffs, data=data)
+        return cls(data, system, MultilevelPreconditioner(mesh, system))
+
+    def refine(self, marked):
+        """(next Level, prolong) after bisecting the marked triangles;
+        prolong is the refinement's nodal prolongation restricted to the
+        free dofs of both meshes."""
+        fine, rmap = mesh_mod.refine(self.mesh, marked)
+        data = self.data.extend(rmap, fine)
+        system = assemble(fine, data.coeffs, data=data)
+        prolong = rmap.prolongation[system.free_dofs][
+            :, self.system.free_dofs]
+        precond = self.precond.extend(prolong, fine, system)
+        return Level(data, system, precond), prolong
+
+    def estimate(self, block):
+        return estimate(self.mesh, self.data.coeffs, block, data=self.data)
+
+
 def _effective_tol2(config, block, eta_sq):
     """Inner stop matched to the estimator level eta_sq; eta_sq is read
     only when config.budget_factor is set."""
-    if config.budget_factor is None:
-        return config.tol2
     lam_sum = float(np.abs(block.ritz_values).sum())
-    if lam_sum == 0.0:
+    if config.budget_factor is None or lam_sum == 0.0:
         return config.tol2
-    floor = config.budget_factor * eta_sq / lam_sum
-    return max(config.tol2, floor)
+    return max(config.tol2, config.budget_factor * eta_sq / lam_sum)
 
 
 def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
@@ -242,10 +275,10 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
         threads: accepted and ignored; the orbital solves of a sweep
             run as one block MINRES call. Kept only because the
             benchmark passes it.
-        observer: optional callable (level, mesh, system, block,
-            indicators, data) invoked once per level, after the inner
-            loop; data is the mesh's ElementData, for estimates on the
-            same mesh that should not sample the coefficients again.
+        observer: optional callable (n, level, block, indicators)
+            invoked once per refinement level n, after the inner loop;
+            level is the Level the block was solved on, whose estimate
+            reuses its ElementData.
 
     Returns:
         (records, final_block, final_mesh); one RunRecord per level.
@@ -256,67 +289,48 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
         raise AdaptError(f"config must be an AdaptConfig, got {config!r}")
     t0 = time.perf_counter()
     if isinstance(domain, str):
-        current, _ = mesh_mod.uniform_refine(
+        domain, _ = mesh_mod.uniform_refine(
             mesh_mod.build_initial_mesh(domain), config.initial_passes)
-    else:
-        current = domain
-    records = []
-    block = None
-    system = None
-    eta_sq = None
-    for level in range(config.max_refinements + 1):
+    records, eta_sq = [], None
+    for n in range(config.max_refinements + 1):
         try:
-            if system is None:
-                data = ElementData(current, coeffs)
-                system = assemble(current, coeffs, data=data)
-                precond = MultilevelPreconditioner(current, system)
-            if system.n_dofs < n_orbitals:
-                raise AdaptError(
-                    f"mesh has {system.n_dofs} free dofs for "
-                    f"{n_orbitals} orbitals; refine the initial mesh",
-                    records=records)
-            if block is None:
-                block = initial_block(
-                    system, default_seed_vectors(system, n_orbitals,
-                                                 seed=seed, precond=precond))
-            if eta_sq is None and config.budget_factor is not None:
-                # level 0 has no previous estimate to match
-                eta_sq = estimate(current, coeffs, block,
-                                  data=data).global_sq
+            if n == 0:
+                level = Level.first(domain, coeffs)
+                if level.system.n_dofs < n_orbitals:
+                    raise AdaptError(
+                        f"mesh has {level.system.n_dofs} free dofs for "
+                        f"{n_orbitals} orbitals; refine the initial mesh")
+                block = initial_block(level.system, default_seed_vectors(
+                    level.system, n_orbitals, seed, level.precond))
+                if config.budget_factor is not None:
+                    # level 0 has no previous estimate to match
+                    eta_sq = level.estimate(block).global_sq
             tol2 = _effective_tol2(config, block, eta_sq)
-            block, m_used, _ = paro_inner_loop(system, block, tol2,
-                                               config.max_inner, precond)
-            indicators = estimate(current, coeffs, block, data=data)
+            block, m_used, _ = paro_inner_loop(
+                level.system, block, tol2, config.max_inner, level.precond)
+            indicators = level.estimate(block)
             eta_sq = indicators.global_sq
             wall = time.perf_counter() - t0
             if observer is not None:
-                observer(level, current, system, block, indicators, data)
+                observer(n, level, block, indicators)
             t0 = time.perf_counter()
-            d1 = (np.inf if not records
-                  else relative_change(block.ritz_values,
-                                       records[-1].ritz_values,
-                                       block.ritz_values))
+            d1 = np.inf if not records else relative_change(
+                block.ritz_values, records[-1].ritz_values, block.ritz_values)
             records.append(RunRecord(
-                n=level, n_dofs=system.n_dofs,
+                n=n, n_dofs=level.system.n_dofs,
                 ritz_values=block.ritz_values.copy(),
                 global_estimator_sq=indicators.global_sq,
                 m_used=m_used, delta1=d1, wall_time=wall))
-            if d1 <= config.tol1 or level == config.max_refinements:
+            if d1 <= config.tol1 or n == config.max_refinements:
                 break
             marked = dorfler_mark(indicators, config.theta)
             if marked.size == 0:
                 break
-            fine, rmap = mesh_mod.refine(current, marked)
-            data = data.extend(rmap, fine)
-            fine_sys = assemble(fine, coeffs, data=data)
-            prolong = rmap.prolongation[fine_sys.free_dofs][
-                :, system.free_dofs]
-            block = transfer_block(fine_sys, prolong, block)
-            precond = precond.extend(prolong, fine, fine_sys)
-            current, system = fine, fine_sys
+            level, prolong = level.refine(marked)
+            block = transfer_block(level.system, prolong, block)
         except AdaptError:
             raise
         except Exception as exc:
-            raise AdaptError(f"refinement level {level} failed: {exc}",
+            raise AdaptError(f"refinement level {n} failed: {exc}",
                              records=records) from exc
-    return records, block, current
+    return records, block, level.mesh

@@ -22,7 +22,7 @@ import numpy as np
 from . import mesh as mesh_mod
 from .adapt import AdaptConfig, AdaptError, adaptive_solve, records_to_csv
 from .assembly import AssemblyError, Coefficients
-from .estimator import EstimatorError, estimate
+from .estimator import EstimatorError
 from .linalg import LinAlgError
 from .mesh import MeshError
 from .paro import ParoError, initial_block
@@ -97,13 +97,15 @@ def parse_config(text):
     return RunConfig(**values)
 
 
-def load_config(path):
+def load_config(path, out_dir=None):
+    """The RunConfig in the file at path; out_dir replaces its own."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text)
+    config = parse_config(text)
+    return config if out_dir is None else replace(config, out_dir=out_dir)
 
 
 def _variable_case():
@@ -138,12 +140,6 @@ def build_adapt_config(config):
     keys = {f.name: getattr(config, f.name) for f in fields(AdaptConfig)}
     return AdaptConfig(**dict(keys, budget_factor=keys["budget_factor"]
                               or None))
-
-
-def _apply_overrides(config, out_dir):
-    if out_dir is not None:
-        config = replace(config, out_dir=out_dir)
-    return config
 
 
 def _orbitals_text(block):
@@ -183,7 +179,7 @@ def _summary_line(records, block):
 def cmd_run(config_path, out_dir=None):
     """Adaptive solve from a config file; exit 0 on convergence, 2 when
     max_refinements ran out first."""
-    config = _apply_overrides(load_config(config_path), out_dir)
+    config = load_config(config_path, out_dir)
     coeffs = build_coefficients(config)
     _make_out_dir(config.out_dir)
     records, block, final_mesh = adaptive_solve(
@@ -210,7 +206,7 @@ def cmd_verify(config_path, out_dir=None):
     cluster layout may change between levels, so the N dist_a columns
     of a level with q < N clusters end in N - q empty cells.
     """
-    config = _apply_overrides(load_config(config_path), out_dir)
+    config = load_config(config_path, out_dir)
     coeffs = build_coefficients(config)
     _make_out_dir(config.out_dir)
     n = config.n_orbitals
@@ -219,20 +215,19 @@ def cmd_verify(config_path, out_dir=None):
                       + [f"gap_{j}" for j in range(n)] + ["eta_ratio"])]
     last = {}
 
-    def observer(level, current, system, block, indicators, data):
-        ref = reference_eig(system, n)
-        dists = [dist_a(system, block.vectors[s], ref.vectors[s])
+    def observer(n_level, level, block, indicators):
+        ref = reference_eig(level.system, n)
+        dists = [dist_a(level.system, block.vectors[s], ref.vectors[s])
                  for s in block.layout.cluster_slices()]
         gaps = list(block.ritz_values - ref.eigenvalues)
-        ref_block = initial_block(system, ref.vectors)
-        eta_ref_sq = estimate(current, coeffs, ref_block,
-                              data=data).global_sq
+        eta_ref_sq = level.estimate(initial_block(level.system,
+                                                  ref.vectors)).global_sq
         ratio = float(np.sqrt(indicators.global_sq / eta_ref_sq))
         lines.append(",".join(
-            [str(level), str(system.n_dofs), str(len(dists))]
+            [str(n_level), str(level.system.n_dofs), str(len(dists))]
             + [repr(float(v)) for v in dists] + [""] * (n - len(dists))
             + [repr(float(v)) for v in gaps + [ratio]]))
-        last.update(system=system, block=block, ref=ref, dists=dists,
+        last.update(system=level.system, block=block, ref=ref, dists=dists,
                     ratio=ratio)
 
     records, block, _ = adaptive_solve(

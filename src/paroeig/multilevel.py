@@ -35,7 +35,7 @@ block callable, shifted(shifts), is the only way to apply B.
 The hierarchy follows the refinement: each refine() call appends the
 midpoints of the edges it bisects, and P_l is built from the nodal
 prolongation its RefineMap carries, restricted to the free dofs of both
-meshes: the matrix the adaptive loop also moves the orbitals with.
+meshes; adapt.Level.refine forms it once, for extend() and the orbitals.
 Consecutive refinements are merged into one level until its vertex
 count has doubled, which keeps the number of levels (Python calls per
 application) logarithmic in the mesh size.

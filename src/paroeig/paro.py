@@ -2,7 +2,8 @@
 
 One inner sweep on a fixed mesh does, in order:
   1. group the current Ritz values into clusters (relative-gap rule),
-  2. pick one shift per cluster (arithmetic mean of the cluster),
+  2. pick one shift per cluster, its mean, times (1 - 1e-10) for every
+     singleton and for larger clusters whose members agree to ~1e-12,
   3. for every orbital u solve (K - shift*M) x = shift*M u; the N solves
      are independent and run together, as one block MINRES call whose
      rows share each step's V-cycle,
@@ -133,8 +134,10 @@ def cluster_guesses(values):
 
 
 def _safe_shift(shift, ritz_values):
-    """Nudge a shift that collides with a Ritz value to machine distance;
-    an exactly singular operator would make MINRES directionless."""
+    """shift * (1 - 1e-10) if within 1e-12 relative of a Ritz value, where
+    K - shift*M is singular to rounding: always for a singleton cluster,
+    whose shift is its own Ritz value, and for a larger one only when its
+    members agree to about 1e-12, as exact doubles on symmetric meshes do."""
     if np.min(np.abs(shift - ritz_values)) < 1e-12 * abs(shift):
         return shift * (1.0 - 1e-10)
     return shift

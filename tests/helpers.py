@@ -1,13 +1,17 @@
-"""Checks, pencils and mesh measures that only the tests read.
+"""Checks, pencils, meshes and mesh measures that only the tests read.
 
 check_block validates an orbital block's post-Ritz invariants; pencil
-builds a FemSystem from hand-written matrices; the mesh functions
-measure shape regularity and walk a refinement's children.
+builds a FemSystem from hand-written matrices; marks and rounds are the
+hypothesis strategies that refined() turns into small bisected meshes;
+the mesh functions evaluate P1 functions, measure shape regularity and
+walk a refinement's children.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
+from paroeig import mesh as pm
 from paroeig.assembly import FemSystem
 from paroeig.linalg import gram
 from paroeig.paro import ParoError
@@ -45,6 +49,35 @@ def check_block(sys, block, tol=1e-8):
         if not (lo - pad <= block.shifts[i] <= hi + pad):
             raise ParoError(f"shift {i} outside its cluster interval")
     return dev
+
+
+MESH8 = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 2)[0]
+
+# marks that refine MESH8 up to three times: small meshes, many shapes
+marks = st.lists(st.sampled_from(range(8)), max_size=12)
+rounds = st.integers(0, 3)
+
+
+def refined(marks, rounds):
+    m = MESH8
+    for _ in range(rounds):
+        m, _ = pm.refine(m, [t % m.n_triangles for t in marks])
+    return m
+
+
+def p1_evaluate(mesh, u, points):
+    """Evaluate the P1 function with vertex values u at each point, in
+    the triangle where the point's smallest barycentric coordinate is
+    largest (a containing one)."""
+    p = mesh.vertices[mesh.triangles]                     # (nt, 3, 2)
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    rel = points[:, None, :] - p[None, :, 0]              # (n, nt, 2)
+    l12 = np.einsum("tij,ntj->nti", np.linalg.inv(jac), rel)
+    lam = np.concatenate([1.0 - l12.sum(axis=2, keepdims=True), l12], 2)
+    best = lam.min(axis=2).argmax(axis=1)
+    rows = np.arange(len(points))
+    assert np.all(lam[rows, best].min(axis=1) > -1e-12)
+    return (lam[rows, best] * u[mesh.triangles[best]]).sum(axis=1)
 
 
 def descendants(refine_map, tri_ids):

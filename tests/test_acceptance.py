@@ -237,7 +237,7 @@ def test_bisection_stays_conforming_with_bounded_shape_classes():
                       initial_passes=2,
                       tol2=1e-10, max_inner=40)
     adaptive_solve("l_shape", LAPLACE, 1, cfg,
-                   observer=lambda lv, m, s, b, i, d: seen.append(m))
+                   observer=lambda n, level, b, i: seen.append(level.mesh))
     assert len(seen) == 11
     classes = 0
     for m in seen:

@@ -4,12 +4,15 @@ import time
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from numpy.testing import assert_allclose, assert_array_equal
 
+from helpers import marks, p1_evaluate, refined, rounds
 from paroeig import adapt, estimator, mesh, multilevel, paro, verify
 from paroeig.adapt import (
     AdaptConfig,
     AdaptError,
+    Level,
     RunRecord,
     adaptive_solve,
     default_seed_vectors,
@@ -17,12 +20,15 @@ from paroeig.adapt import (
     records_to_csv,
     transfer_block,
 )
-from paroeig.assembly import Coefficients, assemble
+from paroeig.assembly import Coefficients, ElementData, assemble
 from paroeig.estimator import Indicators
 from paroeig.linalg import gram
 from paroeig.paro import initial_block, relative_change
 
 IDENTITY = Coefficients.identity()
+VARIABLE = Coefficients(
+    lambda x, y: (2.0 + np.sin(3.0 * x))[:, None, None] * np.eye(2),
+    lambda x, y: x * x + y * y)
 
 
 def make_indicators(values):
@@ -171,27 +177,87 @@ class TestDelta1:
 
 class TestTransferBlock:
     def test_nested_transfer_preserves_span_and_values(self):
-        coarse, _ = mesh.uniform_refine(
+        start, _ = mesh.uniform_refine(
             mesh.build_initial_mesh("unit_square"), 4)
-        coarse_sys = assemble(coarse, IDENTITY)
-        ref = verify.reference_eig(coarse_sys, 3)
-        block = initial_block(coarse_sys, ref.vectors)
-        fine, rmap = mesh.refine(coarse, np.arange(coarse.n_triangles))
-        fine_sys = assemble(fine, IDENTITY)
-        prolong = rmap.prolongation[fine_sys.free_dofs][
-            :, coarse_sys.free_dofs]
-        moved = transfer_block(fine_sys, prolong, block)
+        coarse = Level.first(start, IDENTITY)
+        ref = verify.reference_eig(coarse.system, 3)
+        block = initial_block(coarse.system, ref.vectors)
+        fine, prolong = coarse.refine(np.arange(start.n_triangles))
+        moved = transfer_block(fine.system, prolong, block)
         assert np.array_equal(moved.ritz_values, block.ritz_values)
         assert moved.layout == block.layout
         assert np.array_equal(moved.shifts, block.shifts)
-        g = gram(moved.vectors, fine_sys.M)
+        g = gram(moved.vectors, fine.system.M)
         assert np.allclose(g, np.eye(3), atol=1e-12)
-        # interpolate on all vertices, with zeros on the boundary
-        full = np.zeros((coarse.n_vertices, block.n))
-        full[coarse_sys.free_dofs] = block.vectors.T
-        manual = mesh.interpolate(coarse, fine, rmap, full)
-        manual = manual[fine_sys.free_dofs].T
-        assert verify.dist_a(fine_sys, manual, moved.vectors) <= 1e-9
+        # the coarse P1 functions, zero on the boundary, at the fine
+        # free vertices
+        full = np.zeros((start.n_vertices, block.n))
+        full[coarse.system.free_dofs] = block.vectors.T
+        points = fine.mesh.vertices[fine.system.free_dofs]
+        manual = np.array([p1_evaluate(start, u, points) for u in full.T])
+        assert verify.dist_a(fine.system, manual, moved.vectors) <= 1e-9
+
+
+class TestLevel:
+    @settings(max_examples=20, deadline=None)
+    @given(marks, rounds, marks)
+    def test_refine_matches_a_fresh_build(self, start, passes, picks):
+        """The next Level holds what a fresh build of the refined mesh
+        holds, bit for bit, and prolong is the RefineMap's prolongation
+        restricted to both free-dof sets, which extends the
+        preconditioner."""
+        coarse = Level.first(refined(start, passes), VARIABLE)
+        marked = [t % coarse.mesh.n_triangles for t in picks]
+        fine, prolong = coarse.refine(marked)
+        fine_mesh, rmap = mesh.refine(coarse.mesh, marked)
+        assert_array_equal(fine.mesh.vertices, fine_mesh.vertices)
+        assert_array_equal(fine.mesh.triangles, fine_mesh.triangles)
+        fresh = assemble(fine_mesh, VARIABLE)
+        assert_array_equal(fine.system.free_dofs, fresh.free_dofs)
+        for name in ("K", "M"):
+            got, want = getattr(fine.system, name), getattr(fresh, name)
+            for part in ("indptr", "indices", "data"):
+                assert (getattr(got, part).tobytes()
+                        == getattr(want, part).tobytes()), (name, part)
+        data = ElementData(fine_mesh, VARIABLE)
+        for name in ElementData._FIELDS:
+            got, want = getattr(fine.data, name), getattr(data, name)
+            assert (got is None if want is None
+                    else got.tobytes() == want.tobytes()), name
+        want = rmap.prolongation[fresh.free_dofs][:, coarse.system.free_dofs]
+        assert prolong.shape == want.shape
+        assert (prolong != want).nnz == 0
+        # the preconditioner is extended with it: B(0) column by column
+        eye, rows = np.eye(fresh.n_dofs), np.zeros(fresh.n_dofs, dtype=int)
+        extended = coarse.precond.extend(want, fine_mesh, fresh)
+        assert_array_equal(fine.precond.shifted([0.0])(eye, rows),
+                           extended.shifted([0.0])(eye, rows))
+
+    def test_observer_receives_each_level(self, monkeypatch):
+        """One call per record, on the Level the record describes, whose
+        preconditioner is the one the inner loop ran with."""
+        used = []
+        real = adapt.paro_inner_loop
+
+        def recording(system, block, tol2, max_inner, precond):
+            used.append(precond)
+            return real(system, block, tol2, max_inner, precond)
+
+        monkeypatch.setattr(adapt, "paro_inner_loop", recording)
+        calls = []
+        cfg = AdaptConfig(tol1=1e-12, max_refinements=4, initial_passes=2)
+        records, block, final = adaptive_solve(
+            "l_shape", IDENTITY, 1, cfg,
+            observer=lambda *args: calls.append(args))
+        assert len(records) == 5
+        assert [c[0] for c in calls] == [r.n for r in records]
+        for (n, level, _, indicators), precond in zip(calls, used,
+                                                      strict=True):
+            assert level.system.n_dofs == records[n].n_dofs
+            assert level.precond is precond
+            assert indicators.global_sq == records[n].global_estimator_sq
+        assert calls[-1][1].mesh is final
+        assert calls[-1][2] is block
 
 
 class TestAdaptiveSolve:
@@ -312,7 +378,7 @@ class TestAdaptiveSolve:
                 patch.setattr(paro, "minres_solve", counting)
                 records, block, final = adaptive_solve(
                     domain, IDENTITY, n_orbitals, cfg, seed=seed,
-                    observer=lambda lv, m, s, b, *_:
+                    observer=lambda n, level, b, _:
                         layouts.append(b.layout.d))
             ref = verify.reference_eig(assemble(final, IDENTITY),
                                        n_orbitals)

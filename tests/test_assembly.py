@@ -571,8 +571,9 @@ class TestElementData:
         meshes = []
         config = adapt.AdaptConfig(max_refinements=3, initial_passes=2,
                                    budget_factor=1.0, tol1=1e-14)
-        adapt.adaptive_solve("l_shape", coeffs, 2, config,
-                             observer=lambda lvl, m, *_: meshes.append(m))
+        adapt.adaptive_solve(
+            "l_shape", coeffs, 2, config,
+            observer=lambda n, level, *_: meshes.append(level.mesh))
         assert len(meshes) == 4
         sampled = [meshes[0].n_triangles] + [
             len(new_triangles(coarse, fine))

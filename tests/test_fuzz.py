@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from helpers import pencil
+from helpers import MESH8, marks, pencil, refined, rounds
 from paroeig import cli
 from paroeig import mesh as pm
 from paroeig.adapt import AdaptConfig, AdaptError
@@ -37,7 +37,6 @@ ERRORS = (AdaptError, AssemblyError, CliError, EstimatorError, LinAlgError,
           MeshError, ParoError, VerifyError)
 FUZZ = settings(max_examples=40, deadline=None)
 
-MESH8 = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 2)[0]
 SYSTEM = pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
 
 # one value of any kind an argument might be given
@@ -129,18 +128,6 @@ def test_refine_marks(marked):
 @given(st.one_of(at_most(3), st.integers(-5, 3)))
 def test_uniform_refine_passes(passes):
     returns_or_raises_own(pm.uniform_refine, MESH8, passes)
-
-
-# marks that refine MESH8 up to three times: small meshes, many shapes
-marks = st.lists(st.sampled_from(range(8)), max_size=12)
-rounds = st.integers(0, 3)
-
-
-def refined(marks, rounds):
-    m = MESH8
-    for _ in range(rounds):
-        m, _ = pm.refine(m, [t % m.n_triangles for t in marks])
-    return m
 
 
 @FUZZ

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from helpers import p1_evaluate
 from paroeig import mesh as pm
-from paroeig.adapt import dorfler_mark
+from paroeig.adapt import Level, dorfler_mark
 from paroeig.assembly import Coefficients, assemble
 from paroeig.estimator import Indicators
 from paroeig.linalg import LinAlgError, minres_solve
@@ -50,18 +51,14 @@ def test_symmetric_positive_definite_on_random_hierarchies(
         seed, refinements, fraction):
     rng = np.random.default_rng(seed)
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 8)
-    system = assemble(mesh, VARIABLE)
-    assert system.n_dofs <= COARSE_DOFS
-    precond = MultilevelPreconditioner(mesh, system)
+    level = Level.first(mesh, VARIABLE)
+    assert level.system.n_dofs <= COARSE_DOFS
     for _ in range(refinements):
-        count = max(1, int(fraction * mesh.n_triangles))
-        marked = rng.choice(mesh.n_triangles, count, replace=False)
-        mesh, rmap = pm.refine(mesh, marked)
-        coarse_sys, system = system, assemble(mesh, VARIABLE)
-        precond = precond.extend(
-            free_prolongation(rmap, coarse_sys, system), mesh, system)
-    x, y = rng.standard_normal((2, system.n_dofs))
-    bx, by = apply(precond, x), apply(precond, y)
+        nt = level.mesh.n_triangles
+        level, _ = level.refine(
+            rng.choice(nt, max(1, int(fraction * nt)), replace=False))
+    x, y = rng.standard_normal((2, level.system.n_dofs))
+    bx, by = apply(level.precond, x), apply(level.precond, y)
     scale = np.linalg.norm(x) * np.linalg.norm(by) \
         + np.linalg.norm(y) * np.linalg.norm(bx)
     assert abs(x @ by - y @ bx) <= 1e-12 * scale
@@ -94,14 +91,6 @@ def textbook_v_cycle(b_coarse, levels):
     return b
 
 
-def refine_and_extend(mesh, system, precond, marked):
-    fine, rmap = pm.refine(mesh, marked)
-    fine_sys = assemble(fine, VARIABLE)
-    prolong = free_prolongation(rmap, system, fine_sys)
-    return (fine, fine_sys, precond.extend(prolong, fine, fine_sys),
-            prolong.toarray())
-
-
 @pytest.mark.parametrize("case", ["two_levels", "merged", "jacobi_coarse"])
 def test_v_cycle_matches_the_textbook_recursion(case):
     """dense(precond) is the symmetric V-cycle built from dense K, P and
@@ -111,41 +100,39 @@ def test_v_cycle_matches_the_textbook_recursion(case):
     passes = 10 if case == "jacobi_coarse" else 8
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"),
                                 passes)
-    system = assemble(mesh, VARIABLE)
-    precond = MultilevelPreconditioner(mesh, system)
-    k0 = system.K.toarray()
+    hierarchy = [Level.first(mesh, VARIABLE)]
+    k0 = hierarchy[0].system.K.toarray()
     if case == "jacobi_coarse":
-        assert system.n_dofs > COARSE_DOFS
+        assert hierarchy[0].system.n_dofs > COARSE_DOFS
         b = np.diag(1.0 / np.diag(k0))
     else:
         b = np.linalg.inv(k0)
     fractions = {"two_levels": [0.5], "merged": [0.5, 0.1, 0.6],
                  "jacobi_coarse": [0.05]}[case]
-    meshes, systems, steps = [mesh], [system], []
+    steps = []
     for fraction in fractions:
-        count = int(fraction * mesh.n_triangles)
-        mesh, system, precond, step = refine_and_extend(
-            mesh, system, precond,
-            rng.choice(mesh.n_triangles, count, replace=False))
-        meshes.append(mesh)
-        systems.append(system)
-        steps.append(step)
+        nt = hierarchy[-1].mesh.n_triangles
+        level, step = hierarchy[-1].refine(
+            rng.choice(nt, int(fraction * nt), replace=False))
+        hierarchy.append(level)
+        steps.append(step.toarray())
     if case == "merged":
         # the second refinement joins the first level, the third starts
         # a new one
-        nv = [m.n_vertices for m in meshes]
+        nv = [lv.mesh.n_vertices for lv in hierarchy]
         assert nv[1] < 2 * nv[0] <= nv[2]
         ends, steps = [0, 2, 3], [steps[1] @ steps[0], steps[2]]
     else:
         ends = [0, 1]
-    assert precond.n_levels == len(ends)
-    levels = [(systems[stop].K.toarray(), step,
-               smoothing_set(meshes[stop], systems[stop],
-                             meshes[start].n_vertices))
+    finest = hierarchy[-1]
+    assert finest.precond.n_levels == len(ends)
+    levels = [(hierarchy[stop].system.K.toarray(), step,
+               smoothing_set(hierarchy[stop].mesh, hierarchy[stop].system,
+                             hierarchy[start].mesh.n_vertices))
               for start, stop, step in zip(ends, ends[1:], steps)]
     oracle = textbook_v_cycle(b, levels)
-    assert_allclose(dense(precond, system.n_dofs), oracle, rtol=0,
-                    atol=1e-12 * np.abs(oracle).max())
+    assert_allclose(dense(finest.precond, finest.system.n_dofs), oracle,
+                    rtol=0, atol=1e-12 * np.abs(oracle).max())
 
 
 def abs_pencil_inverse(k, m, shift):
@@ -166,16 +153,14 @@ def two_level_hierarchy():
     ((K_0, M_0), (K, P, S), preconditioner), the matrices dense."""
     rng = np.random.default_rng(5)
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 8)
-    system = assemble(mesh, VARIABLE)
-    precond = MultilevelPreconditioner(mesh, system)
-    pencil = system.K.toarray(), system.M.toarray()
-    fine, fine_sys, precond, step = refine_and_extend(
-        mesh, system, precond,
+    coarse = Level.first(mesh, VARIABLE)
+    pencil = coarse.system.K.toarray(), coarse.system.M.toarray()
+    fine, step = coarse.refine(
         rng.choice(mesh.n_triangles, mesh.n_triangles // 2, replace=False))
-    assert precond.n_levels == 2
-    level = (fine_sys.K.toarray(), step,
-             smoothing_set(fine, fine_sys, mesh.n_vertices))
-    return pencil, level, precond
+    assert fine.precond.n_levels == 2
+    level = (fine.system.K.toarray(), step.toarray(),
+             smoothing_set(fine.mesh, fine.system, mesh.n_vertices))
+    return pencil, level, fine.precond
 
 
 @pytest.mark.parametrize("where", ["zero", "between", "on_eigenvalue"])
@@ -263,13 +248,12 @@ def test_positive_definite_when_stiffness_is_not_an_m_matrix():
     sheared = (np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0], [2.0, 1.0]]),
                np.array([[0, 1, 2], [0, 2, 3]]))
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh(sheared), 8)
-    system = assemble(mesh, VARIABLE)
-    precond = MultilevelPreconditioner(mesh, system)
+    level = Level.first(mesh, VARIABLE)
     for fraction in (0.6, 0.3, 0.5):
-        count = int(fraction * mesh.n_triangles)
-        mesh, system, precond, _ = refine_and_extend(
-            mesh, system, precond,
-            rng.choice(mesh.n_triangles, count, replace=False))
+        nt = level.mesh.n_triangles
+        level, _ = level.refine(
+            rng.choice(nt, int(fraction * nt), replace=False))
+    system, precond = level.system, level.precond
     assert precond.n_levels >= 3
     k = system.K.toarray()
     assert (k - np.diag(np.diag(k))).max() > 0.0
@@ -301,15 +285,10 @@ def test_large_first_mesh_gets_a_diagonal_coarse_solve():
 
 def test_small_meshes_restart_the_hierarchy():
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
-    coarse_sys = assemble(mesh, IDENTITY)
-    precond = MultilevelPreconditioner(mesh, coarse_sys)
-    mesh, rmap = pm.refine(mesh, [0, 1, 2])
-    system = assemble(mesh, IDENTITY)
-    precond = precond.extend(free_prolongation(rmap, coarse_sys, system),
-                             mesh, system)
-    assert precond.n_levels == 1
-    assert_allclose(dense(precond, system.n_dofs),
-                    np.linalg.inv(system.K.toarray()), atol=1e-12)
+    level, _ = Level.first(mesh, IDENTITY).refine([0, 1, 2])
+    assert level.precond.n_levels == 1
+    assert_allclose(dense(level.precond, level.system.n_dofs),
+                    np.linalg.inv(level.system.K.toarray()), atol=1e-12)
 
 
 def test_empty_refinement_keeps_the_preconditioner():
@@ -383,21 +362,6 @@ def test_transfers_are_nodal_interpolation(domain, picks, seed):
     assert start == len(meshes) - 1
 
 
-def p1_evaluate(mesh, u, points):
-    """Evaluate the P1 function with vertex values u at each point, in
-    the triangle where the point's smallest barycentric coordinate is
-    largest (a containing one)."""
-    p = mesh.vertices[mesh.triangles]                     # (nt, 3, 2)
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-    rel = points[:, None, :] - p[None, :, 0]              # (n, nt, 2)
-    l12 = np.einsum("tij,ntj->nti", np.linalg.inv(jac), rel)
-    lam = np.concatenate([1.0 - l12.sum(axis=2, keepdims=True), l12], 2)
-    best = lam.min(axis=2).argmax(axis=1)
-    rows = np.arange(len(points))
-    assert np.all(lam[rows, best].min(axis=1) > -1e-12)
-    return (lam[rows, best] * u[mesh.triangles[best]]).sum(axis=1)
-
-
 @pytest.mark.parametrize("ell", [1, 2])
 def test_prolongation_matches_interpolate(ell):
     """ell successive refine() calls: the product of the maps'
@@ -425,18 +389,14 @@ def graded_l_shape():
     """Meshes graded toward the reentrant corner, as an adaptive run
     would make them: Dorfler marking of h_T^2 r_T^(-2/3)."""
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
-    system = assemble(mesh, IDENTITY)
-    precond = MultilevelPreconditioner(mesh, system)
+    level = Level.first(mesh, IDENTITY)
     out = []
-    while system.n_dofs < 14000:
+    while level.system.n_dofs < 14000:
+        mesh = level.mesh
         cent = mesh.vertices[mesh.triangles].mean(axis=1)
         eta = mesh.diameters() ** 2 * np.hypot(*cent.T) ** (-2.0 / 3.0)
-        marked = dorfler_mark(Indicators(eta), 0.5)
-        mesh, rmap = pm.refine(mesh, marked)
-        coarse_sys, system = system, assemble(mesh, IDENTITY)
-        precond = precond.extend(
-            free_prolongation(rmap, coarse_sys, system), mesh, system)
-        out.append((system, precond))
+        level, _ = level.refine(dorfler_mark(Indicators(eta), 0.5))
+        out.append((level.system, level.precond))
     return out
 
 
