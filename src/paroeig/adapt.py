@@ -182,10 +182,15 @@ def default_seed_vectors(system, n_orbitals, seed=0, precond=None):
     MultilevelPreconditioner, or None for unpreconditioned solves; its
     B(0) is K^-1 itself on a first mesh of up to COARSE_DOFS dofs.
 
-    Raises AdaptError when the first guard value joins the cluster of
-    the N-th value: a block that splits a cluster keeps an arbitrary
-    part of it and converges to a wrong eigenpair.
+    Raises AdaptError when the system has fewer free dofs than
+    n_orbitals, or when the first guard value joins the cluster of the
+    N-th value: a block that splits a cluster keeps an arbitrary part
+    of it and converges to a wrong eigenpair.
     """
+    n_orbitals = count(n_orbitals, "n_orbitals", AdaptError, minimum=1)
+    if system.n_dofs < n_orbitals:
+        raise AdaptError(f"mesh has {system.n_dofs} free dofs for "
+                         f"{n_orbitals} orbitals; refine the initial mesh")
     rng = np.random.default_rng(count(seed, "seed", AdaptError))
     width = min(n_orbitals + 4, system.n_dofs)
     vecs = rng.standard_normal((width, system.n_dofs))
@@ -296,10 +301,6 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
         try:
             if n == 0:
                 level = Level.first(domain, coeffs)
-                if level.system.n_dofs < n_orbitals:
-                    raise AdaptError(
-                        f"mesh has {level.system.n_dofs} free dofs for "
-                        f"{n_orbitals} orbitals; refine the initial mesh")
                 block = initial_block(level.system, default_seed_vectors(
                     level.system, n_orbitals, seed, level.precond))
                 if config.budget_factor is not None:

@@ -1,12 +1,14 @@
 """Oracles and diagnostics kept independent of the solver under test.
 
-The independence is about the sparse pencil: reference_eig and the
-Galerkin projection solve with K through a sparse LU factorization,
-never through the iteration's own shifted MINRES solves or its
-multilevel preconditioner. Tests that compare the two routes therefore
-compare independent computations on the same K and M. The small dense
-steps on both routes (Gram matrices, the N x N Rayleigh-Ritz pencil)
-go through LAPACK; they are not where the routes differ.
+The independence is about the sparse pencil: reference_eig solves with
+K through one sparse LU factorization, inside ARPACK's shift-invert
+Lanczos (scipy's eigsh, whose restarts max_iter caps), never through
+the iteration's own shifted MINRES solves or its multilevel
+preconditioner. Tests that compare the two routes therefore compare
+independent computations on the same K and M. A request for every
+eigenpair, which Lanczos cannot serve, and the small dense steps on
+both routes (Gram matrices, the N x N Rayleigh-Ritz pencil) go through
+LAPACK; they are not where the routes differ.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ def _factor_k(sys):
 
 
 def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
-    """Smallest n_pairs eigenpairs by block inverse iteration.
+    """Smallest n_pairs eigenpairs by shift-invert Lanczos on one LU.
 
-    One sparse LU factorization of K, then repeat: solve K Z = M V,
-    M-orthonormalize, Rayleigh-Ritz (LAPACK eigh) until every wanted
-    pair has residual ||K v - lam M v|| <= tol * ||K||_inf * ||v||.
-    Up to four guard vectors ride along to protect clustered tails, as
-    many as the dofs beyond n_pairs allow (none when n_pairs == n_dofs).
+    One sparse LU factorization of K serves ARPACK's shift-invert
+    Lanczos at sigma = 0 (scipy's eigsh): the smallest eigenvalues of
+    K v = lam M v are the largest of K^-1 M, found in the M-inner
+    product from the start vector that seed draws, within max_iter
+    implicit restarts. eigsh needs n_pairs < n_dofs, so at n_pairs ==
+    n_dofs the pencil is solved densely by LAPACK eigh. Every pair must
+    end with ||K v - lam M v|| <= tol * ||K||_inf * ||v||.
     """
     n_pairs = _checks.count(n_pairs, "n_pairs", VerifyError, minimum=1)
     tol = _checks.real(tol, "tol", VerifyError)
@@ -63,40 +67,35 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
     if n_pairs > sys.n_dofs:
         raise VerifyError(f"requested {n_pairs} pairs but the system has "
                           f"only {sys.n_dofs} dofs")
-    guards = min(4, sys.n_dofs - n_pairs)
     for data in (sys.K.data, sys.M.data):
         _checks.real_array(data, "K and M", VerifyError, finite=True)
     lu = _factor_k(sys)
-    k_norm = float(abs(sys.K).sum(axis=1).max())    # n_dofs >= n_pairs
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n_pairs + guards, sys.n_dofs))
-    values = None
-    res = None
-    for _ in range(max_iter):
-        z = lu.solve(sys.M @ v.T)                     # (n, k)
-        g = z.T @ (sys.M @ z)
+    if n_pairs == sys.n_dofs:
         try:
-            ell = np.linalg.cholesky(0.5 * (g + g.T))
+            values, vectors = scipy.linalg.eigh(sys.K.toarray(),
+                                                sys.M.toarray())
         except np.linalg.LinAlgError as exc:
-            raise VerifyError("iteration block became rank deficient") \
-                from exc
-        q = scipy.linalg.solve_triangular(ell, z.T, lower=True)
-        a_bar = gram(q, sys.K)
-        m_bar = gram(q, sys.M)
-        values, w = scipy.linalg.eigh(a_bar, m_bar)
-        v = w.T @ q
-        kv = sys.K @ v.T
-        mv = sys.M @ v.T
-        res = np.linalg.norm(kv - mv * values[None, :], axis=0)
-        scale = tol * k_norm * np.linalg.norm(v, axis=1)
-        if np.all(res[:n_pairs] <= scale[:n_pairs]):
-            flips = v[np.arange(len(values)),
-                      np.abs(v).argmax(axis=1)] < 0.0
-            v[flips] *= -1.0
-            return ReferencePairs(eigenvalues=values[:n_pairs].copy(),
-                                  vectors=v[:n_pairs].copy())
-    raise VerifyError(f"inverse iteration did not reach tol={tol} in "
-                      f"{max_iter} sweeps; residuals {res[:n_pairs]}")
+            raise VerifyError(f"M is not positive definite: {exc}") from exc
+    else:
+        k_inv = spla.LinearOperator(sys.K.shape, matvec=lu.solve,
+                                    dtype=np.float64)
+        v0 = np.random.default_rng(seed).standard_normal(sys.n_dofs)
+        try:
+            values, vectors = spla.eigsh(sys.K, k=n_pairs, M=sys.M,
+                                         sigma=0.0, OPinv=k_inv, v0=v0,
+                                         maxiter=max_iter, tol=0)
+        except spla.ArpackError as exc:     # ArpackNoConvergence among them
+            raise VerifyError(f"Lanczos did not reach {n_pairs} pairs in "
+                              f"{max_iter} restarts: {exc}") from exc
+    order = np.argsort(values)
+    values, v = values[order], vectors.T[order]
+    res = np.linalg.norm(sys.K @ v.T - (sys.M @ v.T) * values, axis=0)
+    k_norm = float(abs(sys.K).sum(axis=1).max())
+    if np.any(res > tol * k_norm * np.linalg.norm(v, axis=1)):
+        raise VerifyError(f"reference pairs did not reach tol={tol}; "
+                          f"residuals {res}")
+    v[v[np.arange(n_pairs), np.abs(v).argmax(axis=1)] < 0.0] *= -1.0
+    return ReferencePairs(eigenvalues=values, vectors=v)
 
 
 def _a_orthonormalize(sys, vectors):
@@ -209,65 +208,3 @@ def quasi_orthogonality_report(sys, block, ref):
                                      dist=d, max_gap=gap,
                                      per_vector=per_vec, bound=float(bound)))
     return reports
-
-
-# -- analytic-eigenfunction machinery (unit square) ------------------------
-
-# degree-5 rule: centroid + two orbits of three points
-_SQRT15 = np.sqrt(15.0)
-_A1 = (6.0 - _SQRT15) / 21.0
-_A2 = (6.0 + _SQRT15) / 21.0
-_DEG5_BARY = np.array(
-    [[1 / 3, 1 / 3, 1 / 3],
-     [1 - 2 * _A1, _A1, _A1], [_A1, 1 - 2 * _A1, _A1], [_A1, _A1, 1 - 2 * _A1],
-     [1 - 2 * _A2, _A2, _A2], [_A2, 1 - 2 * _A2, _A2], [_A2, _A2, 1 - 2 * _A2]])
-_DEG5_W = np.array([9 / 40,
-                    (155.0 - _SQRT15) / 1200.0, (155.0 - _SQRT15) / 1200.0,
-                    (155.0 - _SQRT15) / 1200.0,
-                    (155.0 + _SQRT15) / 1200.0, (155.0 + _SQRT15) / 1200.0,
-                    (155.0 + _SQRT15) / 1200.0])
-
-
-def square_eigenfunction(m, n):
-    """b-normalized Dirichlet eigenfunction 2 sin(m pi x) sin(n pi y)."""
-    def u(x, y):
-        return 2.0 * np.sin(m * np.pi * x) * np.sin(n * np.pi * y)
-    return u
-
-
-def load_vector(mesh, func):
-    """(func, phi_i) for all vertex hats, degree-5 quadrature."""
-    pts = np.einsum("qi,tid->tqd", _DEG5_BARY,
-                    mesh.vertices[mesh.triangles])
-    vals = func(pts[..., 0], pts[..., 1])               # (nt, nq)
-    areas = mesh.signed_areas()
-    contrib = np.einsum("q,tq,qi->ti", _DEG5_W, vals, _DEG5_BARY)
-    contrib *= areas[:, None]
-    rhs = np.zeros(mesh.n_vertices)
-    np.add.at(rhs, mesh.triangles, contrib)
-    return rhs
-
-
-def galerkin_projection_gap(mesh, sys, modes):
-    """dist_a^2 between an analytic eigenspace and the FE space.
-
-    modes: list of (m, n, lam) with a common eigenvalue lam. Computes the
-    a-orthogonal (Galerkin) projection P u of each b-normalized analytic
-    eigenfunction via one sparse solve, then the worst-direction value
-    max eig( I - G/lam ) with G[i][j] = a(P u_i, P u_j); for the
-    Laplacian a(u, phi) = lam (u, phi), so the load vector only needs
-    the degree-5 mass quadrature.
-    """
-    lu = _factor_k(sys)
-    lam = modes[0][2]
-    proj = []
-    for m, n, lam_i in modes:
-        if abs(lam_i - lam) > 1e-9 * lam:
-            raise VerifyError("modes must share one eigenvalue")
-        rhs_full = lam * load_vector(mesh, square_eigenfunction(m, n))
-        p = lu.solve(rhs_full[sys.free_dofs])
-        proj.append(p)
-    proj = np.vstack(proj)
-    g = gram(proj, sys.K)
-    resid = np.eye(len(modes)) - g / lam
-    return float(max(np.linalg.eigvalsh(resid).max(), 0.0))

@@ -4,7 +4,9 @@ check_block validates an orbital block's post-Ritz invariants; pencil
 builds a FemSystem from hand-written matrices; marks and rounds are the
 hypothesis strategies that refined() turns into small bisected meshes;
 the mesh functions evaluate P1 functions, measure shape regularity and
-walk a refinement's children.
+walk a refinement's children; square_eigenfunction, load_vector and
+galerkin_projection_gap measure the unit square's analytic
+eigenfunctions against the FE space.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from paroeig import mesh as pm
 from paroeig.assembly import FemSystem
 from paroeig.linalg import gram
 from paroeig.paro import ParoError
+from paroeig.verify import VerifyError, _factor_k
 
 
 def pencil(k, m):
@@ -118,3 +121,65 @@ def similarity_class_counts(mesh):
     rows = np.unique(rows, axis=0)
     anc, counts = np.unique(rows[:, 0], return_counts=True)
     return {int(a): int(c) for a, c in zip(anc, counts)}
+
+
+# -- analytic-eigenfunction machinery (unit square) ------------------------
+
+# degree-5 rule: centroid + two orbits of three points
+_SQRT15 = np.sqrt(15.0)
+_A1 = (6.0 - _SQRT15) / 21.0
+_A2 = (6.0 + _SQRT15) / 21.0
+_DEG5_BARY = np.array(
+    [[1 / 3, 1 / 3, 1 / 3],
+     [1 - 2 * _A1, _A1, _A1], [_A1, 1 - 2 * _A1, _A1], [_A1, _A1, 1 - 2 * _A1],
+     [1 - 2 * _A2, _A2, _A2], [_A2, 1 - 2 * _A2, _A2], [_A2, _A2, 1 - 2 * _A2]])
+_DEG5_W = np.array([9 / 40,
+                    (155.0 - _SQRT15) / 1200.0, (155.0 - _SQRT15) / 1200.0,
+                    (155.0 - _SQRT15) / 1200.0,
+                    (155.0 + _SQRT15) / 1200.0, (155.0 + _SQRT15) / 1200.0,
+                    (155.0 + _SQRT15) / 1200.0])
+
+
+def square_eigenfunction(m, n):
+    """b-normalized Dirichlet eigenfunction 2 sin(m pi x) sin(n pi y)."""
+    def u(x, y):
+        return 2.0 * np.sin(m * np.pi * x) * np.sin(n * np.pi * y)
+    return u
+
+
+def load_vector(mesh, func):
+    """(func, phi_i) for all vertex hats, degree-5 quadrature."""
+    pts = np.einsum("qi,tid->tqd", _DEG5_BARY,
+                    mesh.vertices[mesh.triangles])
+    vals = func(pts[..., 0], pts[..., 1])               # (nt, nq)
+    areas = mesh.signed_areas()
+    contrib = np.einsum("q,tq,qi->ti", _DEG5_W, vals, _DEG5_BARY)
+    contrib *= areas[:, None]
+    rhs = np.zeros(mesh.n_vertices)
+    np.add.at(rhs, mesh.triangles, contrib)
+    return rhs
+
+
+def galerkin_projection_gap(mesh, sys, modes):
+    """dist_a^2 between an analytic eigenspace and the FE space.
+
+    modes: list of (m, n, lam) with a common eigenvalue lam. Computes the
+    a-orthogonal (Galerkin) projection P u of each b-normalized analytic
+    eigenfunction via one sparse solve, then the worst-direction value
+    max eig( I - G/lam ) with G[i][j] = a(P u_i, P u_j); for the
+    Laplacian a(u, phi) = lam (u, phi), so the load vector only needs
+    the degree-5 mass quadrature.
+    """
+    lu = _factor_k(sys)
+    lam = modes[0][2]
+    proj = []
+    for m, n, lam_i in modes:
+        if abs(lam_i - lam) > 1e-9 * lam:
+            raise VerifyError("modes must share one eigenvalue")
+        rhs_full = lam * load_vector(mesh, square_eigenfunction(m, n))
+        p = lu.solve(rhs_full[sys.free_dofs])
+        proj.append(p)
+    proj = np.vstack(proj)
+    g = gram(proj, sys.K)
+    resid = np.eye(len(modes)) - g / lam
+    return float(max(np.linalg.eigvalsh(resid).max(), 0.0))

@@ -27,6 +27,7 @@ from paroeig.verify import (VerifyError, analytic_spectrum, fit_rate,
 SQUARE = pm.build_initial_mesh("unit_square")
 S3 = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
 SYSTEM = pencil(S3, np.eye(3))
+SINGULAR_M = pencil(S3, np.diag([1.0, 0.0, 1.0]))
 COMPLEX = np.array([[1.0, 0.5j, 0.0], [0.0, 1.0, 0.0]])
 CASES = {
     # imaginary part dropped with only a ComplexWarning
@@ -108,8 +109,16 @@ CASES = {
         VerifyError, lambda: reference_eig(SYSTEM, 1, seed=True)),
     "reference_eig_negative_seed": (
         VerifyError, lambda: reference_eig(SYSTEM, 1, seed=-1)),
+    # a singular M leaked ARPACK's error, or LAPACK's for every pair
+    "reference_eig_singular_mass_lanczos": (
+        VerifyError, lambda: reference_eig(SINGULAR_M, 1)),
+    "reference_eig_singular_mass_dense": (
+        VerifyError, lambda: reference_eig(SINGULAR_M, 3)),
     "default_seed_vectors_fractional_seed": (
         AdaptError, lambda: default_seed_vectors(SYSTEM, 1, seed=0.5)),
+    # returned one row for three orbitals on a one-dof mesh
+    "default_seed_vectors_more_orbitals_than_dofs": (
+        AdaptError, lambda: default_seed_vectors(pencil([[4.0]], [[1.0]]), 3)),
     "adaptive_solve_bool_seed": (
         AdaptError, lambda: adaptive_solve(
             "unit_square", Coefficients.identity(), 1, AdaptConfig(),

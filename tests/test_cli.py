@@ -237,7 +237,7 @@ class TestCmdVerify:
 
     def test_first_mesh_with_exactly_n_dofs(self, tmp_path, capsys):
         # one pass leaves the L-shape 3 free dofs: the level-0 reference
-        # takes all of them, with no guard vectors
+        # takes all of them, by dense eigh since Lanczos needs k < n
         text = ("domain=l_shape\nn_orbitals=3\ninitial_passes=1\n"
                 "max_refinements=3\n")
         path = write_config(tmp_path, text)

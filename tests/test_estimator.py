@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import descendants
+from helpers import descendants, load_vector, square_eigenfunction
 from paroeig import assembly, estimator, mesh, paro, verify
 from paroeig.assembly import Coefficients
 from paroeig.estimator import EstimatorError, Indicators, estimate
@@ -307,12 +307,12 @@ class TestEstimate:
 
     def test_reliability_constant_stable_across_levels(self, squares):
         lam_exact = 2.0 * np.pi ** 2
-        exact = verify.square_eigenfunction(1, 1)
+        exact = square_eigenfunction(1, 1)
         ratios = []
         for p in (4, 6, 8):
             m, system, ref, _ = squares[p]
             uh = ref.vectors[0]
-            cross = float(verify.load_vector(m, exact)[system.free_dofs] @ uh)
+            cross = float(load_vector(m, exact)[system.free_dofs] @ uh)
             if cross < 0.0:
                 uh, cross = -uh, -cross
             err = np.sqrt(lam_exact + float(uh @ (system.K @ uh))
@@ -334,7 +334,9 @@ class TestEstimate:
         b0 = paro.initial_block(system,
                                 sine_starts(system, pts, noise=0.1, seed=2))
         ratios = []
-        for tol2 in (1e-4, 1e-6, 1e-8):
+        # from 1e-6 on, (eta_ref - eta)^2 is round-off on eta ~ 23 and
+        # the denominator is the reference's own error: stop above both
+        for tol2 in (1e-1, 1e-2):
             out, _, _ = paro.paro_inner_loop(system, b0, tol2, 60)
             eta = np.sqrt(estimate(m, IDENTITY, out).global_sq)
             dist_sq = sum(verify.dist_a(system, ref.vectors[s],

@@ -6,18 +6,20 @@ IndexError from deep inside numpy, or a warning that pytest's
 filterwarnings turns into an error. Strategies are bounded so that no
 input allocates a large mesh or runs a solve: at most 3 refinement
 passes, at most 50 analytic eigenvalues, and no adaptive_solve call.
-Two invariants are checked on the same small refined meshes: the
-loads(dumps(m)) round trip, and K and M assembled on one pattern.
+Three invariants are checked on the same small refined meshes: the
+loads(dumps(m)) round trip, K and M assembled on one pattern, and the
+reference pairs against a dense eigensolver.
 """
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import MESH8, marks, pencil, refined, rounds
 from paroeig import cli
@@ -236,6 +238,21 @@ def test_fit_rate(x, y):
        st.one_of(scalars, st.integers(-1, 4)))
 def test_reference_eig_pairs(n_pairs, seed):
     returns_or_raises_own(reference_eig, SYSTEM, n_pairs, seed=seed)
+
+
+@FUZZ
+@given(marks, rounds, st.integers(0, 2 ** 32), st.integers(1, 6))
+def test_reference_eig_matches_dense(marks, rounds, seed, n_pairs):
+    """Lanczos below n_dofs pairs, LAPACK at n_dofs: either way the
+    smallest eigenvalues of the pencil, in M-orthonormal rows."""
+    system = assemble(refined(marks, rounds), Coefficients.identity())
+    n_pairs = min(n_pairs, system.n_dofs)
+    ref = reference_eig(system, n_pairs, seed=seed)
+    w = scipy.linalg.eigh(system.K.toarray(), system.M.toarray(),
+                          eigvals_only=True)
+    assert_allclose(ref.eigenvalues, w[:n_pairs], rtol=1e-10)
+    assert_allclose(ref.vectors @ (system.M @ ref.vectors.T),
+                    np.eye(n_pairs), rtol=0.0, atol=1e-9)
 
 
 @FUZZ

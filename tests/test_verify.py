@@ -1,10 +1,14 @@
 """Oracle-side diagnostics: reference solver, subspace metrics, rates."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from helpers import pencil
+from helpers import (galerkin_projection_gap, load_vector, pencil,
+                     square_eigenfunction)
 from paroeig import paro
 from paroeig.assembly import Coefficients, assemble, element_matrices
 from paroeig.linalg import dense_sym_gen_eig
@@ -15,11 +19,8 @@ from paroeig.verify import (
     analytic_spectrum,
     dist_a,
     fit_rate,
-    galerkin_projection_gap,
-    load_vector,
     quasi_orthogonality_report,
     reference_eig,
-    square_eigenfunction,
 )
 
 IDENTITY = Coefficients.identity()
@@ -49,6 +50,15 @@ def sq8():
     m, _ = uniform_refine(build_initial_mesh("unit_square"), 8)
     system = assemble(m, IDENTITY)
     return m, system, reference_eig(system, 6)
+
+
+@pytest.fixture(scope="module")
+def sq10():
+    """The 961-dof unit square and its dense spectrum."""
+    m, _ = uniform_refine(build_initial_mesh("unit_square"), 10)
+    system = assemble(m, IDENTITY)
+    w, _ = dense_sym_gen_eig(system.K.toarray(), system.M.toarray())
+    return system, w
 
 
 class TestReferenceEig:
@@ -116,6 +126,34 @@ class TestReferenceEig:
         _, system, ref = sq6
         again = reference_eig(system, 6, seed=3)
         assert np.allclose(again.eigenvalues, ref.eigenvalues, rtol=1e-10)
+
+    @pytest.mark.parametrize("n_pairs", [2, 3])
+    def test_double_eigenvalue_one_copy_then_both(self, sq10, n_pairs):
+        # 2 pairs end inside the double 49.58, 3 take both copies
+        system, w = sq10
+        ref = reference_eig(system, n_pairs)
+        assert_allclose(ref.eigenvalues, w[:n_pairs], rtol=1e-12)
+        assert ref.eigenvalues[-1] == pytest.approx(49.577, rel=1e-4)
+
+    @pytest.mark.parametrize("spare, eigsh_calls", [(1, 1), (0, 0)])
+    def test_last_pairs_without_warning(self, sq6, monkeypatch, spare,
+                                        eigsh_calls):
+        # eigsh takes up to n_dofs - 1 pairs; all n_dofs go to LAPACK
+        _, system, _ = sq6
+        eigsh, calls = spla.eigsh, []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", spy)
+        n_pairs = system.n_dofs - spare
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = reference_eig(system, n_pairs)
+        assert len(calls) == eigsh_calls
+        w, _ = dense_sym_gen_eig(system.K.toarray(), system.M.toarray())
+        assert_allclose(ref.eigenvalues, w[:n_pairs], rtol=1e-10)
 
 
 class TestDistA:
