@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import real_array
+from ._checks import integer_array, real_array
 from .mesh import MeshError
 
 
@@ -381,11 +381,15 @@ class FemSystem:
     K and M are exactly symmetric CSR matrices with sorted indices on
     one pattern, K's exact zeros included: the diagonal and both entries
     of every edge between free vertices (AssemblyError otherwise). Row
-    and column i belong to mesh vertex free_dofs[i] (ascending).
+    and column i belong to mesh vertex free_dofs[i] (ascending), which
+    lies at vertices[free_dofs[i]]: vertices is the mesh's (nv, 2)
+    coordinate array, held by reference and not copied. The solver
+    never reads it; verify orders its LU by it.
     """
     K: sp.csr_matrix
     M: sp.csr_matrix
     free_dofs: np.ndarray
+    vertices: np.ndarray
 
     def __post_init__(self):
         k, m = self.K, self.M
@@ -394,6 +398,14 @@ class FemSystem:
                 and np.array_equal(k.indptr, m.indptr)
                 and np.array_equal(k.indices, m.indices)):
             raise AssemblyError("K and M must be CSR on one pattern")
+        vertices = real_array(self.vertices, "vertices", AssemblyError)
+        if vertices.ndim != 2 or vertices.shape[1] != 2:
+            raise AssemblyError("vertices must be an (nv, 2) array")
+        free = integer_array(self.free_dofs, "free_dofs", AssemblyError)
+        if free.shape != k.shape[:1] or free.size and (
+                free.min() < 0 or free.max() >= len(vertices)):
+            raise AssemblyError("free_dofs must hold one vertex index in "
+                                "[0, nv) per row of K")
 
     @property
     def n_dofs(self):
@@ -475,4 +487,4 @@ def assemble(mesh, coeffs, data=None):
     K, M = (sp.csr_matrix((_pattern_values(mesh, free, local, pattern),
                            indices, indptr), shape=(len(free), len(free)))
             for local in (ke, me))
-    return FemSystem(K=K, M=M, free_dofs=free)
+    return FemSystem(K=K, M=M, free_dofs=free, vertices=mesh.vertices)

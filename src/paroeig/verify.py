@@ -5,7 +5,9 @@ K through one sparse LU factorization, inside ARPACK's shift-invert
 Lanczos (scipy's eigsh, whose restarts max_iter caps), never through
 the iteration's own shifted MINRES solves or its multilevel
 preconditioner. Tests that compare the two routes therefore compare
-independent computations on the same K and M. A request for every
+independent computations on the same K and M. The LU runs in a
+nested-dissection order of the free dofs' coordinates (FemSystem's
+vertices), with SuperLU's default partial pivoting. A request for every
 eigenpair, which Lanczos cannot serve, and the small dense steps on
 both routes (Gram matrices, the N x N Rayleigh-Ritz pencil) go through
 LAPACK; they are not where the routes differ.
@@ -38,13 +40,70 @@ class ReferencePairs:
         return len(self.eigenvalues)
 
 
+def _top_bit(x):
+    """Index of the highest set bit of each non-negative integer below
+    2**53, -1 for 0; frexp reads it from the exponent, exactly."""
+    return np.frexp(x)[1] - 1
+
+
+def _nested_dissection(vertices, k):
+    """A nested-dissection order of the dofs at vertices (n, 2) for the
+    symmetric pattern of k (George 1973), cut by the coordinates.
+
+    Each coordinate is replaced by its rank among the distinct values,
+    and the two ranks' bits interleave into a Morton code: each bit of
+    the code halves its subtree along x or y. An edge is cut at the
+    highest bit in which its ends' codes differ, and the end with the
+    lower code joins that cut's separator; a dof keeps the highest such
+    cut. Sorting by the code with the bits below its cut set to one puts
+    each separator after both halves it splits; a tie goes to the deeper
+    cut, then to the lower code.
+    """
+    rx, ry = (np.unique(c, return_inverse=True)[1] for c in vertices.T)
+    code = np.zeros(len(vertices), dtype=np.int64)
+    for b in range(len(vertices).bit_length()):     # ranks are below n
+        code |= (rx >> b & 1) << 2 * b + 1 | (ry >> b & 1) << 2 * b
+    rows = k.indices
+    cols = np.repeat(np.arange(k.shape[1]), np.diff(k.indptr))
+    # the pattern is symmetric: each edge once, its lower-coded end as col
+    low = code[cols] < code[rows]
+    rows, cols = rows[low], cols[low]
+    # the top differing code bit, from the ranks' top differing bits
+    cut = np.maximum(2 * _top_bit(rx[rows] ^ rx[cols]) + 1,
+                     2 * _top_bit(ry[rows] ^ ry[cols]))
+    sep = np.full(len(code), -1)
+    np.maximum.at(sep, cols, cut)
+    return np.lexsort((code, sep, code | ((1 << sep + 1) - 1)))
+
+
+@dataclass(frozen=True)
+class _PermutedLU:
+    """splu of K[perm][:, perm]; solve(b) takes and returns vectors or
+    (n, k) blocks in K's own numbering."""
+    lu: spla.SuperLU
+    perm: np.ndarray
+
+    def solve(self, b):
+        y = self.lu.solve(np.asarray(b)[self.perm])
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
+
+
 def _factor_k(sys):
-    """splu of K without the exact zeros it stores on M's pattern: the
-    LU orders and fills by the stored pattern, so zeros change it."""
+    """splu of K without the exact zeros it stores on M's pattern, in
+    the nested-dissection order of the free dofs' coordinates.
+
+    SuperLU keeps that order (permc_spec NATURAL) and its default
+    partial pivoting; the zeros would add edges to the ordering and
+    fill to the factor.
+    """
     k_csc = sys.K.tocsc()
     k_csc.eliminate_zeros()
+    perm = _nested_dissection(sys.vertices[sys.free_dofs], k_csc)
     try:
-        return spla.splu(k_csc)
+        return _PermutedLU(spla.splu(k_csc[perm][:, perm],
+                                     permc_spec="NATURAL"), perm)
     except RuntimeError as exc:             # "Factor is exactly singular"
         raise VerifyError(f"K cannot be factored: {exc}") from exc
 
@@ -52,13 +111,15 @@ def _factor_k(sys):
 def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
     """Smallest n_pairs eigenpairs by shift-invert Lanczos on one LU.
 
-    One sparse LU factorization of K serves ARPACK's shift-invert
-    Lanczos at sigma = 0 (scipy's eigsh): the smallest eigenvalues of
-    K v = lam M v are the largest of K^-1 M, found in the M-inner
-    product from the start vector that seed draws, within max_iter
-    implicit restarts. eigsh needs n_pairs < n_dofs, so at n_pairs ==
-    n_dofs the pencil is solved densely by LAPACK eigh. Every pair must
-    end with ||K v - lam M v|| <= tol * ||K||_inf * ||v||.
+    One sparse LU factorization of K, in the nested-dissection order
+    of _factor_k, serves ARPACK's shift-invert Lanczos at sigma = 0
+    (scipy's eigsh): the smallest eigenvalues of K v = lam M v are the
+    largest of K^-1 M, found in the M-inner product from the start
+    vector that seed draws, within max_iter implicit restarts. eigsh
+    needs n_pairs < n_dofs, so at n_pairs == n_dofs the pencil is
+    solved densely by LAPACK eigh. Each lam is its vector's Rayleigh
+    quotient, and every pair must end with
+    ||K v - lam M v|| <= tol * ||K||_inf * ||v||.
     """
     n_pairs = _checks.count(n_pairs, "n_pairs", VerifyError, minimum=1)
     tol = _checks.real(tol, "tol", VerifyError)
@@ -87,9 +148,16 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
         except spla.ArpackError as exc:     # ArpackNoConvergence among them
             raise VerifyError(f"Lanczos did not reach {n_pairs} pairs in "
                               f"{max_iter} restarts: {exc}") from exc
+    # each value is its vector's Rayleigh quotient, an upper bound on the
+    # discrete eigenvalue whose error is quadratic in the vector's; the
+    # Lanczos value also carries the LU solves' forward error, about
+    # 1e-12 relative at 195k dofs and changing with the factor's order
+    kv, mv = sys.K @ vectors, sys.M @ vectors
+    values = (np.einsum("ij,ij->j", vectors, kv)
+              / np.einsum("ij,ij->j", vectors, mv))
+    res = np.linalg.norm(kv - mv * values, axis=0)
     order = np.argsort(values)
-    values, v = values[order], vectors.T[order]
-    res = np.linalg.norm(sys.K @ v.T - (sys.M @ v.T) * values, axis=0)
+    values, v, res = values[order], vectors.T[order], res[order]
     k_norm = float(abs(sys.K).sum(axis=1).max())
     if np.any(res > tol * k_norm * np.linalg.norm(v, axis=1)):
         raise VerifyError(f"reference pairs did not reach tol={tol}; "

@@ -23,7 +23,7 @@ from paroeig.verify import VerifyError, _factor_k
 def pencil(k, m):
     """FemSystem of the dense or sparse (n, n) matrices k and m, both
     stored on the union of their nonzero patterns, as FemSystem needs;
-    free_dofs is arange(n)."""
+    free_dofs is arange(n), and dof i sits at the point (i, 0)."""
     k, m = (np.asarray(sp.csr_matrix(a).toarray(), dtype=np.float64)
             for a in (k, m))
     stored = (k != 0.0) | (m != 0.0)
@@ -31,7 +31,9 @@ def pencil(k, m):
     indices = np.nonzero(stored)[1]
     k_csr, m_csr = (sp.csr_matrix((a[stored], indices, indptr),
                                   shape=a.shape) for a in (k, m))
-    return FemSystem(K=k_csr, M=m_csr, free_dofs=np.arange(len(k)))
+    n = len(k)
+    return FemSystem(K=k_csr, M=m_csr, free_dofs=np.arange(n),
+                     vertices=np.column_stack([np.arange(n), np.zeros(n)]))
 
 
 def check_block(sys, block, tol=1e-8):

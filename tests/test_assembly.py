@@ -506,7 +506,8 @@ class TestEdgePattern:
         if not assembled:
             # a system built from copies, which share no index arrays
             system = FemSystem(K=system.K.copy(), M=system.M.copy(),
-                               free_dofs=system.free_dofs)
+                               free_dofs=system.free_dofs,
+                               vertices=system.vertices)
         op = system.shifted(19.7)
         assert isinstance(op, sp.csr_matrix)
         assert np.array_equal(op.indptr, system.M.indptr)
@@ -519,9 +520,10 @@ class TestEdgePattern:
         with pytest.raises(AssemblyError, match="one pattern"):
             FemSystem(K=sp.csr_matrix(np.ones((2, 2))),
                       M=sp.identity(2, format="csr"),
-                      free_dofs=np.arange(2))
+                      free_dofs=np.arange(2), vertices=np.eye(2))
         with pytest.raises(AssemblyError, match="one pattern"):
-            FemSystem(K=np.eye(2), M=np.eye(2), free_dofs=np.arange(2))
+            FemSystem(K=np.eye(2), M=np.eye(2), free_dofs=np.arange(2),
+                      vertices=np.eye(2))
 
 
 class TestElementData:

@@ -6,6 +6,8 @@ escaped as a bare builtin error, or was accepted though a bool is not
 a number. Every one must now raise the module's own error.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -145,6 +147,24 @@ CASES = {
     "analytic_spectrum_array_domain": (
         VerifyError, lambda: analytic_spectrum(np.array(["unit_square"] * 2),
                                                3)),
+    # the coordinates that order verify's LU, and the free dofs that
+    # index them
+    "fem_system_vertices_not_pairs": (
+        AssemblyError, lambda: replace(SYSTEM, vertices=np.zeros((3, 3)))),
+    "fem_system_vertices_flat": (
+        AssemblyError, lambda: replace(SYSTEM, vertices=np.zeros(6))),
+    "fem_system_vertices_complex": (
+        AssemblyError, lambda: replace(SYSTEM, vertices=COMPLEX.T)),
+    "fem_system_vertices_none": (
+        AssemblyError, lambda: replace(SYSTEM, vertices=None)),
+    "fem_system_free_dof_past_the_vertices": (
+        AssemblyError, lambda: replace(SYSTEM, free_dofs=[0, 1, 3])),
+    "fem_system_negative_free_dof": (
+        AssemblyError, lambda: replace(SYSTEM, free_dofs=[-1, 0, 1])),
+    "fem_system_fractional_free_dofs": (
+        AssemblyError, lambda: replace(SYSTEM, free_dofs=[0.0, 1.0, 2.0])),
+    "fem_system_free_dofs_not_one_per_row": (
+        AssemblyError, lambda: replace(SYSTEM, free_dofs=[0, 1])),
 }
 
 

@@ -6,9 +6,10 @@ IndexError from deep inside numpy, or a warning that pytest's
 filterwarnings turns into an error. Strategies are bounded so that no
 input allocates a large mesh or runs a solve: at most 3 refinement
 passes, at most 50 analytic eigenvalues, and no adaptive_solve call.
-Three invariants are checked on the same small refined meshes: the
-loads(dumps(m)) round trip, K and M assembled on one pattern, and the
-reference pairs against a dense eigensolver.
+Four invariants are checked on the same small refined meshes: the
+loads(dumps(m)) round trip, K and M assembled on one pattern, the
+reference LU's solves in its nested-dissection order, and the reference
+pairs against a dense eigensolver.
 """
 
 from dataclasses import fields
@@ -32,8 +33,8 @@ from paroeig.linalg import LinAlgError, minres_solve
 from paroeig.mesh import MeshError
 from paroeig.paro import (ClusterLayout, ParoError, cluster_guesses,
                           relative_change)
-from paroeig.verify import (VerifyError, analytic_spectrum, fit_rate,
-                            reference_eig)
+from paroeig.verify import (VerifyError, _factor_k, analytic_spectrum,
+                            fit_rate, reference_eig)
 
 ERRORS = (AdaptError, AssemblyError, CliError, EstimatorError, LinAlgError,
           MeshError, ParoError, VerifyError)
@@ -241,10 +242,24 @@ def test_reference_eig_pairs(n_pairs, seed):
 
 
 @FUZZ
+@given(marks, rounds, st.integers(0, 2 ** 32))
+def test_permuted_factor_solves_k(marks, rounds, seed):
+    """The reference LU factors K in a nested-dissection order of the
+    dofs and solves in K's own numbering."""
+    system = assemble(refined(marks, rounds), Coefficients.identity())
+    factor = _factor_k(system)
+    assert_array_equal(np.sort(factor.perm), np.arange(system.n_dofs))
+    x = np.random.default_rng(seed).standard_normal(system.n_dofs)
+    got = factor.solve(system.K @ x)
+    assert np.linalg.norm(got - x) <= 1e-9 * np.linalg.norm(x)
+
+
+@FUZZ
 @given(marks, rounds, st.integers(0, 2 ** 32), st.integers(1, 6))
 def test_reference_eig_matches_dense(marks, rounds, seed, n_pairs):
-    """Lanczos below n_dofs pairs, LAPACK at n_dofs: either way the
-    smallest eigenvalues of the pencil, in M-orthonormal rows."""
+    """Lanczos on the permuted LU below n_dofs pairs, LAPACK at n_dofs:
+    either way the smallest eigenvalues of the pencil, in M-orthonormal
+    rows."""
     system = assemble(refined(marks, rounds), Coefficients.identity())
     n_pairs = min(n_pairs, system.n_dofs)
     ref = reference_eig(system, n_pairs, seed=seed)
@@ -271,4 +286,5 @@ def test_assembled_pencil_has_one_pattern(marks, rounds, sigma):
                           np.minimum(k.indptr, k.nnz - 1)), shape=k.shape)
     for pair in ((last, m), (k, last)):
         with pytest.raises(AssemblyError, match="one pattern"):
-            FemSystem(*pair, free_dofs=system.free_dofs)
+            FemSystem(*pair, free_dofs=system.free_dofs,
+                      vertices=system.vertices)

@@ -16,6 +16,7 @@ from paroeig.mesh import build_initial_mesh, uniform_refine
 from paroeig.verify import (
     ReferencePairs,
     VerifyError,
+    _factor_k,
     analytic_spectrum,
     dist_a,
     fit_rate,
@@ -50,6 +51,13 @@ def sq8():
     m, _ = uniform_refine(build_initial_mesh("unit_square"), 8)
     system = assemble(m, IDENTITY)
     return m, system, reference_eig(system, 6)
+
+
+@pytest.fixture(scope="module")
+def lshape12():
+    """The uniform L-shape of 12 passes: 12 033 dofs."""
+    m, _ = uniform_refine(build_initial_mesh("l_shape"), 12)
+    return assemble(m, IDENTITY)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +130,20 @@ class TestReferenceEig:
         g = ref.vectors @ (m @ ref.vectors.T)
         assert np.allclose(g, np.eye(6), atol=1e-9)
 
+    def test_repeated_calls_give_the_same_bytes(self, sq6):
+        _, system, ref = sq6
+        again = reference_eig(system, 6)
+        assert again.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert again.vectors.tobytes() == ref.vectors.tobytes()
+
+    def test_values_are_the_rayleigh_quotients(self, sq6):
+        _, system, ref = sq6
+        # Lanczos's own values were up to 2.8e-15 off these on this mesh
+        v = ref.vectors.T
+        rq = (np.einsum("ij,ij->j", v, system.K @ v)
+              / np.einsum("ij,ij->j", v, system.M @ v))
+        assert_allclose(ref.eigenvalues, rq, rtol=1e-15)
+
     def test_start_block_independence(self, sq6):
         _, system, ref = sq6
         again = reference_eig(system, 6, seed=3)
@@ -154,6 +176,28 @@ class TestReferenceEig:
         assert len(calls) == eigsh_calls
         w, _ = dense_sym_gen_eig(system.K.toarray(), system.M.toarray())
         assert_allclose(ref.eigenvalues, w[:n_pairs], rtol=1e-10)
+
+
+class TestFactorK:
+    def test_order_is_a_permutation(self, lshape12):
+        order = _factor_k(lshape12).perm
+        assert np.array_equal(np.sort(order), np.arange(lshape12.n_dofs))
+
+    def test_no_more_fill_than_scipy_default(self, lshape12):
+        # COLAMD, splu's default, on the same zero-free K
+        k = lshape12.K.tocsc()
+        k.eliminate_zeros()
+        colamd = spla.splu(k)
+        nd = _factor_k(lshape12).lu
+        assert nd.L.nnz + nd.U.nnz <= colamd.L.nnz + colamd.U.nnz
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_solve_returns_k_own_numbering(self, lshape12, shape):
+        x = np.random.default_rng(0).standard_normal(
+            (lshape12.n_dofs,) + shape)
+        got = _factor_k(lshape12).solve(lshape12.K @ x)
+        assert got.shape == x.shape
+        assert np.linalg.norm(got - x) <= 1e-10 * np.linalg.norm(x)
 
 
 class TestDistA:
