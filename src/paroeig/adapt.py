@@ -6,13 +6,16 @@ pencil and its preconditioner. The loop runs the orbital inner iteration
 on it, evaluates the residual indicators and marks a minimal bulk of
 elements; Level.refine bisects them into the next level and forms the
 nodal prolongation between the two meshes' free dofs, which extends the
-preconditioner and carries the orbitals (free-dof vectors). The
-ElementData is built on the first mesh and extended after every
-refinement, so each triangle's coefficients are sampled once in the run;
-the level's assembly and its estimates read it, and each estimate builds
-its linear maps from it afresh. The loop stops when the relative
-eigenvalue movement between consecutive meshes (delta1) falls under tol1
-or the refinement budget is spent.
+preconditioner and carries the orbitals (free-dof vectors). Level 0 is
+grown from Level.first of the initial mesh by initial_passes uniform
+Level.refine passes, so the preconditioner holds the whole bisection
+hierarchy down to the initial mesh. The ElementData is built on the
+initial mesh and extended after every refinement, so each triangle's
+coefficients are sampled once in the run; the level's assembly and its
+estimates read it, and each estimate builds its linear maps from it
+afresh. The loop stops when the relative eigenvalue movement between
+consecutive meshes (delta1) falls under tol1 or the refinement budget
+is spent.
 
 The inner iteration does not need to outrun the discretization error.
 With budget_factor set, each level stops its sweeps once delta2 falls
@@ -180,7 +183,7 @@ def default_seed_vectors(system, n_orbitals, seed=0, precond=None):
     sweep in one block call), so adaptive runs stay independent of the
     scipy-based reference plumbing. precond is the mesh's
     MultilevelPreconditioner, or None for unpreconditioned solves; its
-    B(0) is K^-1 itself on a first mesh of up to COARSE_DOFS dofs.
+    B(0) is K^-1 itself on a mesh of up to COARSE_DOFS dofs.
 
     Raises AdaptError when the system has fewer free dofs than
     n_orbitals, or when the first guard value joins the cluster of the
@@ -236,6 +239,8 @@ class Level:
 
     @classmethod
     def first(cls, mesh, coeffs):
+        """The Level of a run's initial mesh, the preconditioner's coarse
+        level; over COARSE_DOFS free dofs it raises LinAlgError."""
         data = ElementData(mesh, coeffs)
         system = assemble(mesh, coeffs, data=data)
         return cls(data, system, MultilevelPreconditioner(mesh, system))
@@ -270,8 +275,9 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
     """Run the adaptive eigensolver.
 
     Args:
-        domain: initial-mesh name ("unit_square", "l_shape") or a Mesh;
-            names are uniformly refined config.initial_passes times first.
+        domain: initial mesh as mesh.build_initial_mesh takes it, a
+            name or a (vertices, triangles) pair (a Mesh raises
+            AdaptError), refined config.initial_passes times for level 0.
         coeffs: Coefficients for the operator pencil.
         n_orbitals: number of wanted eigenpairs N.
         config: AdaptConfig.
@@ -293,14 +299,15 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
     if not isinstance(config, AdaptConfig):
         raise AdaptError(f"config must be an AdaptConfig, got {config!r}")
     t0 = time.perf_counter()
-    if isinstance(domain, str):
-        domain, _ = mesh_mod.uniform_refine(
-            mesh_mod.build_initial_mesh(domain), config.initial_passes)
     records, eta_sq = [], None
     for n in range(config.max_refinements + 1):
         try:
             if n == 0:
-                level = Level.first(domain, coeffs)
+                level = Level.first(mesh_mod.build_initial_mesh(domain),
+                                    coeffs)
+                for _ in range(config.initial_passes):
+                    level, _ = level.refine(
+                        np.arange(level.mesh.n_triangles))
                 block = initial_block(level.system, default_seed_vectors(
                     level.system, n_orbitals, seed, level.precond))
                 if config.budget_factor is not None:

@@ -108,32 +108,28 @@ def load_config(path, out_dir=None):
     return config if out_dir is None else replace(config, out_dir=out_dir)
 
 
-def _variable_case():
-    def diffusion(x, y):
-        scale = 2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)
-        return scale[:, None, None] * np.eye(2)
-
-    return Coefficients(diffusion, lambda x, y: x * x + y * y)
+def _variable_diffusion(x, y):
+    scale = 2.0 + np.sin(np.pi * x) * np.sin(np.pi * y)
+    return scale[:, None, None] * np.eye(2)
 
 
+# coefficient case name -> Coefficients built from the RunConfig
 _NAMED_CASES = {
-    "anisotropic": lambda: Coefficients.constant(np.diag([4.0, 1.0])),
-    "variable": _variable_case,
+    "identity": lambda config: Coefficients.identity(),
+    "constant": lambda config: Coefficients.constant(
+        config.diffusion * np.eye(2), config.reaction),
+    "anisotropic": lambda config: Coefficients.constant(np.diag([4.0, 1.0])),
+    "variable": lambda config: Coefficients(_variable_diffusion,
+                                            lambda x, y: x * x + y * y),
 }
 
 
 def build_coefficients(config):
-    name = config.coefficients
-    if name == "identity":
-        return Coefficients.identity()
-    if name == "constant":
-        return Coefficients.constant(config.diffusion * np.eye(2),
-                                     config.reaction)
-    if name in _NAMED_CASES:
-        return _NAMED_CASES[name]()
-    known = ", ".join(["identity", "constant"] + sorted(_NAMED_CASES))
-    raise CliError(f"unknown coefficient case {name!r}; choose one of "
-                   f"{known}")
+    case = _NAMED_CASES.get(config.coefficients)
+    if case is None:
+        raise CliError(f"unknown coefficient case {config.coefficients!r}; "
+                       f"choose one of {', '.join(_NAMED_CASES)}")
+    return case(config)
 
 
 def build_adapt_config(config):

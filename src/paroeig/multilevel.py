@@ -16,8 +16,8 @@ and applies
     B_0(sigma) = V diag(1 / max(|Lambda - sigma|, GAP_FLOOR |sigma|)) V^T,
 
 so B_0(0) = K_0^-1 and the floor keeps B_0 finite when sigma hits a
-coarse eigenvalue. On a large first mesh B_0 = diag(K_0)^-1 for every
-sigma. R_l is the l1-Jacobi smoother OMEGA D^-1
+coarse eigenvalue; the first mesh has at most COARSE_DOFS free dofs.
+R_l is the l1-Jacobi smoother OMEGA D^-1
 (Baker-Falgout-Kolev-Yang 2011) on the vertices level l added and their
 edge neighbours, the set S, with D_ii = sum_(j in S) |K_ij|, and zero
 off S: one smoothing step before and one after each coarse correction,
@@ -122,14 +122,12 @@ def _coarse_modes(system):
 
 def _v_cycle(levels, vecs, scale, r, rows):
     """B r for an (n, a) block r: the levels (coarsest first) above the
-    coarse solve V diag(scale) V^T, or scale * r for Jacobi (vecs None),
-    column i scaled by scale's column rows[i]."""
+    coarse solve V diag(scale[:, rows[i]]) V^T of column i."""
     local = []
     for lv in reversed(levels):
         local.append(lv.smoother @ r)
         r = lv.restrict @ r
-    scale = scale[:, rows]
-    x = scale * r if vecs is None else vecs @ (scale * (vecs.T @ r))
+    x = vecs @ (scale[:, rows] * (vecs.T @ r))
     for lv, z in zip(levels, reversed(local)):
         x = lv.prolong @ x
         x += z
@@ -147,13 +145,13 @@ class MultilevelPreconditioner:
     """
 
     def __init__(self, mesh, system):
+        if system.n_dofs > COARSE_DOFS:
+            raise LinAlgError(f"first mesh has {system.n_dofs} free dofs, "
+                              f"over COARSE_DOFS = {COARSE_DOFS}; start from "
+                              f"a coarser mesh and raise initial_passes")
         self._levels = ()
         self._coarse_vertices = mesh.n_vertices
-        if system.n_dofs <= COARSE_DOFS:
-            self._coarse = _coarse_modes(system)
-        else:
-            # a large first mesh gets Jacobi, never a dense factor
-            self._coarse = 1.0 / system.K.diagonal()
+        self._coarse = _coarse_modes(system)
 
     def extend(self, prolong, mesh, system):
         """Preconditioner for the refined mesh (with its FemSystem);
@@ -193,13 +191,7 @@ class MultilevelPreconditioner:
         if sigma.ndim != 1:
             raise LinAlgError(f"shifts must be a 1-D array, one per row, "
                               f"got shape {sigma.shape}")
-        if isinstance(self._coarse, np.ndarray):
-            # a Jacobi coarse solve ignores the shift
-            vecs = None
-            scale = np.broadcast_to(self._coarse[:, None],
-                                    (len(self._coarse), sigma.size))
-        else:
-            lam, vecs = self._coarse
-            scale = 1.0 / np.maximum(np.abs(lam[:, None] - sigma),
-                                     GAP_FLOOR * np.abs(sigma))  # (n0, k)
+        lam, vecs = self._coarse
+        scale = 1.0 / np.maximum(np.abs(lam[:, None] - sigma),
+                                 GAP_FLOOR * np.abs(sigma))  # (n0, k)
         return functools.partial(_v_cycle, self._levels, vecs, scale)

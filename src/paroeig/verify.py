@@ -179,19 +179,26 @@ def _a_orthonormalize(sys, vectors):
     return np.linalg.solve(ell, v)
 
 
+def _principal(sys, x, y):
+    """(dist_a(sys, x, y), xo, yo, w): the distance with the a-orthonormal
+    bases xo, yo of span(x), span(y) and their cross-Gram w = yo K xo^T
+    it is evaluated from."""
+    xo = _a_orthonormalize(sys, x)
+    yo = _a_orthonormalize(sys, y)
+    w = yo @ (sys.K @ xo.T)                          # (l, k)
+    if xo.shape[0] > yo.shape[0]:
+        return 1.0, xo, yo, w
+    r = xo - w.T @ yo
+    val = np.sqrt(max(np.linalg.eigvalsh(gram(r, sys.K)).max(), 0.0))
+    return float(min(val, 1.0)), xo, yo, w
+
+
 def dist_a(sys, x, y):
     """Largest-principal-angle sine between span(x) and span(y) in the
     a-inner product: sqrt(1 - sigma_min^2) of the cross-Gram of
     a-orthonormal bases, evaluated through the projection residual so
     values near zero are not lost to cancellation."""
-    xo = _a_orthonormalize(sys, x)
-    yo = _a_orthonormalize(sys, y)
-    if xo.shape[0] > yo.shape[0]:
-        return 1.0
-    w = yo @ (sys.K @ xo.T)                          # (l, k)
-    r = xo - w.T @ yo
-    val = np.sqrt(max(np.linalg.eigvalsh(gram(r, sys.K)).max(), 0.0))
-    return float(min(val, 1.0))
+    return _principal(sys, x, y)[0]
 
 
 def analytic_spectrum(domain, count):
@@ -253,14 +260,9 @@ def quasi_orthogonality_report(sys, block, ref):
         raise VerifyError(f"{block.n} orbitals but {ref.n} reference pairs")
     reports = []
     for i, sl in enumerate(block.layout.cluster_slices()):
-        x = ref.vectors[sl]
-        y = block.vectors[sl]
-        d = dist_a(sys, x, y)
+        d, xo, yo, w = _principal(sys, ref.vectors[sl], block.vectors[sl])
         gap = float(np.abs(ref.eigenvalues[sl]
                            - block.ritz_values[sl]).max())
-        xo = _a_orthonormalize(sys, x)
-        yo = _a_orthonormalize(sys, y)
-        w = yo @ (sys.K @ xo.T)
         u_svd, _, vt_svd = np.linalg.svd(w)
         rot = (u_svd @ vt_svd).T
         matched = rot @ yo

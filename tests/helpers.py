@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from paroeig import mesh as pm
+from paroeig.adapt import Level
 from paroeig.assembly import FemSystem
 from paroeig.linalg import gram
 from paroeig.paro import ParoError
@@ -68,6 +69,19 @@ def refined(marks, rounds):
     for _ in range(rounds):
         m, _ = pm.refine(m, [t % m.n_triangles for t in marks])
     return m
+
+
+def grown(domain, passes, coeffs):
+    """The Levels of the initial mesh and of each of passes uniform
+    refinements, each grown from the one before as adaptive_solve grows
+    its first Level, and the sparse nodal steps between them."""
+    levels = [Level.first(pm.build_initial_mesh(domain), coeffs)]
+    steps = []
+    for _ in range(passes):
+        level, step = levels[-1].refine(np.arange(levels[-1].mesh.n_triangles))
+        levels.append(level)
+        steps.append(step)
+    return levels, steps
 
 
 def p1_evaluate(mesh, u, points):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import marks, p1_evaluate, refined, rounds
+from helpers import grown, marks, p1_evaluate, refined, rounds
 from paroeig import adapt, estimator, mesh, multilevel, paro, verify
 from paroeig.adapt import (
     AdaptConfig,
@@ -233,6 +233,30 @@ class TestLevel:
         assert_array_equal(fine.precond.shifted([0.0])(eye, rows),
                            extended.shifted([0.0])(eye, rows))
 
+    @pytest.mark.parametrize("domain,passes", [
+        ("l_shape", 2), ("unit_square", 6), ("unit_square", 8)])
+    def test_grown_first_level_matches_uniform_refine(self, domain,
+                                                      passes):
+        """Up to COARSE_DOFS dofs, the first Level grown by uniform
+        refine() passes from the initial mesh, as adaptive_solve grows
+        it, holds the pencil of uniform_refine then Level.first bit for
+        bit, and the same B(sigma)."""
+        last = grown(domain, passes, VARIABLE)[0][-1]
+        fresh = Level.first(mesh.uniform_refine(
+            mesh.build_initial_mesh(domain), passes)[0], VARIABLE)
+        assert fresh.system.n_dofs <= multilevel.COARSE_DOFS
+        for name in ("K", "M"):
+            got, want = getattr(last.system, name), getattr(fresh.system,
+                                                            name)
+            for part in ("indptr", "indices", "data"):
+                assert (getattr(got, part).tobytes()
+                        == getattr(want, part).tobytes()), (name, part)
+        n = fresh.system.n_dofs
+        eye, rows = np.eye(n), np.zeros(n, dtype=int)
+        for shift in (0.0, 37.0):
+            assert_array_equal(last.precond.shifted([shift])(eye, rows),
+                               fresh.precond.shifted([shift])(eye, rows))
+
     def test_observer_receives_each_level(self, monkeypatch):
         """One call per record, on the Level the record describes, whose
         preconditioner is the one the inner loop ran with."""
@@ -395,6 +419,35 @@ class TestAdaptiveSolve:
         assert loose_iterations < tight_iterations
         assert loose_levels == tight_levels
         assert loose_layouts == tight_layouts
+
+    def test_first_mesh_past_coarse_dofs_grows_levels(self, monkeypatch):
+        """Ten uniform passes from the unit square give a 961-dof first
+        mesh: its preconditioner has levels above the exact coarse solve
+        of the last pass mesh of at most COARSE_DOFS dofs, B is SPD, and
+        the orbital solves stay cheap."""
+        iterations, levels = [], []
+        real = paro.minres_solve
+
+        def counting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            iterations.append(sum(result.row_iterations))
+            return result
+
+        monkeypatch.setattr(paro, "minres_solve", counting)
+        cfg = AdaptConfig(initial_passes=10, max_refinements=4)
+        records, _, _ = adaptive_solve(
+            "unit_square", IDENTITY, 1, cfg,
+            observer=lambda n, level, *_: levels.append(level))
+        first = levels[0]
+        assert first.system.n_dofs == records[0].n_dofs == 961
+        assert first.precond.n_levels >= 2
+        n = first.system.n_dofs
+        b = first.precond.shifted([0.0])(np.eye(n), np.zeros(n, dtype=int))
+        assert_allclose(b, b.T, rtol=0, atol=1e-13 * np.abs(b).max())
+        assert np.linalg.eigvalsh(0.5 * (b + b.T)).min() > 0.0
+        # measured: 110 over the five levels; 894 when the 961-dof mesh
+        # was its own coarse level under a diagonal coarse solve
+        assert sum(iterations) <= 200
 
     def test_deterministic_given_seed(self):
         cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=4,

@@ -564,19 +564,23 @@ class TestElementData:
             assert data.div_rows is None
 
     def test_adaptive_solve_samples_each_triangle_once(self):
-        # the first mesh, then only the children of every refinement:
-        # each pass calls each callable once per point set, and the
+        # the initial mesh, then only the children of every refinement,
+        # the uniform passes to the first level's mesh included: each
+        # sampling pass calls each callable once per point set, and the
         # calls add up to 3 reaction and 15 diffusion points per sampled
         # triangle
         calls = {"diffusion": [], "reaction": []}
         coeffs = variable_coefficients(calls)
-        meshes = []
+        initial = build_initial_mesh("l_shape")
+        meshes = [initial, uniform_refine(initial, 1)[0]]
         config = adapt.AdaptConfig(max_refinements=3, initial_passes=2,
                                    budget_factor=1.0, tol1=1e-14)
         adapt.adaptive_solve(
             "l_shape", coeffs, 2, config,
             observer=lambda n, level, *_: meshes.append(level.mesh))
-        assert len(meshes) == 4
+        assert len(meshes) == 6
+        assert np.array_equal(meshes[2].triangles,
+                              uniform_refine(initial, 2)[0].triangles)
         sampled = [meshes[0].n_triangles] + [
             len(new_triangles(coarse, fine))
             for coarse, fine in zip(meshes, meshes[1:])]

@@ -121,6 +121,10 @@ CASES = {
     # returned one row for three orbitals on a one-dof mesh
     "default_seed_vectors_more_orbitals_than_dofs": (
         AdaptError, lambda: default_seed_vectors(pencil([[4.0]], [[1.0]]), 3)),
+    # the run grows from the initial mesh, which a Mesh instance is not
+    "adaptive_solve_mesh_domain": (
+        AdaptError, lambda: adaptive_solve(
+            SQUARE, Coefficients.identity(), 1, AdaptConfig())),
     "adaptive_solve_bool_seed": (
         AdaptError, lambda: adaptive_solve(
             "unit_square", Coefficients.identity(), 1, AdaptConfig(),

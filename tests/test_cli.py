@@ -307,9 +307,9 @@ class TestCmdVerify:
         # estimate, so it evaluates the coefficients exactly as often as
         # run does
         calls = {"diffusion": 0, "reaction": 0}
-        variable = cli._NAMED_CASES["variable"]()
+        variable = cli._NAMED_CASES["variable"](RunConfig())
 
-        def counting():
+        def counting(config):
             def diffusion(x, y):
                 calls["diffusion"] += 1
                 return variable.diffusion(x, y)

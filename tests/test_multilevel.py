@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import p1_evaluate
+from helpers import grown, p1_evaluate
 from paroeig import mesh as pm
 from paroeig.adapt import Level, dorfler_mark
 from paroeig.assembly import Coefficients, assemble
@@ -91,46 +91,55 @@ def textbook_v_cycle(b_coarse, levels):
     return b
 
 
-@pytest.mark.parametrize("case", ["two_levels", "merged", "jacobi_coarse"])
+@pytest.mark.parametrize("case", ["two_levels", "merged", "grown"])
 def test_v_cycle_matches_the_textbook_recursion(case):
     """dense(precond) is the symmetric V-cycle built from dense K, P and
     S: a Cholesky coarse solve under one level, under a level merged from
-    two refinements and one more, and a Jacobi coarse solve."""
+    two refinements and one more, and under a hierarchy grown by ten
+    uniform passes from the initial mesh and one local refinement."""
     rng = np.random.default_rng(3)
-    passes = 10 if case == "jacobi_coarse" else 8
-    mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"),
-                                passes)
-    hierarchy = [Level.first(mesh, VARIABLE)]
-    k0 = hierarchy[0].system.K.toarray()
-    if case == "jacobi_coarse":
-        assert hierarchy[0].system.n_dofs > COARSE_DOFS
-        b = np.diag(1.0 / np.diag(k0))
+    if case == "grown":
+        hierarchy, steps = grown("unit_square", 10, VARIABLE)
+        steps = [step.toarray() for step in steps]
     else:
-        b = np.linalg.inv(k0)
+        mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 8)
+        hierarchy, steps = [Level.first(mesh, VARIABLE)], []
     fractions = {"two_levels": [0.5], "merged": [0.5, 0.1, 0.6],
-                 "jacobi_coarse": [0.05]}[case]
-    steps = []
+                 "grown": [0.05]}[case]
     for fraction in fractions:
         nt = hierarchy[-1].mesh.n_triangles
         level, step = hierarchy[-1].refine(
             rng.choice(nt, int(fraction * nt), replace=False))
         hierarchy.append(level)
         steps.append(step.toarray())
+    nv = [lv.mesh.n_vertices for lv in hierarchy]
     if case == "merged":
         # the second refinement joins the first level, the third starts
         # a new one
-        nv = [lv.mesh.n_vertices for lv in hierarchy]
         assert nv[1] < 2 * nv[0] <= nv[2]
-        ends, steps = [0, 2, 3], [steps[1] @ steps[0], steps[2]]
+        ends = [0, 2, 3]
+    elif case == "grown":
+        # pass 8 is the last mesh of at most COARSE_DOFS dofs and the
+        # coarse level; pass 10 joins the level of pass 9, and the local
+        # refinement starts a new one
+        dofs = [lv.system.n_dofs for lv in hierarchy]
+        assert dofs[8] <= COARSE_DOFS < dofs[9]
+        assert nv[9] < 2 * nv[8] <= nv[10]
+        ends = [8, 10, 11]
     else:
         ends = [0, 1]
     finest = hierarchy[-1]
     assert finest.precond.n_levels == len(ends)
-    levels = [(hierarchy[stop].system.K.toarray(), step,
-               smoothing_set(hierarchy[stop].mesh, hierarchy[stop].system,
-                             hierarchy[start].mesh.n_vertices))
-              for start, stop, step in zip(ends, ends[1:], steps)]
-    oracle = textbook_v_cycle(b, levels)
+    levels = []
+    for start, stop in zip(ends, ends[1:]):
+        step = steps[start]
+        for later in steps[start + 1:stop]:
+            step = later @ step
+        levels.append((hierarchy[stop].system.K.toarray(), step,
+                       smoothing_set(hierarchy[stop].mesh,
+                                     hierarchy[stop].system, nv[start])))
+    oracle = textbook_v_cycle(
+        np.linalg.inv(hierarchy[ends[0]].system.K.toarray()), levels)
     assert_allclose(dense(finest.precond, finest.system.n_dofs), oracle,
                     rtol=0, atol=1e-12 * np.abs(oracle).max())
 
@@ -199,15 +208,16 @@ def test_shifted_v_cycle_is_symmetric_positive_definite(
 
 def test_block_columns_equal_single_shift_applies(two_level_hierarchy):
     """Column i of shifted(shifts)(R, rows) is shifted(shifts[rows[i]])
-    applied to R[:, i] alone, for an exact and a Jacobi coarse solve."""
+    applied to R[:, i] alone, on one level above the coarse solve and on
+    a hierarchy grown by ten uniform passes from the initial mesh."""
     (k0, m0), (k, _, _), precond = two_level_hierarchy
     lam = abs_pencil_inverse(k0, m0, 0.0)[1]
-    mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 10)
-    system = assemble(mesh, IDENTITY)
-    jacobi = MultilevelPreconditioner(mesh, system)
+    passes = grown("unit_square", 10, IDENTITY)[0][-1]
+    assert passes.precond.n_levels >= 2
     shifts = np.array([0.0, 0.5 * (lam[4] + lam[5]), lam[4], 37.0])
     rng = np.random.default_rng(6)
-    for pre, n in ((precond, len(k)), (jacobi, system.n_dofs)):
+    for pre, n in ((precond, len(k)),
+                   (passes.precond, passes.system.n_dofs)):
         block = pre.shifted(shifts)
         for rows in ([0, 1, 2, 3], [1, 3], [2]):
             r = rng.standard_normal((n, len(rows)))
@@ -272,15 +282,21 @@ def test_coarse_only_hierarchy_is_the_exact_inverse():
                     atol=1e-12 * np.abs(k_inv).max())
 
 
-def test_large_first_mesh_gets_a_diagonal_coarse_solve():
+def test_initial_mesh_above_coarse_dofs_raises():
+    """The coarse solve is exact, so a first mesh above COARSE_DOFS free
+    dofs is refused; grown from its initial mesh, the same mesh gets
+    levels above an exact coarse solve."""
     mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 10)
     system = assemble(mesh, IDENTITY)
     assert system.n_dofs > COARSE_DOFS
-    precond = MultilevelPreconditioner(mesh, system)
-    r = np.random.default_rng(0).standard_normal(system.n_dofs)
-    assert_allclose(apply(precond, r), r / system.K.diagonal(), rtol=1e-15)
-    # a Jacobi coarse solve ignores the shift
-    assert np.array_equal(apply(precond, r, 37.0), apply(precond, r))
+    hint = "start from a coarser mesh and raise initial_passes"
+    with pytest.raises(LinAlgError, match=hint):
+        MultilevelPreconditioner(mesh, system)
+    with pytest.raises(LinAlgError, match=hint):
+        Level.first(mesh, IDENTITY)
+    level = grown("unit_square", 10, IDENTITY)[0][-1]
+    assert np.array_equal(level.mesh.triangles, mesh.triangles)
+    assert level.precond.n_levels >= 2
 
 
 def test_small_meshes_restart_the_hierarchy():
@@ -292,26 +308,26 @@ def test_small_meshes_restart_the_hierarchy():
 
 
 def test_empty_refinement_keeps_the_preconditioner():
-    # a restarted hierarchy (small mesh), and one with a level above a
-    # Jacobi coarse solve
+    """A restarted hierarchy (small mesh) keeps B to the last bit. One
+    grown from the initial mesh past COARSE_DOFS keeps every level's
+    matrices, since the empty refinement joins its last level; the
+    merged step's product stores its entries in another order, so B
+    agrees to rounding."""
     small, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
-    coarse, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 10)
-    large, rmap = pm.refine(coarse, [0, 1])
-    coarse_sys, large_sys = (assemble(m, IDENTITY) for m in (coarse, large))
-    small_sys = assemble(small, IDENTITY)
-    hierarchies = [
-        (small, small_sys, MultilevelPreconditioner(small, small_sys)),
-        (large, large_sys, MultilevelPreconditioner(coarse, coarse_sys)
-         .extend(free_prolongation(rmap, coarse_sys, large_sys), large,
-                 large_sys))]
-    assert hierarchies[1][2].n_levels == 2
-    for mesh, before, precond in hierarchies:
-        same, empty = pm.refine(mesh, [])
-        system = assemble(same, IDENTITY)
-        kept = precond.extend(free_prolongation(empty, before, system),
-                              same, system)
-        assert np.array_equal(dense(kept, system.n_dofs),
-                              dense(precond, system.n_dofs))
+    large, _ = grown("unit_square", 10, IDENTITY)[0][-1].refine([0, 1])
+    assert large.precond.n_levels == 3
+    for level in (Level.first(small, IDENTITY), large):
+        kept, _ = level.refine([])
+        n = level.system.n_dofs
+        assert kept.system.n_dofs == n
+        assert kept.precond.n_levels == level.precond.n_levels
+        for new, old in zip(kept.precond._levels, level.precond._levels,
+                            strict=True):
+            for field in ("step", "prolong", "restrict", "smoother"):
+                assert (getattr(new, field) != getattr(old, field)).nnz == 0
+        b = dense(level.precond, n)
+        atol = 0.0 if level is not large else 1e-15 * np.abs(b).max()
+        assert_allclose(dense(kept.precond, n), b, rtol=0, atol=atol)
 
 
 @settings(max_examples=10, deadline=None)
@@ -320,19 +336,22 @@ def test_empty_refinement_keeps_the_preconditioner():
                                max_size=60), min_size=1, max_size=5),
        seed=st.integers(0, 2**32 - 1))
 def test_transfers_are_nodal_interpolation(domain, picks, seed):
-    """After any sequence of refine() calls, interpolate reproduces
-    linear functions, and every preconditioner level's nodal step
-    prolongs free dofs as interpolate does through the refinements
-    merged into it."""
+    """After uniform passes from the initial mesh past COARSE_DOFS and
+    any sequence of refine() calls, interpolate reproduces linear
+    functions, and every preconditioner level's nodal step prolongs free
+    dofs as interpolate does through the refinements merged into it.
+    The meshes grow as Level.refine grows them, from refine() calls
+    whose RefineMaps interpolate needs."""
     rng = np.random.default_rng(seed)
-    mesh, _ = pm.uniform_refine(pm.build_initial_mesh(domain[0]),
-                                domain[1])
+    name, passes = domain
+    mesh = pm.build_initial_mesh(name)
     meshes, systems, maps = [mesh], [assemble(mesh, IDENTITY)], []
-    assert systems[0].n_dofs > COARSE_DOFS       # no restart below
     precond = MultilevelPreconditioner(mesh, systems[0])
-    for pick in picks:
+    for pick in [None] * passes + picks:
         coarse = meshes[-1]
-        fine, rmap = pm.refine(coarse, np.array(pick) % coarse.n_triangles)
+        marked = (np.arange(coarse.n_triangles) if pick is None
+                  else np.array(pick) % coarse.n_triangles)
+        fine, rmap = pm.refine(coarse, marked)
         a, b, c = rng.standard_normal(3)
 
         def linear(m):
@@ -347,8 +366,11 @@ def test_transfers_are_nodal_interpolation(domain, picks, seed):
             systems[-1])
         meshes.append(fine)
         maps.append(rmap)
+    # the coarse level is a pass mesh, and the last pass has levels
+    assert systems[passes].n_dofs > COARSE_DOFS
     index = {m.n_vertices: k for k, m in enumerate(meshes)}
     start = index[precond._coarse_vertices]
+    assert start < passes
     for level in precond._levels:
         stop = index[level.n_vertices]
         u = rng.standard_normal(systems[start].n_dofs)

@@ -354,6 +354,18 @@ class TestQuasiOrthogonality:
         for rep in reps:
             assert rep.bound_ok
 
+    def test_distance_is_dist_a(self, sq6):
+        _, system, ref = sq6
+        rng = np.random.default_rng(1)
+        block = self.block_from(
+            ref.vectors + 1e-3 * rng.standard_normal(ref.vectors.shape),
+            ref.eigenvalues.copy())
+        reps = quasi_orthogonality_report(system, block, ref)
+        for rep, sl in zip(reps, block.layout.cluster_slices(), strict=True):
+            assert rep.dist > 0.0
+            assert rep.dist == dist_a(system, ref.vectors[sl],
+                                      block.vectors[sl])
+
     def test_dimension_mismatch_rejected(self, sq6):
         _, system, ref = sq6
         block = self.block_from(ref.vectors, ref.eigenvalues)
