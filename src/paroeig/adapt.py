@@ -37,9 +37,15 @@ import numpy as np
 
 from . import mesh as mesh_mod
 from ._checks import count, real
-from .assembly import ElementData, FemSystem, assemble
+from .assembly import AssemblyError, ElementData, FemSystem, assemble
 from .estimator import estimate
-from .linalg import b_orthonormalize, dense_sym_gen_eig, gram, minres_solve
+from .linalg import (
+    LinAlgError,
+    b_orthonormalize,
+    dense_sym_gen_eig,
+    gram,
+    minres_solve,
+)
 from .multilevel import MultilevelPreconditioner
 from .paro import (
     cluster_guesses,
@@ -276,8 +282,12 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
 
     Args:
         domain: initial mesh as mesh.build_initial_mesh takes it, a
-            name or a (vertices, triangles) pair (a Mesh raises
-            AdaptError), refined config.initial_passes times for level 0.
+            name or a (vertices, triangles) pair, refined
+            config.initial_passes times for level 0. Anything else (a
+            Mesh too), an unknown name, or an initial mesh of more than
+            multilevel.COARSE_DOFS free dofs raises an AdaptError that
+            says so; coefficients that fail on the initial mesh raise
+            one that names them.
         coeffs: Coefficients for the operator pencil.
         n_orbitals: number of wanted eigenpairs N.
         config: AdaptConfig.
@@ -299,12 +309,21 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
     if not isinstance(config, AdaptConfig):
         raise AdaptError(f"config must be an AdaptConfig, got {config!r}")
     t0 = time.perf_counter()
+    try:
+        initial = mesh_mod.build_initial_mesh(domain)
+    except mesh_mod.MeshError as exc:
+        raise AdaptError(f"bad domain: {exc}") from exc
+    try:
+        level = Level.first(initial, coeffs)
+    except LinAlgError as exc:
+        raise AdaptError(f"the domain's initial mesh is too fine: "
+                         f"{exc}") from exc
+    except AssemblyError as exc:
+        raise AdaptError(f"bad coefficients: {exc}") from exc
     records, eta_sq = [], None
     for n in range(config.max_refinements + 1):
         try:
             if n == 0:
-                level = Level.first(mesh_mod.build_initial_mesh(domain),
-                                    coeffs)
                 for _ in range(config.initial_passes):
                     level, _ = level.refine(
                         np.arange(level.mesh.n_triangles))

@@ -36,12 +36,14 @@ shifted K - sigma*M (FemSystem.shifted) share the one pattern.
 
 Everything per triangle that assembly and the estimator read (gradients,
 areas, diameters, coefficient samples, the finite-difference divergence
-of callable diffusion) lives in one
-ElementData per mesh. Each sample is taken and validated once: the
-adaptive loop builds it on the first mesh and extends it after every
-refinement, copying the rows of triangles the refinement kept and
-sampling only the new children. Called without one, `assemble` and
-`estimator.estimate` build it themselves.
+of callable diffusion, and the element stiffness matrices ke) lives in
+one ElementData per mesh. Each sample is taken and validated once, and
+each ke computed once: the adaptive loop builds it on the first mesh and
+extends it after every refinement, copying the rows of triangles the
+refinement kept and sampling only the new children. The element mass
+matrices are the areas times one fixed matrix, so they are not stored.
+Called without one, `assemble` and `estimator.estimate` build it
+themselves.
 """
 
 from __future__ import annotations
@@ -261,7 +263,8 @@ def _sample(mesh, coeffs, ids):
                     else r_data[mesh.ancestor[ids]])
         _check_reaction_values(reaction, ids)
     return dict(grads=grads, areas=areas, h_t=h_t, diffusion=diffusion,
-                reaction=reaction, div_rows=div_rows)
+                reaction=reaction, div_rows=div_rows,
+                ke=_element_stiffness(grads, areas, diffusion, reaction))
 
 
 class ElementData:
@@ -277,13 +280,16 @@ class ElementData:
             for a callable.
         div_rows: (nt, nq, 2) finite-difference div A at the quadrature
             points for callable diffusion, else None.
+        ke: (nt, 3, 3) element stiffness matrices (diffusion + reaction),
+            as element_matrices returns them.
 
     Build it on the first mesh and call extend() after every refine();
     extend returns the data of the refined mesh and leaves this one
     untouched. The arrays are read-only.
     """
 
-    _FIELDS = ("grads", "areas", "h_t", "diffusion", "reaction", "div_rows")
+    _FIELDS = ("grads", "areas", "h_t", "diffusion", "reaction", "div_rows",
+               "ke")
 
     def __init__(self, mesh, coeffs):
         self._set(mesh, coeffs,
@@ -309,20 +315,19 @@ class ElementData:
         # refine() keeps a whole triangle's vertex ids and makes it its
         # own single child
         offsets = refine_map.child_offsets
-        src = np.nonzero(np.diff(offsets) == 1)[0]
-        dst = offsets[src]
-        fresh = np.ones(fine_mesh.n_triangles, dtype=bool)
-        fresh[dst] = False
-        children = np.nonzero(fresh)[0]
+        kept = np.flatnonzero(np.diff(offsets) == 1)
+        # fine row f is old row source[f], or sampled row source[f] - nt
+        source = np.full(fine_mesh.n_triangles, -1)
+        source[offsets[kept]] = kept
+        children = np.flatnonzero(source < 0)
+        source[children] = self.mesh.n_triangles + np.arange(len(children))
         sampled = _sample(fine_mesh, self.coeffs, children)
         fields = dict.fromkeys(self._FIELDS)
         for name in self._FIELDS:
             old = getattr(self, name)
             if old is not None:
-                fields[name] = new = np.empty(
-                    (fine_mesh.n_triangles,) + old.shape[1:])
-                new[dst] = old[src]
-                new[children] = sampled[name]
+                fields[name] = np.take(np.concatenate([old, sampled[name]]),
+                                       source, axis=0)
         out = object.__new__(ElementData)
         out._set(fine_mesh, self.coeffs, fields)
         return out
@@ -339,39 +344,43 @@ def _element_data(mesh, coeffs, data=None):
     return data
 
 
+def _element_stiffness(grads, areas, diffusion, reaction):
+    """Per-element 3x3 stiffness (diffusion + reaction), (nt, 3, 3), from
+    the ElementData fields of the same triangles."""
+    bary, weights = _QUAD_RULE
+    if diffusion.ndim == 4:                    # callable: (nt, nq, 2, 2)
+        diffusion = np.einsum("q,tqab->tab", weights, diffusion)
+    # ke[t, i, j] = sum_ab g[t, i, a] A[t, a, b] g[t, j, b], summed from
+    # +0.0 over a then b with each product taken left to right: the
+    # order of einsum("tia,tab,tjb->tij"), so the sums are the same
+    ke = np.zeros((len(grads), 3, 3))
+    for a in range(2):
+        for b in range(2):
+            ke += (grads[:, :, None, a] * diffusion[:, None, None, a, b]
+                   * grads[:, None, :, b])
+    ke *= areas[:, None, None]
+    if reaction.ndim == 2:                     # callable: (nt, nq)
+        re = np.einsum("q,tq,qi,qj->tij", weights, reaction, bary, bary)
+        ke += re * areas[:, None, None]
+    else:
+        ke += reaction[:, None, None] * _mass(areas)
+    return ke
+
+
+def _mass(areas):
+    return _EXACT_MASS[None, :, :] * areas[:, None, None]
+
+
 def element_matrices(mesh, coeffs, data=None):
     """Per-element 3x3 stiffness (diffusion + reaction) and exact mass.
 
     Returns (ke, me), each shaped (nt, 3, 3). ke uses the quadrature rule
-    for coefficient sampling only; me is the analytic P1 mass matrix.
+    for coefficient sampling only and is data.ke, computed when each
+    triangle was sampled; me is the analytic P1 mass matrix.
     data: the mesh's ElementData, built here when None.
     """
-    bary, weights = _QUAD_RULE
     data = _element_data(mesh, coeffs, data)
-    areas = data.areas
-    a_eff = data.diffusion
-    if a_eff.ndim == 4:                        # callable: (nt, nq, 2, 2)
-        a_eff = np.einsum("q,tqab->tab", weights, a_eff)
-    # ke[t, i, j] = sum_ab g[t, i, a] A[t, a, b] g[t, j, b], summed from
-    # +0.0 over a then b with each product taken left to right: the
-    # order of einsum("tia,tab,tjb->tij"), so the sums are the same
-    g = data.grads
-    ke = np.zeros((len(g), 3, 3))
-    for a in range(2):
-        for b in range(2):
-            ke += (g[:, :, None, a] * a_eff[:, None, None, a, b]
-                   * g[:, None, :, b])
-    ke *= areas[:, None, None]
-
-    me = _EXACT_MASS[None, :, :] * areas[:, None, None]
-
-    if data.reaction.ndim == 2:                # callable: (nt, nq)
-        re = np.einsum("q,tq,qi,qj->tij", weights, data.reaction, bary,
-                       bary)
-        ke += re * areas[:, None, None]
-    else:
-        ke += data.reaction[:, None, None] * me
-    return ke, me
+    return data.ke, _mass(data.areas)
 
 
 @dataclass(frozen=True)

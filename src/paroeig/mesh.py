@@ -14,6 +14,15 @@ fixpoint: a triangle with any marked edge must have its refinement edge
 marked too. Afterwards each triangle is split according to which of its
 edges carry a midpoint (1, 2 or 3 marked edges give 2, 3 or 4 children),
 which bisects every marked edge identically from both sides.
+
+Mesh(...) builds the edge table from the triangles and checks every
+input (flipped or duplicate triangles, hanging nodes, unused vertices);
+loads() goes through it too. refine() instead carries the coarse mesh's
+tables over: kept triangles keep their rows, kept edges their lengths
+and normals, and only the halves of split edges and the cut triangles'
+interior edges are built and measured, then merged into the kept edges
+in lexicographic order. Its output is conforming by construction, so it
+checks only what it makes: the closure and each child's orientation.
 """
 
 from __future__ import annotations
@@ -32,6 +41,27 @@ class MeshError(ValueError):
 
 def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _edge_geometry(vertices, edges, opposite):
+    """(lengths, unit normals) of the (n, 2) vertex pairs edges; normal
+    e points away from vertex opposite[e], the vertex of edge e's first
+    triangle that is not on it: from the first triangle into the second,
+    outward on the boundary."""
+    start = np.take(vertices, edges[:, 0], axis=0)
+    d = np.take(vertices, edges[:, 1], axis=0) - start
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+    inward = np.take(vertices, opposite, axis=0) - start
+    flip = np.einsum("ij,ij->i", normals, inward) > 0.0
+    normals *= np.where(flip, -1.0, 1.0)[:, None]
+    return lengths, normals
+
+
+# every array a Mesh holds; all are read-only
+_TABLES = ("vertices", "triangles", "generation", "ancestor", "edges",
+           "tri_edges", "edge_tris", "edge_lengths", "edge_normals",
+           "is_boundary_vertex")
 
 
 class Mesh:
@@ -93,9 +123,21 @@ class Mesh:
             raise MeshError("negative ancestor index")
         if self.generation.min() < 0:
             raise MeshError("negative generation")
-        for arr in (self.vertices, self.triangles, self.generation,
-                    self.ancestor):
-            arr.setflags(write=False)
+        self._freeze()
+
+    @classmethod
+    def _from_tables(cls, **tables):
+        """A Mesh of the given tables (every name in _TABLES), which the
+        caller built conforming: no check runs."""
+        mesh = object.__new__(cls)
+        for name in _TABLES:
+            setattr(mesh, name, tables[name])
+        mesh._freeze()
+        return mesh
+
+    def _freeze(self):
+        for name in _TABLES:
+            getattr(self, name).setflags(write=False)
 
     # -- construction helpers -------------------------------------------
 
@@ -142,22 +184,8 @@ class Mesh:
         bnd_edges = self.edges[~two]
         self.is_boundary_vertex[bnd_edges.ravel()] = True
         self._check_hanging_nodes(bnd_edges)
-
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        self.edge_lengths = np.hypot(d[:, 0], d[:, 1])
-        normals = np.column_stack([d[:, 1], -d[:, 0]]) / self.edge_lengths[:, None]
-        # orient: interior edges point from first into second triangle,
-        # boundary edges outward, i.e. away from the first triangle's
-        # vertex opposite the edge
-        inward = (self.vertices[opposite[starts]]
-                  - self.vertices[self.edges[:, 0]])
-        flip = np.einsum("ij,ij->i", normals, inward) > 0.0
-        normals[flip] *= -1.0
-        self.edge_normals = normals
-        for arr in (self.edges, self.tri_edges, self.edge_tris,
-                    self.edge_lengths, self.edge_normals,
-                    self.is_boundary_vertex):
-            arr.setflags(write=False)
+        self.edge_lengths, self.edge_normals = _edge_geometry(
+            self.vertices, self.edges, opposite[starts])
 
     def _check_hanging_nodes(self, one_sided):
         """Raise MeshError if a vertex lies inside an edge: the edge and
@@ -251,6 +279,55 @@ def _nodal_prolongation(n_coarse, vertex_parents):
                                                          n_coarse))
 
 
+# The children of a cut triangle (v0, v1, v2), as rows of the vertex
+# symbols 0..5 = (v0, v1, v2, M0, M1, M2) where Mi is the midpoint of the
+# edge opposite vi, for each kind of cut: the refinement edge alone, with
+# the edge (v0, v1), with the edge (v2, v0), and all three edges. The
+# kind is m2 + 2 * m1, whether the edges opposite v2 and v1 are cut too.
+_CHILDREN = (((3, 0, 1), (3, 2, 0)),
+             ((5, 3, 0), (5, 1, 3), (3, 2, 0)),
+             ((3, 0, 1), (4, 3, 2), (4, 0, 3)),
+             ((5, 3, 0), (5, 1, 3), (4, 3, 2), (4, 0, 3)))
+# the children's edges as pairs of vertex symbols: the parent's edges
+# opposite v0, v1 and v2 kept whole; the halves of those three edges,
+# each at its first end, then at its second; the interior edges from M0
+# to v0, M1 and M2
+_EDGE_SYMBOLS = ((1, 2), (2, 0), (0, 1),
+                 (1, 3), (2, 3), (2, 4), (0, 4), (0, 5), (1, 5),
+                 (0, 3), (3, 4), (3, 5))
+# the parent edge each edge symbol lies on; 3 for the interior edges
+_EDGE_PARENT = (0, 1, 2, 0, 0, 1, 1, 2, 2, 3, 3, 3)
+
+
+def _child_tables():
+    """The children of all kinds of cut stacked as rows: their vertex
+    symbols (c, 3), edge symbols (c, 3) with local edge j opposite local
+    vertex j, generation steps (c,) and edge_tris slots (c, 3), 1 where
+    an earlier child of the parent holds the same interior edge; and the
+    first row of each kind."""
+    symbol = {frozenset(pair): s for s, pair in enumerate(_EDGE_SYMBOLS)}
+    vertices, edges, later = [], [], []
+    for children in _CHILDREN:
+        seen = set()
+        for child in children:
+            row = [symbol[frozenset((child[(j + 1) % 3], child[(j + 2) % 3]))]
+                   for j in range(3)]
+            vertices.append(child)
+            edges.append(row)
+            later.append([s in seen for s in row])
+            seen.update(row)
+    vertices = np.array(vertices)
+    # a child whose peak is M1 or M2 is its parent bisected twice
+    step = np.where(vertices[:, 0] == 3, 1, 2)
+    first = np.cumsum([0] + [len(c) for c in _CHILDREN[:-1]])
+    return (vertices, np.array(edges), step, np.array(later, dtype=np.int64),
+            first)
+
+
+(_CHILD_VERTICES, _CHILD_EDGES, _CHILD_STEP, _CHILD_SLOT,
+ _KIND_FIRST) = _child_tables()
+
+
 def refine(mesh, marked):
     """Bisect every marked triangle once and close the mesh.
 
@@ -259,6 +336,17 @@ def refine(mesh, marked):
     that conformity then needs, and every triangle is cut along its
     marked edges (2, 3 or 4 children). Marked generations increase by at
     least 1.
+
+    The fine mesh's tables are built from the coarse mesh's, so the work
+    beyond copying scales with the cut triangles. A kept triangle keeps
+    its row; a kept edge keeps its length and normal under a new id; a
+    split edge becomes its two halves, and each cut triangle adds its
+    interior edges; only those new edges are measured. The new edges are
+    sorted among themselves and merged into the kept ones, so the edge
+    table stays lexicographic. The output is conforming by construction,
+    so Mesh's whole-mesh input checks do not run: refine checks that the
+    closure marked every refinement edge it needs and that every child
+    has positive signed area, and raises MeshError otherwise.
 
     Args:
         mesh: conforming Mesh.
@@ -284,65 +372,127 @@ def refine(mesh, marked):
             break
         edge_marked[ref_edge[need]] = True
 
-    split = np.nonzero(edge_marked)[0]
-    nv = mesh.n_vertices
+    split = np.flatnonzero(edge_marked)
+    nv, k = mesh.n_vertices, len(split)
     new_id = np.full(ne, -1, dtype=np.int64)
-    new_id[split] = nv + np.arange(len(split))
-    vertex_parents = mesh.edges[split]
-    mids = 0.5 * (mesh.vertices[vertex_parents[:, 0]]
-                  + mesh.vertices[vertex_parents[:, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
+    new_id[split] = mids = nv + np.arange(k)
+    vertex_parents = np.take(mesh.edges, split, axis=0)
+    ends = np.take(mesh.vertices, vertex_parents, axis=0)
+    vertices = np.concatenate([mesh.vertices,
+                               0.5 * (ends[:, 0] + ends[:, 1])])
 
     m = edge_marked[mesh.tri_edges]          # (nt, 3): ref, opp-1, opp-2
     if ((m[:, 1] | m[:, 2]) & ~m[:, 0]).any():
         raise MeshError("closure failed to mark a refinement edge")
     nchild = 1 + m.sum(axis=1)
     offsets = np.concatenate([[0], np.cumsum(nchild)])
-    total = int(offsets[-1])
-    tri = np.empty((total, 3), dtype=np.int64)
-    gen = np.empty(total, dtype=np.int64)
-    anc = np.empty(total, dtype=np.int64)
 
-    t = mesh.triangles
-    v0, v1, v2 = t[:, 0], t[:, 1], t[:, 2]
-    M0 = new_id[mesh.tri_edges[:, 0]]
-    M1 = new_id[mesh.tri_edges[:, 1]]
-    M2 = new_id[mesh.tri_edges[:, 2]]
-    g = mesh.generation
+    # the cut triangles' vertex ids by symbol; per child, its parent (an
+    # index into cut) and its row in the _CHILD_* tables
+    cut = np.flatnonzero(m[:, 0])
+    te_cut = np.take(mesh.tri_edges, cut, axis=0)
+    corners = np.take(mesh.triangles, cut, axis=0)
+    by_symbol = np.concatenate([corners, new_id[te_cut]], axis=1)
+    children = np.flatnonzero(np.repeat(m[:, 0], nchild))
+    parent = np.repeat(np.arange(len(cut)), nchild[cut])
+    row = (_KIND_FIRST[m[cut, 2] + 2 * m[cut, 1]][parent] + children
+           - offsets[cut][parent])
+    child_tri = np.take(by_symbol, 6 * parent[:, None]
+                        + np.take(_CHILD_VERTICES, row, axis=0))
+    x, y = vertices[:, 0][child_tri], vertices[:, 1][child_tri]
+    if ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+            - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]) <= 0.0).any():
+        raise MeshError("refinement made a flipped or degenerate triangle")
 
-    def put(mask, slot, rows, gshift):
-        idx = offsets[:-1][mask] + slot
-        tri[idx] = np.column_stack([r[mask] for r in rows])
-        gen[idx] = g[mask] + gshift
-        anc[idx] = mesh.ancestor[mask]
+    # new edges, as sorted pairs: each split edge's halves at its lower
+    # and at its higher end, then each cut triangle's interior edges
+    # from M0 (to v0 always, to M1 and M2 where they exist)
+    m0 = by_symbol[:, 3:4]
+    inner = by_symbol[:, 3:] >= 0
+    lo = np.concatenate([vertex_parents[:, 0], vertex_parents[:, 1],
+                         np.minimum(m0, by_symbol[:, [0, 4, 5]])[inner]])
+    hi = np.concatenate([mids, mids,
+                         np.maximum(m0, by_symbol[:, [0, 4, 5]])[inner]])
+    # merged into the kept edges, whose codes are sorted already
+    nv_fine = nv + k
+    kept = np.flatnonzero(~edge_marked)
+    kept_codes = (mesh.edges[:, 0] * nv_fine + mesh.edges[:, 1])[kept]
+    codes = lo * nv_fine + hi
+    order = np.argsort(codes)
+    fid = np.empty(len(codes), dtype=np.int64)
+    fid[order] = np.arange(len(codes)) + np.searchsorted(kept_codes,
+                                                         codes[order])
+    kept_fid = np.full(ne, -1, dtype=np.int64)
+    kept_fid[kept] = np.arange(len(kept)) + np.searchsorted(codes[order],
+                                                            kept_codes)
 
-    keep = ~m[:, 0]
-    put(keep, 0, (v0, v1, v2), 0)
+    # the fine ids of the cut triangles' edge symbols, and the edge_tris
+    # slot each takes: its parent edge's slot there (a child comes
+    # before another triangle's children exactly when its parent does),
+    # and on an interior edge 0, or 1 in the later of its two children
+    halves = np.full(2 * ne, -1, dtype=np.int64)
+    halves[2 * split] = fid[:k]
+    halves[2 * split + 1] = fid[k:2 * k]
+    end = 2 * te_cut + (mesh.edges[te_cut, 1] == corners[:, [1, 2, 0]])
+    interior = np.full(inner.shape, -1, dtype=np.int64)
+    interior[inner] = fid[2 * k:]
+    edge_ids = np.concatenate([
+        kept_fid[te_cut],
+        np.stack([halves[end], halves[end ^ 1]], axis=2).reshape(-1, 6),
+        interior], axis=1)
+    side = np.zeros((len(cut), 4), dtype=np.int64)
+    side[:, :3] = mesh.edge_tris[te_cut, 1] == cut[:, None]
+    symbol = 12 * parent[:, None] + np.take(_CHILD_EDGES, row, axis=0)
+    child_te = np.take(edge_ids, symbol)
+    child_slot = (np.take(side[:, _EDGE_PARENT], symbol)
+                  + np.take(_CHILD_SLOT, row, axis=0))
 
-    only = m[:, 0] & ~m[:, 1] & ~m[:, 2]
-    put(only, 0, (M0, v0, v1), 1)
-    put(only, 1, (M0, v2, v0), 1)
+    # a new edge's first triangle is a child, and the opposite vertex is
+    # that child's vertex opposite the edge
+    opposite = np.empty(ne - k + len(codes), dtype=np.int64)
+    first = child_slot == 0
+    opposite[child_te[first]] = child_tri[first]
+    pairs = np.column_stack([lo, hi])
+    lengths, normals = _edge_geometry(vertices, pairs, opposite[fid])
 
-    # refinement edge plus the edge opposite v2, i.e. (v0, v1)
-    with2 = m[:, 0] & ~m[:, 1] & m[:, 2]
-    put(with2, 0, (M2, M0, v0), 2)
-    put(with2, 1, (M2, v1, M0), 2)
-    put(with2, 2, (M0, v2, v0), 1)
+    # fine triangle f is coarse row tri_src[f] kept whole, or child
+    # tri_src[f] - nt; fine edge e likewise coarse edge edge_src[e] or new
+    # edge edge_src[e] - ne
+    whole = np.flatnonzero(~m[:, 0])
+    nt = mesh.n_triangles
+    tri_src = np.empty(int(offsets[-1]), dtype=np.int64)
+    tri_src[offsets[whole]] = whole
+    tri_src[children] = nt + np.arange(len(children))
+    edge_src = np.empty(len(opposite), dtype=np.int64)
+    edge_src[kept_fid[kept]] = kept
+    edge_src[fid] = ne + np.arange(len(codes))
+    tri_edges = np.take(np.concatenate([kept_fid[mesh.tri_edges], child_te]),
+                        tri_src, axis=0)
+    # a kept edge keeps its triangles under their new ids; the children
+    # then write their own entries over their parents'
+    edge_tris = np.take(np.concatenate([
+        np.append(offsets[:-1], -1)[mesh.edge_tris],
+        np.full((len(codes), 2), -1)]), edge_src, axis=0)
+    edge_tris.reshape(-1)[2 * child_te + child_slot] = children[:, None]
 
-    # refinement edge plus the edge opposite v1, i.e. (v2, v0)
-    with1 = m[:, 0] & m[:, 1] & ~m[:, 2]
-    put(with1, 0, (M0, v0, v1), 1)
-    put(with1, 1, (M1, M0, v2), 2)
-    put(with1, 2, (M1, v0, M0), 2)
-
-    allm = m.all(axis=1)
-    put(allm, 0, (M2, M0, v0), 2)
-    put(allm, 1, (M2, v1, M0), 2)
-    put(allm, 2, (M1, M0, v2), 2)
-    put(allm, 3, (M1, v0, M0), 2)
-
-    return Mesh(vertices, tri, gen, anc), RefineMap(
-        offsets, _nodal_prolongation(nv, vertex_parents))
+    fine = Mesh._from_tables(
+        vertices=vertices,
+        triangles=np.take(np.concatenate([mesh.triangles, child_tri]),
+                          tri_src, axis=0),
+        generation=np.concatenate([
+            mesh.generation,
+            mesh.generation[cut][parent] + _CHILD_STEP[row]])[tri_src],
+        ancestor=np.concatenate([mesh.ancestor,
+                                 mesh.ancestor[cut][parent]])[tri_src],
+        edges=np.take(np.concatenate([mesh.edges, pairs]), edge_src,
+                      axis=0),
+        tri_edges=tri_edges, edge_tris=edge_tris,
+        edge_lengths=np.concatenate([mesh.edge_lengths, lengths])[edge_src],
+        edge_normals=np.take(np.concatenate([mesh.edge_normals, normals]),
+                             edge_src, axis=0),
+        is_boundary_vertex=np.concatenate([mesh.is_boundary_vertex,
+                                           mesh.edge_tris[split, 1] < 0]))
+    return fine, RefineMap(offsets, _nodal_prolongation(nv, vertex_parents))
 
 
 def uniform_refine(mesh, passes=1):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import descendants
-from paroeig import adapt, paro
+from paroeig import adapt, assembly, paro
 from paroeig.assembly import (
     AssemblyError,
     Coefficients,
@@ -555,6 +555,19 @@ class TestElementData:
         assert (estimate(m, coeffs, block, data=data).per_element.tobytes()
                 == estimate(m, coeffs, block).per_element.tobytes())
 
+    def test_element_matrices_read_the_carried_stiffness(self, monkeypatch):
+        for coeffs in COEFFICIENT_CASES.values():
+            data = ElementData(BASE_MESH, coeffs)
+            # nothing is sampled or computed again from data
+            monkeypatch.setattr(assembly, "_sample", None)
+            monkeypatch.setattr(assembly, "_element_stiffness", None)
+            ke, me = element_matrices(BASE_MESH, coeffs, data)
+            monkeypatch.undo()
+            assert ke is data.ke
+            assert not ke.flags.writeable
+            assert me.tobytes() == (assembly._EXACT_MASS * data.areas[
+                :, None, None]).tobytes()
+
     def test_constant_data_is_stored_per_element(self):
         for name in ("constant", "table"):
             data = ElementData(BASE_MESH, COEFFICIENT_CASES[name])
@@ -815,6 +828,7 @@ class TestKernels:
         data = ElementData(m, coeffs)
         ke, k_ref, m_ref = einsum_system(m, data, grads)
         assert element_matrices(m, coeffs, data)[0].tobytes() == ke.tobytes()
+        assert element_matrices(m, coeffs)[0].tobytes() == ke.tobytes()
         system = assemble(m, coeffs, data=data)
         # K stores its exact zeros on M's pattern; the dense reference
         # stores no zero

@@ -178,3 +178,22 @@ def test_bad_argument_raises_the_module_error(case):
     with pytest.raises(error):
         call()
 
+
+FINE_SQUARE = pm.uniform_refine(SQUARE, 10)[0]
+
+
+@pytest.mark.parametrize("domain,wording", [
+    (SQUARE, r"^bad domain: domain must be a name or a \(vertices, "
+             r"triangles\) pair$"),
+    ("nowhere", r"^bad domain: unknown domain 'nowhere'$"),
+    # 961 free dofs, over the exact coarse solve's 400
+    ((FINE_SQUARE.vertices, FINE_SQUARE.triangles),
+     r"^the domain's initial mesh is too fine: first mesh has 961 free "
+     r"dofs, over COARSE_DOFS = 400; start from a coarser mesh and raise "
+     r"initial_passes$"),
+])
+def test_adaptive_solve_names_a_bad_domain(domain, wording):
+    # these used to read "refinement level 0 failed: ..."
+    with pytest.raises(AdaptError, match=wording) as err:
+        adaptive_solve(domain, Coefficients.identity(), 1, AdaptConfig())
+    assert err.value.records == []

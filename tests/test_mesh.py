@@ -290,6 +290,34 @@ def test_edge_table_matches_a_dict_reference(domain, picks):
             assert sign * side > 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(domain=st.sampled_from(["unit_square", "l_shape", SCALENE_PAIR]),
+       rounds=st.lists(st.one_of(
+           st.tuples(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.6)),
+           st.just("empty"), st.just("uniform")), max_size=8))
+def test_refine_tables_equal_a_fresh_mesh(domain, rounds):
+    # refine builds its tables from the coarse mesh's and skips Mesh's
+    # checks; a fresh Mesh of the same arrays must agree byte for byte
+    m = pm.build_initial_mesh(domain)
+    for step in rounds:
+        if step == "empty":
+            m, _ = pm.refine(m, [])
+        elif step == "uniform":
+            m, _ = pm.uniform_refine(m)
+        else:
+            seed, share = step
+            rng = np.random.default_rng(seed)
+            m, _ = pm.refine(m, np.flatnonzero(rng.random(m.n_triangles)
+                                               < share))
+        fresh = pm.Mesh(m.vertices, m.triangles, m.generation, m.ancestor)
+        for name in ("edges", "tri_edges", "edge_tris", "edge_lengths",
+                     "edge_normals", "is_boundary_vertex"):
+            got, want = getattr(m, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+
+
 def test_similarity_classes_at_most_four_per_initial_triangle():
     rng = np.random.default_rng(7)
     m = pm.build_initial_mesh(SCALENE_PAIR)
