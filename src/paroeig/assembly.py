@@ -6,7 +6,7 @@ mass matrix. Homogeneous Dirichlet conditions are imposed by eliminating
 boundary vertices, which keeps both matrices symmetric positive definite
 and leaves the generalized spectrum untouched.
 
-Coefficient fields come in three representations:
+Coefficient fields take three forms, which Coefficients tells apart:
   * a constant (2x2 array for diffusion, scalar for reaction),
   * a per-element table indexed by each triangle's ancestor in the
     initial mesh (piecewise-constant data survives refinement unchanged),
@@ -35,15 +35,16 @@ stiffness of an edge opposite two right angles), so K, M and every
 shifted K - sigma*M (FemSystem.shifted) share the one pattern.
 
 Everything per triangle that assembly and the estimator read (gradients,
-areas, diameters, coefficient samples, the finite-difference divergence
-of callable diffusion, and the element stiffness matrices ke) lives in
-one ElementData per mesh. Each sample is taken and validated once, and
-each ke computed once: the adaptive loop builds it on the first mesh and
-extends it after every refinement, copying the rows of triangles the
-refinement kept and sampling only the new children. The element mass
-matrices are the areas times one fixed matrix, so they are not stored.
-Called without one, `assemble` and `estimator.estimate` build it
-themselves.
+areas, diameters, the samples of callable coefficients with the
+finite-difference divergence of callable diffusion, and the element
+stiffness matrices ke) lives in one ElementData per mesh. Each sample is
+taken and validated once, and each ke computed once: the adaptive loop
+builds it on the first mesh, where constant and table values are checked
+once, and extends it after every refinement, copying the rows of
+triangles the refinement kept and sampling only the new children. Array
+coefficients and the element mass matrices (the areas times one fixed
+matrix) are not stored per triangle. Called without one, `assemble` and
+`estimator.estimate` build it themselves.
 """
 
 from __future__ import annotations
@@ -77,54 +78,52 @@ _EXACT_MASS = np.array([[2.0, 1.0, 1.0],
 _MIN_EIG_BOUND = 1e-10
 
 
+# field -> (shape of one value, the value None stands for, array forms)
+_FIELD_FORMS = {
+    "diffusion": ((2, 2), np.eye(2), "a 2x2 array, an (n, 2, 2) table"),
+    "reaction": ((), 0.0, "a scalar, an (n,) table")}
+
+
 @dataclass(frozen=True)
 class Coefficients:
-    """Operator data: diffusion matrix field and reaction scalar field."""
+    """Operator data: diffusion matrix field and reaction scalar field; a
+    callable is kept, array data stored as a read-only float64 copy."""
     diffusion: object = None      # 2x2 array | (n0, 2, 2) table | callable
     reaction: object = None       # scalar | (n0,) table | callable
+
+    def __post_init__(self):
+        for name, (shape, default, forms) in _FIELD_FORMS.items():
+            value = getattr(self, name)
+            if callable(value):
+                continue
+            arr = real_array(default if value is None else value, name,
+                             AssemblyError, copy=True)
+            if shape not in (arr.shape, arr.shape[1:]):
+                raise AssemblyError(f"{name} must be {forms}, or a callable")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @staticmethod
     def identity():
         """Pure Laplacian: diffusion = I, reaction = 0."""
-        return Coefficients(np.eye(2), 0.0)
+        return Coefficients()
 
     @staticmethod
     def constant(diffusion, reaction=0.0):
+        """A constant 2x2 diffusion matrix and scalar reaction."""
+        diffusion = real_array(diffusion, "diffusion", AssemblyError)
         reaction = real_array(reaction, "reaction", AssemblyError)
-        if reaction.ndim:
-            raise AssemblyError("a constant reaction is a scalar")
-        return Coefficients(real_array(diffusion, "diffusion", AssemblyError,
-                                       copy=True), float(reaction))
+        if diffusion.shape != (2, 2) or reaction.ndim:
+            raise AssemblyError("a constant diffusion is 2x2, reaction scalar")
+        return Coefficients(diffusion, reaction)
 
-
-def _classify_diffusion(coeffs):
-    d = coeffs.diffusion
-    if d is None:
-        return "const", np.eye(2)
-    if callable(d):
-        return "callable", d
-    arr = real_array(d, "diffusion", AssemblyError)
-    if arr.shape == (2, 2):
-        return "const", arr
-    if arr.ndim == 3 and arr.shape[1:] == (2, 2):
-        return "table", arr
-    raise AssemblyError("diffusion must be a 2x2 array, an (n, 2, 2) "
-                        "table, or a callable")
-
-
-def _classify_reaction(coeffs):
-    c = coeffs.reaction
-    if c is None:
-        return "const", 0.0
-    if callable(c):
-        return "callable", c
-    arr = real_array(c, "reaction", AssemblyError)
-    if arr.ndim == 0:
-        return "const", float(arr)
-    if arr.ndim == 1:
-        return "table", arr
-    raise AssemblyError("reaction must be a scalar, an (n,) table, or a "
-                        "callable")
+    def _values(self, name, mesh, ids):
+        """Array field name on the triangles ids of mesh: a read-only
+        broadcast of a constant, or the table rows of their ancestors."""
+        value = getattr(self, name)
+        if value.shape == _FIELD_FORMS[name][0]:
+            return np.broadcast_to(value, (len(ids),) + value.shape)
+        return value.take(mesh.ancestor.take(ids), 0)
 
 
 def _check_spd_matrices(mats, elements):
@@ -148,7 +147,6 @@ def _check_spd_matrices(mats, elements):
 
 
 def _check_reaction_values(vals, elements):
-    vals = np.asarray(vals)
     bad = ~np.isfinite(vals) | (vals < 0.0)
     if bad.any():
         t = int(np.asarray(elements)[np.nonzero(bad)[0][0]])
@@ -225,46 +223,29 @@ def _divergence_rows(diffusion, x, y, h_t, ids):
 
 
 def _sample(mesh, coeffs, ids):
-    """The ElementData fields for the triangles ids of mesh, validated;
-    errors name the triangle's index in mesh."""
+    """The ElementData fields of the triangles ids of mesh, callables
+    sampled and validated; errors name the triangle's index in mesh."""
     nt, nq = len(ids), len(_QUAD_RULE[1])
     grads, areas = p1_gradients(mesh, ids)
     h_t = mesh.edge_lengths[mesh.tri_edges[ids]].max(axis=1)
-    d_mode, d_data = _classify_diffusion(coeffs)
-    r_mode, r_data = _classify_reaction(coeffs)
-    for mode, data, name in ((d_mode, d_data, "diffusion"),
-                             (r_mode, r_data, "reaction")):
-        if mode == "table" and data.shape[0] <= mesh.ancestor[ids].max(
-                initial=-1):
-            raise AssemblyError(f"{name} table is shorter than the "
-                                f"ancestor index range")
-    if "callable" in (d_mode, r_mode):
+    fields = dict(grads=grads, areas=areas, h_t=h_t, diffusion=None,
+                  reaction=None, div_rows=None)
+    d, c = coeffs.diffusion, coeffs.reaction
+    if callable(d) or callable(c):
         pts = _quad_points(mesh, ids)                         # (nt, nq, 2)
         x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
         at_points = np.repeat(ids, nq)
-
-    if d_mode == "callable":
-        diffusion = _evaluate(d_data, x, y, (2, 2))
+    if callable(d):
+        diffusion = _evaluate(d, x, y, (2, 2))
         _check_spd_matrices(diffusion, at_points)
-        diffusion = diffusion.reshape(nt, nq, 2, 2)
-        div_rows = _divergence_rows(d_data, x, y, h_t, ids)
-    else:
-        diffusion = (np.broadcast_to(d_data, (nt, 2, 2)).copy()
-                     if d_mode == "const" else d_data[mesh.ancestor[ids]])
-        _check_spd_matrices(diffusion, ids)
-        div_rows = None
-
-    if r_mode == "callable":
-        reaction = _evaluate(r_data, x, y, ())
+        fields["diffusion"] = diffusion.reshape(nt, nq, 2, 2)
+        fields["div_rows"] = _divergence_rows(d, x, y, h_t, ids)
+    if callable(c):
+        reaction = _evaluate(c, x, y, ())
         _check_reaction_values(reaction, at_points)
-        reaction = reaction.reshape(nt, nq)
-    else:
-        reaction = (np.full(nt, r_data) if r_mode == "const"
-                    else r_data[mesh.ancestor[ids]])
-        _check_reaction_values(reaction, ids)
-    return dict(grads=grads, areas=areas, h_t=h_t, diffusion=diffusion,
-                reaction=reaction, div_rows=div_rows,
-                ke=_element_stiffness(grads, areas, diffusion, reaction))
+        fields["reaction"] = reaction.reshape(nt, nq)
+    fields["ke"] = _element_stiffness(mesh, coeffs, ids, fields)
+    return fields
 
 
 class ElementData:
@@ -274,16 +255,16 @@ class ElementData:
     Fields, one row per triangle:
         grads (nt, 3, 2), areas (nt,), h_t (nt,): P1 basis gradients,
             areas and diameters.
-        diffusion: (nt, 2, 2) for constant and table data, the samples
-            at the quadrature points (nt, nq, 2, 2) for a callable.
-        reaction: (nt,) for constant and table data, (nt, nq) samples
-            for a callable.
+        diffusion: (nt, nq, 2, 2) samples at the quadrature points for
+            a callable; None for constant and table data, read from coeffs.
+        reaction: (nt, nq) samples for a callable, else None.
         div_rows: (nt, nq, 2) finite-difference div A at the quadrature
             points for callable diffusion, else None.
         ke: (nt, 3, 3) element stiffness matrices (diffusion + reaction),
             as element_matrices returns them.
 
-    Build it on the first mesh and call extend() after every refine();
+    Build it on the first mesh, which checks the values of constant and
+    table data once for the run, and call extend() after every refine();
     extend returns the data of the refined mesh and leaves this one
     untouched. The arrays are read-only.
     """
@@ -292,8 +273,19 @@ class ElementData:
                "ke")
 
     def __init__(self, mesh, coeffs):
-        self._set(mesh, coeffs,
-                  _sample(mesh, coeffs, np.arange(mesh.n_triangles)))
+        # array data, checked once per run: refinement adds no ancestor id
+        ids = np.arange(mesh.n_triangles)
+        for name, check in (("diffusion", _check_spd_matrices),
+                            ("reaction", _check_reaction_values)):
+            value = getattr(coeffs, name)
+            if callable(value):
+                continue
+            if (value.shape != _FIELD_FORMS[name][0]
+                    and len(value) <= mesh.ancestor.max(initial=-1)):
+                raise AssemblyError(f"{name} table is shorter than the "
+                                    f"ancestor index range")
+            check(coeffs._values(name, mesh, ids), ids)
+        self._set(mesh, coeffs, _sample(mesh, coeffs, ids))
 
     def _set(self, mesh, coeffs, fields):
         self.mesh, self.coeffs = mesh, coeffs
@@ -344,12 +336,15 @@ def _element_data(mesh, coeffs, data=None):
     return data
 
 
-def _element_stiffness(grads, areas, diffusion, reaction):
-    """Per-element 3x3 stiffness (diffusion + reaction), (nt, 3, 3), from
-    the ElementData fields of the same triangles."""
+def _element_stiffness(mesh, coeffs, ids, fields):
+    """Per-element 3x3 stiffness (diffusion + reaction), (nt, 3, 3), of
+    the triangles ids of mesh from their ElementData fields."""
     bary, weights = _QUAD_RULE
-    if diffusion.ndim == 4:                    # callable: (nt, nq, 2, 2)
-        diffusion = np.einsum("q,tqab->tab", weights, diffusion)
+    grads, areas = fields["grads"], fields["areas"]
+    if fields["diffusion"] is None:
+        diffusion = coeffs._values("diffusion", mesh, ids)
+    else:
+        diffusion = np.einsum("q,tqab->tab", weights, fields["diffusion"])
     # ke[t, i, j] = sum_ab g[t, i, a] A[t, a, b] g[t, j, b], summed from
     # +0.0 over a then b with each product taken left to right: the
     # order of einsum("tia,tab,tjb->tij"), so the sums are the same
@@ -359,11 +354,13 @@ def _element_stiffness(grads, areas, diffusion, reaction):
             ke += (grads[:, :, None, a] * diffusion[:, None, None, a, b]
                    * grads[:, None, :, b])
     ke *= areas[:, None, None]
-    if reaction.ndim == 2:                     # callable: (nt, nq)
-        re = np.einsum("q,tq,qi,qj->tij", weights, reaction, bary, bary)
-        ke += re * areas[:, None, None]
-    else:
+    if fields["reaction"] is None:
+        reaction = coeffs._values("reaction", mesh, ids)
         ke += reaction[:, None, None] * _mass(areas)
+    else:
+        re = np.einsum("q,tq,qi,qj->tij", weights, fields["reaction"], bary,
+                       bary)
+        ke += re * areas[:, None, None]
     return ke
 
 

@@ -91,13 +91,13 @@ def _operators(data):
     mesh = data.mesh
     sides = mesh.edge_tris.clip(0)      # (ne, 2); boundary rows zeroed below
     # take, not fancy indexing: several times faster on these shapes
-    if data.diffusion.ndim == 4:
+    if data.diffusion is None:
+        a_sides = [data.coeffs._values("diffusion", mesh, t) for t in sides.T]
+    else:
         local = np.argmax(mesh.tri_edges.take(sides[:, 0], 0)
                           == np.arange(len(sides))[:, None], axis=1)
         q_of_edge = np.argsort(assembly._QUAD_EDGE)[local]
         a_sides = [data.diffusion[sides[:, 0], q_of_edge]] * 2
-    else:
-        a_sides = [data.diffusion.take(t, 0) for t in sides.T]
     # +-n . (A grad w) = (+-A^T n) . sum_i w_i grad phi_i on either side
     coef = np.empty((len(sides), 2, 3))
     for s, (t, a, n) in enumerate(zip(sides.T, a_sides, (
@@ -108,9 +108,12 @@ def _operators(data):
     tri = mesh.triangles
     jump = coef.reshape(-1, 6), tri.take(sides, 0).reshape(-1, 6)
     linear, c_q = None, data.reaction
+    if c_q is None:                     # array data: (nt, 1)
+        c_q = data.coeffs._values("reaction", mesh,
+                                  np.arange(mesh.n_triangles))[:, None]
     if c_q.any() or data.div_rows is not None:
         bary, _ = assembly._QUAD_RULE
-        lin = -(c_q if c_q.ndim == 2 else c_q[:, None])[..., None] * bary
+        lin = -c_q[..., None] * bary
         if data.div_rows is not None:
             lin += np.einsum("tqd,tid->tqi", data.div_rows, data.grads)
         linear = lin.reshape(-1, 3), np.repeat(tri, len(bary), axis=0)

@@ -568,13 +568,69 @@ class TestElementData:
             assert me.tobytes() == (assembly._EXACT_MASS * data.areas[
                 :, None, None]).tobytes()
 
-    def test_constant_data_is_stored_per_element(self):
+    def test_constant_and_table_data_are_stored_once(self):
+        # one read-only float64 copy in the coefficients, and no copy per
+        # triangle in the element data, before or after a refinement
+        fine, rmap = refine(BASE_MESH, [0, 5, 9])
         for name in ("constant", "table"):
-            data = ElementData(BASE_MESH, COEFFICIENT_CASES[name])
-            nt = BASE_MESH.n_triangles
-            assert data.diffusion.shape == (nt, 2, 2)
-            assert data.reaction.shape == (nt,)
-            assert data.div_rows is None
+            given = COEFFICIENT_CASES[name]
+            coeffs = Coefficients(given.diffusion, given.reaction)
+            for value, source in ((coeffs.diffusion, given.diffusion),
+                                  (coeffs.reaction, given.reaction)):
+                assert value.dtype == np.float64
+                assert not value.flags.writeable
+                assert not np.shares_memory(value, source)
+            data = ElementData(BASE_MESH, coeffs)
+            for d in (data, data.extend(rmap, fine)):
+                assert d.diffusion is None
+                assert d.reaction is None
+                assert d.div_rows is None
+
+    @pytest.mark.parametrize("case", ["constant", "table"])
+    def test_caller_edits_do_not_reach_a_run(self, case):
+        # the caller's arrays, edited after Coefficients(...) and again
+        # after ElementData(...), change neither extend nor assemble
+        given = COEFFICIENT_CASES[case]
+        diffusion = np.array(given.diffusion)
+        reaction = np.array(given.reaction)
+        coeffs = Coefficients(diffusion, reaction)
+        diffusion *= 2.0
+        data = ElementData(BASE_MESH, coeffs)
+        diffusion *= 2.0
+        reaction += 1.0
+        fine, rmap = refine(BASE_MESH, [0, 5, 9])
+        extended = data.extend(rmap, fine)
+        assert extended.ke.tobytes() == ElementData(fine, given).ke.tobytes()
+        want = assemble(fine, given)
+        for system in (assemble(fine, coeffs, data=extended),
+                       assemble(fine, coeffs)):
+            assert csr_bytes(system.K) == csr_bytes(want.K)
+            assert csr_bytes(system.M) == csr_bytes(want.M)
+        for value in (coeffs.diffusion, coeffs.reaction):
+            assert not value.flags.writeable
+
+    @pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
+    def test_array_data_is_checked_once_per_run(self, case, monkeypatch):
+        # constant and table values are checked when the run's first
+        # element data is built; a callable's samples on every sampling
+        # pass: the first mesh, each uniform pass and each later level
+        calls = dict.fromkeys(["_check_spd_matrices",
+                               "_check_reaction_values"], 0)
+        for name in calls:
+            def counting(*args, _name=name, _check=getattr(assembly, name)):
+                calls[_name] += 1
+                return _check(*args)
+            monkeypatch.setattr(assembly, name, counting)
+        levels = []
+        config = adapt.AdaptConfig(max_refinements=3, initial_passes=2,
+                                   budget_factor=1.0, tol1=1e-14)
+        adapt.adaptive_solve(
+            "l_shape", COEFFICIENT_CASES[case], 2, config,
+            observer=lambda n, level, *_: levels.append(level))
+        assert len(levels) == 4
+        passes = config.initial_passes + len(levels)
+        want = passes if case == "variable" else 1
+        assert calls == dict.fromkeys(calls, want)
 
     def test_adaptive_solve_samples_each_triangle_once(self):
         # the initial mesh, then only the children of every refinement,
@@ -747,19 +803,28 @@ def einsum_system(m, data, grads):
     assemble: the free block of the dense matrix over all vertices whose
     upper triangle mirrors its lower one."""
     bary, weights = _QUAD_RULE
-    a_eff = data.diffusion
-    if a_eff.ndim == 4:
-        a_eff = np.einsum("q,tqab->tab", weights, a_eff)
+    nt, coeffs = m.n_triangles, data.coeffs
+
+    def per_triangle(value, shape):
+        # a constant repeated, or a table row per ancestor
+        if value.shape == shape:
+            return np.tile(value, (nt,) + (1,) * len(shape))
+        return value[m.ancestor]
+
+    if data.diffusion is None:
+        a_eff = per_triangle(coeffs.diffusion, (2, 2))
+    else:
+        a_eff = np.einsum("q,tqab->tab", weights, data.diffusion)
     ke = np.einsum("tia,tab,tjb->tij", grads, a_eff, grads)
     ke *= data.areas[:, None, None]
     me = (np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
           / 12.0)[None, :, :] * data.areas[:, None, None]
-    if data.reaction.ndim == 2:
+    if data.reaction is None:
+        ke += per_triangle(coeffs.reaction, ())[:, None, None] * me
+    else:
         re = np.einsum("q,tq,qi,qj->tij", weights, data.reaction, bary,
                        bary)
         ke += re * data.areas[:, None, None]
-    else:
-        ke += data.reaction[:, None, None] * me
     tri = m.triangles.astype(np.int32)
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()

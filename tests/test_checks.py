@@ -58,6 +58,12 @@ CASES = {
     "refine_none": (MeshError, lambda: pm.refine(SQUARE, None)),
     "constant_reaction_table": (
         AssemblyError, lambda: Coefficients.constant(np.eye(2), [1.0, 2.0])),
+    # a table assembled as one, a 3x3 matrix failed only at assembly
+    "constant_diffusion_table": (
+        AssemblyError, lambda: Coefficients.constant(
+            np.tile(np.eye(2), (3, 1, 1)))),
+    "constant_diffusion_3x3": (
+        AssemblyError, lambda: Coefficients.constant(np.eye(3))),
     "adaptive_solve_config_none": (
         AdaptError, lambda: adaptive_solve(
             "unit_square", Coefficients.identity(), 1, None)),

@@ -191,7 +191,7 @@ def test_coefficients_assemble(diffusion, reaction, constant):
         coeffs = returns_or_raises_own(Coefficients.constant, diffusion,
                                        reaction)
     else:
-        coeffs = Coefficients(diffusion, reaction)
+        coeffs = returns_or_raises_own(Coefficients, diffusion, reaction)
     if coeffs is not None:
         returns_or_raises_own(assemble, MESH8, coeffs)
 
