@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mesh as mesh_mod
-from ._checks import count, real
+from ._checks import count, real, real_array
 from .assembly import AssemblyError, ElementData, FemSystem, assemble
 from .estimator import estimate
 from .linalg import (
@@ -96,7 +96,7 @@ class AdaptConfig:
             raise AdaptError(f"theta out of (0,1): {self.theta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """One refinement level of an adaptive run.
 
@@ -114,8 +114,10 @@ class RunRecord:
     wall_time: float
 
     def __post_init__(self):
-        object.__setattr__(self, "ritz_values",
-                           np.asarray(self.ritz_values, dtype=np.float64))
+        values = real_array(self.ritz_values, "ritz_values", AdaptError)
+        if values.ndim != 1:
+            raise AdaptError("ritz_values must be a 1-D array")
+        object.__setattr__(self, "ritz_values", values)
 
 
 def records_to_csv(records):
@@ -231,7 +233,7 @@ def transfer_block(fine_sys, prolong, block):
     return replace(block, vectors=vecs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Level:
     """One mesh of an adaptive run: its ElementData (which holds the mesh
     and the coefficients), its FemSystem and its preconditioner."""
@@ -345,7 +347,7 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
                 block.ritz_values, records[-1].ritz_values, block.ritz_values)
             records.append(RunRecord(
                 n=n, n_dofs=level.system.n_dofs,
-                ritz_values=block.ritz_values.copy(),
+                ritz_values=block.ritz_values,
                 global_estimator_sq=indicators.global_sq,
                 m_used=m_used, delta1=d1, wall_time=wall))
             if d1 <= config.tol1 or n == config.max_refinements:

@@ -84,7 +84,7 @@ _FIELD_FORMS = {
     "reaction": ((), 0.0, "a scalar, an (n,) table")}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coefficients:
     """Operator data: diffusion matrix field and reaction scalar field; a
     callable is kept, array data stored as a read-only float64 copy."""
@@ -380,7 +380,7 @@ def element_matrices(mesh, coeffs, data=None):
     return data.ke, _mass(data.areas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FemSystem:
     """Assembled pencil restricted to interior (free) vertices.
 

@@ -44,16 +44,16 @@ class EstimatorError(ValueError):
     """Invalid indicator data (wrong vector length, bad indicators)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Indicators:
-    """Finite, non-negative per-element squared indicators; finite sum."""
+    """1-D finite, non-negative per-element squared indicators; finite sum."""
     per_element: np.ndarray
 
     def __post_init__(self):
         pe = real_array(self.per_element, "indicators", EstimatorError,
                         finite=True)
-        if np.any(pe < 0.0):
-            raise EstimatorError("negative local indicator")
+        if pe.ndim != 1 or np.any(pe < 0.0):
+            raise EstimatorError("indicators must be a non-negative 1-D array")
         object.__setattr__(self, "per_element", pe)
         with np.errstate(over="ignore"):        # a sum beyond range is inf
             if not np.isfinite(self.global_sq):
@@ -138,8 +138,7 @@ def _residuals(data, values, ritz_values):
     # sum when the block is b-orthonormal (the normal case), and keeps
     # the residual 1-homogeneous in each orbital's scale
     norms_sq = np.diag(b_gram).clip(0.0)
-    coef = b_gram * (np.asarray(ritz_values, dtype=np.float64)
-                     / np.where(norms_sq > 0.0, norms_sq, 1.0))
+    coef = b_gram * (ritz_values / np.where(norms_sq > 0.0, norms_sq, 1.0))
     r = (mid @ coef.T).take(at_q, 0)                    # (nt, nq, N)
     if linear is not None:
         r += _gather(*linear, values).reshape(r.shape)

@@ -40,7 +40,7 @@ class LinAlgError(RuntimeError):
 _FLAGS = ("converged", "max_iter", "breakdown")
 
 
-@dataclass
+@dataclass(eq=False)
 class MinresResult:
     """What minres_solve returns for a (k, n) right-hand side.
 

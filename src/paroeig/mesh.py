@@ -239,7 +239,7 @@ class Mesh:
 # -- refinement ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefineMap:
     """What one refine() call did: which triangles split and which
     vertices appeared.

@@ -65,7 +65,7 @@ GAP_FLOOR = 1e-2
 MERGE_FACTOR = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Level:
     n_vertices: int
     step: sp.csr_matrix        # nodal P: free dofs of the level below

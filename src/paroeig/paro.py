@@ -20,7 +20,8 @@ not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,30 +81,35 @@ class ClusterLayout:
         return [slice(int(s[i]), int(s[i + 1])) for i in range(self.q)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitalBlock:
     """A block of N orbitals with their finite, ascending Ritz values.
 
-    vectors is (N, n_dofs) in flat cluster order, b-orthonormal after a
-    Ritz step. Steps 1 and 2 of a sweep derive layout (cluster_guesses
-    of ritz_values) and shifts (each cluster's mean); neither is given.
+    vectors (N, n_dofs), in flat cluster order and b-orthonormal after a
+    Ritz step, is held by reference; ritz_values is kept as a read-only
+    copy, from which layout and shifts (steps 1 and 2) are derived.
     """
     vectors: np.ndarray
     ritz_values: np.ndarray
-    layout: ClusterLayout = field(init=False)
-    shifts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        values = real_array(self.ritz_values, "ritz_values", ParoError)
-        layout = cluster_guesses(values)
+        values = real_array(self.ritz_values, "ritz_values", ParoError,
+                            copy=True)
+        values.flags.writeable = False
+        object.__setattr__(self, "ritz_values", values)
         vectors = real_array(self.vectors, "vectors", ParoError)
-        if vectors.ndim != 2 or len(vectors) != layout.n:
-            raise ParoError(f"expected {layout.n} vectors")
-        shifts = np.array([values[s].mean()
-                           for s in layout.cluster_slices()])
-        for name, value in (("vectors", vectors), ("ritz_values", values),
-                            ("layout", layout), ("shifts", shifts)):
-            object.__setattr__(self, name, value)
+        if vectors.ndim != 2 or len(vectors) != self.n:
+            raise ParoError(f"expected {self.n} vectors")
+        object.__setattr__(self, "vectors", vectors)
+
+    @cached_property
+    def layout(self):
+        return cluster_guesses(self.ritz_values)
+
+    @cached_property
+    def shifts(self):
+        return np.array([self.ritz_values[s].mean()
+                         for s in self.layout.cluster_slices()])
 
     @property
     def n(self):

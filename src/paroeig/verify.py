@@ -29,7 +29,7 @@ class VerifyError(RuntimeError):
     """Diagnostic preconditions violated or an oracle failed to converge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferencePairs:
     """Reference discrete eigenpairs; rows of vectors are M-orthonormal."""
     eigenvalues: np.ndarray
@@ -76,7 +76,7 @@ def _nested_dissection(vertices, k):
     return np.lexsort((code, sep, code | ((1 << sep + 1) - 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PermutedLU:
     """splu of K[perm][:, perm]; solve(b) takes and returns vectors or
     (n, k) blocks in K's own numbering."""
@@ -118,11 +118,13 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
     vector that seed draws, within max_iter implicit restarts. eigsh
     needs n_pairs < n_dofs, so at n_pairs == n_dofs the pencil is
     solved densely by LAPACK eigh. Each lam is its vector's Rayleigh
-    quotient, and every pair must end with
-    ||K v - lam M v|| <= tol * ||K||_inf * ||v||.
+    quotient, and every pair must end with ||K v - lam M v|| <= tol *
+    ||K||_inf * ||v||, for a tol that is positive and finite.
     """
     n_pairs = _checks.count(n_pairs, "n_pairs", VerifyError, minimum=1)
     tol = _checks.real(tol, "tol", VerifyError)
+    if not 0.0 < tol < np.inf:                      # NaN too
+        raise VerifyError(f"tol must be positive and finite, got {tol!r}")
     max_iter = _checks.count(max_iter, "max_iter", VerifyError, minimum=1)
     seed = _checks.count(seed, "seed", VerifyError)
     if n_pairs > sys.n_dofs:
@@ -167,9 +169,9 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
 
 
 def _a_orthonormalize(sys, vectors):
-    v = _checks.real_array(vectors, "vectors", VerifyError)
-    if v.ndim == 1:
-        v = v[None, :]
+    v = np.atleast_2d(_checks.real_array(vectors, "vectors", VerifyError))
+    if v.ndim != 2 or v.shape[1] != sys.n_dofs:
+        raise VerifyError(f"vectors must have {sys.n_dofs} entries each")
     g = gram(v, sys.K)
     try:
         ell = np.linalg.cholesky(g)
@@ -232,15 +234,26 @@ def fit_rate(x, y):
     return float(slope), float(r_sq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterReport:
     """Per-cluster agreement between an orbital block and reference."""
     cluster: int
-    dim: int
     dist: float
     max_gap: float
     per_vector: np.ndarray
-    bound: float
+
+    @property
+    def dim(self):
+        return len(self.per_vector)
+
+    @property
+    def bound(self):
+        """(1 + sqrt(dim)) * sqrt(2 - 2 sqrt(1 - dist^2))."""
+        d = min(self.dist, 1.0)
+        # 2 - 2 sqrt(1-d^2) rewritten as 2d^2/(1+sqrt(1-d^2)): the direct
+        # form underflows to 0 for d near machine precision
+        chord_sq = 2.0 * d ** 2 / (1.0 + np.sqrt(1.0 - d ** 2))
+        return float((1.0 + np.sqrt(self.dim)) * np.sqrt(chord_sq))
 
     @property
     def bound_ok(self):
@@ -249,9 +262,8 @@ class ClusterReport:
 
 def quasi_orthogonality_report(sys, block, ref):
     """Subspace distances, eigenvalue gaps, and the matched
-    per-vector distances against the bound
-        (1 + sqrt(d)) * sqrt(2 - 2 sqrt(1 - dist^2))
-    for each cluster of block.layout.
+    per-vector distances, with ClusterReport's bound, for each cluster
+    of block.layout.
 
     The matched basis comes from the orthogonal Procrustes rotation of
     the block cluster onto the reference cluster in the a-inner product.
@@ -269,12 +281,6 @@ def quasi_orthogonality_report(sys, block, ref):
         diff = xo - matched
         per_vec = np.sqrt(np.maximum(
             np.einsum("kn,kn->k", diff, (sys.K @ diff.T).T), 0.0))
-        d_clip = min(d, 1.0)
-        # 2 - 2 sqrt(1-d^2) rewritten as 2d^2/(1+sqrt(1-d^2)): the direct
-        # form underflows to 0 for d near machine precision
-        chord_sq = 2.0 * d_clip ** 2 / (1.0 + np.sqrt(1.0 - d_clip ** 2))
-        bound = (1.0 + np.sqrt(sl.stop - sl.start)) * np.sqrt(chord_sq)
-        reports.append(ClusterReport(cluster=i, dim=sl.stop - sl.start,
-                                     dist=d, max_gap=gap,
-                                     per_vector=per_vec, bound=float(bound)))
+        reports.append(ClusterReport(cluster=i, dist=d, max_gap=gap,
+                                     per_vector=per_vec))
     return reports

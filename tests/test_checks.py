@@ -14,8 +14,8 @@ import scipy.sparse as sp
 
 from helpers import pencil
 from paroeig import mesh as pm
-from paroeig.adapt import (AdaptConfig, AdaptError, adaptive_solve,
-                           default_seed_vectors)
+from paroeig.adapt import (AdaptConfig, AdaptError, RunRecord,
+                           adaptive_solve, default_seed_vectors)
 from paroeig.assembly import AssemblyError, Coefficients
 from paroeig.estimator import EstimatorError, Indicators
 from paroeig.linalg import (LinAlgError, b_orthonormalize, dense_sym_gen_eig,
@@ -23,8 +23,8 @@ from paroeig.linalg import (LinAlgError, b_orthonormalize, dense_sym_gen_eig,
 from paroeig.mesh import MeshError
 from paroeig.paro import (ClusterLayout, OrbitalBlock, ParoError,
                           cluster_guesses, relative_change)
-from paroeig.verify import (VerifyError, analytic_spectrum, fit_rate,
-                            reference_eig)
+from paroeig.verify import (VerifyError, analytic_spectrum, dist_a,
+                            fit_rate, reference_eig)
 
 SQUARE = pm.build_initial_mesh("unit_square")
 S3 = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
@@ -175,6 +175,26 @@ CASES = {
         AssemblyError, lambda: replace(SYSTEM, free_dofs=[0.0, 1.0, 2.0])),
     "fem_system_free_dofs_not_one_per_row": (
         AssemblyError, lambda: replace(SYSTEM, free_dofs=[0, 1])),
+    # a NaN or inf tol passed a residual check that could never fire; a
+    # zero or negative one failed only after the LU and the Lanczos run
+    "reference_eig_nan_tol": (
+        VerifyError, lambda: reference_eig(SYSTEM, 1, tol=np.nan)),
+    "reference_eig_inf_tol": (
+        VerifyError, lambda: reference_eig(SYSTEM, 1, tol=np.inf)),
+    "reference_eig_zero_tol": (
+        VerifyError, lambda: reference_eig(SYSTEM, 1, tol=0.0)),
+    "reference_eig_negative_tol": (
+        VerifyError, lambda: reference_eig(SYSTEM, 1, tol=-1.0)),
+    # accepted, then failed later with numpy's bare ValueError (marking)
+    # or TypeError (records_to_csv)
+    "indicators_2d": (EstimatorError, lambda: Indicators(np.ones((2, 2)))),
+    "indicators_0d": (EstimatorError, lambda: Indicators(np.float64(1.0))),
+    "run_record_2d_ritz_values": (
+        AdaptError, lambda: RunRecord(0, 3, np.ones((1, 2)), 1.0, 1, np.inf,
+                                      0.0)),
+    # numpy's bare matmul ValueError
+    "dist_a_vector_length": (
+        VerifyError, lambda: dist_a(SYSTEM, np.ones(4), np.ones(3))),
 }
 
 

@@ -4,6 +4,8 @@ Oracle routes are deliberately independent of the implementation:
 np.linalg.solve (LU) for linear systems, scipy.linalg.eigh for pencils.
 """
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import pencil
+from helpers import grown, pencil
 from paroeig import paro
 from paroeig.assembly import Coefficients, FemSystem, assemble
 from paroeig.linalg import (
+    _FLAGS,
     LinAlgError,
     MinresResult,
     b_orthonormalize,
@@ -447,3 +450,77 @@ class TestBlockMinres:
         for ops in (s, [s]):
             with pytest.raises(LinAlgError, match=r"must be \(k, n\)"):
                 minres_solve(ops, np.ones(shape))
+
+
+def random_indefinite(n, seed):
+    """A symmetric (n, n) matrix with eigenvalues of both signs, all of
+    magnitude in [0.1, 2]."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d = rng.uniform(0.1, 2.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    a = (q * d) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@functools.cache
+def grown_square():
+    """The Level of ten uniform passes of the unit square: 961 dofs, a
+    preconditioner with a V-cycle level above its coarse solve."""
+    return grown("unit_square", 10, Coefficients.identity())[0][-1]
+
+
+class TestResidualHistory:
+    """What every row's residual history holds, whatever the operators,
+    the preconditioner and the right-hand sides: it starts at
+    sqrt(b.Bb), never increases, and has one entry per iteration plus
+    the start; a zero row has none and takes no iteration."""
+
+    @staticmethod
+    def check_rows(res, rhs, precond):
+        assert all(flag in _FLAGS for flag in res.row_flags)
+        for j, (b, hist, itn) in enumerate(zip(
+                rhs, res.residual_history, res.row_iterations)):
+            if not b.any():
+                assert len(hist) == 0 and itn == 0
+                continue
+            bb = b if precond is None else precond(
+                np.ascontiguousarray(b[:, None]), np.array([j]))[:, 0]
+            assert_allclose(hist[0], np.sqrt(b @ bb), rtol=1e-12)
+            assert len(hist) == itn + 1
+            assert np.all(np.diff(hist) <= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+           uses=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+           zero=st.integers(0, 4), spd=st.booleans(),
+           tol=st.sampled_from([1e-3, 1e-8, 1e-14]),
+           cap=st.floats(0.1, 3.0))
+    def test_random_operators(self, n, seed, uses, zero, spd, tol, cap):
+        # rows share the three operators as uses says; one row is zero
+        ops = [sp.csr_matrix(random_indefinite(n, seed + i))
+               for i in range(3)]
+        rhs = np.random.default_rng(seed).standard_normal((len(uses) + 1, n))
+        rhs[zero % len(rhs)] = 0.0
+        uses = uses + [uses[0]]
+        b_spd = random_spd(n, seed + 3, cond_spread=(1e-2, 10.0))
+        precond = (lambda r, rows: b_spd @ r) if spd else None
+        res = minres_solve([ops[u] for u in uses], rhs, tol=tol,
+                           max_iter=max(1, int(cap * n)), precond=precond)
+        self.check_rows(res, rhs, precond)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shifts=st.lists(st.floats(0.0, 150.0), min_size=1, max_size=3),
+           zero=st.integers(0, 3))
+    def test_multilevel_shifted(self, seed, shifts, zero):
+        level = grown_square()
+        system = level.system
+        rhs = np.random.default_rng(seed).standard_normal(
+            (len(shifts) + 1, system.n_dofs))
+        rhs[zero % len(rhs)] = 0.0
+        shifts = np.array(shifts + [shifts[0]])
+        precond = level.precond.shifted(shifts)
+        res = minres_solve([system.shifted(s) for s in shifts], rhs,
+                           tol=1e-6, max_iter=60, precond=precond)
+        self.check_rows(res, rhs, precond)
+

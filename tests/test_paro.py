@@ -4,7 +4,7 @@ The reference route is scipy.linalg.eigh on densified pencils, which
 shares no code with the iteration under test.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -185,6 +185,21 @@ class TestComputeShifts:
             OrbitalBlock(np.eye(2), np.array([2.0, 1.0]))
         with pytest.raises(ParoError, match="expected 4 vectors"):
             OrbitalBlock(np.eye(3, 4), values)
+
+    def test_block_keeps_its_own_values(self):
+        # an edit of the caller's array after construction used to leave
+        # layout (2, 1) and shift 5.0 beside the values [1, 1.001, 1.002]
+        vectors, values = np.eye(3), np.array([1.0, 1.001, 5.0])
+        blk = OrbitalBlock(vectors, values)
+        assert [f.name for f in fields(OrbitalBlock)] == ["vectors",
+                                                          "ritz_values"]
+        values[2] = 1.002
+        assert blk.ritz_values.tolist() == [1.0, 1.001, 5.0]
+        assert blk.layout.d == (2, 1)
+        assert blk.shifts.tolist() == [values[:2].mean(), 5.0]
+        assert blk.vectors is vectors
+        with pytest.raises(ValueError, match="read-only"):
+            blk.ritz_values[2] = 1.002
 
 
 # a singleton cluster's shift is its own Ritz value, which orbital_update

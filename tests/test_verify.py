@@ -1,6 +1,7 @@
 """Oracle-side diagnostics: reference solver, subspace metrics, rates."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from paroeig.assembly import Coefficients, assemble, element_matrices
 from paroeig.linalg import dense_sym_gen_eig
 from paroeig.mesh import build_initial_mesh, uniform_refine
 from paroeig.verify import (
+    ClusterReport,
     ReferencePairs,
     VerifyError,
     _factor_k,
@@ -74,6 +76,13 @@ class TestReferenceEig:
         ref = reference_eig(diag_system(np.array([1.0, 3.0])), 1)
         assert ref.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(np.abs(ref.vectors[0]), [1.0, 0.0], atol=1e-10)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_tol_rejected_before_the_factor(self, tol, monkeypatch):
+        monkeypatch.setattr("paroeig.verify._factor_k", None)
+        with pytest.raises(VerifyError, match="tol must be positive and "
+                                              "finite"):
+            reference_eig(diag_system(np.ones(3)), 1, tol=tol)
 
     def test_too_many_pairs_rejected(self):
         with pytest.raises(VerifyError, match="only"):
@@ -365,6 +374,16 @@ class TestQuasiOrthogonality:
             assert rep.dist > 0.0
             assert rep.dist == dist_a(system, ref.vectors[sl],
                                       block.vectors[sl])
+
+    def test_report_derives_dim_and_bound(self):
+        assert [f.name for f in fields(ClusterReport)] == [
+            "cluster", "dist", "max_gap", "per_vector"]
+        for d, chord in [(0.6, np.sqrt(2.0 - 2.0 * 0.8)),
+                         (1e-10, 1e-10),      # the direct form gives 0
+                         (1.5, np.sqrt(2.0))]:  # clipped to 1
+            rep = ClusterReport(0, d, 0.0, np.zeros(4))
+            assert rep.dim == 4
+            assert rep.bound == pytest.approx(3.0 * chord, rel=1e-14)
 
     def test_dimension_mismatch_rejected(self, sq6):
         _, system, ref = sq6
