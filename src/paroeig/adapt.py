@@ -38,7 +38,7 @@ import numpy as np
 from . import mesh as mesh_mod
 from ._checks import count, real, real_array
 from .assembly import AssemblyError, ElementData, FemSystem, assemble
-from .estimator import estimate
+from .estimator import Indicators, estimate
 from .linalg import (
     LinAlgError,
     b_orthonormalize,
@@ -150,7 +150,8 @@ TIE_RTOL = 1e-12
 
 
 def dorfler_mark(indicators, theta):
-    """Minimal bulk-criterion element set, ascending indices.
+    """Minimal bulk-criterion element set of Indicators (AdaptError
+    otherwise), ascending indices.
 
     Greedy: sort squared indicators descending and accumulate until the
     marked mass reaches theta times the global square. A value within
@@ -159,6 +160,9 @@ def dorfler_mark(indicators, theta):
     differences between symmetric elements do not decide which one is
     marked. A zero estimator marks nothing.
     """
+    if not isinstance(indicators, Indicators):
+        raise AdaptError(f"indicators must be Indicators, got "
+                         f"{type(indicators).__name__}")
     if not 0.0 < real(theta, "theta", AdaptError) < 1.0:
         raise AdaptError(f"theta out of (0,1): {theta!r}")
     per = indicators.per_element

@@ -42,9 +42,10 @@ taken and validated once, and each ke computed once: the adaptive loop
 builds it on the first mesh, where constant and table values are checked
 once, and extends it after every refinement, copying the rows of
 triangles the refinement kept and sampling only the new children. Array
-coefficients and the element mass matrices (the areas times one fixed
-matrix) are not stored per triangle. Called without one, `assemble` and
-`estimator.estimate` build it themselves.
+coefficients are not stored per triangle, and no element mass matrix
+is formed: M is summed from the areas, since the exact P1 element mass
+matrix has |T|/6 on its diagonal and |T|/12 off it. Called without one,
+`assemble` and `estimator.estimate` build it themselves.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._checks import integer_array, real_array
-from .mesh import MeshError
+from .mesh import Mesh, MeshError
 
 
 class AssemblyError(ValueError):
@@ -261,10 +262,11 @@ class ElementData:
         div_rows: (nt, nq, 2) finite-difference div A at the quadrature
             points for callable diffusion, else None.
         ke: (nt, 3, 3) element stiffness matrices (diffusion + reaction),
-            as element_matrices returns them.
+            the quadrature rule sampling only the coefficients.
 
-    Build it on the first mesh, which checks the values of constant and
-    table data once for the run, and call extend() after every refine();
+    It takes a Mesh and Coefficients (AssemblyError otherwise). Build it
+    on the first mesh, which checks the values of constant and table
+    data once for the run, and call extend() after every refine();
     extend returns the data of the refined mesh and leaves this one
     untouched. The arrays are read-only.
     """
@@ -273,6 +275,10 @@ class ElementData:
                "ke")
 
     def __init__(self, mesh, coeffs):
+        if not (isinstance(mesh, Mesh) and isinstance(coeffs, Coefficients)):
+            raise AssemblyError(f"need a Mesh and Coefficients, got "
+                                f"{type(mesh).__name__}, "
+                                f"{type(coeffs).__name__}")
         # array data, checked once per run: refinement adds no ancestor id
         ids = np.arange(mesh.n_triangles)
         for name, check in (("diffusion", _check_spd_matrices),
@@ -356,28 +362,12 @@ def _element_stiffness(mesh, coeffs, ids, fields):
     ke *= areas[:, None, None]
     if fields["reaction"] is None:
         reaction = coeffs._values("reaction", mesh, ids)
-        ke += reaction[:, None, None] * _mass(areas)
+        ke += reaction[:, None, None] * (_EXACT_MASS * areas[:, None, None])
     else:
         re = np.einsum("q,tq,qi,qj->tij", weights, fields["reaction"], bary,
                        bary)
         ke += re * areas[:, None, None]
     return ke
-
-
-def _mass(areas):
-    return _EXACT_MASS[None, :, :] * areas[:, None, None]
-
-
-def element_matrices(mesh, coeffs, data=None):
-    """Per-element 3x3 stiffness (diffusion + reaction) and exact mass.
-
-    Returns (ke, me), each shaped (nt, 3, 3). ke uses the quadrature rule
-    for coefficient sampling only and is data.ke, computed when each
-    triangle was sampled; me is the analytic P1 mass matrix.
-    data: the mesh's ElementData, built here when None.
-    """
-    data = _element_data(mesh, coeffs, data)
-    return data.ke, _mass(data.areas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,9 +416,9 @@ class FemSystem:
              self.M.indptr), shape=self.M.shape)
 
 
-# local edge i of a triangle (opposite local vertex i) joins these two
-# local vertices
-_LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
+# local edge i of a triangle (opposite local vertex i) joins the local
+# vertices _LOCAL_EDGES[0][i] and _LOCAL_EDGES[1][i]
+_LOCAL_EDGES = ([1, 2, 0], [2, 0, 1])
 
 
 def _free_edge_pattern(mesh, free):
@@ -449,31 +439,26 @@ def _free_edge_pattern(mesh, free):
     ids = np.arange(nf + len(free_edges))
     rows = np.concatenate([ids[:nf], a, c])
     cols = np.concatenate([ids[:nf], c, a])
-    # each (row, column) pair occurs once, so the conversion sums nothing
+    # each (row, column) pair occurs once, so the conversion sums
+    # nothing; summing leaves the indices sorted all the same
     pattern = sp.coo_matrix((np.concatenate([ids, ids[nf:]]), (rows, cols)),
                             shape=(nf, nf)).tocsr()
-    pattern.sort_indices()
     return pattern.indptr, pattern.indices, free_edges, pattern.data
 
 
-def _pattern_values(mesh, free, local, pattern):
-    """The (nt, 3, 3) element matrices summed onto the pattern.
+def _pattern_values(mesh, free, lower, diagonal, pattern):
+    """Element entries summed onto the pattern: lower[t, i] is triangle
+    t's entry below the diagonal (row vertex above column vertex) on its
+    local edge i, diagonal[t, i] its entry of local vertex i, both (nt, 3).
 
-    Each edge gets the sum of its two triangles' entries below the
-    diagonal (row vertex above column vertex), each vertex the sum of
-    its diagonal entries; both entries of an edge take its one value,
-    so the result is symmetric by construction.
+    Each edge gets the sum of its two triangles' entries, each vertex the
+    sum of its diagonal entries; both entries of an edge take its one
+    value, so the result is symmetric by construction.
     """
     _, _, free_edges, source = pattern
-    tri = mesh.triangles
-    lower = np.empty((len(tri), 3))
-    for i, (p, q) in enumerate(_LOCAL_EDGES):
-        lower[:, i] = np.where(tri[:, p] > tri[:, q], local[:, p, q],
-                               local[:, q, p])
     on_edges = np.bincount(mesh.tri_edges.ravel(), lower.ravel(),
                            minlength=len(mesh.edges))[free_edges]
-    on_vertices = np.bincount(tri.ravel(),
-                              np.einsum("tii->ti", local).ravel(),
+    on_vertices = np.bincount(mesh.triangles.ravel(), diagonal.ravel(),
                               minlength=mesh.n_vertices)[free]
     return np.concatenate([on_vertices, on_edges])[source]
 
@@ -482,15 +467,23 @@ def assemble(mesh, coeffs, data=None):
     """Assemble the eliminated stiffness/mass pencil on a mesh.
 
     Both matrices are summed onto one pattern built from the mesh's edge
-    table and share its index arrays.
+    table and share its index arrays: K from the element stiffness
+    matrices data.ke, M from the areas alone.
     data: the mesh's ElementData; without it one is built and dropped
     before the global matrices are formed.
     """
-    ke, me = element_matrices(mesh, coeffs, data)
+    data = _element_data(mesh, coeffs, data)
+    tri, ke, (p, q) = mesh.triangles, data.ke, _LOCAL_EDGES
+    k_entries = (np.where(tri[:, p] > tri[:, q], ke[:, p, q], ke[:, q, p]),
+                 np.einsum("tii->ti", ke))
+    # the exact element mass matrix is symmetric, its entries |T| times
+    # one fixed matrix's
+    m_entries = (np.outer(data.areas, _EXACT_MASS[p, q]),
+                 np.outer(data.areas, _EXACT_MASS.diagonal()))
     free = mesh.interior_vertices()
     pattern = _free_edge_pattern(mesh, free)
     indptr, indices = pattern[:2]
-    K, M = (sp.csr_matrix((_pattern_values(mesh, free, local, pattern),
+    K, M = (sp.csr_matrix((_pattern_values(mesh, free, *entries, pattern),
                            indices, indptr), shape=(len(free), len(free)))
-            for local in (ke, me))
+            for entries in (k_entries, m_entries))
     return FemSystem(K=K, M=M, free_dofs=free, vertices=mesh.vertices)

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import assembly
 from ._checks import real_array
+from .paro import OrbitalBlock
 
 
 class EstimatorError(ValueError):
@@ -148,9 +149,13 @@ def _residuals(data, values, ritz_values):
 def estimate(mesh, coeffs, block, data=None):
     """All local indicators eta2(block, T) and their global sum.
 
-    block.vectors holds one row of free-dof values per orbital.
+    block: an OrbitalBlock (EstimatorError otherwise), whose vectors
+    hold one row of free-dof values per orbital.
     data: the mesh's assembly.ElementData; built here when None.
     """
+    if not isinstance(block, OrbitalBlock):
+        raise EstimatorError(f"block must be an OrbitalBlock, got "
+                             f"{type(block).__name__}")
     data = assembly._element_data(mesh, coeffs, data)
     r, jumps = _residuals(data, _to_vertex_values(mesh, block.vectors),
                           block.ritz_values)

@@ -43,19 +43,14 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _edge_geometry(vertices, edges, opposite):
-    """(lengths, unit normals) of the (n, 2) vertex pairs edges; normal
-    e points away from vertex opposite[e], the vertex of edge e's first
-    triangle that is not on it: from the first triangle into the second,
-    outward on the boundary."""
-    start = np.take(vertices, edges[:, 0], axis=0)
-    d = np.take(vertices, edges[:, 1], axis=0) - start
+def _edge_geometry(vertices, edges):
+    """(lengths, unit normals) of the (n, 2) sorted vertex pairs edges:
+    normal e is edge e's direction, from its lower vertex id to its
+    higher, turned clockwise."""
+    d = (np.take(vertices, edges[:, 1], axis=0)
+         - np.take(vertices, edges[:, 0], axis=0))
     lengths = np.hypot(d[:, 0], d[:, 1])
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    inward = np.take(vertices, opposite, axis=0) - start
-    flip = np.einsum("ij,ij->i", normals, inward) > 0.0
-    normals *= np.where(flip, -1.0, 1.0)[:, None]
-    return lengths, normals
+    return lengths, np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
 
 
 # every array a Mesh holds; all are read-only
@@ -79,9 +74,10 @@ class Mesh:
             the refinement edge.
         edge_tris: (ne, 2) incident triangle ids, second entry -1 on the
             boundary.
-        edge_normals: (ne, 2) unit normals; for interior edges oriented
-            from edge_tris[e, 0] into edge_tris[e, 1], outward on the
-            boundary.
+        edge_normals: (ne, 2) unit normals, perpendicular to each edge
+            (its direction from edges[e, 0] to edges[e, 1] turned
+            clockwise); no side is preferred, since the estimator only
+            squares the flux jumps they measure.
         is_boundary_vertex: (nv,) bool.
 
     Input that is not a conforming mesh over all its vertices (hanging
@@ -185,7 +181,7 @@ class Mesh:
         self.is_boundary_vertex[bnd_edges.ravel()] = True
         self._check_hanging_nodes(bnd_edges)
         self.edge_lengths, self.edge_normals = _edge_geometry(
-            self.vertices, self.edges, opposite[starts])
+            self.vertices, self.edges)
 
     def _check_hanging_nodes(self, one_sided):
         """Raise MeshError if a vertex lies inside an edge: the edge and
@@ -246,7 +242,10 @@ class RefineMap:
 
     Attributes:
         child_offsets: (nt_coarse + 1,) the children of coarse triangle t
-            are arange(child_offsets[t], child_offsets[t + 1]).
+            are arange(child_offsets[t], child_offsets[t + 1]). A coarse
+            triangle with exactly one child was not cut: that child is
+            the triangle kept whole, with the same vertex ids in the same
+            order (ElementData.extend copies its rows on this).
         prolongation: (nv_fine, nv_coarse) CSR matrix of the nodal
             transfer: kept vertices copy their value and each midpoint
             averages its edge endpoints. The midpoints follow the coarse
@@ -447,13 +446,8 @@ def refine(mesh, marked):
     child_slot = (np.take(side[:, _EDGE_PARENT], symbol)
                   + np.take(_CHILD_SLOT, row, axis=0))
 
-    # a new edge's first triangle is a child, and the opposite vertex is
-    # that child's vertex opposite the edge
-    opposite = np.empty(ne - k + len(codes), dtype=np.int64)
-    first = child_slot == 0
-    opposite[child_te[first]] = child_tri[first]
     pairs = np.column_stack([lo, hi])
-    lengths, normals = _edge_geometry(vertices, pairs, opposite[fid])
+    lengths, normals = _edge_geometry(vertices, pairs)
 
     # fine triangle f is coarse row tri_src[f] kept whole, or child
     # tri_src[f] - nt; fine edge e likewise coarse edge edge_src[e] or new
@@ -463,7 +457,7 @@ def refine(mesh, marked):
     tri_src = np.empty(int(offsets[-1]), dtype=np.int64)
     tri_src[offsets[whole]] = whole
     tri_src[children] = nt + np.arange(len(children))
-    edge_src = np.empty(len(opposite), dtype=np.int64)
+    edge_src = np.empty(ne - k + len(codes), dtype=np.int64)
     edge_src[kept_fid[kept]] = kept
     edge_src[fid] = ne + np.arange(len(codes))
     tri_edges = np.take(np.concatenate([kept_fid[mesh.tri_edges], child_te]),

@@ -87,7 +87,8 @@ class OrbitalBlock:
 
     vectors (N, n_dofs), in flat cluster order and b-orthonormal after a
     Ritz step, is held by reference; ritz_values is kept as a read-only
-    copy, from which layout and shifts (steps 1 and 2) are derived.
+    copy, from which layout and shifts (steps 1 and 2) are derived;
+    shifts is read-only too.
     """
     vectors: np.ndarray
     ritz_values: np.ndarray
@@ -108,8 +109,10 @@ class OrbitalBlock:
 
     @cached_property
     def shifts(self):
-        return np.array([self.ritz_values[s].mean()
-                         for s in self.layout.cluster_slices()])
+        shifts = np.array([self.ritz_values[s].mean()
+                           for s in self.layout.cluster_slices()])
+        shifts.flags.writeable = False
+        return shifts
 
     @property
     def n(self):

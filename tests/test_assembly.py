@@ -17,7 +17,6 @@ from paroeig.assembly import (
     ElementData,
     FemSystem,
     assemble,
-    element_matrices,
     _QUAD_RULE,
     _quad_points,
     p1_gradients,
@@ -33,6 +32,23 @@ def element_quad_form(m, local, u):
     return float(np.einsum("ti,tij,tj->", ut, local, ut))
 
 
+def element_mass(m):
+    """The exact P1 element mass matrices (nt, 3, 3), |T|/12 times
+    [[2, 1, 1], [1, 2, 1], [1, 1, 2]]: the reference M is summed from."""
+    return ((np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+             / 12.0)[None, :, :] * p1_gradients(m)[1][:, None, None])
+
+
+def free_block(m, local):
+    """The free block of the dense matrix over all vertices that the
+    element matrices local (nt, 3, 3) sum to."""
+    full = np.zeros((m.n_vertices,) * 2)
+    np.add.at(full, (m.triangles[:, :, None], m.triangles[:, None, :]),
+              local)
+    free = m.interior_vertices()
+    return full[np.ix_(free, free)]
+
+
 def unit_right_triangle():
     return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]))
@@ -40,22 +56,28 @@ def unit_right_triangle():
 
 class TestElementMatrices:
     def test_unit_right_triangle_stiffness(self):
-        ke, _ = element_matrices(unit_right_triangle(),
-                                 Coefficients.identity())
+        ke = ElementData(unit_right_triangle(), Coefficients.identity()).ke
         expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                    [-1.0, 1.0, 0.0],
                                    [-1.0, 0.0, 1.0]])
         assert_allclose(ke[0], expected, atol=1e-14)
 
     def test_exact_mass_formula_any_triangle(self):
-        m = Mesh(np.array([[0.2, -0.1], [1.7, 0.4], [0.6, 2.0]]),
-                 np.array([[0, 1, 2]]))
-        _, me = element_matrices(m, Coefficients.identity())
-        area = m.signed_areas()[0]
-        expected = (area / 12.0) * np.array([[2.0, 1.0, 1.0],
-                                             [1.0, 2.0, 1.0],
-                                             [1.0, 1.0, 2.0]])
-        assert_allclose(me[0], expected, rtol=1e-14)
+        # one interior vertex inside four scalene triangles: M holds the
+        # patch area / 6, each triangle's |T| / 12 summed where no edge
+        # joins two free vertices
+        m = Mesh(np.array([[0.2, -0.1], [1.7, 0.4], [0.6, 2.0],
+                           [-1.1, 0.9], [0.5, 0.6]]),
+                 np.array([[4, 0, 1], [4, 1, 2], [4, 2, 3], [4, 3, 0]]))
+        sys = assemble(m, Coefficients.identity())
+        patch = m.signed_areas().sum()
+        assert sys.free_dofs.tolist() == [4]
+        assert_allclose(sys.M.toarray(), [[patch / 6.0]], rtol=1e-14)
+        # with free neighbours the edges carry |T| / 12 from both sides
+        fine, _ = uniform_refine(m, 2)
+        assert_allclose(assemble(fine, Coefficients.identity()).M.toarray(),
+                        free_block(fine, element_mass(fine)), rtol=1e-14,
+                        atol=0.0)
 
     def test_gradients_sum_to_zero(self):
         m, _ = uniform_refine(build_initial_mesh("l_shape"), 2)
@@ -65,9 +87,15 @@ class TestElementMatrices:
 
     def test_reaction_term_adds_scaled_mass(self):
         m = unit_right_triangle()
-        k0, me = element_matrices(m, Coefficients.identity())
-        k1, _ = element_matrices(m, Coefficients(np.eye(2), 3.0))
-        assert_allclose(k1[0] - k0[0], 3.0 * me[0], rtol=1e-14)
+        k0 = ElementData(m, Coefficients.identity()).ke
+        k1 = ElementData(m, Coefficients(np.eye(2), 3.0)).ke
+        assert_allclose(k1[0] - k0[0], 3.0 * element_mass(m)[0], rtol=1e-14)
+        # and on the assembled pencil, K(c = 3) - K(c = 0) = 3 M
+        m, _ = uniform_refine(build_initial_mesh("l_shape"), 2)
+        s0 = assemble(m, Coefficients.identity())
+        s1 = assemble(m, Coefficients(np.eye(2), 3.0))
+        assert_allclose((s1.K - s0.K).toarray(), 3.0 * s0.M.toarray(),
+                        rtol=1e-13, atol=1e-15)
 
 
 class TestGlobalInvariants:
@@ -75,17 +103,21 @@ class TestGlobalInvariants:
         # every element row sums to zero, so the stiffness matrix over
         # all vertices annihilates constants
         m, _ = uniform_refine(build_initial_mesh("l_shape"), 3)
-        ke, _ = element_matrices(m, Coefficients.identity())
+        ke = ElementData(m, Coefficients.identity()).ke
         assert np.abs(element_quad_form(m, ke, np.ones(m.n_vertices))) \
             <= 1e-10
         assert np.abs(ke.sum(axis=2)).max() <= 1e-10
 
     def test_mass_sum_equals_domain_area(self):
+        # the element masses M is summed from add up to the domain area,
+        # and M is their free block
         for domain, area in [("unit_square", 1.0), ("l_shape", 3.0)]:
             m, _ = uniform_refine(build_initial_mesh(domain), 3)
-            _, me = element_matrices(m, Coefficients.identity())
+            me = element_mass(m)
             total = element_quad_form(m, me, np.ones(m.n_vertices))
             assert abs(total - area) <= 1e-12 * area
+            assert_allclose(assemble(m, Coefficients.identity()).M.toarray(),
+                            free_block(m, me), rtol=1e-14, atol=0.0)
 
     def test_symmetry_is_structural(self):
         # constant, table and callable coefficients, on meshes whose
@@ -114,8 +146,8 @@ class TestGlobalInvariants:
         u = rng.standard_normal(coarse.n_vertices)
         u_f = interpolate(mid, fine, second,
                           interpolate(coarse, mid, first, u))
-        qc = element_quad_form(coarse, element_matrices(coarse, co)[0], u)
-        qf = element_quad_form(fine, element_matrices(fine, co)[0], u_f)
+        qc = element_quad_form(coarse, ElementData(coarse, co).ke, u)
+        qf = element_quad_form(fine, ElementData(fine, co).ke, u_f)
         assert abs(qf - qc) <= 1e-10 * qc
 
     def test_eliminated_system_is_spd(self):
@@ -146,12 +178,15 @@ class TestCoefficients:
     def test_callable_matches_constant(self):
         m, _ = uniform_refine(build_initial_mesh("l_shape"), 1)
         # integer values are real numbers too, converted to float64
-        k1, m1 = element_matrices(
-            m, Coefficients(lambda x, y: np.tile(np.eye(2), (len(x), 1, 1)),
-                            lambda x, y: np.ones(len(x), dtype=np.int64)))
-        k2, m2 = element_matrices(m, Coefficients(np.eye(2), 1.0))
-        assert_allclose(k1, k2, atol=1e-13)
-        assert_allclose(m1, m2, atol=1e-15)
+        callable_co = Coefficients(
+            lambda x, y: np.tile(np.eye(2), (len(x), 1, 1)),
+            lambda x, y: np.ones(len(x), dtype=np.int64))
+        constant_co = Coefficients(np.eye(2), 1.0)
+        assert_allclose(ElementData(m, callable_co).ke,
+                        ElementData(m, constant_co).ke, atol=1e-13)
+        s1, s2 = assemble(m, callable_co), assemble(m, constant_co)
+        assert_allclose(s1.K.toarray(), s2.K.toarray(), atol=1e-13)
+        assert_allclose(s1.M.toarray(), s2.M.toarray(), atol=1e-15)
 
     def test_table_follows_ancestors_through_refinement(self):
         # per-element stiffness on the fine mesh must scale by the table
@@ -159,8 +194,8 @@ class TestCoefficients:
         m0 = build_initial_mesh("l_shape")
         tab = np.stack([np.eye(2) * (1.0 + t) for t in range(m0.n_triangles)])
         fine, _ = uniform_refine(m0, 2)
-        ke_f, _ = element_matrices(fine, Coefficients(tab, 0.0))
-        ke_i, _ = element_matrices(fine, Coefficients.identity())
+        ke_f = ElementData(fine, Coefficients(tab, 0.0)).ke
+        ke_i = ElementData(fine, Coefficients.identity()).ke
         scale = 1.0 + fine.ancestor
         assert_allclose(ke_f, ke_i * scale[:, None, None], rtol=1e-13)
 
@@ -317,7 +352,7 @@ class TestNorms:
         u = np.random.default_rng(11).standard_normal(sys.n_dofs)
         full = np.zeros(m.n_vertices)
         full[sys.free_dofs] = u
-        ke, _ = element_matrices(m, co)
+        ke = ElementData(m, co).ke
         via_elements = sum(
             full[tri] @ ke[i] @ full[tri]
             for i, tri in enumerate(m.triangles))
@@ -433,7 +468,7 @@ def coo_pencil(mesh, coeffs):
     cols = np.tile(tri, (1, 3)).ravel()
     free = mesh.interior_vertices()
     out = []
-    for local in element_matrices(mesh, coeffs):
+    for local in (ElementData(mesh, coeffs).ke, element_mass(mesh)):
         whole = sp.coo_matrix((local.ravel(), (rows, cols)),
                               shape=(mesh.n_vertices,) * 2).tocsr()
         lower = sp.tril(whole, format="csr")[free][:, free]
@@ -555,18 +590,21 @@ class TestElementData:
         assert (estimate(m, coeffs, block, data=data).per_element.tobytes()
                 == estimate(m, coeffs, block).per_element.tobytes())
 
-    def test_element_matrices_read_the_carried_stiffness(self, monkeypatch):
+    def test_assemble_reads_the_carried_stiffness(self, monkeypatch):
         for coeffs in COEFFICIENT_CASES.values():
             data = ElementData(BASE_MESH, coeffs)
             # nothing is sampled or computed again from data
             monkeypatch.setattr(assembly, "_sample", None)
             monkeypatch.setattr(assembly, "_element_stiffness", None)
-            ke, me = element_matrices(BASE_MESH, coeffs, data)
+            carried = assemble(BASE_MESH, coeffs, data=data)
             monkeypatch.undo()
-            assert ke is data.ke
-            assert not ke.flags.writeable
-            assert me.tobytes() == (assembly._EXACT_MASS * data.areas[
-                :, None, None]).tobytes()
+            assert not data.ke.flags.writeable
+            fresh = assemble(BASE_MESH, coeffs)
+            assert csr_bytes(carried.K) == csr_bytes(fresh.K)
+            assert csr_bytes(carried.M) == csr_bytes(fresh.M)
+            # M from the areas alone: the same for every coefficient
+            assert csr_bytes(carried.M) == csr_bytes(
+                assemble(BASE_MESH, Coefficients.identity()).M)
 
     def test_constant_and_table_data_are_stored_once(self):
         # one read-only float64 copy in the coefficients, and no copy per
@@ -817,8 +855,7 @@ def einsum_system(m, data, grads):
         a_eff = np.einsum("q,tqab->tab", weights, data.diffusion)
     ke = np.einsum("tia,tab,tjb->tij", grads, a_eff, grads)
     ke *= data.areas[:, None, None]
-    me = (np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-          / 12.0)[None, :, :] * data.areas[:, None, None]
+    me = element_mass(m)
     if data.reaction is None:
         ke += per_triangle(coeffs.reaction, ())[:, None, None] * me
     else:
@@ -892,8 +929,8 @@ class TestKernels:
         assert np.array_equal(p1_gradients(m)[0], grads)
         data = ElementData(m, coeffs)
         ke, k_ref, m_ref = einsum_system(m, data, grads)
-        assert element_matrices(m, coeffs, data)[0].tobytes() == ke.tobytes()
-        assert element_matrices(m, coeffs)[0].tobytes() == ke.tobytes()
+        assert data.ke.tobytes() == ke.tobytes()
+        assert ElementData(m, coeffs).ke.tobytes() == ke.tobytes()
         system = assemble(m, coeffs, data=data)
         # K stores its exact zeros on M's pattern; the dense reference
         # stores no zero

@@ -15,9 +15,10 @@ import scipy.sparse as sp
 from helpers import pencil
 from paroeig import mesh as pm
 from paroeig.adapt import (AdaptConfig, AdaptError, RunRecord,
-                           adaptive_solve, default_seed_vectors)
-from paroeig.assembly import AssemblyError, Coefficients
-from paroeig.estimator import EstimatorError, Indicators
+                           adaptive_solve, default_seed_vectors, dorfler_mark)
+from paroeig.assembly import (AssemblyError, Coefficients, ElementData,
+                              assemble)
+from paroeig.estimator import EstimatorError, Indicators, estimate
 from paroeig.linalg import (LinAlgError, b_orthonormalize, dense_sym_gen_eig,
                             gram, minres_solve)
 from paroeig.mesh import MeshError
@@ -195,6 +196,25 @@ CASES = {
     # numpy's bare matmul ValueError
     "dist_a_vector_length": (
         VerifyError, lambda: dist_a(SYSTEM, np.ones(4), np.ones(3))),
+    # a record of the wrong type leaked a bare AttributeError
+    "adaptive_solve_dict_coeffs": (
+        AdaptError, lambda: adaptive_solve(
+            "unit_square", {"diffusion": np.eye(2)}, 1, AdaptConfig())),
+    "adaptive_solve_none_coeffs": (
+        AdaptError, lambda: adaptive_solve("unit_square", None, 1,
+                                           AdaptConfig())),
+    "adaptive_solve_array_coeffs": (
+        AdaptError, lambda: adaptive_solve("unit_square", np.eye(2), 1,
+                                           AdaptConfig())),
+    "assemble_none_mesh": (
+        AssemblyError, lambda: assemble(None, Coefficients.identity())),
+    "assemble_string_coeffs": (AssemblyError, lambda: assemble(SQUARE, "x")),
+    "element_data_none_coeffs": (
+        AssemblyError, lambda: ElementData(SQUARE, None)),
+    "estimate_none_block": (
+        EstimatorError, lambda: estimate(SQUARE, Coefficients.identity(),
+                                         None)),
+    "dorfler_mark_array": (AdaptError, lambda: dorfler_mark(np.ones(3), 0.5)),
 }
 
 

@@ -9,11 +9,9 @@ property test compares `estimate` with a per-triangle, per-edge loop
 over the definition.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import descendants, load_vector, square_eigenfunction
@@ -46,9 +44,13 @@ def residuals(m, coeffs, block):
 
 
 def orbital_rows(vectors, lam):
-    """What estimate reads of a block, the rows and their Ritz values,
-    in any order: an OrbitalBlock's values must ascend."""
-    return SimpleNamespace(vectors=vectors, ritz_values=lam)
+    """An OrbitalBlock of the rows and their Ritz values in any order.
+    estimate reads only these two, so the block is made without
+    OrbitalBlock's checks, whose values must ascend."""
+    block = object.__new__(paro.OrbitalBlock)
+    object.__setattr__(block, "vectors", vectors)
+    object.__setattr__(block, "ritz_values", lam)
+    return block
 
 
 def on_vertices(m, block):
@@ -446,8 +448,7 @@ def test_estimate_invariant_under_orbital_symmetries(variable_block, perm,
 
 def test_one_pass_shares_gradients_and_mass(monkeypatch):
     m, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 2)
-    calls = {"p1_gradients": 0, "element_matrices": 0,
-             "_to_vertex_values": 0, "_gather": 0}
+    calls = {"p1_gradients": 0, "_to_vertex_values": 0, "_gather": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -458,7 +459,6 @@ def test_one_pass_shares_gradients_and_mass(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(assembly, "p1_gradients")
-    counting(assembly, "element_matrices")
     counting(estimator, "_to_vertex_values")
     counting(estimator, "_gather")
     rng = np.random.default_rng(6)
@@ -466,8 +466,8 @@ def test_one_pass_shares_gradients_and_mass(monkeypatch):
     coeffs = variable_coefficients()
     estimate(m, coeffs, blk)
     # one ElementData, one application each of J and L
-    assert calls == {"p1_gradients": 1, "element_matrices": 0,
-                     "_to_vertex_values": 1, "_gather": 2}
+    assert calls == {"p1_gradients": 1, "_to_vertex_values": 1,
+                     "_gather": 2}
 
     # two estimates on one ElementData sample nothing again; each builds
     # and applies its own J and L and gives the same bytes
@@ -544,28 +544,64 @@ def loop_indicators(m, coeffs, vectors, lam):
     return out
 
 
-@settings(max_examples=15, deadline=None)
-@given(case=st.sampled_from(["constant", "table", "callable"]),
-       n=st.sampled_from([1, 2, 3]),
-       marked=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
-       seed=st.integers(0, 2 ** 16))
-def test_estimate_matches_a_per_triangle_loop(case, n, marked, seed):
+def graded_l_shape(marked):
+    """The once-refined L-shape with the triangles marked (indices taken
+    modulo its size) refined twice."""
     coarse, _ = mesh.uniform_refine(mesh.build_initial_mesh("l_shape"), 1)
     marked = np.array(marked) % coarse.n_triangles
     mid, rmap = mesh.refine(coarse, marked)
-    m, _ = mesh.refine(mid, descendants(rmap, marked))
-    rng = np.random.default_rng(seed)
+    return mesh.refine(mid, descendants(rmap, marked))[0]
+
+
+def coefficient_case(case, rng):
+    """Constant, table (random, on the initial L-shape) or callable
+    coefficients."""
     n0 = mesh.build_initial_mesh("l_shape").n_triangles
-    coeffs = {
-        "constant": Coefficients(np.array([[2.0, 0.5], [0.5, 1.0]]), 1.5),
-        "table": Coefficients(
-            np.stack([np.diag(rng.uniform(0.5, 2.0, 2))
-                      for _ in range(n0)]), rng.uniform(0.0, 2.0, n0)),
-        "callable": variable_coefficients(),
-    }[case]
+    if case == "constant":
+        return Coefficients(np.array([[2.0, 0.5], [0.5, 1.0]]), 1.5)
+    if case == "table":
+        return Coefficients(
+            np.stack([np.diag(rng.uniform(0.5, 2.0, 2)) for _ in range(n0)]),
+            rng.uniform(0.0, 2.0, n0))
+    return variable_coefficients()
+
+
+CASE = st.sampled_from(["constant", "table", "callable"])
+MARKED = st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=CASE, n=st.sampled_from([1, 2, 3]), marked=MARKED,
+       seed=st.integers(0, 2 ** 16))
+def test_estimate_matches_a_per_triangle_loop(case, n, marked, seed):
+    m = graded_l_shape(marked)
+    rng = np.random.default_rng(seed)
+    coeffs = coefficient_case(case, rng)
     block = orbital_rows(rng.standard_normal((n, n_free(m))),
                          rng.uniform(1.0, 50.0, n))
     got = estimate(m, coeffs, block).per_element
     np.testing.assert_allclose(
         got, loop_indicators(m, coeffs, on_vertices(m, block).vectors,
                              block.ritz_values), rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@example(case="callable", n=3, marked=[0], seed=0, share=1.0)
+@given(case=CASE, n=st.sampled_from([1, 2, 3]), marked=MARKED,
+       seed=st.integers(0, 2 ** 16), share=st.floats(0.0, 1.0))
+def test_indicators_ignore_the_sign_of_edge_normals(case, n, marked, seed,
+                                                    share):
+    # turning a normal around negates its flux jumps exactly, and the
+    # estimator only squares them: no indicator may change by one bit
+    m = graded_l_shape(marked)
+    rng = np.random.default_rng(seed)
+    coeffs = coefficient_case(case, rng)
+    flip = rng.random(len(m.edges)) < share
+    tables = {name: getattr(m, name) for name in mesh._TABLES}
+    tables["edge_normals"] = np.where(flip[:, None], -m.edge_normals,
+                                      m.edge_normals)
+    flipped = mesh.Mesh._from_tables(**tables)
+    block = paro.OrbitalBlock(rng.standard_normal((n, n_free(m))),
+                              np.sort(rng.uniform(1.0, 50.0, n)))
+    assert (estimate(flipped, coeffs, block).per_element.tobytes()
+            == estimate(m, coeffs, block).per_element.tobytes())

@@ -29,6 +29,12 @@ from paroeig.linalg import (
 from paroeig.mesh import build_initial_mesh, uniform_refine
 
 
+# the mass matrix of the unit square after four uniform passes, 49 dofs
+ASSEMBLED_MASS = assemble(
+    uniform_refine(build_initial_mesh("unit_square"), 4)[0],
+    Coefficients.identity()).M
+
+
 def random_spd(n, seed, cond_spread=(0.5, 10.0)):
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -330,6 +336,45 @@ class TestBlockUtilities:
         s = sp.identity(4, format="csr")
         v = np.eye(4)[:2]
         assert_allclose(b_orthonormalize(v, s), v, atol=1e-14)
+
+    @staticmethod
+    def block_case(k, n, assembled, seed):
+        """(M, rng, (k, n) Gaussian block): a dense random SPD M of size
+        n, or the assembled 49-dof mass matrix, whose size n then is."""
+        if assembled:
+            m = ASSEMBLED_MASS
+        else:
+            m = random_spd(n, seed)
+        rng = np.random.default_rng(seed)
+        return m, rng, rng.standard_normal((k, m.shape[0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 8), n=st.integers(8, 60),
+           assembled=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_b_orthonormal_rows_span_the_leading_inputs(self, k, n,
+                                                        assembled, seed):
+        m, _, x = self.block_case(k, n, assembled, seed)
+        v = b_orthonormalize(x, m)
+        mv = (m @ v.T).T
+        assert_allclose(v @ mv.T, np.eye(k), rtol=0.0, atol=1e-12)
+        # rows 0..i of v are an M-orthonormal basis of inputs 0..i: the
+        # projection onto them reproduces those inputs
+        for i in range(k):
+            proj = v[:i + 1].T @ (mv[:i + 1] @ x[:i + 1].T)
+            assert_allclose(proj, x[:i + 1].T, rtol=0.0,
+                            atol=1e-9 * np.abs(x).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(2, 8), n=st.integers(8, 60),
+           assembled=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_near_dependent_row_is_named(self, k, n, assembled, seed):
+        m, rng, x = self.block_case(k, n, assembled, seed)
+        j = int(rng.integers(1, k))
+        # a combination of the rows before it, off their span by 1e-15
+        x[j] = rng.standard_normal(j) @ x[:j] + 1e-15 * np.linalg.norm(
+            x[0]) * rng.standard_normal(x.shape[1]) / np.sqrt(x.shape[1])
+        with pytest.raises(LinAlgError, match=f"^vector {j} is numerically"):
+            b_orthonormalize(x, m)
 
 
 class TestBlockMinres:

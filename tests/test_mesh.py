@@ -284,10 +284,10 @@ def test_edge_table_matches_a_dict_reference(domain, picks):
         assert m.edge_lengths[k] == np.hypot(*(b - a))
         assert abs(m.edge_normals[k] @ (b - a)) <= 1e-12 * m.edge_lengths[k]
         assert abs(np.hypot(*m.edge_normals[k]) - 1.0) <= 1e-14
-        # away from the first triangle, into the second
-        for (t, opposite), sign in zip(incident[e], (-1.0, 1.0)):
-            side = m.edge_normals[k] @ (m.vertices[opposite] - a)
-            assert sign * side > 0.0
+        # the edge's direction, lower vertex id to higher, turned
+        # clockwise: the normal lies to its right
+        d, n = b - a, m.edge_normals[k]
+        assert d[0] * n[1] - d[1] * n[0] < 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -171,6 +171,14 @@ class TestComputeShifts:
                 assert blk.shifts[i] == values[sl].mean()
         assert min(sizes) == 1 and max(sizes) >= 3
 
+    def test_shifts_are_read_only(self):
+        # a caller's write would change every later solve of the block
+        values = np.array([1.0, 1.001, 5.0])
+        blk = OrbitalBlock(np.eye(3), values)
+        with pytest.raises(ValueError, match="read-only"):
+            blk.shifts[1] = 1.0005
+        assert blk.shifts.tolist() == [values[:2].mean(), 5.0]
+
     def test_block_derives_layout_and_shifts_from_its_values(self):
         values = np.array([19.74, 49.3, 49.5, 78.96])
         blk = OrbitalBlock(np.eye(4), values)

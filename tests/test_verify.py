@@ -8,10 +8,10 @@ import pytest
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from helpers import (galerkin_projection_gap, load_vector, pencil,
-                     square_eigenfunction)
+from helpers import (galerkin_projection_gap, load_vector, p1_evaluate,
+                     pencil, square_eigenfunction)
 from paroeig import paro
-from paroeig.assembly import Coefficients, assemble, element_matrices
+from paroeig.assembly import Coefficients, assemble
 from paroeig.linalg import dense_sym_gen_eig
 from paroeig.mesh import build_initial_mesh, uniform_refine
 from paroeig.verify import (
@@ -416,19 +416,20 @@ class TestGalerkinGap:
                                      (2, 1, 5 * np.pi ** 2)])
 
     def test_load_vector_matches_mass_quadrature(self):
-        # loading a globally linear function must reproduce M w exactly
+        # loading a P1 function that vanishes on the boundary must
+        # reproduce M w on the free dofs: the quadrature is exact there
         m, _ = uniform_refine(build_initial_mesh("unit_square"), 4)
-        w = 2.0 * m.vertices[:, 0] + 3.0 * m.vertices[:, 1] + 1.0
+        system = assemble(m, IDENTITY)
+        free = system.free_dofs
+        w = np.zeros(m.n_vertices)
+        w[free] = np.random.default_rng(5).standard_normal(len(free))
 
         def as_func(x, y):
-            return 2.0 * x + 3.0 * y + 1.0
+            points = np.column_stack([x.ravel(), y.ravel()])
+            return p1_evaluate(m, w, points).reshape(x.shape)
 
-        _, me = element_matrices(m, IDENTITY)
-        mw = np.zeros(m.n_vertices)
-        np.add.at(mw, m.triangles,
-                  np.einsum("tij,tj->ti", me, w[m.triangles]))
         got = load_vector(m, as_func)
-        assert np.allclose(got, mw, atol=1e-12)
+        assert np.allclose(got[free], system.M @ w[free], atol=1e-12)
 
     def test_square_eigenfunction_normalized(self):
         u = square_eigenfunction(2, 3)
