@@ -1,10 +1,11 @@
-"""Argument checks shared by every public entry point, one policy read
-from numpy's dtype kinds: counts and indices are integers, real numbers
-and data are integers or floats. A bool is neither, and complex, string
-and object data are refused, never cast; whole-valued floats pass only
-as mesh ids, as np.loadtxt reads them. Each helper raises the calling
-module's error class. Unless asked to, none copies a float64 array or
-scans one, so the solver path calls them every sweep.
+"""Argument checks shared by every public entry point, one policy read from
+numpy's dtype kinds: counts and indices are integers, real numbers and
+data are integers or floats. A bool is neither, and complex, string and
+object data are refused, never cast; whole-valued floats pass only as
+mesh ids, as np.loadtxt reads them. A record (a Mesh, a FemSystem, ...)
+must be of its class. Each helper raises the calling module's error
+class. Unless asked to, none copies a float64 array or scans one, so the
+solver path calls them every sweep.
 """
 
 import numpy as np
@@ -45,6 +46,13 @@ def real_array(value, name, error, copy=False, finite=False):
     if finite and not np.isfinite(arr).all():
         raise error(f"{name} must be finite")
     return arr
+
+
+def instance(value, kind, name, error):
+    """Raise error unless value is an instance of the class kind."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be of type {kind.__name__}, got "
+                    f"{type(value).__name__}")
 
 
 def _holds_bool(values):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mesh as mesh_mod
-from ._checks import count, real, real_array
+from ._checks import count, instance, real, real_array
 from .assembly import AssemblyError, ElementData, FemSystem, assemble
 from .estimator import Indicators, estimate
 from .linalg import (
@@ -48,6 +48,7 @@ from .linalg import (
 )
 from .multilevel import MultilevelPreconditioner
 from .paro import (
+    OrbitalBlock,
     cluster_guesses,
     initial_block,
     paro_inner_loop,
@@ -129,6 +130,8 @@ def records_to_csv(records):
     """
     if not records:
         raise AdaptError("no records to serialize")
+    for rec in records:
+        instance(rec, RunRecord, "every record", AdaptError)
     n_orb = len(records[0].ritz_values)
     head = ["n", "n_dofs"] + [f"ritz_{k}" for k in range(n_orb)]
     head += ["global_estimator_sq", "m_used", "delta1"]
@@ -160,9 +163,7 @@ def dorfler_mark(indicators, theta):
     differences between symmetric elements do not decide which one is
     marked. A zero estimator marks nothing.
     """
-    if not isinstance(indicators, Indicators):
-        raise AdaptError(f"indicators must be Indicators, got "
-                         f"{type(indicators).__name__}")
+    instance(indicators, Indicators, "indicators", AdaptError)
     if not 0.0 < real(theta, "theta", AdaptError) < 1.0:
         raise AdaptError(f"theta out of (0,1): {theta!r}")
     per = indicators.per_element
@@ -202,6 +203,7 @@ def default_seed_vectors(system, n_orbitals, seed=0, precond=None):
     N-th value: a block that splits a cluster keeps an arbitrary part
     of it and converges to a wrong eigenpair.
     """
+    instance(system, FemSystem, "system", AdaptError)
     n_orbitals = count(n_orbitals, "n_orbitals", AdaptError, minimum=1)
     if system.n_dofs < n_orbitals:
         raise AdaptError(f"mesh has {system.n_dofs} free dofs for "
@@ -233,6 +235,8 @@ def transfer_block(fine_sys, prolong, block):
     the (fine free dofs x coarse free dofs) nodal prolongation, restore
     b-orthonormality, keep the Ritz values (and so the layout and
     shifts) as the next initial data."""
+    instance(fine_sys, FemSystem, "fine_sys", AdaptError)
+    instance(block, OrbitalBlock, "block", AdaptError)
     vecs = b_orthonormalize((prolong @ block.vectors.T).T, fine_sys.M)
     return replace(block, vectors=vecs)
 
@@ -312,8 +316,9 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
     """
     n_orbitals = count(n_orbitals, "n_orbitals", AdaptError, minimum=1)
     seed = count(seed, "seed", AdaptError)
-    if not isinstance(config, AdaptConfig):
-        raise AdaptError(f"config must be an AdaptConfig, got {config!r}")
+    instance(config, AdaptConfig, "config", AdaptError)
+    if observer is not None and not callable(observer):
+        raise AdaptError(f"observer must be callable, got {observer!r}")
     t0 = time.perf_counter()
     try:
         initial = mesh_mod.build_initial_mesh(domain)

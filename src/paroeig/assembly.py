@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import integer_array, real_array
-from .mesh import Mesh, MeshError
+from ._checks import instance, integer_array, real_array
+from .mesh import Mesh, MeshError, RefineMap
 
 
 class AssemblyError(ValueError):
@@ -275,10 +275,8 @@ class ElementData:
                "ke")
 
     def __init__(self, mesh, coeffs):
-        if not (isinstance(mesh, Mesh) and isinstance(coeffs, Coefficients)):
-            raise AssemblyError(f"need a Mesh and Coefficients, got "
-                                f"{type(mesh).__name__}, "
-                                f"{type(coeffs).__name__}")
+        instance(mesh, Mesh, "mesh", AssemblyError)
+        instance(coeffs, Coefficients, "coeffs", AssemblyError)
         # array data, checked once per run: refinement adds no ancestor id
         ids = np.arange(mesh.n_triangles)
         for name, check in (("diffusion", _check_spd_matrices),
@@ -306,6 +304,7 @@ class ElementData:
         Rows of the triangles refine_map kept whole are copied; only the
         new children are sampled.
         """
+        instance(refine_map, RefineMap, "refine_map", AssemblyError)
         try:
             refine_map.check(self.mesh, fine_mesh)
         except MeshError as exc:

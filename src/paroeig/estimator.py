@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from ._checks import real_array
+from ._checks import instance, real_array
 from .paro import OrbitalBlock
 
 
@@ -153,9 +153,7 @@ def estimate(mesh, coeffs, block, data=None):
     hold one row of free-dof values per orbital.
     data: the mesh's assembly.ElementData; built here when None.
     """
-    if not isinstance(block, OrbitalBlock):
-        raise EstimatorError(f"block must be an OrbitalBlock, got "
-                             f"{type(block).__name__}")
+    instance(block, OrbitalBlock, "block", EstimatorError)
     data = assembly._element_data(mesh, coeffs, data)
     r, jumps = _residuals(data, _to_vertex_values(mesh, block.vectors),
                           block.ritz_values)

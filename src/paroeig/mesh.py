@@ -21,8 +21,10 @@ loads() goes through it too. refine() instead carries the coarse mesh's
 tables over: kept triangles keep their rows, kept edges their lengths
 and normals, and only the halves of split edges and the cut triangles'
 interior edges are built and measured, then merged into the kept edges
-in lexicographic order. Its output is conforming by construction, so it
-checks only what it makes: the closure and each child's orientation.
+in lexicographic order; each edge's triangles are read off the fine
+tri_edges by Mesh()'s rule. The output is conforming by construction, so
+refine() checks only what it makes: the closure and each child's
+orientation.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import count, integer_array, real_array, whole_numbers
+from ._checks import count, instance, integer_array, real_array, whole_numbers
 
 
 class MeshError(ValueError):
@@ -51,6 +53,16 @@ def _edge_geometry(vertices, edges):
          - np.take(vertices, edges[:, 0], axis=0))
     lengths = np.hypot(d[:, 0], d[:, 1])
     return lengths, np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+
+
+def _edge_tris(tri_edges, n_edges):
+    """(n_edges, 2) lowest and highest id of each edge's triangles, -1
+    second on an edge with one triangle (a boundary edge)."""
+    tri = np.repeat(np.arange(len(tri_edges)), 3)
+    low, high = np.full(n_edges, len(tri_edges)), np.full(n_edges, -1)
+    np.minimum.at(low, tri_edges.ravel(), tri)
+    np.maximum.at(high, tri_edges.ravel(), tri)
+    return np.column_stack([low, np.where(high > low, high, -1)])
 
 
 # every array a Mesh holds; all are read-only
@@ -72,8 +84,8 @@ class Mesh:
         edges: (ne, 2) int64 sorted vertex pairs, lexicographic order.
         tri_edges: (nt, 3) edge id opposite each local vertex; column 0 is
             the refinement edge.
-        edge_tris: (ne, 2) incident triangle ids, second entry -1 on the
-            boundary.
+        edge_tris: (ne, 2) incident triangle ids, lower triangle id
+            first, -1 second on the boundary.
         edge_normals: (ne, 2) unit normals, perpendicular to each edge
             (its direction from edges[e, 0] to edges[e, 1] turned
             clockwise); no side is preferred, since the estimator only
@@ -144,40 +156,22 @@ class Mesh:
         # edge i of triangle k
         a = t[:, [1, 2, 0]].ravel()
         b = t[:, [2, 0, 1]].ravel()
-        codes = np.minimum(a, b) * np.int64(nv) + np.maximum(a, b)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        first = np.ones(3 * nt, dtype=bool)
-        first[1:] = sorted_codes[1:] != sorted_codes[:-1]
-        starts = np.nonzero(first)[0]
-        counts = np.diff(starts, append=3 * nt)
-        ne = len(starts)
-        ucodes = sorted_codes[starts]
-        self.edges = np.column_stack([ucodes // nv, ucodes % nv])
-        inv = np.empty(3 * nt, dtype=np.int64)
-        inv[order] = np.cumsum(first) - 1
+        codes, inv, counts = np.unique(
+            np.minimum(a, b) * np.int64(nv) + np.maximum(a, b),
+            return_inverse=True, return_counts=True)
+        self.edges = np.column_stack([codes // nv, codes % nv])
         self.tri_edges = inv.reshape(nt, 3)
-        # a triangle and its duplicate share an edge and the vertex
-        # opposite it; when no edge has more than two triangles, the two
-        # are neighbours in the sorted order
-        opposite = t.ravel()[order]
-        duplicate = (~first[1:] & (opposite[1:] == opposite[:-1])).any()
-        if counts.max() > 2 and not duplicate:
-            # a third triangle on the edge can sort between the two
-            duplicate = len(np.unique(np.sort(t, axis=1), axis=0)) != nt
-        if duplicate:
+        # two triangles that share two edges share all three vertices
+        low = np.sort(self.tri_edges, axis=1)
+        if len(np.unique(low[:, 0] * len(codes) + low[:, 1])) < nt:
             raise MeshError("duplicate triangle (same vertex set twice)")
         if counts.max() > 2:
             raise MeshError("non-conforming input: an edge is shared by "
                             "more than two triangles")
-        tri_of = order // 3
-        self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        self.edge_tris[:, 0] = tri_of[starts]
-        two = counts == 2
-        self.edge_tris[two, 1] = tri_of[starts[two] + 1]
+        self.edge_tris = _edge_tris(self.tri_edges, len(codes))
 
         self.is_boundary_vertex = np.zeros(nv, dtype=bool)
-        bnd_edges = self.edges[~two]
+        bnd_edges = self.edges[self.edge_tris[:, 1] < 0]
         self.is_boundary_vertex[bnd_edges.ravel()] = True
         self._check_hanging_nodes(bnd_edges)
         self.edge_lengths, self.edge_normals = _edge_geometry(
@@ -256,6 +250,8 @@ class RefineMap:
 
     def check(self, coarse, fine):
         """Raise MeshError unless this map leads from coarse to fine."""
+        instance(coarse, Mesh, "coarse", MeshError)
+        instance(fine, Mesh, "fine", MeshError)
         nf, nc = self.prolongation.shape
         if (nc, len(self.child_offsets)) != (coarse.n_vertices,
                                              coarse.n_triangles + 1):
@@ -294,37 +290,23 @@ _CHILDREN = (((3, 0, 1), (3, 2, 0)),
 _EDGE_SYMBOLS = ((1, 2), (2, 0), (0, 1),
                  (1, 3), (2, 3), (2, 4), (0, 4), (0, 5), (1, 5),
                  (0, 3), (3, 4), (3, 5))
-# the parent edge each edge symbol lies on; 3 for the interior edges
-_EDGE_PARENT = (0, 1, 2, 0, 0, 1, 1, 2, 2, 3, 3, 3)
 
 
 def _child_tables():
-    """The children of all kinds of cut stacked as rows: their vertex
-    symbols (c, 3), edge symbols (c, 3) with local edge j opposite local
-    vertex j, generation steps (c,) and edge_tris slots (c, 3), 1 where
-    an earlier child of the parent holds the same interior edge; and the
-    first row of each kind."""
+    """The children of all kinds of cut stacked as rows: vertex symbols
+    (c, 3), edge symbols (c, 3) with local edge j opposite local vertex
+    j, and generation steps (c,); and the first row of each kind."""
     symbol = {frozenset(pair): s for s, pair in enumerate(_EDGE_SYMBOLS)}
-    vertices, edges, later = [], [], []
-    for children in _CHILDREN:
-        seen = set()
-        for child in children:
-            row = [symbol[frozenset((child[(j + 1) % 3], child[(j + 2) % 3]))]
-                   for j in range(3)]
-            vertices.append(child)
-            edges.append(row)
-            later.append([s in seen for s in row])
-            seen.update(row)
-    vertices = np.array(vertices)
+    vertices = np.array([child for kind in _CHILDREN for child in kind])
+    edges = [[symbol[frozenset((v[(j + 1) % 3], v[(j + 2) % 3]))]
+              for j in range(3)] for v in vertices.tolist()]
     # a child whose peak is M1 or M2 is its parent bisected twice
     step = np.where(vertices[:, 0] == 3, 1, 2)
     first = np.cumsum([0] + [len(c) for c in _CHILDREN[:-1]])
-    return (vertices, np.array(edges), step, np.array(later, dtype=np.int64),
-            first)
+    return vertices, np.array(edges), step, first
 
 
-(_CHILD_VERTICES, _CHILD_EDGES, _CHILD_STEP, _CHILD_SLOT,
- _KIND_FIRST) = _child_tables()
+_CHILD_VERTICES, _CHILD_EDGES, _CHILD_STEP, _KIND_FIRST = _child_tables()
 
 
 def refine(mesh, marked):
@@ -340,12 +322,13 @@ def refine(mesh, marked):
     beyond copying scales with the cut triangles. A kept triangle keeps
     its row; a kept edge keeps its length and normal under a new id; a
     split edge becomes its two halves, and each cut triangle adds its
-    interior edges; only those new edges are measured. The new edges are
-    sorted among themselves and merged into the kept ones, so the edge
-    table stays lexicographic. The output is conforming by construction,
-    so Mesh's whole-mesh input checks do not run: refine checks that the
-    closure marked every refinement edge it needs and that every child
-    has positive signed area, and raises MeshError otherwise.
+    interior edges; only those new edges are measured, then merged into
+    the kept ones in lexicographic order. Each edge's triangles are read
+    off the fine tri_edges as Mesh() reads them. The output is
+    conforming by construction, so Mesh's whole-mesh input checks do not
+    run: refine checks that the closure marked every refinement edge it
+    needs and that every child has positive signed area, and raises
+    MeshError otherwise.
 
     Args:
         mesh: conforming Mesh.
@@ -356,6 +339,7 @@ def refine(mesh, marked):
         (fine_mesh, refine_map). An empty marked set gives a copy of the
         mesh and a map that adds no vertex.
     """
+    instance(mesh, Mesh, "mesh", MeshError)
     marked = integer_array(marked, "marked triangle indices", MeshError)
     if marked.size and (marked.min() < 0
                         or marked.max() >= mesh.n_triangles):
@@ -425,10 +409,7 @@ def refine(mesh, marked):
     kept_fid[kept] = np.arange(len(kept)) + np.searchsorted(codes[order],
                                                             kept_codes)
 
-    # the fine ids of the cut triangles' edge symbols, and the edge_tris
-    # slot each takes: its parent edge's slot there (a child comes
-    # before another triangle's children exactly when its parent does),
-    # and on an interior edge 0, or 1 in the later of its two children
+    # the fine ids of the cut triangles' edge symbols
     halves = np.full(2 * ne, -1, dtype=np.int64)
     halves[2 * split] = fid[:k]
     halves[2 * split + 1] = fid[k:2 * k]
@@ -439,12 +420,8 @@ def refine(mesh, marked):
         kept_fid[te_cut],
         np.stack([halves[end], halves[end ^ 1]], axis=2).reshape(-1, 6),
         interior], axis=1)
-    side = np.zeros((len(cut), 4), dtype=np.int64)
-    side[:, :3] = mesh.edge_tris[te_cut, 1] == cut[:, None]
-    symbol = 12 * parent[:, None] + np.take(_CHILD_EDGES, row, axis=0)
-    child_te = np.take(edge_ids, symbol)
-    child_slot = (np.take(side[:, _EDGE_PARENT], symbol)
-                  + np.take(_CHILD_SLOT, row, axis=0))
+    child_te = np.take(edge_ids, 12 * parent[:, None]
+                       + np.take(_CHILD_EDGES, row, axis=0))
 
     pairs = np.column_stack([lo, hi])
     lengths, normals = _edge_geometry(vertices, pairs)
@@ -462,12 +439,6 @@ def refine(mesh, marked):
     edge_src[fid] = ne + np.arange(len(codes))
     tri_edges = np.take(np.concatenate([kept_fid[mesh.tri_edges], child_te]),
                         tri_src, axis=0)
-    # a kept edge keeps its triangles under their new ids; the children
-    # then write their own entries over their parents'
-    edge_tris = np.take(np.concatenate([
-        np.append(offsets[:-1], -1)[mesh.edge_tris],
-        np.full((len(codes), 2), -1)]), edge_src, axis=0)
-    edge_tris.reshape(-1)[2 * child_te + child_slot] = children[:, None]
 
     fine = Mesh._from_tables(
         vertices=vertices,
@@ -480,7 +451,7 @@ def refine(mesh, marked):
                                  mesh.ancestor[cut][parent]])[tri_src],
         edges=np.take(np.concatenate([mesh.edges, pairs]), edge_src,
                       axis=0),
-        tri_edges=tri_edges, edge_tris=edge_tris,
+        tri_edges=tri_edges, edge_tris=_edge_tris(tri_edges, len(edge_src)),
         edge_lengths=np.concatenate([mesh.edge_lengths, lengths])[edge_src],
         edge_normals=np.take(np.concatenate([mesh.edge_normals, normals]),
                              edge_src, axis=0),
@@ -492,6 +463,7 @@ def refine(mesh, marked):
 def uniform_refine(mesh, passes=1):
     """Refine every triangle once per pass, passes a non-negative
     integer. Returns (mesh, [RefineMap...])."""
+    instance(mesh, Mesh, "mesh", MeshError)
     maps = []
     for _ in range(count(passes, "passes", MeshError)):
         mesh, rmap = refine(mesh, np.arange(mesh.n_triangles))
@@ -506,6 +478,7 @@ def interpolate(coarse, fine, refine_map, u):
     columns. Exact for nested refinement: kept vertices keep their value
     and every midpoint receives the average of its edge endpoints.
     """
+    instance(refine_map, RefineMap, "refine_map", MeshError)
     refine_map.check(coarse, fine)
     u = real_array(u, "coefficients", MeshError)
     if u.ndim not in (1, 2) or u.shape[0] != coarse.n_vertices:
@@ -591,6 +564,7 @@ def dumps(mesh):
     """The mesh as text: "nv nt", then nv lines "x y boundary_flag",
     then nt lines "i j k generation ancestor". Insertion order,
     reproducible."""
+    instance(mesh, Mesh, "mesh", MeshError)
     lines = [f"{mesh.n_vertices} {mesh.n_triangles}"]
     for (x, y), b in zip(mesh.vertices, mesh.is_boundary_vertex):
         lines.append(f"{float(x)!r} {float(y)!r} {int(b)}")

@@ -51,7 +51,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from ._checks import instance
+from .assembly import FemSystem
 from .linalg import LinAlgError
+from .mesh import Mesh
 
 # restart the hierarchy (exact coarse solve) while the mesh is this small
 COARSE_DOFS = 400
@@ -145,6 +148,8 @@ class MultilevelPreconditioner:
     """
 
     def __init__(self, mesh, system):
+        instance(mesh, Mesh, "mesh", LinAlgError)
+        instance(system, FemSystem, "system", LinAlgError)
         if system.n_dofs > COARSE_DOFS:
             raise LinAlgError(f"first mesh has {system.n_dofs} free dofs, "
                               f"over COARSE_DOFS = {COARSE_DOFS}; start from "

@@ -25,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import count, real, real_array
+from ._checks import count, instance, real, real_array
+from .assembly import FemSystem
 from .linalg import (
     LinAlgError,
     b_orthonormalize,
@@ -166,6 +167,8 @@ def orbital_update(sys, block, precond=None):
     it is called once per sweep. Iteration caps are expected near
     convergence and not reported as errors.
     """
+    instance(sys, FemSystem, "sys", ParoError)
+    instance(block, OrbitalBlock, "block", ParoError)
     shifts = np.array([_safe_shift(float(s), block.ritz_values)
                        for s in block.shifts])
     cluster = np.repeat(np.arange(block.layout.q), block.layout.d)
@@ -188,6 +191,7 @@ def ritz_step(sys, half_steps):
     solved densely. The new block derives its clusters from the new
     Ritz values, so membership may legitimately shuffle between sweeps.
     """
+    instance(sys, FemSystem, "sys", ParoError)
     hs = real_array(half_steps, "half_steps", ParoError)
     if hs.ndim != 2:
         raise ParoError("half_steps must be a (N, n_dofs) array")

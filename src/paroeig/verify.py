@@ -22,7 +22,9 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import _checks
+from .assembly import FemSystem
 from .linalg import gram
+from .paro import OrbitalBlock
 
 
 class VerifyError(RuntimeError):
@@ -121,6 +123,7 @@ def reference_eig(sys, n_pairs, tol=1e-10, seed=0, max_iter=200):
     quotient, and every pair must end with ||K v - lam M v|| <= tol *
     ||K||_inf * ||v||, for a tol that is positive and finite.
     """
+    _checks.instance(sys, FemSystem, "sys", VerifyError)
     n_pairs = _checks.count(n_pairs, "n_pairs", VerifyError, minimum=1)
     tol = _checks.real(tol, "tol", VerifyError)
     if not 0.0 < tol < np.inf:                      # NaN too
@@ -185,6 +188,7 @@ def _principal(sys, x, y):
     """(dist_a(sys, x, y), xo, yo, w): the distance with the a-orthonormal
     bases xo, yo of span(x), span(y) and their cross-Gram w = yo K xo^T
     it is evaluated from."""
+    _checks.instance(sys, FemSystem, "sys", VerifyError)
     xo = _a_orthonormalize(sys, x)
     yo = _a_orthonormalize(sys, y)
     w = yo @ (sys.K @ xo.T)                          # (l, k)
@@ -268,6 +272,8 @@ def quasi_orthogonality_report(sys, block, ref):
     The matched basis comes from the orthogonal Procrustes rotation of
     the block cluster onto the reference cluster in the a-inner product.
     """
+    _checks.instance(block, OrbitalBlock, "block", VerifyError)
+    _checks.instance(ref, ReferencePairs, "ref", VerifyError)
     if block.n > ref.n:
         raise VerifyError(f"{block.n} orbitals but {ref.n} reference pairs")
     reports = []

@@ -15,17 +15,21 @@ import scipy.sparse as sp
 from helpers import pencil
 from paroeig import mesh as pm
 from paroeig.adapt import (AdaptConfig, AdaptError, RunRecord,
-                           adaptive_solve, default_seed_vectors, dorfler_mark)
+                           adaptive_solve, default_seed_vectors, dorfler_mark,
+                           records_to_csv, transfer_block)
 from paroeig.assembly import (AssemblyError, Coefficients, ElementData,
                               assemble)
 from paroeig.estimator import EstimatorError, Indicators, estimate
 from paroeig.linalg import (LinAlgError, b_orthonormalize, dense_sym_gen_eig,
                             gram, minres_solve)
 from paroeig.mesh import MeshError
+from paroeig.multilevel import MultilevelPreconditioner
 from paroeig.paro import (ClusterLayout, OrbitalBlock, ParoError,
-                          cluster_guesses, relative_change)
+                          cluster_guesses, orbital_update, paro_inner_loop,
+                          relative_change, ritz_step)
 from paroeig.verify import (VerifyError, analytic_spectrum, dist_a,
-                            fit_rate, reference_eig)
+                            fit_rate, quasi_orthogonality_report,
+                            reference_eig)
 
 SQUARE = pm.build_initial_mesh("unit_square")
 S3 = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
@@ -215,6 +219,33 @@ CASES = {
         EstimatorError, lambda: estimate(SQUARE, Coefficients.identity(),
                                          None)),
     "dorfler_mark_array": (AdaptError, lambda: dorfler_mark(np.ones(3), 0.5)),
+    "refine_none_mesh": (MeshError, lambda: pm.refine(None, [0])),
+    "uniform_refine_none_mesh": (MeshError, lambda: pm.uniform_refine(None)),
+    "dumps_none_mesh": (MeshError, lambda: pm.dumps(None)),
+    "interpolate_none_map": (
+        MeshError, lambda: pm.interpolate(None, None, None, np.ones(4))),
+    "reference_eig_none_system": (
+        VerifyError, lambda: reference_eig(None, 1)),
+    "dist_a_none_system": (
+        VerifyError, lambda: dist_a(None, np.ones(3), np.ones(3))),
+    "quasi_orthogonality_report_none": (
+        VerifyError, lambda: quasi_orthogonality_report(None, None, None)),
+    "default_seed_vectors_none_system": (
+        AdaptError, lambda: default_seed_vectors(None, 1)),
+    "records_to_csv_none_record": (AdaptError, lambda: records_to_csv([None])),
+    "records_to_csv_string": (AdaptError, lambda: records_to_csv("ab")),
+    "transfer_block_none": (
+        AdaptError, lambda: transfer_block(None, None, None)),
+    "multilevel_none": (
+        LinAlgError, lambda: MultilevelPreconditioner(None, None)),
+    "ritz_step_none_system": (
+        ParoError, lambda: ritz_step(None, np.ones((1, 3)))),
+    "orbital_update_none": (ParoError, lambda: orbital_update(None, None)),
+    "paro_inner_loop_none": (
+        ParoError, lambda: paro_inner_loop(None, None, 1e-8, 3)),
+    "element_data_extend_none": (
+        AssemblyError, lambda: ElementData(
+            SQUARE, Coefficients.identity()).extend(None, None)),
 }
 
 
@@ -242,4 +273,14 @@ def test_adaptive_solve_names_a_bad_domain(domain, wording):
     # these used to read "refinement level 0 failed: ..."
     with pytest.raises(AdaptError, match=wording) as err:
         adaptive_solve(domain, Coefficients.identity(), 1, AdaptConfig())
+    assert err.value.records == []
+
+
+def test_adaptive_solve_rejects_an_observer_it_cannot_call():
+    # used to solve level 0, then read "refinement level 0 failed:
+    # 'int' object is not callable"
+    with pytest.raises(AdaptError,
+                       match=r"^observer must be callable, got 5$") as err:
+        adaptive_solve("unit_square", Coefficients.identity(), 1,
+                       AdaptConfig(), observer=5)
     assert err.value.records == []

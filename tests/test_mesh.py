@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import descendants, inradii, similarity_class_counts
+from helpers import (descendants, inradii, marks, refined, rounds,
+                     similarity_class_counts)
 from paroeig import mesh as pm
 from paroeig.assembly import Coefficients, assemble
 
@@ -57,6 +58,20 @@ def test_duplicate_rejected_when_its_edges_have_three_triangles():
     with pytest.raises(pm.MeshError, match="duplicate"):
         pm.Mesh(v, np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4], [0, 5, 1],
                              [1, 2, 0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(marks=marks, rounds=rounds, data=st.data())
+def test_any_triangle_given_twice_is_a_duplicate(marks, rounds, data):
+    # a rotated copy keeps its positive area, so only the duplicate rule
+    # (two triangles that share two edges share all three vertices) can
+    # reject it
+    m = refined(marks, rounds)
+    pm.Mesh(m.vertices, m.triangles)
+    again = np.roll(m.triangles[data.draw(st.integers(0, m.n_triangles - 1))],
+                    data.draw(st.integers(0, 2)))
+    with pytest.raises(pm.MeshError, match="duplicate"):
+        pm.Mesh(m.vertices, np.vstack([m.triangles, again]))
 
 
 def test_hanging_node_between_boundary_vertices_rejected():
