@@ -3,9 +3,10 @@ numpy's dtype kinds: counts and indices are integers, real numbers and
 data are integers or floats. A bool is neither, and complex, string and
 object data are refused, never cast; whole-valued floats pass only as
 mesh ids, as np.loadtxt reads them. A record (a Mesh, a FemSystem, ...)
-must be of its class. Each helper raises the calling module's error
-class. Unless asked to, none copies a float64 array or scans one, so the
-solver path calls them every sweep.
+must be of its class, and an operator a dense or sparse matrix of its
+shape. Each helper raises the calling module's error class. Unless asked
+to, none copies a float64 array or scans one, so the solver path calls
+them every sweep.
 """
 
 import numpy as np
@@ -52,6 +53,36 @@ def instance(value, kind, name, error):
     """Raise error unless value is an instance of the class kind."""
     if not isinstance(value, kind):
         raise error(f"{name} must be of type {kind.__name__}, got "
+                    f"{type(value).__name__}")
+
+
+def instances(values, kind, name, error):
+    """An iterable, read once, as a list of instances of the class kind."""
+    try:
+        items = list(values)
+    except TypeError:                   # not iterable
+        raise error(f"{name} must be an iterable of {kind.__name__}, got "
+                    f"{type(values).__name__}") from None
+    for item in items:
+        instance(item, kind, f"every item of {name}", error)
+    return items
+
+
+def matrix(value, shape, name, error):
+    """Raise error unless value, a dense or sparse matrix, has the given
+    (rows, columns) shape."""
+    got = getattr(value, "shape", None)
+    if got is None:                     # nested lists, or no matrix
+        got = _array(value, name, error).shape
+    if got != tuple(shape):
+        raise error(f"{name} must be a matrix of shape {tuple(shape)}, got "
+                    f"{type(value).__name__} of shape {got}")
+
+
+def method(value, attr, name, error):
+    """Raise error unless value has a callable attribute attr."""
+    if not callable(getattr(value, attr, None)):
+        raise error(f"{name} must have a {attr}() method, got "
                     f"{type(value).__name__}")
 
 

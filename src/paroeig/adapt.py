@@ -36,7 +36,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mesh as mesh_mod
-from ._checks import count, instance, real, real_array
+from ._checks import (
+    count,
+    instance,
+    instances,
+    matrix,
+    method,
+    real,
+    real_array,
+)
 from .assembly import AssemblyError, ElementData, FemSystem, assemble
 from .estimator import Indicators, estimate
 from .linalg import (
@@ -128,10 +136,9 @@ def records_to_csv(records):
     delta1. wall_time stays out: timings break byte-for-byte
     reproducibility.
     """
+    records = instances(records, RunRecord, "records", AdaptError)
     if not records:
         raise AdaptError("no records to serialize")
-    for rec in records:
-        instance(rec, RunRecord, "every record", AdaptError)
     n_orb = len(records[0].ritz_values)
     head = ["n", "n_dofs"] + [f"ritz_{k}" for k in range(n_orb)]
     head += ["global_estimator_sq", "m_used", "delta1"]
@@ -196,7 +203,9 @@ def default_seed_vectors(system, n_orbitals, seed=0, precond=None):
     sweep in one block call), so adaptive runs stay independent of the
     scipy-based reference plumbing. precond is the mesh's
     MultilevelPreconditioner, or None for unpreconditioned solves; its
-    B(0) is K^-1 itself on a mesh of up to COARSE_DOFS dofs.
+    B(0) is K^-1 itself when the mesh is its coarse level: a refined
+    mesh of at most multilevel.RESTART_DOFS dofs, or a first mesh of at
+    most COARSE_DOFS.
 
     Raises AdaptError when the system has fewer free dofs than
     n_orbitals, or when the first guard value joins the cluster of the
@@ -209,6 +218,8 @@ def default_seed_vectors(system, n_orbitals, seed=0, precond=None):
         raise AdaptError(f"mesh has {system.n_dofs} free dofs for "
                          f"{n_orbitals} orbitals; refine the initial mesh")
     rng = np.random.default_rng(count(seed, "seed", AdaptError))
+    if precond is not None:
+        method(precond, "shifted", "precond", AdaptError)
     width = min(n_orbitals + 4, system.n_dofs)
     vecs = rng.standard_normal((width, system.n_dofs))
     apply = None if precond is None else precond.shifted(np.zeros(width))
@@ -237,6 +248,8 @@ def transfer_block(fine_sys, prolong, block):
     shifts) as the next initial data."""
     instance(fine_sys, FemSystem, "fine_sys", AdaptError)
     instance(block, OrbitalBlock, "block", AdaptError)
+    matrix(prolong, (fine_sys.n_dofs, block.vectors.shape[1]), "prolong",
+           AdaptError)
     vecs = b_orthonormalize((prolong @ block.vectors.T).T, fine_sys.M)
     return replace(block, vectors=vecs)
 
@@ -256,7 +269,9 @@ class Level:
     @classmethod
     def first(cls, mesh, coeffs):
         """The Level of a run's initial mesh, the preconditioner's coarse
-        level; over COARSE_DOFS free dofs it raises LinAlgError."""
+        level; over multilevel.COARSE_DOFS free dofs it raises
+        LinAlgError. Refinements extend its hierarchy, and restart it
+        only on a mesh of at most multilevel.RESTART_DOFS free dofs."""
         data = ElementData(mesh, coeffs)
         system = assemble(mesh, coeffs, data=data)
         return cls(data, system, MultilevelPreconditioner(mesh, system))
@@ -297,7 +312,9 @@ def adaptive_solve(domain, coeffs, n_orbitals, config, seed=0,
             Mesh too), an unknown name, or an initial mesh of more than
             multilevel.COARSE_DOFS free dofs raises an AdaptError that
             says so; coefficients that fail on the initial mesh raise
-            one that names them.
+            one that names them. The preconditioner's coarse level is
+            the last mesh of at most multilevel.RESTART_DOFS free dofs,
+            or the initial mesh when that is larger.
         coeffs: Coefficients for the operator pencil.
         n_orbitals: number of wanted eigenpairs N.
         config: AdaptConfig.

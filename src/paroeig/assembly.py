@@ -330,14 +330,18 @@ class ElementData:
         return out
 
 
-def _element_data(mesh, coeffs, data=None):
+def _element_data(mesh, coeffs, data, error):
     """data checked against mesh and coeffs, or ElementData(mesh, coeffs)
-    when data is None."""
+    when data is None; an argument of the wrong type or data built for
+    another mesh raises error, the caller's module error."""
+    instance(mesh, Mesh, "mesh", error)
+    instance(coeffs, Coefficients, "coeffs", error)
     if data is None:
         return ElementData(mesh, coeffs)
+    instance(data, ElementData, "data", error)
     if data.mesh is not mesh or data.coeffs is not coeffs:
-        raise AssemblyError("element data was built for another mesh or "
-                            "other coefficients")
+        raise error("element data was built for another mesh or other "
+                    "coefficients")
     return data
 
 
@@ -471,7 +475,7 @@ def assemble(mesh, coeffs, data=None):
     data: the mesh's ElementData; without it one is built and dropped
     before the global matrices are formed.
     """
-    data = _element_data(mesh, coeffs, data)
+    data = _element_data(mesh, coeffs, data, AssemblyError)
     tri, ke, (p, q) = mesh.triangles, data.ke, _LOCAL_EDGES
     k_entries = (np.where(tri[:, p] > tri[:, q], ke[:, p, q], ke[:, q, p]),
                  np.einsum("tii->ti", ke))

@@ -154,7 +154,7 @@ def estimate(mesh, coeffs, block, data=None):
     data: the mesh's assembly.ElementData; built here when None.
     """
     instance(block, OrbitalBlock, "block", EstimatorError)
-    data = assembly._element_data(mesh, coeffs, data)
+    data = assembly._element_data(mesh, coeffs, data, EstimatorError)
     r, jumps = _residuals(data, _to_vertex_values(mesh, block.vectors),
                           block.ritz_values)
     # h_T^2 |T| sum_q w_q R^2 + sum_{e in dT} h_e ||J||^2 (= h_e^2 J^2),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._checks import count, real, real_array
+from ._checks import count, matrix, real, real_array
 
 
 class LinAlgError(RuntimeError):
@@ -286,6 +286,7 @@ def gram(vectors, S):
     v = real_array(vectors, "vectors", LinAlgError)
     if v.ndim == 1:
         v = v[None, :]
+    matrix(S, (v.shape[1],) * 2, "S", LinAlgError)
     g = v @ (S @ v.T)
     return 0.5 * (g + g.T)
 
@@ -302,6 +303,7 @@ def b_orthonormalize(vectors, M):
     v = real_array(vectors, "vectors", LinAlgError, copy=True)
     if v.ndim == 1:
         v = v[None, :]
+    matrix(M, (v.shape[1],) * 2, "M", LinAlgError)
     k = v.shape[0]
     mv = np.empty_like(v)          # M-applied orthonormal basis rows
     lead = None

@@ -581,6 +581,7 @@ def loads(text):
     the ancestor column still load; their ancestors are reset to the
     triangle indices, as if the mesh were an initial mesh.
     """
+    instance(text, str, "text", MeshError)
     rows = [r.split() for r in text.strip().splitlines()]
     if not rows:
         raise MeshError("empty mesh dump")

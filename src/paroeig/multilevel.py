@@ -16,7 +16,9 @@ and applies
     B_0(sigma) = V diag(1 / max(|Lambda - sigma|, GAP_FLOOR |sigma|)) V^T,
 
 so B_0(0) = K_0^-1 and the floor keeps B_0 finite when sigma hits a
-coarse eigenvalue; the first mesh has at most COARSE_DOFS free dofs.
+coarse eigenvalue. The dense eigendecomposition costs O(n_0^3): the
+first mesh may have at most COARSE_DOFS free dofs, and extend() starts
+a fresh coarse level only on a refined mesh of at most RESTART_DOFS.
 R_l is the l1-Jacobi smoother OMEGA D^-1
 (Baker-Falgout-Kolev-Yang 2011) on the vertices level l added and their
 edge neighbours, the set S, with D_ii = sum_(j in S) |K_ij|, and zero
@@ -51,13 +53,20 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from ._checks import instance
+from ._checks import instance, matrix
 from .assembly import FemSystem
 from .linalg import LinAlgError
 from .mesh import Mesh
 
-# restart the hierarchy (exact coarse solve) while the mesh is this small
+# the most free dofs the first mesh, the coarse level of its whole
+# hierarchy, may have
 COARSE_DOFS = 400
+# extend() restarts the hierarchy on a new exact coarse level while the
+# refined mesh has at most this many free dofs. Any fixed size keeps
+# Chen-Nochetto-Xu's uniform bound, so it is set by timing graded runs:
+# a larger one pays a dense eigh on more levels and a larger coarse
+# apply in every V-cycle, a smaller one more MINRES iterations
+RESTART_DOFS = 100
 # damping of the l1-Jacobi smoother; B stays SPD for any value below 2
 OMEGA = 1.6
 # the coarse solve floors each |lambda - sigma| at this fraction of
@@ -162,13 +171,20 @@ class MultilevelPreconditioner:
         """Preconditioner for the refined mesh (with its FemSystem);
         prolong maps the free dofs of the previous mesh to those of
         mesh: the refinement's nodal prolongation restricted to both."""
-        if system.n_dofs <= COARSE_DOFS:
+        instance(mesh, Mesh, "mesh", LinAlgError)
+        instance(system, FemSystem, "system", LinAlgError)
+        finest = (self._levels[-1].step if self._levels
+                  else self._coarse[1]).shape[0]
+        matrix(prolong, (system.n_dofs, finest), "prolong", LinAlgError)
+        if system.n_dofs <= RESTART_DOFS:
             return MultilevelPreconditioner(mesh, system)
         sizes = [self._coarse_vertices] + [lv.n_vertices
                                            for lv in self._levels]
         levels = list(self._levels)
         if levels and sizes[-1] < MERGE_FACTOR * sizes[-2]:
-            step = prolong @ levels.pop().step
+            # sorted as a refinement's own prolongation is, so the level
+            # applies in one summation order whatever it merged
+            step = (prolong @ levels.pop().step).sorted_indices()
             n_old = sizes[-2]
         else:
             step, n_old = prolong, sizes[-1]

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import count, instance, real, real_array
+from ._checks import count, instance, method, real, real_array
 from .assembly import FemSystem
 from .linalg import (
     LinAlgError,
@@ -169,6 +169,8 @@ def orbital_update(sys, block, precond=None):
     """
     instance(sys, FemSystem, "sys", ParoError)
     instance(block, OrbitalBlock, "block", ParoError)
+    if precond is not None:
+        method(precond, "shifted", "precond", ParoError)
     shifts = np.array([_safe_shift(float(s), block.ritz_values)
                        for s in block.shifts])
     cluster = np.repeat(np.arange(block.layout.q), block.layout.d)

@@ -240,10 +240,15 @@ class TestLevel:
         """Up to COARSE_DOFS dofs, the first Level grown by uniform
         refine() passes from the initial mesh, as adaptive_solve grows
         it, holds the pencil of uniform_refine then Level.first bit for
-        bit, and the same B(sigma)."""
-        last = grown(domain, passes, VARIABLE)[0][-1]
-        fresh = Level.first(mesh.uniform_refine(
-            mesh.build_initial_mesh(domain), passes)[0], VARIABLE)
+        bit. Its B(sigma) is, bit for bit, that of Level.first on the
+        last pass mesh of at most RESTART_DOFS dofs, where the grown
+        hierarchy last restarted, refined by the remaining passes: the
+        uniform mesh itself up to RESTART_DOFS, and at 225 dofs six
+        passes with levels above them."""
+        hierarchy = grown(domain, passes, VARIABLE)[0]
+        last, initial = hierarchy[-1], mesh.build_initial_mesh(domain)
+        fresh = Level.first(mesh.uniform_refine(initial, passes)[0],
+                            VARIABLE)
         assert fresh.system.n_dofs <= multilevel.COARSE_DOFS
         for name in ("K", "M"):
             got, want = getattr(last.system, name), getattr(fresh.system,
@@ -251,11 +256,18 @@ class TestLevel:
             for part in ("indptr", "indices", "data"):
                 assert (getattr(got, part).tobytes()
                         == getattr(want, part).tobytes()), (name, part)
+        restart = max(k for k, level in enumerate(hierarchy)
+                      if level.system.n_dofs <= multilevel.RESTART_DOFS)
+        assert (restart < passes) == (last.precond.n_levels > 1)
+        started = Level.first(mesh.uniform_refine(initial, restart)[0],
+                              VARIABLE)
+        for _ in range(passes - restart):
+            started, _ = started.refine(np.arange(started.mesh.n_triangles))
         n = fresh.system.n_dofs
         eye, rows = np.eye(n), np.zeros(n, dtype=int)
         for shift in (0.0, 37.0):
             assert_array_equal(last.precond.shifted([shift])(eye, rows),
-                               fresh.precond.shifted([shift])(eye, rows))
+                               started.precond.shifted([shift])(eye, rows))
 
     def test_observer_receives_each_level(self, monkeypatch):
         """One call per record, on the Level the record describes, whose
@@ -448,6 +460,37 @@ class TestAdaptiveSolve:
         # measured: 110 over the five levels; 894 when the 961-dof mesh
         # was its own coarse level under a diagonal coarse solve
         assert sum(iterations) <= 200
+
+    def test_coarse_eigh_runs_only_on_small_meshes(self, monkeypatch):
+        """The dense coarse eigh runs once on the initial mesh and once
+        on every later mesh of at most RESTART_DOFS free dofs, and never
+        on a larger one: here on none of the levels between RESTART_DOFS
+        and COARSE_DOFS."""
+        eighs, refined_dofs = [], []
+        coarse_modes = multilevel._coarse_modes
+        extend = multilevel.MultilevelPreconditioner.extend
+
+        def counting_modes(system):
+            eighs.append(system.n_dofs)
+            return coarse_modes(system)
+
+        def recording_extend(self, prolong, fine, system):
+            refined_dofs.append(system.n_dofs)
+            return extend(self, prolong, fine, system)
+
+        monkeypatch.setattr(multilevel, "_coarse_modes", counting_modes)
+        monkeypatch.setattr(multilevel.MultilevelPreconditioner, "extend",
+                            recording_extend)
+        cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=10,
+                          initial_passes=2, tol2=1e-10, max_inner=40)
+        records, _, _ = adaptive_solve("l_shape", IDENTITY, 1, cfg)
+        initial = assemble(mesh.build_initial_mesh("l_shape"), IDENTITY)
+        small = [n for n in refined_dofs if n <= multilevel.RESTART_DOFS]
+        between = [n for n in refined_dofs
+                   if multilevel.RESTART_DOFS < n <= multilevel.COARSE_DOFS]
+        assert len(refined_dofs) == len(records) - 1 + cfg.initial_passes
+        assert small and between
+        assert eighs == [initial.n_dofs] + small
 
     def test_deterministic_given_seed(self):
         cfg = AdaptConfig(theta=0.5, tol1=1e-12, max_refinements=4,

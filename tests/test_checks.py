@@ -256,6 +256,49 @@ def test_bad_argument_raises_the_module_error(case):
         call()
 
 
+IDENTITY = Coefficients.identity()
+BLOCK = OrbitalBlock(np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
+PRECOND = MultilevelPreconditioner(SQUARE, assemble(SQUARE, IDENTITY))
+# each leaked a bare builtin error (numpy's matmul ValueError for the
+# operators), or estimate another module's error, for an argument of
+# the wrong type or shape
+WRONG_TYPES = {
+    "records_to_csv_int": (AdaptError, lambda: records_to_csv(5)),
+    "loads_none": (MeshError, lambda: pm.loads(None)),
+    "assemble_int_data": (
+        AssemblyError, lambda: assemble(SQUARE, IDENTITY, data=5)),
+    "extend_none": (LinAlgError, lambda: PRECOND.extend(None, None, None)),
+    "extend_prolong_shape": (
+        LinAlgError, lambda: PRECOND.extend(
+            sp.csr_matrix((3, 3)), SQUARE, SYSTEM)),
+    "orbital_update_int_precond": (
+        ParoError, lambda: orbital_update(SYSTEM, BLOCK, precond=5)),
+    "default_seed_vectors_int_precond": (
+        AdaptError, lambda: default_seed_vectors(SYSTEM, 1, precond=5)),
+    "b_orthonormalize_none": (
+        LinAlgError, lambda: b_orthonormalize(BLOCK.vectors, None)),
+    "b_orthonormalize_size": (
+        LinAlgError, lambda: b_orthonormalize(BLOCK.vectors, np.eye(4))),
+    "gram_none": (LinAlgError, lambda: gram(BLOCK.vectors, None)),
+    "transfer_block_none_prolong": (
+        AdaptError, lambda: transfer_block(SYSTEM, None, BLOCK)),
+    "transfer_block_prolong_shape": (
+        AdaptError, lambda: transfer_block(SYSTEM, np.eye(3, 2), BLOCK)),
+    "estimate_none_mesh": (
+        EstimatorError, lambda: estimate(None, IDENTITY, BLOCK)),
+    "estimate_int_data": (
+        EstimatorError, lambda: estimate(SQUARE, IDENTITY, BLOCK, data=5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_wrong_type_argument_raises_exactly_the_module_error(case):
+    error, call = WRONG_TYPES[case]
+    with pytest.raises(Exception) as err:
+        call()
+    assert type(err.value) is error, repr(err.value)
+
+
 FINE_SQUARE = pm.uniform_refine(SQUARE, 10)[0]
 
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import grown, p1_evaluate
 from paroeig import mesh as pm
@@ -18,7 +18,9 @@ from paroeig.linalg import LinAlgError, minres_solve
 from paroeig.multilevel import (
     COARSE_DOFS,
     GAP_FLOOR,
+    MERGE_FACTOR,
     OMEGA,
+    RESTART_DOFS,
     MultilevelPreconditioner,
 )
 
@@ -119,13 +121,14 @@ def test_v_cycle_matches_the_textbook_recursion(case):
         assert nv[1] < 2 * nv[0] <= nv[2]
         ends = [0, 2, 3]
     elif case == "grown":
-        # pass 8 is the last mesh of at most COARSE_DOFS dofs and the
-        # coarse level; pass 10 joins the level of pass 9, and the local
-        # refinement starts a new one
+        # pass 6 is the last mesh of at most RESTART_DOFS dofs and the
+        # coarse level; pass 8 joins the level of pass 7, pass 10 the
+        # level of pass 9, and the local refinement starts a new one
         dofs = [lv.system.n_dofs for lv in hierarchy]
-        assert dofs[8] <= COARSE_DOFS < dofs[9]
+        assert dofs[6] <= RESTART_DOFS < dofs[7]
+        assert nv[7] < 2 * nv[6] <= nv[8]
         assert nv[9] < 2 * nv[8] <= nv[10]
-        ends = [8, 10, 11]
+        ends = [6, 8, 10, 11]
     else:
         ends = [0, 1]
     finest = hierarchy[-1]
@@ -307,15 +310,36 @@ def test_small_meshes_restart_the_hierarchy():
                     np.linalg.inv(level.system.K.toarray()), atol=1e-12)
 
 
+def test_first_mesh_between_the_restart_size_and_the_cap():
+    """A 225-dof first mesh, above RESTART_DOFS and within COARSE_DOFS,
+    loads through Level.first with an exact coarse solve; its
+    refinements add levels above that coarse level and never restart
+    the hierarchy."""
+    mesh, _ = pm.uniform_refine(pm.build_initial_mesh("unit_square"), 8)
+    level = Level.first(mesh, IDENTITY)
+    assert RESTART_DOFS < level.system.n_dofs == 225 <= COARSE_DOFS
+    assert level.precond.n_levels == 1
+    k_inv = np.linalg.inv(level.system.K.toarray())
+    assert_allclose(dense(level.precond, 225), k_inv, rtol=0,
+                    atol=1e-12 * np.abs(k_inv).max())
+    coarse = level.precond._coarse
+    for marked in ([0, 1], np.arange(40), [7]):
+        level, _ = level.refine(marked)
+        assert level.precond.n_levels >= 2
+        assert level.precond._coarse is coarse
+        assert level.precond._coarse_vertices == mesh.n_vertices
+
+
 def test_empty_refinement_keeps_the_preconditioner():
-    """A restarted hierarchy (small mesh) keeps B to the last bit. One
-    grown from the initial mesh past COARSE_DOFS keeps every level's
-    matrices, since the empty refinement joins its last level; the
-    merged step's product stores its entries in another order, so B
-    agrees to rounding."""
+    """A refinement that bisects nothing keeps B to the last bit: on a
+    restarted hierarchy (small mesh), and on one grown from the initial
+    mesh past RESTART_DOFS, whose last level the empty refinement joins.
+    The merged step's product is stored with sorted column indices, as
+    the refinement's own step is, so every level applies its matrices
+    in the same order."""
     small, _ = pm.uniform_refine(pm.build_initial_mesh("l_shape"), 2)
     large, _ = grown("unit_square", 10, IDENTITY)[0][-1].refine([0, 1])
-    assert large.precond.n_levels == 3
+    assert large.precond.n_levels == 4
     for level in (Level.first(small, IDENTITY), large):
         kept, _ = level.refine([])
         n = level.system.n_dofs
@@ -325,9 +349,7 @@ def test_empty_refinement_keeps_the_preconditioner():
                             strict=True):
             for field in ("step", "prolong", "restrict", "smoother"):
                 assert (getattr(new, field) != getattr(old, field)).nnz == 0
-        b = dense(level.precond, n)
-        atol = 0.0 if level is not large else 1e-15 * np.abs(b).max()
-        assert_allclose(dense(kept.precond, n), b, rtol=0, atol=atol)
+        assert_array_equal(dense(kept.precond, n), dense(level.precond, n))
 
 
 @settings(max_examples=10, deadline=None)
@@ -445,10 +467,16 @@ def test_iterations_stay_flat_on_graded_meshes(graded_l_shape):
 
 
 def test_levels_merge_until_vertices_double(graded_l_shape):
-    # about 20 refinements, each adding a few percent of vertices
+    # about 20 refinements, each adding a few percent of vertices; the
+    # coarse level is the last mesh of at most RESTART_DOFS dofs, and
+    # every level below the finest has at least doubled the vertices
     system, precond = graded_l_shape[-1]
     assert len(graded_l_shape) > 12
-    assert precond.n_levels <= 2 + np.log2(system.n_dofs / COARSE_DOFS)
+    sizes = [precond._coarse_vertices] + [lv.n_vertices
+                                          for lv in precond._levels]
+    assert all(fine >= MERGE_FACTOR * coarse
+               for coarse, fine in zip(sizes, sizes[1:-1]))
+    assert precond.n_levels <= 2 + np.log2(system.n_dofs / RESTART_DOFS)
 
 
 def test_shift_aware_coarse_solve_removes_the_outliers(graded_l_shape):
